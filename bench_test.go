@@ -222,7 +222,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 // BenchmarkCacheHit measures the cache controller's hit path.
 func BenchmarkCacheHit(b *testing.B) {
 	clock := &sim.Clock{}
-	bus := mbus.New(clock, mbus.FixedPriority)
+	bus := mbus.New(clock, nil)
 	c := core.NewMicroVAXCache(clock, core.Firefly{})
 	bus.Attach(c, c, nil)
 	// Fill one line via the bus.
@@ -240,7 +240,7 @@ func BenchmarkCacheHit(b *testing.B) {
 // BenchmarkBusTransaction measures a full four-cycle MBus operation.
 func BenchmarkBusTransaction(b *testing.B) {
 	clock := &sim.Clock{}
-	bus := mbus.New(clock, mbus.FixedPriority)
+	bus := mbus.New(clock, nil)
 	c := core.NewMicroVAXCache(clock, core.Firefly{})
 	bus.Attach(c, c, nil)
 	b.ResetTimer()

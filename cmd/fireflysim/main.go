@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -34,6 +35,7 @@ import (
 	"firefly/internal/mbus"
 	"firefly/internal/obs"
 	"firefly/internal/rpc"
+	"firefly/internal/sim"
 	"firefly/internal/topaz"
 	"firefly/internal/trace"
 	"firefly/internal/traffic"
@@ -259,6 +261,18 @@ func main() {
 	trafficSpec := flag.String("traffic", "", `fleet traffic spec, e.g. "rate=2000,mix=file:6/make:3/mdc:1,lb=least,queue=32,seed=5": member 0 load-balances an open-loop user population over the rest (defaults to a 16-machine 4-segment fleet unless -cluster/-segments are set)`)
 	flag.Parse()
 
+	// A negative or NaN duration would wrap to an effectively endless
+	// cycle count.
+	for _, d := range []struct {
+		flag string
+		s    float64
+	}{{"seconds", *seconds}, {"warmup", *warmup}} {
+		if d.s < 0 || math.IsNaN(d.s) || math.IsInf(d.s, 0) {
+			fmt.Fprintf(os.Stderr, "fireflysim: -%s must be a finite non-negative number of seconds, got %v\n", d.flag, d.s)
+			os.Exit(2)
+		}
+	}
+
 	if *verifyProto != "" {
 		runVerify(*verifyProto, *verifyOut)
 		return
@@ -364,6 +378,10 @@ func main() {
 		}
 		cfg.Faults = &fcfg
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "fireflysim: %v\n", err)
+		os.Exit(2)
+	}
 	m := machine.New(cfg)
 
 	var checker *check.Checker
@@ -404,8 +422,6 @@ func main() {
 		}()
 	}
 
-	cyc := func(s float64) uint64 { return uint64(s * 1e7) }
-
 	var travelSnap *machine.Snapshot
 	switch *wl {
 	case "synthetic":
@@ -414,7 +430,7 @@ func main() {
 			ShareFraction:      *share,
 			SharedReadFraction: *share / 2,
 		})
-		m.Warmup(cyc(*warmup))
+		m.Warmup(sim.SecondsToCycles(*warmup))
 		if *travel > 0 {
 			if *checkFlag {
 				fmt.Fprintln(os.Stderr, "fireflysim: -travel is incompatible with -check (the oracle's shadow state cannot rewind)")
@@ -438,25 +454,28 @@ func main() {
 		ex := workload.NewExerciser(k, workload.ExerciserConfig{
 			Threads: 16, Rounds: 1_000_000, SharedFraction: 0.35, Seed: *seed,
 		})
-		ex.Step(cyc(*warmup))
+		ex.Step(sim.SecondsToCycles(*warmup))
 		m.ResetStats()
-		ex.Step(cyc(*seconds))
+		ex.Step(sim.SecondsToCycles(*seconds))
 
 	case "make":
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, AvoidMigration: true, Dispatch: dispatch, Seed: *seed})
-		res := workload.RunMake(k, workload.StandardBuild(8, 40_000), cyc(*seconds)*100)
+		if dispatch == nil {
+			dispatch = topaz.MigrationAverse{}
+		}
+		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: dispatch, Seed: *seed})
+		res := workload.RunMake(k, workload.StandardBuild(8, 40_000), sim.SecondsToCycles(*seconds)*100)
 		fmt.Printf("parallel make: finished=%v in %.2f Mcycles (ok=%v)\n",
 			len(res.Finished), float64(res.Cycles)/1e6, res.OK)
 
 	case "pipeline":
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: dispatch, Seed: *seed})
-		res := workload.RunPipeline(k, workload.PipelineConfig{}, cyc(*seconds)*100)
+		res := workload.RunPipeline(k, workload.PipelineConfig{}, sim.SecondsToCycles(*seconds)*100)
 		fmt.Printf("pipeline: %d items in %.2f Mcycles (ok=%v)\n",
 			len(res.Output), float64(res.Cycles)/1e6, res.OK)
 
 	case "compiler":
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: dispatch, Seed: *seed})
-		res := workload.RunCompiler(k, workload.CompilerConfig{}, cyc(*seconds)*100)
+		res := workload.RunCompiler(k, workload.CompilerConfig{}, sim.SecondsToCycles(*seconds)*100)
 		fmt.Printf("parallel compile: %d procedures in %.2f Mcycles (ok=%v)\n",
 			len(res.Compiled), float64(res.Cycles)/1e6, res.OK)
 

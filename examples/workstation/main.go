@@ -15,6 +15,7 @@ import (
 	"firefly/internal/display"
 	"firefly/internal/fs"
 	"firefly/internal/qbus"
+	"firefly/internal/topaz"
 	"firefly/internal/trestle"
 	"firefly/internal/workload"
 )
@@ -32,7 +33,7 @@ func main() {
 	maps.MapRange(0, 0x700000, 1<<16)
 
 	// --- software: Topaz, the file system daemons, Trestle ---
-	k := firefly.Boot(m, firefly.KernelConfig{Quantum: 1500, AvoidMigration: true})
+	k := firefly.Boot(m, firefly.KernelConfig{Quantum: 1500, Dispatch: topaz.MigrationAverse{}})
 	f := fs.New(k, disk, m.Memory(), maps, fs.Config{}, nil)
 	wm := trestle.New(mdc)
 

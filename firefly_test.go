@@ -34,7 +34,7 @@ func TestNewCVAX(t *testing.T) {
 
 func TestBootAndFork(t *testing.T) {
 	m := firefly.NewMicroVAX(2)
-	k := firefly.Boot(m, firefly.KernelConfig{AvoidMigration: true})
+	k := firefly.Boot(m, firefly.KernelConfig{Dispatch: topaz.MigrationAverse{}})
 	k.Fork(topaz.Seq(topaz.Compute{Instructions: 10_000}), topaz.ThreadSpec{}, nil)
 	if !k.RunUntilDone(20_000_000) {
 		t.Fatal("thread did not finish")
@@ -47,7 +47,7 @@ func TestTraceSchedulerEvents(t *testing.T) {
 	m := firefly.NewMicroVAX(2)
 	ring := firefly.NewTraceRing(1 << 16)
 	m.Trace(ring)
-	k := firefly.Boot(m, firefly.KernelConfig{AvoidMigration: true, Quantum: 2000})
+	k := firefly.Boot(m, firefly.KernelConfig{Dispatch: topaz.MigrationAverse{}, Quantum: 2000})
 	for i := 0; i < 6; i++ {
 		k.Fork(topaz.Seq(topaz.Compute{Instructions: 30_000}), topaz.ThreadSpec{}, nil)
 	}

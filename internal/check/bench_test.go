@@ -31,7 +31,7 @@ func benchMachine(b *testing.B, check bool, walkEvery uint64) {
 
 // BenchmarkMachineCycleUnchecked is the root BenchmarkMachineCycle
 // workload re-declared here so `go test -bench . ./internal/check` prints
-// the checked and unchecked numbers side by side (BENCH_check.json).
+// the checked and unchecked numbers side by side.
 func BenchmarkMachineCycleUnchecked(b *testing.B) { benchMachine(b, false, 0) }
 
 // BenchmarkMachineCycleChecked is the same machine with the full

@@ -99,7 +99,7 @@ func FuzzBusOps(f *testing.F) {
 		}
 
 		clock := &sim.Clock{}
-		bus := mbus.New(clock, mbus.FixedPriority)
+		bus := mbus.New(clock, nil)
 		mem := memory.NewMicroVAXSystem(4)
 		bus.AttachMemory(mem)
 		const nCaches = 3
@@ -165,7 +165,7 @@ func FuzzBusOps(f *testing.F) {
 				c.Step()
 			}
 			bus.Step()
-			done := pup.pos >= len(pup.reqs) && bus.Quiescent()
+			done := pup.pos >= len(pup.reqs) && bus.NextEvent(clock.Now()) == sim.Never
 			for i, c := range caches {
 				done = done && !c.Busy() && heads[i] >= len(queues[i])
 			}

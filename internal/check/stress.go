@@ -375,7 +375,7 @@ func run(m *machine.Machine, checker *Checker, sources []*scriptSource, cfg Stre
 }
 
 func drained(m *machine.Machine) bool {
-	if !m.Bus().Quiescent() {
+	if m.Bus().NextEvent(m.Clock().Now()) != sim.Never {
 		return false
 	}
 	for _, c := range m.Caches() {

@@ -45,7 +45,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -547,7 +546,7 @@ func (c *Cluster) skip(n uint64) {
 // the nearest whole cycle like machine.RunSeconds (truncation silently
 // lost a cycle for wall-times that are not exact cycle multiples).
 func (c *Cluster) RunSeconds(s float64) {
-	c.Run(uint64(math.Round(s * 1e9 / sim.CycleNS)))
+	c.Run(sim.SecondsToCycles(s))
 }
 
 // RunUntil advances until pred holds or maxCycles elapse; it reports

@@ -20,7 +20,7 @@ type rig struct {
 func newRig(t testing.TB, n int, proto core.Protocol, lines int) *rig {
 	t.Helper()
 	r := &rig{clock: &sim.Clock{}}
-	r.bus = mbus.New(r.clock, mbus.FixedPriority)
+	r.bus = mbus.New(r.clock, nil)
 	r.mem = memory.NewMicroVAXSystem(4)
 	r.bus.AttachMemory(r.mem)
 	for i := 0; i < n; i++ {
@@ -202,7 +202,7 @@ func TestProtocolMultiWordLinearizability(t *testing.T) {
 		t.Run(proto.Name(), func(t *testing.T) {
 			const nCaches = 3
 			r := &rig{clock: &sim.Clock{}}
-			r.bus = mbus.New(r.clock, mbus.FixedPriority)
+			r.bus = mbus.New(r.clock, nil)
 			r.mem = memory.NewMicroVAXSystem(4)
 			r.bus.AttachMemory(r.mem)
 			for i := 0; i < nCaches; i++ {

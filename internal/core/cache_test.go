@@ -17,10 +17,10 @@ type rig struct {
 }
 
 func newRig(t testing.TB, n int, proto Protocol, lines int) *rig {
-	return newRigArb(t, n, proto, lines, mbus.FixedPriority)
+	return newRigArb(t, n, proto, lines, nil)
 }
 
-func newRigArb(t testing.TB, n int, proto Protocol, lines int, arb mbus.Arbitration) *rig {
+func newRigArb(t testing.TB, n int, proto Protocol, lines int, arb mbus.Arbiter) *rig {
 	t.Helper()
 	r := &rig{clock: &sim.Clock{}}
 	r.bus = mbus.New(r.clock, arb)

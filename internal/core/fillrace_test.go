@@ -10,7 +10,7 @@ import (
 
 // newRigArbGeometry builds a rig with an explicit arbitration policy and
 // cache geometry, for the fill-race tests that need op interleaving.
-func newRigArbGeometry(t testing.TB, n int, proto Protocol, lines, lineWords int, arb mbus.Arbitration) *rig {
+func newRigArbGeometry(t testing.TB, n int, proto Protocol, lines, lineWords int, arb mbus.Arbiter) *rig {
 	t.Helper()
 	r := &rig{clock: &sim.Clock{}}
 	r.bus = mbus.New(r.clock, arb)
@@ -50,7 +50,7 @@ func (r *rig) drain(t testing.TB) {
 // Shared copies with divergent data. The fill sequencer must snoop
 // operations on its in-flight line and patch the buffered word.
 func TestMultiWordFillSnoopsWrites(t *testing.T) {
-	r := newRigArbGeometry(t, 2, Firefly{}, 16, 4, mbus.FixedPriority)
+	r := newRigArbGeometry(t, 2, Firefly{}, 16, 4, nil)
 	for w := 0; w < 4; w++ {
 		r.mem.Poke(mbus.Addr(0x200+w*4), uint32(200+w))
 	}
@@ -87,7 +87,7 @@ func TestMultiWordFillSnoopsWrites(t *testing.T) {
 // both observe the sharing and arrive Shared, so that a later write by
 // either goes through the bus and updates the other.
 func TestMultiWordConcurrentFillsShared(t *testing.T) {
-	r := newRigArbGeometry(t, 2, Firefly{}, 16, 4, mbus.RoundRobin)
+	r := newRigArbGeometry(t, 2, Firefly{}, 16, 4, mbus.NewRoundRobin())
 	for w := 0; w < 4; w++ {
 		r.mem.Poke(mbus.Addr(0x100+w*4), uint32(100+w))
 	}

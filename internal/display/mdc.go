@@ -282,6 +282,31 @@ func (m *MDC) Step() {
 	}
 }
 
+// NextEvent implements machine.Device: the next cycle while a bus
+// operation is raised or in flight, an input deposit is in progress, or
+// the microengine is in a bus-driven phase (poll-wait, memory I/O,
+// status); otherwise the earliest of the next doorbell poll (idle), the
+// end of the current command's fetch or paint time, and the next 60 Hz
+// deposit — never later than the first cycle Step would act.
+func (m *MDC) NextEvent(now sim.Cycle) sim.Cycle {
+	if m.inFlight || m.reqValid || m.depositPos > 0 {
+		return now + 1
+	}
+	ev := m.nextDeposit
+	switch m.phase {
+	case mdcIdle:
+		ev = sim.EarliestEvent(ev, m.nextPoll)
+	case mdcFetch, mdcExec:
+		ev = sim.EarliestEvent(ev, m.busyUntil)
+	default:
+		return now + 1
+	}
+	if ev <= now {
+		return now + 1
+	}
+	return ev
+}
+
 func (m *MDC) beginExec() {
 	switch cmd := m.cur.(type) {
 	case CmdFill:

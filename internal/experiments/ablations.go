@@ -77,9 +77,9 @@ func MigrationAblation(budget Budget) Outcome {
 	// source of write-through traffic is a migrated thread whose data is
 	// resident in two caches. Yields invite rescheduling every ~400
 	// instructions.
-	run := func(avoid bool) (migrations uint64, wtPerKInstr float64, kRefs float64) {
+	run := func(dispatch topaz.DispatchPolicy) (migrations uint64, wtPerKInstr float64, kRefs float64) {
 		m := machine.New(machine.MicroVAXConfig(4))
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 600, AvoidMigration: avoid, Seed: 5})
+		k := topaz.NewKernel(m, topaz.Config{Quantum: 600, Dispatch: dispatch, Seed: 5})
 		for i := 0; i < 8; i++ {
 			rng := sim.NewRand(uint64(i)*131 + 17)
 			k.Fork(topaz.LoopProgram(1<<30, func(int) []topaz.Action {
@@ -114,8 +114,9 @@ func MigrationAblation(budget Budget) Outcome {
 		wtPerK     float64
 		kRefs      float64
 	}
-	res := SweepItems([]bool{true, false}, func(avoid bool) migResult {
-		mig, wt, rate := run(avoid)
+	policies := []topaz.DispatchPolicy{topaz.MigrationAverse{}, topaz.OldestFirst{}}
+	res := SweepItems(policies, func(dispatch topaz.DispatchPolicy) migResult {
+		mig, wt, rate := run(dispatch)
 		return migResult{mig, wt, rate}
 	})
 	migOn, wtOn, rateOn := res[0].migrations, res[0].wtPerK, res[0].kRefs
@@ -295,7 +296,7 @@ func ParallelMake(budget Budget) Outcome {
 	}
 	results := SweepItems(ns, func(n int) makeResult {
 		m := machine.New(machine.MicroVAXConfig(n))
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, AvoidMigration: true})
+		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: topaz.MigrationAverse{}})
 		res := workload.RunMake(k, workload.StandardBuild(leaves, cost), maxCycles)
 		return makeResult{float64(res.Cycles) / 1e6, res.OK}
 	})

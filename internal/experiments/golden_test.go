@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// TestFixedPriorityGolden is the policy-layer refactor's bit-for-bit
-// guarantee: with the default policies (fixed-priority arbitration,
-// migration-averse or oldest-first dispatch via the deprecated
-// AvoidMigration bool), every sweep experiment's Quick output must match
-// the fixtures captured from the pre-refactor tree byte for byte. A
-// diff here means the Arbiter/DispatchPolicy plumbing changed simulated
-// behaviour, not just its packaging.
+// TestFixedPriorityGolden is the bit-for-bit guarantee for refactors of
+// the policy layer and the time-ownership contract: with the default
+// policies (fixed-priority arbitration, migration-averse or oldest-first
+// dispatch), every sweep experiment's Quick output must match the
+// fixtures captured from the pre-refactor tree byte for byte. A diff
+// here means the Arbiter/DispatchPolicy plumbing or the big-step device
+// scan (the mdc fixture: a halted-CPU machine driven by the display
+// controller alone) changed simulated behaviour, not just its packaging.
 func TestFixedPriorityGolden(t *testing.T) {
 	cases := []struct {
 		fixture string
@@ -26,6 +27,7 @@ func TestFixedPriorityGolden(t *testing.T) {
 		{"make", ParallelMake},
 		{"linesize", LineSizeAblation},
 		{"onchipdata", OnChipDataAblation},
+		{"mdc", mdcThroughput},
 	}
 	// Run serially so a concurrent SetWorkers elsewhere cannot perturb
 	// scheduling; output is worker-count-independent anyway, this just

@@ -119,37 +119,3 @@ func TestStepZeroAllocsAnyArbiter(t *testing.T) {
 		})
 	}
 }
-
-// TestLegacyArbitrationEquivalence checks the deprecated Config.Arbitration
-// enum builds a machine indistinguishable from passing the equivalent
-// Arbiter instance explicitly, for both legacy disciplines.
-func TestLegacyArbitrationEquivalence(t *testing.T) {
-	load := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05}
-	cases := []struct {
-		name string
-		enum mbus.Arbitration
-		arb  mbus.Arbiter
-	}{
-		{"fixed", mbus.FixedPriority, mbus.NewFixedPriority()},
-		{"rr", mbus.RoundRobin, mbus.NewRoundRobin()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfgEnum := MicroVAXConfig(3)
-			cfgEnum.Arbitration = tc.enum
-			mEnum := New(cfgEnum)
-			mEnum.AttachSyntheticLoad(load)
-
-			cfgArb := MicroVAXConfig(3)
-			cfgArb.Arbiter = tc.arb
-			mArb := New(cfgArb)
-			mArb.AttachSyntheticLoad(load)
-
-			mEnum.Run(50_000)
-			mArb.Run(50_000)
-			if re, ra := fmt.Sprint(mEnum.Report()), fmt.Sprint(mArb.Report()); re != ra {
-				t.Fatalf("legacy enum diverged from explicit arbiter\n--- enum ---\n%s\n--- arbiter ---\n%s", re, ra)
-			}
-		})
-	}
-}

@@ -7,7 +7,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"firefly/internal/core"
@@ -43,18 +42,11 @@ type Config struct {
 	// 4 x 4 MB for the MicroVAX, 4 x 32 MB for the CVAX).
 	MemoryModules int
 	ModuleBytes   uint32
-	// Arbiter selects the bus arbitration policy (nil: derived from the
-	// deprecated Arbitration enum field, whose zero value is the
-	// hardware's fixed priority). The machine adopts the instance —
-	// Reset is called at construction — so stateful arbiters must not be
-	// shared between machines; sweep points each construct their own.
+	// Arbiter selects the bus arbitration policy (nil: the hardware's
+	// fixed priority). The machine adopts the instance — Reset is called
+	// at construction — so stateful arbiters must not be shared between
+	// machines; sweep points each construct their own.
 	Arbiter mbus.Arbiter
-	// Arbitration selects the bus policy (hardware: FixedPriority).
-	//
-	// Deprecated: set Arbiter (mbus.NewFixedPriority / NewRoundRobin /
-	// NewFCFSQueue); the enum survives one release as a selector and is
-	// ignored when Arbiter is non-nil.
-	Arbitration mbus.Arbitration
 	// Seed drives every random stream in the machine.
 	Seed uint64
 	// Tracer, when non-nil, receives observability events from the bus,
@@ -128,40 +120,33 @@ func (c Config) Validate() error {
 	if c.Processors > 64 {
 		return fmt.Errorf("machine: %d processors is beyond any plausible MBus", c.Processors)
 	}
+	if !zeroOrPowerOfTwo(c.CacheLines) {
+		return fmt.Errorf("machine: cache lines must be 0 (default) or a power of two, got %d", c.CacheLines)
+	}
+	if !zeroOrPowerOfTwo(c.LineWords) {
+		return fmt.Errorf("machine: line words must be 0 (default) or a power of two, got %d", c.LineWords)
+	}
 	return c.Variant.Validate()
 }
 
-// Stepper is a device stepped once per bus cycle (DMA engines, the display
-// controller's microengine).
-type Stepper interface {
+func zeroOrPowerOfTwo(n int) bool { return n >= 0 && n&(n-1) == 0 }
+
+// Device is an agent stepped once per bus cycle (DMA engines, the display
+// controller's microengine, network nodes). NextEvent names the earliest
+// future cycle at which stepping it may change observable state (a seek
+// completing, a stall expiring, the next DMA word issuing). The contract
+// matches the component NextEvent methods (see DESIGN.md, "The NextEvent
+// contract"): a pure function of device state, allowed to under-report
+// the distance (an early wake is only a lost skip) but never to
+// over-report it, with sim.Never meaning no event without new work from
+// outside the cycle loop. Run uses it to jump the clock over provably
+// dead windows in one bulk advance.
+type Device interface {
 	Step()
-}
-
-// IdleStepper is an optional Stepper extension for devices that can
-// report quiescence. Idle must return true only when future Steps are
-// guaranteed to do nothing until new work is submitted from outside the
-// cycle loop; Run uses it to advance idle stretches in bulk. Devices
-// that do not implement it are conservatively assumed always active.
-type IdleStepper interface {
-	Stepper
-	Idle() bool
-}
-
-// EventStepper is an optional Stepper extension for devices that can
-// name the earliest future cycle at which stepping them may change
-// observable state (a seek completing, a stall expiring, the next DMA
-// word issuing). The contract matches the component NextEvent methods
-// (see DESIGN.md, "Big-step stepping & snapshots"): a pure function of
-// device state, allowed to under-report the distance (an early wake is
-// only a lost skip) but never to over-report it, with sim.Never meaning
-// no event without new work from outside the cycle loop. Run uses it to
-// jump the clock over provably dead windows in one bulk advance.
-type EventStepper interface {
-	Stepper
 	NextEvent(now sim.Cycle) sim.Cycle
 }
 
-// CycleSkipper is an optional Stepper extension for devices whose Step
+// CycleSkipper is an optional Device extension for devices whose Step
 // has per-cycle accounting even while waiting (the DMA engine counts
 // grant-wait and backoff stalls every cycle). When Run bulk-advances the
 // clock by n cycles it calls SkipCycles(n) so the device applies the
@@ -179,7 +164,7 @@ type Machine struct {
 	mem     *memory.System
 	cpus    []*cpu.Processor
 	caches  []*core.Cache
-	devices []Stepper
+	devices []Device
 	tracer  *obs.Tracer
 	reg     *stats.Registry
 	plan    *fault.Plan
@@ -198,11 +183,7 @@ func New(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{cfg: cfg, clock: &sim.Clock{}}
-	arb := cfg.Arbiter
-	if arb == nil {
-		arb = cfg.Arbitration.NewArbiter()
-	}
-	m.bus = mbus.NewWithArbiter(m.clock, arb)
+	m.bus = mbus.New(m.clock, cfg.Arbiter)
 	m.mem = memory.NewSystem(cfg.MemoryModules, cfg.ModuleBytes)
 	m.bus.AttachMemory(m.mem)
 	for i := 0; i < cfg.Processors; i++ {
@@ -398,7 +379,7 @@ func (m *Machine) Caches() []*core.Cache { return m.caches }
 
 // AddDevice registers a device for per-cycle stepping. The device is
 // responsible for attaching itself to the bus.
-func (m *Machine) AddDevice(d Stepper) { m.devices = append(m.devices, d) }
+func (m *Machine) AddDevice(d Device) { m.devices = append(m.devices, d) }
 
 // AttachSources installs a reference source per processor.
 func (m *Machine) AttachSources(mk func(i int, c *core.Cache) trace.Source) {
@@ -511,18 +492,7 @@ func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 		ev = sim.EarliestEvent(ev, c.NextEvent(now))
 	}
 	for _, d := range m.devices {
-		switch x := d.(type) {
-		case EventStepper:
-			ev = sim.EarliestEvent(ev, x.NextEvent(now))
-		case IdleStepper:
-			if !x.Idle() {
-				return now + 1
-			}
-			// Idle: no events until new work from outside the loop.
-		default:
-			// A bare Stepper gives no quiescence signal; never skip.
-			return now + 1
-		}
+		ev = sim.EarliestEvent(ev, d.NextEvent(now))
 	}
 	if m.plan != nil {
 		ev = sim.EarliestEvent(ev, m.plan.NextEvent(now))
@@ -537,7 +507,7 @@ func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 // invariant.
 func (m *Machine) SkipCycles(n uint64) {
 	m.clock.Advance(sim.Cycle(n))
-	m.bus.SkipIdle(n)
+	m.bus.SkipCycles(n)
 	for _, d := range m.devices {
 		if cs, ok := d.(CycleSkipper); ok {
 			cs.SkipCycles(n)
@@ -549,7 +519,7 @@ func (m *Machine) SkipCycles(n uint64) {
 // to the nearest whole cycle (truncation silently lost a cycle for
 // wall-times that are not exact cycle multiples).
 func (m *Machine) RunSeconds(s float64) {
-	m.Run(uint64(math.Round(s * 1e9 / sim.CycleNS)))
+	m.Run(sim.SecondsToCycles(s))
 }
 
 // Warmup runs the machine for n cycles and then clears every statistic,

@@ -10,6 +10,7 @@ import (
 	"firefly/internal/cpu"
 	"firefly/internal/mbus"
 	"firefly/internal/model"
+	"firefly/internal/sim"
 	"firefly/internal/trace"
 )
 
@@ -32,16 +33,31 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for _, n := range []int{0, -1, 100} {
-		cfg := MicroVAXConfig(n)
+	geometry := func(lines, words int) Config {
+		cfg := MicroVAXConfig(2)
+		cfg.CacheLines, cfg.LineWords = lines, words
+		return cfg
+	}
+	for _, cfg := range []Config{
+		MicroVAXConfig(0), MicroVAXConfig(-1), MicroVAXConfig(100),
+		geometry(100, 0), geometry(-4096, 0), geometry(0, 3), geometry(0, -1),
+	} {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate accepted %d processors, %d lines x %d words",
+				cfg.Processors, cfg.CacheLines, cfg.LineWords)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New with %d processors did not panic", n)
+					t.Errorf("New with %d processors, %d lines x %d words did not panic",
+						cfg.Processors, cfg.CacheLines, cfg.LineWords)
 				}
 			}()
 			New(cfg)
 		}()
+	}
+	if err := geometry(0, 0).Validate(); err != nil {
+		t.Errorf("Validate rejected default geometry: %v", err)
 	}
 }
 
@@ -293,9 +309,12 @@ func TestDeviceStepping(t *testing.T) {
 	}
 }
 
+// stepFunc is a device with no quiescence signal: it asks to be stepped
+// every cycle.
 type stepFunc func()
 
-func (f stepFunc) Step() { f() }
+func (f stepFunc) Step()                             { f() }
+func (f stepFunc) NextEvent(now sim.Cycle) sim.Cycle { return now + 1 }
 
 func TestCVAXMachineRuns(t *testing.T) {
 	m := New(CVAXConfig(4))

@@ -11,7 +11,7 @@ import (
 	"firefly/internal/sim"
 )
 
-// Snapshottable is an optional Stepper extension for devices that can
+// Snapshottable is an optional Device extension for devices that can
 // capture and restore their mutable state (the QBus DMA engine, the
 // disk and Ethernet controllers). SaveState returns an opaque deep copy
 // or an error when the device is in a state it cannot serialize (e.g. a

@@ -206,14 +206,3 @@ func NewArbiterByName(name string) (Arbiter, bool) {
 // ArbiterNames returns the known arbitration policy names in
 // presentation order.
 func ArbiterNames() []string { return append([]string(nil), arbiterNames...) }
-
-// NewArbiter converts the deprecated enum value into its arbiter. The
-// enum constants survive one release as constructors so pre-policy-layer
-// call sites (mbus.New(clock, mbus.FixedPriority)) keep compiling; see
-// DESIGN.md "Deprecation policy".
-func (a Arbitration) NewArbiter() Arbiter {
-	if a == RoundRobin {
-		return NewRoundRobin()
-	}
-	return NewFixedPriority()
-}

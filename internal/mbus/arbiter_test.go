@@ -30,7 +30,7 @@ func (g *greedyInitiator) BusComplete(Result) {}
 func saturate(t *testing.T, arb Arbiter, n, cycles int) []int {
 	t.Helper()
 	clock := &sim.Clock{}
-	b := NewWithArbiter(clock, arb)
+	b := New(clock, arb)
 	b.AttachMemory(newFlatMemory())
 	inits := make([]*greedyInitiator, n)
 	for i := range inits {
@@ -95,7 +95,7 @@ func TestFCFSBoundsStarvation(t *testing.T) {
 // priority port 0 never waits.
 func TestWaitPerPortAccounting(t *testing.T) {
 	clock := &sim.Clock{}
-	b := NewWithArbiter(clock, NewFixedPriority())
+	b := New(clock, NewFixedPriority())
 	b.AttachMemory(newFlatMemory())
 	inits := make([]*greedyInitiator, 3)
 	for i := range inits {
@@ -187,8 +187,7 @@ func TestFCFSDropsWithdrawnRequester(t *testing.T) {
 	}
 }
 
-// TestArbiterRegistry covers name lookup and the deprecated enum
-// constructors.
+// TestArbiterRegistry covers name lookup.
 func TestArbiterRegistry(t *testing.T) {
 	for _, name := range ArbiterNames() {
 		a, ok := NewArbiterByName(name)
@@ -201,42 +200,5 @@ func TestArbiterRegistry(t *testing.T) {
 	}
 	if _, ok := NewArbiterByName("lottery"); ok {
 		t.Fatal("NewArbiterByName accepted an unknown name")
-	}
-	if got := FixedPriority.NewArbiter().Name(); got != "fixed" {
-		t.Fatalf("FixedPriority.NewArbiter().Name() = %q", got)
-	}
-	if got := RoundRobin.NewArbiter().Name(); got != "rr" {
-		t.Fatalf("RoundRobin.NewArbiter().Name() = %q", got)
-	}
-}
-
-// TestLegacyEnumConstructor checks mbus.New with the deprecated enum
-// behaves identically to NewWithArbiter with the matching policy — the
-// one-release compatibility shim.
-func TestLegacyEnumConstructor(t *testing.T) {
-	for _, enum := range []Arbitration{FixedPriority, RoundRobin} {
-		runBus := func(b *Bus, clock *sim.Clock) []int {
-			b.AttachMemory(newFlatMemory())
-			inits := make([]*greedyInitiator, 3)
-			for i := range inits {
-				inits[i] = &greedyInitiator{addr: Addr(i) << 20}
-				b.Attach(inits[i], nil, nil)
-			}
-			run(b, clock, 1000)
-			out := make([]int, len(inits))
-			for i, g := range inits {
-				out[i] = g.grants
-			}
-			return out
-		}
-		c1 := &sim.Clock{}
-		old := runBus(New(c1, enum), c1)
-		c2 := &sim.Clock{}
-		nu := runBus(NewWithArbiter(c2, enum.NewArbiter()), c2)
-		for i := range old {
-			if old[i] != nu[i] {
-				t.Fatalf("enum %v: grants diverged: legacy %v vs arbiter %v", enum, old, nu)
-			}
-		}
 	}
 }

@@ -249,27 +249,6 @@ type InterruptSink interface {
 	Interrupt(from int)
 }
 
-// Arbitration selects the bus arbitration policy.
-//
-// Deprecated: the closed enum is superseded by the Arbiter interface
-// (arbiter.go); the constants survive one release as constructors
-// (Arbitration.NewArbiter) so existing New call sites keep compiling.
-// New code passes an Arbiter to NewWithArbiter or machine.Config.Arbiter.
-type Arbitration uint8
-
-const (
-	// FixedPriority grants the requester with the lowest port number, as
-	// in the hardware ("the caches have fixed priority for access to the
-	// MBus", §5.2).
-	//
-	// Deprecated: use NewFixedPriority.
-	FixedPriority Arbitration = iota
-	// RoundRobin rotates priority; provided for fairness ablations.
-	//
-	// Deprecated: use NewRoundRobin.
-	RoundRobin
-)
-
 type port struct {
 	initiator Initiator
 	snooper   Snooper
@@ -354,18 +333,11 @@ type Bus struct {
 	tracer *obs.Tracer
 }
 
-// New returns an empty bus with the enum-selected arbitration policy.
-//
-// Deprecated: use NewWithArbiter, which accepts any Arbiter. New remains
-// for one release so pre-policy-layer call sites keep compiling.
-func New(clock *sim.Clock, arb Arbitration) *Bus {
-	return NewWithArbiter(clock, arb.NewArbiter())
-}
-
-// NewWithArbiter returns an empty bus on the given clock with the given
-// arbitration policy. The bus adopts the arbiter — Reset is called here,
-// and stateful arbiters must not be shared between buses.
-func NewWithArbiter(clock *sim.Clock, arb Arbiter) *Bus {
+// New returns an empty bus on the given clock with the given arbitration
+// policy (nil: the hardware's fixed priority). The bus adopts the arbiter
+// — Reset is called here, and stateful arbiters must not be shared
+// between buses.
+func New(clock *sim.Clock, arb Arbiter) *Bus {
 	if arb == nil {
 		arb = NewFixedPriority()
 	}
@@ -450,15 +422,18 @@ func (b *Bus) InFlight() (op OpKind, addr Addr, active bool) {
 	return b.op, b.addr, b.active
 }
 
-// Quiescent reports whether the bus is provably doing nothing: no
-// operation in flight and no attached initiator requesting service.
-// BusRequest polling is side-effect-free by contract (agents must keep
-// returning the same request until granted), so the probe does not
-// perturb arbitration. The machine's run loop uses this to skip idle
-// stretches in bulk.
-func (b *Bus) Quiescent() bool {
+// NextEvent reports the earliest future cycle at which stepping the bus
+// may change observable state: the next cycle while an operation is in
+// flight or any port is requesting, sim.Never when the bus is provably
+// doing nothing. BusRequest polling is side-effect-free by contract
+// (agents must keep returning the same request until granted), so the
+// probe does not perturb arbitration. Initiators whose raised request is
+// temporarily invisible (retry backoff) report their own wake-up cycle
+// through their own NextEvent — the bus cannot see them and does not try
+// to.
+func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
 	if b.active {
-		return false
+		return now + 1
 	}
 	for i := range b.ports {
 		in := b.ports[i].initiator
@@ -466,30 +441,18 @@ func (b *Bus) Quiescent() bool {
 			continue
 		}
 		if _, ok := in.BusRequest(); ok {
-			return false
+			return now + 1
 		}
 	}
-	return true
+	return sim.Never
 }
 
-// NextEvent reports the earliest future cycle at which stepping the bus
-// may change observable state: the next cycle while an operation is in
-// flight or any port is requesting, sim.Never otherwise. Initiators
-// whose raised request is temporarily invisible (retry backoff) report
-// their own wake-up cycle through their own NextEvent — the bus cannot
-// see them and does not try to.
-func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
-	if b.Quiescent() {
-		return sim.Never
-	}
-	return now + 1
-}
-
-// SkipIdle accounts n cycles during which the caller has established the
-// bus would only have idled: the cycle counter advances with no busy,
-// wait, or operation accounting, exactly as n idle Steps would have
-// left it. The caller is responsible for advancing the machine clock.
-func (b *Bus) SkipIdle(n uint64) { b.stats.Cycles += n }
+// SkipCycles accounts n cycles during which the caller has established
+// the bus would only have idled: the cycle counter advances with no
+// busy, wait, or operation accounting, exactly as n idle Steps would
+// have left it. The caller is responsible for advancing the machine
+// clock.
+func (b *Bus) SkipCycles(n uint64) { b.stats.Cycles += n }
 
 // Interrupt delivers an MBus interprocessor interrupt to the agent on the
 // target port. Delivery is immediate; the hardware used dedicated bus

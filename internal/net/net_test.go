@@ -220,17 +220,17 @@ func TestSegmentDeterministicPerSeed(t *testing.T) {
 func TestUtilizationAndIdle(t *testing.T) {
 	clock := &sim.Clock{}
 	seg := NewSegment(clock, Config{})
-	if !seg.Idle() {
+	if seg.NextEvent(clock.Now()) != sim.Never {
 		t.Fatal("fresh segment should be idle")
 	}
 	a := seg.Attach(nil)
 	seg.Attach(func(Frame) {})
 	a.Send(Frame{Dst: 1, Words: make([]uint32, 100)}, nil)
-	if seg.Idle() {
+	if seg.NextEvent(clock.Now()) == sim.Never {
 		t.Fatal("segment with a queued frame is not idle")
 	}
 	run(clock, seg, 4000)
-	if !seg.Idle() {
+	if seg.NextEvent(clock.Now()) != sim.Never {
 		t.Fatal("segment should drain to idle")
 	}
 	u := seg.Utilization()

@@ -60,7 +60,7 @@ func TestInjectedNXMAbortsTransfer(t *testing.T) {
 	if got := b.m.Memory().Peek(0x100008); got != 0 {
 		t.Fatalf("post-abort word written: %d", got)
 	}
-	if !b.engine.Idle() {
+	if !b.idle() {
 		t.Fatal("engine not idle after NXM abort")
 	}
 }
@@ -151,7 +151,7 @@ func TestDMABusFaultExhaustionAborts(t *testing.T) {
 	if st.WordsMoved.Value() != 0 {
 		t.Fatalf("faulted transfer moved %d words", st.WordsMoved.Value())
 	}
-	if !b.engine.Idle() {
+	if !b.idle() {
 		t.Fatal("engine not idle after exhaustion abort")
 	}
 }
@@ -201,7 +201,7 @@ func TestBackToBackFaultedTransfers(t *testing.T) {
 			t.Fatalf("clean transfer word %d = %d, want %d", i, got, want)
 		}
 	}
-	if !b.engine.Idle() {
+	if !b.idle() {
 		t.Fatal("engine not idle after back-to-back faulted transfers")
 	}
 }

@@ -227,18 +227,12 @@ func (e *Engine) Stats() EngineStats {
 // Busy reports whether transfers are queued or in progress.
 func (e *Engine) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
 
-// Idle reports that the engine has no queued or current transfer and no
-// bus request pending or in flight, so further Steps are no-ops until a
-// new Submit. It satisfies machine.IdleStepper.
-func (e *Engine) Idle() bool {
-	return e.cur == nil && len(e.queue) == 0 && !e.reqValid && !e.inFlight
-}
-
 // QueueLen returns the number of pending transfers (excluding the current).
 func (e *Engine) QueueLen() int { return len(e.queue) }
 
 // NextEvent reports the earliest future cycle at which stepping the
-// engine may change observable state: sim.Never when idle, the retry
+// engine may change observable state: sim.Never when idle (no queued or
+// current transfer, no bus request pending or in flight), the retry
 // backoff expiry while a faulted word waits it out, the pacing or
 // fault-stall expiry between words, and the next cycle otherwise.
 // Cycles strictly before the reported one are covered by SkipCycles.
@@ -440,7 +434,7 @@ type EngineState struct {
 // Transfer's Data and OnDone belong to the submitting device and cannot
 // be rewound.
 func (e *Engine) SaveState() (any, error) {
-	if !e.Idle() {
+	if e.NextEvent(e.clock.Now()) != sim.Never {
 		return nil, fmt.Errorf("qbus: snapshot requires an idle DMA engine (transfer in progress)")
 	}
 	return &EngineState{nextIssue: e.nextIssue, stats: e.Stats()}, nil
@@ -452,7 +446,7 @@ func (e *Engine) RestoreState(s any) error {
 	if !ok {
 		return fmt.Errorf("qbus: RestoreState with foreign state %T", s)
 	}
-	if !e.Idle() {
+	if e.NextEvent(e.clock.Now()) != sim.Never {
 		return fmt.Errorf("qbus: restore requires an idle DMA engine (transfer in progress)")
 	}
 	e.nextIssue = st.nextIssue

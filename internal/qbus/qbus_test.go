@@ -6,6 +6,7 @@ import (
 	"firefly/internal/core"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
+	"firefly/internal/sim"
 )
 
 // bench builds a machine with halted CPUs plus the QBus DMA plumbing, so
@@ -29,6 +30,9 @@ func newBench(t testing.TB, nproc int, wordCycles uint64) *bench {
 }
 
 func (b *bench) run(cycles uint64) { b.m.Run(cycles) }
+
+// idle reports that the engine has nothing left to do until a new Submit.
+func (b *bench) idle() bool { return b.engine.NextEvent(b.m.Clock().Now()) == sim.Never }
 
 func TestMapRegisters(t *testing.T) {
 	var m MapRegisters
@@ -231,7 +235,7 @@ func TestEngineMapFaultAborts(t *testing.T) {
 	if b.engine.Stats().MapFaults.Value() != 1 {
 		t.Fatal("map fault not counted")
 	}
-	if !b.engine.Idle() {
+	if !b.idle() {
 		t.Fatal("engine not idle after aborted transfer")
 	}
 }

@@ -245,7 +245,9 @@ func (c NodeConfig) withDefaults(seed uint64) NodeConfig {
 		// can price context switches.
 		c.Kernel.SwitchCost = 50
 	}
-	c.Kernel.AvoidMigration = true
+	if c.Kernel.Dispatch == nil {
+		c.Kernel.Dispatch = topaz.MigrationAverse{}
+	}
 	return c
 }
 
@@ -651,7 +653,7 @@ func (n *Node) issue(dst, payloadBytes int, proc uint16, openLoop bool, onDone f
 	return c
 }
 
-// Step implements machine.Stepper: the client's retransmission timer.
+// Step implements machine.Device: the client's retransmission timer.
 func (n *Node) Step() {
 	if len(n.calls) == 0 || n.clock.Now() < n.nextDeadline {
 		return
@@ -693,11 +695,7 @@ func (n *Node) Step() {
 	n.nextDeadline = next
 }
 
-// Idle implements machine.IdleStepper: with no outstanding calls the
-// timer has nothing to do.
-func (n *Node) Idle() bool { return len(n.calls) == 0 }
-
-// NextEvent implements machine.EventStepper: between retransmission
+// NextEvent implements machine.Device: between retransmission
 // deadlines Step provably does nothing, so a machine whose only pending
 // work is waiting for replies can big-step the whole wait. nextDeadline
 // may belong to a call that has since completed — an early wake-up and

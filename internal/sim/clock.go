@@ -4,7 +4,10 @@
 // RPC layers, which operate on simulated time rather than bus cycles.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CycleNS is the duration of one MBus cycle in nanoseconds. The Firefly
 // MBus runs at 10 MHz: each of the four phases of an MRead or MWrite
@@ -19,6 +22,12 @@ func (c Cycle) NS() uint64 { return uint64(c) * CycleNS }
 
 // Seconds returns the simulated time of the cycle in seconds.
 func (c Cycle) Seconds() float64 { return float64(c.NS()) * 1e-9 }
+
+// SecondsToCycles converts simulated seconds to the nearest whole number
+// of cycles. It rounds rather than truncates: 0.0003 s is 3000 cycles
+// even though 0.0003*1e7 lands a hair under 3000 in floating point.
+// Negative and NaN durations are the caller's to reject.
+func SecondsToCycles(s float64) uint64 { return uint64(math.Round(s * 1e9 / CycleNS)) }
 
 // String formats the cycle with its wall-clock equivalent.
 func (c Cycle) String() string {

@@ -14,6 +14,23 @@ func TestCycleNS(t *testing.T) {
 	}
 }
 
+// TestSecondsToCyclesRounds pins the one seconds-to-cycles conversion:
+// wall-times that are not exact in floating point round to the nearest
+// cycle instead of losing one to truncation.
+func TestSecondsToCyclesRounds(t *testing.T) {
+	if s := 0.0003; uint64(s*1e7) != 2999 {
+		t.Fatal("float truncation no longer loses a cycle; the test needs a new witness")
+	}
+	for _, tc := range []struct {
+		s    float64
+		want uint64
+	}{{0.0003, 3000}, {150e-9, 2}, {0.02, 200_000}, {0, 0}} {
+		if got := SecondsToCycles(tc.s); got != tc.want {
+			t.Errorf("SecondsToCycles(%v) = %d, want %d", tc.s, got, tc.want)
+		}
+	}
+}
+
 func TestClockTickAdvance(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {

@@ -8,8 +8,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -58,72 +56,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Histogram tracks a distribution of integer samples in fixed-width bins.
-type Histogram struct {
-	BinWidth uint64
-	bins     map[uint64]uint64
-	count    uint64
-	sum      uint64
-	max      uint64
-}
-
-// NewHistogram returns a histogram with the given bin width (minimum 1).
-func NewHistogram(binWidth uint64) *Histogram {
-	if binWidth == 0 {
-		binWidth = 1
-	}
-	return &Histogram{BinWidth: binWidth, bins: make(map[uint64]uint64)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.bins[v/h.BinWidth]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Max returns the largest sample observed.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Mean returns the mean sample, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Percentile returns the smallest bin upper bound covering fraction p of
-// the samples (p in [0,1]).
-func (h *Histogram) Percentile(p float64) uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	keys := make([]uint64, 0, len(h.bins))
-	for k := range h.bins {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	need := uint64(math.Ceil(p * float64(h.count)))
-	if need == 0 {
-		need = 1
-	}
-	var seen uint64
-	for _, k := range keys {
-		seen += h.bins[k]
-		if seen >= need {
-			return (k + 1) * h.BinWidth
-		}
-	}
-	return (keys[len(keys)-1] + 1) * h.BinWidth
 }
 
 // Table renders aligned text tables in the style of the paper's Table 1

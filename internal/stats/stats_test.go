@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -91,70 +90,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %v, want 2", got)
-	}
-}
-
-func TestHistogramMeanMax(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []uint64{5, 15, 25, 95} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 95 {
-		t.Fatalf("max = %d", h.Max())
-	}
-	if h.Mean() != 35 {
-		t.Fatalf("mean = %v, want 35", h.Mean())
-	}
-}
-
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram(1)
-	for v := uint64(0); v < 100; v++ {
-		h.Observe(v)
-	}
-	if p := h.Percentile(0.5); p < 49 || p > 51 {
-		t.Fatalf("p50 = %d", p)
-	}
-	if p := h.Percentile(1.0); p != 100 {
-		t.Fatalf("p100 = %d, want 100", p)
-	}
-	empty := NewHistogram(1)
-	if empty.Percentile(0.5) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-}
-
-func TestHistogramZeroBinWidth(t *testing.T) {
-	h := NewHistogram(0)
-	h.Observe(3)
-	if h.BinWidth != 1 {
-		t.Fatalf("bin width = %d, want 1", h.BinWidth)
-	}
-}
-
-func TestHistogramPercentileMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		h := NewHistogram(4)
-		x := uint64(seed)
-		for i := 0; i < 200; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			h.Observe(x % 1000)
-		}
-		last := uint64(0)
-		for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-			v := h.Percentile(p)
-			if v < last {
-				return false
-			}
-			last = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -175,7 +175,7 @@ func (e *Engine) drawClass() Class {
 	return ClassFile // unreachable: weights sum to mixTotal
 }
 
-// Step implements machine.Stepper on the balancer machine: admit every
+// Step implements machine.Device on the balancer machine: admit every
 // arrival due by now and issue every session whose think time expired.
 func (e *Engine) Step() {
 	now := e.clock.Now()
@@ -189,7 +189,7 @@ func (e *Engine) Step() {
 	}
 }
 
-// NextEvent implements machine.EventStepper: the next arrival or the
+// NextEvent implements machine.Device: the next arrival or the
 // earliest scheduled issue, whichever is sooner. Arrivals never stop, so
 // the engine always has a future event; the machine big-steps the gaps.
 func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
