@@ -354,7 +354,8 @@ func BenchmarkClusterRPC(b *testing.B) {
 }
 
 // buildFleet constructs the bridged fleet the scaling benchmarks
-// share: nodes machines at eight per Ethernet segment, one RPC server
+// share: nodes machines at eight per Ethernet segment, stepped by up
+// to workers goroutines inside each window, one RPC server
 // on segment 0, a three-thread caller on the same wire, and a
 // three-thread caller across the bridge. The remaining machines are
 // quiesced — CPUs halted, no kernel threads — the fleet shape where a
@@ -362,8 +363,8 @@ func BenchmarkClusterRPC(b *testing.B) {
 // is exactly where the windowed engine's machine-level big-stepping
 // pays (an idle member costs one next-event scan per window instead of
 // a Step per cycle).
-func buildFleet(nodes int) *cluster.Cluster {
-	cl := cluster.New(cluster.Config{Machines: nodes, Segments: nodes / 8, Seed: 7})
+func buildFleet(nodes, workers int) *cluster.Cluster {
+	cl := cluster.New(cluster.Config{Machines: nodes, Segments: nodes / 8, Workers: workers, Seed: 7})
 	cl.Node(0).StartServer()
 	cl.Node(1).StartCallers(3, 0, 0)
 	cl.Node(9).StartCallers(3, 0, 0)
@@ -385,7 +386,7 @@ func buildFleet(nodes int) *cluster.Cluster {
 // 8 segments, and the bridge every cluster cycle, busy or not. This is
 // what every cluster cycle cost before the windowed engine.
 func BenchmarkFleetCycleStep(b *testing.B) {
-	cl := buildFleet(64)
+	cl := buildFleet(64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cl.Step()
@@ -403,8 +404,7 @@ func BenchmarkFleetCycleRun(b *testing.B) {
 	for _, nodes := range []int{16, 64} {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("nodes=%d/workers=%d", nodes, workers), func(b *testing.B) {
-				cl := buildFleet(nodes)
-				cl.SetWorkers(workers)
+				cl := buildFleet(nodes, workers)
 				b.ResetTimer()
 				cl.Run(uint64(b.N))
 			})

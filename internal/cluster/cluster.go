@@ -122,6 +122,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate checks the topology as given: at least two machines, and
+// between one segment and one per machine. New validates after filling
+// defaults, so zero Machines or Segments pass there.
+func (c Config) Validate() error {
+	if c.Machines < 2 {
+		return fmt.Errorf("cluster: need at least 2 machines to network, got %d", c.Machines)
+	}
+	if c.Segments < 1 || c.Segments > c.Machines {
+		return fmt.Errorf("cluster: need between 1 and %d segments for %d machines, got %d", c.Machines, c.Machines, c.Segments)
+	}
+	return nil
+}
+
 // DefaultWorkers is the Workers setting for one phase-A goroutine per
 // CPU; the -workers flags of fireflysim and tables use it for 0.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -176,7 +189,6 @@ type Cluster struct {
 	segLo         []int // segment index -> first machine index
 	bridgeStation []int // segment index -> bridge's local station
 
-	workers int
 	// minVisible bounds how soon a frame sent at or after "now" can
 	// complete or abort: min(MinFrameWords*WordCycles,
 	// (MaxAttempts-1)*SlotCycles) over the segments. It caps Run's
@@ -187,13 +199,10 @@ type Cluster struct {
 // New builds the cluster: machines, kernels, NICs, wires, and bridge.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	if cfg.Machines < 2 {
-		panic(fmt.Sprintf("cluster: %d machines cannot network", cfg.Machines))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	if cfg.Segments < 1 || cfg.Segments > cfg.Machines {
-		panic(fmt.Sprintf("cluster: %d segments for %d machines", cfg.Segments, cfg.Machines))
-	}
-	c := &Cluster{cfg: cfg, clock: &sim.Clock{}, workers: cfg.Workers}
+	c := &Cluster{cfg: cfg, clock: &sim.Clock{}}
 	for k := 0; k < cfg.Segments; k++ {
 		ncfg := cfg.Net
 		if k > 0 {
@@ -358,20 +367,6 @@ func (c *Cluster) NetFaults() *fault.Plan { return c.netPlan }
 // Size returns the member count.
 func (c *Cluster) Size() int { return len(c.members) }
 
-// Workers returns the phase-A worker bound Run uses.
-func (c *Cluster) Workers() int { return c.workers }
-
-// SetWorkers changes the phase-A worker bound (n < 1 means serial) and
-// returns the previous setting. Output does not depend on it.
-func (c *Cluster) SetWorkers(n int) (prev int) {
-	prev = c.workers
-	if n < 1 {
-		n = 1
-	}
-	c.workers = n
-	return prev
-}
-
 // Step advances the cluster one cycle: captured sends from the previous
 // cycle enter the stations, then the bridge and the wires — so a frame
 // finishing this cycle is deliverable before any machine's devices step
@@ -441,8 +436,8 @@ func (c *Cluster) Run(n uint64) {
 // calls into a machine anywhere in the window, so the machines' head
 // start is unobservable.
 func (c *Cluster) round(w uint64) {
-	if c.workers > 1 && len(c.members) > 1 {
-		workers := c.workers
+	if c.cfg.Workers > 1 && len(c.members) > 1 {
+		workers := c.cfg.Workers
 		if workers > len(c.members) {
 			workers = len(c.members)
 		}

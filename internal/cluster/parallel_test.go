@@ -99,6 +99,7 @@ type engineResult struct {
 // windowed engine ("run") at the given worker count.
 func runEngine(t *testing.T, cfg Config, setup func(*Cluster), cycles uint64, engine string, workers int, withOracle bool) engineResult {
 	t.Helper()
+	cfg.Workers = workers
 	cl := New(cfg)
 	sinks := make([]*fnvObserver, cl.Size())
 	for i, m := range cl.Machines() {
@@ -129,7 +130,6 @@ func runEngine(t *testing.T, cfg Config, setup func(*Cluster), cycles uint64, en
 			cl.Step()
 		}
 	case "run":
-		cl.SetWorkers(workers)
 		cl.Run(cycles)
 	default:
 		t.Fatalf("unknown engine %q", engine)

@@ -54,17 +54,7 @@ func TrafficLoad(budget Budget) Outcome {
 	rows := SweepItems(factors, func(f float64) row {
 		spec := base
 		spec.Rate = knee * f
-		cfg := cluster.Config{
-			Machines:  trafficMachines,
-			Segments:  trafficSegments,
-			Seed:      11,
-			NodePatch: spec.NodePatch(),
-		}
-		// Queue delay above the knee approaches Queue*E[S] (~50 ms);
-		// keep the retransmit timer far beyond it so the latency tail is
-		// queueing, not duplicate suppression.
-		cfg.Node.RetransmitCycles = 2_000_000
-		cl := cluster.New(cfg)
+		cl := cluster.New(spec.ClusterConfig(trafficMachines, trafficSegments, 11))
 		eng := traffic.Attach(cl, spec)
 		cl.RunSeconds(secs)
 

@@ -108,7 +108,7 @@ func (c Config) withDefaults() Config {
 // Validate checks rate ranges.
 func (c Config) Validate() error {
 	check := func(name string, v float64) error {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s %g outside [0,1]", name, v)
 		}
 		return nil

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"firefly/internal/mbus"
@@ -30,7 +31,7 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []string{"bus", "bus=x", "bogus=1", "bus=2", "mem=-0.1"} {
+	for _, bad := range []string{"bus", "bus=x", "bogus=1", "bus=2", "mem=-0.1", "bus=NaN", "drop=nan", "all=NaN"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
@@ -142,6 +143,21 @@ func TestPlanWindowing(t *testing.T) {
 	clock.Advance(11) // cycle 21
 	if fault(0x100) {
 		t.Fatal("injected after EndCycle")
+	}
+}
+
+// NaN fails every comparison, so a range check written as "v < 0 ||
+// v > 1" lets it through; every rate must reject it.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []Config{
+		{BusParityRate: nan}, {BusTimeoutRate: nan}, {MemSoftErrorRate: nan},
+		{MemUncorrectableFraction: nan}, {DMANXMRate: nan}, {DMAStallRate: nan},
+		{TagParityRate: nan}, {NetDropRate: nan},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v validated", c)
+		}
 	}
 }
 

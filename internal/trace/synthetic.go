@@ -46,14 +46,17 @@ type SyntheticLoad struct {
 	SharedReadFraction float64
 }
 
+// unit reports whether v lies in [0,1]; NaN does not.
+func unit(v float64) bool { return v >= 0 && v <= 1 }
+
 // Validate checks the load parameters.
 func (l SyntheticLoad) Validate() error {
 	switch {
-	case l.MissRate < 0 || l.MissRate > 1:
+	case !unit(l.MissRate):
 		return fmt.Errorf("trace: miss rate %v out of [0,1]", l.MissRate)
-	case l.ShareFraction < 0 || l.ShareFraction > 1:
+	case !unit(l.ShareFraction):
 		return fmt.Errorf("trace: share fraction %v out of [0,1]", l.ShareFraction)
-	case l.SharedReadFraction < 0 || l.SharedReadFraction > 1:
+	case !unit(l.SharedReadFraction):
 		return fmt.Errorf("trace: shared read fraction %v out of [0,1]", l.SharedReadFraction)
 	}
 	return nil
@@ -86,13 +89,13 @@ type SyntheticConfig struct {
 // Validate checks the configuration.
 func (c SyntheticConfig) Validate() error {
 	switch {
-	case c.MissRate < 0 || c.MissRate > 1:
+	case !unit(c.MissRate):
 		return fmt.Errorf("trace: miss rate %v out of [0,1]", c.MissRate)
-	case c.ShareFraction < 0 || c.ShareFraction > 1:
+	case !unit(c.ShareFraction):
 		return fmt.Errorf("trace: share fraction %v out of [0,1]", c.ShareFraction)
-	case c.SharedReadFraction < 0 || c.SharedReadFraction > 1:
+	case !unit(c.SharedReadFraction):
 		return fmt.Errorf("trace: shared read fraction %v out of [0,1]", c.SharedReadFraction)
-	case c.PartialWriteFraction < 0 || c.PartialWriteFraction > 1:
+	case !unit(c.PartialWriteFraction):
 		return fmt.Errorf("trace: partial write fraction %v out of [0,1]", c.PartialWriteFraction)
 	case c.PrivateBytes < 64:
 		return fmt.Errorf("trace: private region too small (%d bytes)", c.PrivateBytes)

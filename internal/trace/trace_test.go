@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,10 +177,31 @@ func TestSyntheticConfigValidate(t *testing.T) {
 		{MissRate: 0.2, SharedReadFraction: -0.5, PrivateBytes: 4096},
 		{MissRate: 0.2, PartialWriteFraction: 1.5, PrivateBytes: 4096},
 		{MissRate: 0.2, PrivateBytes: 16},
+		{MissRate: math.NaN(), PrivateBytes: 4096},
+		{MissRate: 0.2, ShareFraction: math.NaN(), PrivateBytes: 4096},
+		{MissRate: 0.2, SharedReadFraction: math.NaN(), PrivateBytes: 4096},
+		{MissRate: 0.2, PartialWriteFraction: math.NaN(), PrivateBytes: 4096},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d validated", i)
+		}
+	}
+}
+
+func TestSyntheticLoadValidate(t *testing.T) {
+	for _, good := range []SyntheticLoad{{}, {MissRate: 1, ShareFraction: 1, SharedReadFraction: 1}, {MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05}} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("%+v: %v", good, err)
+		}
+	}
+	nan := math.NaN()
+	for _, bad := range []SyntheticLoad{
+		{MissRate: 2}, {MissRate: -1}, {ShareFraction: 5}, {SharedReadFraction: -0.1},
+		{MissRate: nan}, {ShareFraction: nan}, {SharedReadFraction: nan},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v validated", bad)
 		}
 	}
 }

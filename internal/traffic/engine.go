@@ -285,6 +285,17 @@ func (s Spec) NodePatch() func(i int, cfg rpc.NodeConfig) rpc.NodeConfig {
 	}
 }
 
+// ClusterConfig returns the configuration of a fleet serving this spec:
+// the given topology and seed, NodePatch, and a 2 000 000-cycle
+// retransmit timer. Queueing delay near the admission bound approaches
+// Queue×E[S]; the timer must stay far beyond it, or the latency tail
+// measures duplicate suppression instead of the queue.
+func (s Spec) ClusterConfig(machines, segments int, seed uint64) cluster.Config {
+	cfg := cluster.Config{Machines: machines, Segments: segments, Seed: seed, NodePatch: s.NodePatch()}
+	cfg.Node.RetransmitCycles = 2_000_000
+	return cfg
+}
+
 // Accessors for tests and reports.
 
 // SessionsStarted counts admitted users; SessionsFinished counts those

@@ -81,6 +81,7 @@ type engineResult struct {
 func runTraffic(t *testing.T, cfg cluster.Config, spec Spec, cycles uint64, engine string, workers int) engineResult {
 	t.Helper()
 	cfg.NodePatch = spec.NodePatch()
+	cfg.Workers = workers
 	cl := cluster.New(cfg)
 	sinks := make([]*fnvObserver, cl.Size())
 	for i, m := range cl.Machines() {
@@ -101,7 +102,6 @@ func runTraffic(t *testing.T, cfg cluster.Config, spec Spec, cycles uint64, engi
 			cl.Step()
 		}
 	case "run":
-		cl.SetWorkers(workers)
 		cl.Run(cycles)
 	default:
 		t.Fatalf("unknown engine %q", engine)
@@ -317,14 +317,7 @@ func TestTrafficAdmissionControlExactlyOnce(t *testing.T) {
 func BenchmarkFleetTrafficCycle(b *testing.B) {
 	spec := DefaultSpec()
 	spec.Rate = 2000
-	cfg := cluster.Config{
-		Machines:  16,
-		Segments:  4,
-		Seed:      11,
-		NodePatch: spec.NodePatch(),
-	}
-	cfg.Node.RetransmitCycles = 2_000_000
-	cl := cluster.New(cfg)
+	cl := cluster.New(spec.ClusterConfig(16, 4, 11))
 	Attach(cl, spec)
 	cl.Run(200_000) // warm the fleet past the first arrivals
 	b.ResetTimer()
