@@ -397,9 +397,12 @@ func BenchmarkFleetCycleStep(b *testing.B) {
 // windowed engine at varying worker counts: machines big-step
 // independently inside each event-free window, so idle members skip
 // their quiet stretches instead of paying per-cycle overhead, and the
-// in-window runs shard across workers. Output is byte-identical at any
-// worker count by the engine's determinism contract; ns/op is one
-// cluster cycle, so aggregate machine-cycles/sec = nodes / ns_op.
+// in-window runs shard across workers. The wire replay behind each
+// window then steps the segments and bridge only at wire events and
+// send injections, skipping the cycles between them. Output is
+// byte-identical at any worker count by the engine's determinism
+// contract; ns/op is one cluster cycle, so aggregate machine-cycles/sec
+// = nodes / ns_op.
 func BenchmarkFleetCycleRun(b *testing.B) {
 	for _, nodes := range []int{16, 64} {
 		for _, workers := range []int{1, 2, 4} {

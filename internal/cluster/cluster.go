@@ -22,10 +22,10 @@
 //     deliver a frame or complete a transmit), runs every member
 //     machine independently through the cycles before it — optionally
 //     sharded across a bounded worker pool — then replays the wire
-//     serially through the same cycles, injecting each machine's
-//     captured sends at the cycles they were made. Because no wire
-//     event lands inside the window, the result is byte-identical to
-//     Step()ing, for any worker count.
+//     serially through the same cycles, from wire event to wire event,
+//     injecting each machine's captured sends at the cycles they were
+//     made. Because no wire event lands inside the window, the result
+//     is byte-identical to Step()ing, for any worker count.
 //
 // Determinism contract (see DESIGN.md, "Parallel cluster engine"):
 // fixed per-machine seeds, sends merged in station order at their
@@ -462,9 +462,30 @@ func (c *Cluster) round(w uint64) {
 			mb.m.Run(w)
 		}
 	}
-	for k := uint64(0); k < w; k++ {
-		now := c.clock.Tick()
-		c.injectSends(now - 1)
+	// Phase B replays the wire from event to event. Between injections
+	// and wire events a segment's only per-cycle effects are busy-cycle
+	// accounting and carrier-sense deferral marks, which SkipCycles
+	// credits in bulk; no machine is called, so nothing else can happen.
+	end := c.clock.Now() + sim.Cycle(w)
+	stamp := c.nextStamp()
+	for now := c.clock.Now(); now < end; now = c.clock.Now() {
+		ev := c.wireEvent(now)
+		if stamp != sim.Never {
+			ev = sim.EarliestEvent(ev, stamp+1)
+		}
+		if ev > now+1 {
+			target := ev - 1
+			if target > end {
+				target = end
+			}
+			c.skipWire(uint64(target - now))
+			continue
+		}
+		now = c.clock.Tick()
+		if stamp < now {
+			c.injectSends(now - 1)
+			stamp = c.nextStamp()
+		}
 		if c.bridge != nil {
 			c.bridge.Step()
 		}
@@ -478,19 +499,22 @@ func (c *Cluster) round(w uint64) {
 	c.injectSends(c.clock.Now())
 }
 
-// nextEvent returns the earliest future cycle at which any machine, the
-// wire, or a captured-but-uninjected send may change cluster state.
-func (c *Cluster) nextEvent(now sim.Cycle) sim.Cycle {
-	ev := sim.Never
+// nextStamp returns the earliest stamp among captured, not-yet-injected
+// sends, or Never when every member's buffer is drained.
+func (c *Cluster) nextStamp() sim.Cycle {
+	stamp := sim.Never
 	for _, mb := range c.members {
 		if mb.cursor < len(mb.sends) {
-			return now + 1
-		}
-		ev = sim.EarliestEvent(ev, mb.m.NextEvent(now))
-		if ev <= now+1 {
-			return ev
+			stamp = sim.EarliestEvent(stamp, mb.sends[mb.cursor].stamp)
 		}
 	}
+	return stamp
+}
+
+// wireEvent returns the earliest future cycle at which a segment or the
+// bridge may change state on its own.
+func (c *Cluster) wireEvent(now sim.Cycle) sim.Cycle {
+	ev := sim.Never
 	for _, s := range c.segs {
 		ev = sim.EarliestEvent(ev, s.NextEvent(now))
 	}
@@ -498,6 +522,22 @@ func (c *Cluster) nextEvent(now sim.Cycle) sim.Cycle {
 		ev = sim.EarliestEvent(ev, c.bridge.NextEvent(now))
 	}
 	return ev
+}
+
+// nextEvent returns the earliest future cycle at which any machine, the
+// wire, or a captured-but-uninjected send may change cluster state.
+func (c *Cluster) nextEvent(now sim.Cycle) sim.Cycle {
+	if c.nextStamp() != sim.Never {
+		return now + 1
+	}
+	ev := sim.Never
+	for _, mb := range c.members {
+		ev = sim.EarliestEvent(ev, mb.m.NextEvent(now))
+		if ev <= now+1 {
+			return ev
+		}
+	}
+	return sim.EarliestEvent(ev, c.wireEvent(now))
 }
 
 // horizon returns the first future cycle at which the wire may call
@@ -508,11 +548,8 @@ func (c *Cluster) nextEvent(now sim.Cycle) sim.Cycle {
 // reach a station, which caps the window even on a silent wire.
 func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 	h := now + 2 + c.minVisible
-	for _, mb := range c.members {
-		if mb.cursor < len(mb.sends) {
-			h = now + 1 + c.minVisible
-			break
-		}
+	if c.nextStamp() != sim.Never {
+		h = now + 1 + c.minVisible
 	}
 	for _, s := range c.segs {
 		h = sim.EarliestEvent(h, s.EventHorizon(now))
@@ -528,12 +565,20 @@ func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 // in lockstep with the cluster clock). Valid only when nextEvent
 // reports nothing inside the window.
 func (c *Cluster) skip(n uint64) {
+	c.skipWire(n)
+	for _, mb := range c.members {
+		mb.m.SkipCycles(n)
+	}
+}
+
+// skipWire advances the cluster clock and each segment's busy
+// accounting n cycles in bulk, leaving the machines where they are.
+// Valid only when no wire event and no injection falls inside the
+// stretch.
+func (c *Cluster) skipWire(n uint64) {
 	c.clock.Advance(sim.Cycle(n))
 	for _, s := range c.segs {
 		s.SkipCycles(n)
-	}
-	for _, mb := range c.members {
-		mb.m.SkipCycles(n)
 	}
 }
 

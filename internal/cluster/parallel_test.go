@@ -91,6 +91,8 @@ type engineResult struct {
 	hashes   []uint64
 	events   []uint64
 	segJSONL [][]byte
+	// Summed over every segment, plus the bridge's forwarded frames.
+	collisions, deferrals, forwarded uint64
 }
 
 // runEngine builds a cluster, attaches one trace observer per machine
@@ -149,14 +151,19 @@ func runEngine(t *testing.T, cfg Config, setup func(*Cluster), cycles uint64, en
 	for i, m := range cl.Machines() {
 		fmt.Fprintf(&b, "== machine %d ==\n%s\nnode: %+v\n", i, m.Registry().String(), cl.Node(i).Stats())
 	}
+	res := engineResult{}
 	for k := 0; k < cl.NumSegments(); k++ {
-		fmt.Fprintf(&b, "== segment %d ==\n%+v\n", k, cl.SegmentAt(k).Stats())
+		st := cl.SegmentAt(k).Stats()
+		fmt.Fprintf(&b, "== segment %d ==\n%+v\n", k, st)
+		res.collisions += st.Collisions.Value()
+		res.deferrals += st.Deferrals.Value()
 	}
 	if br := cl.Bridge(); br != nil {
 		fmt.Fprintf(&b, "== bridge ==\n%+v\n", br.Stats())
+		res.forwarded = br.Stats().Forwarded.Value()
 	}
 	fmt.Fprintf(&b, "latency %.3f us, cycles %d\n", cl.Node(0).MeanLatencyUS(), cl.Clock().Now())
-	res := engineResult{report: b.String()}
+	res.report = b.String()
 	for _, s := range sinks {
 		res.hashes = append(res.hashes, s.h.Sum64())
 		res.events = append(res.events, s.events)
@@ -328,5 +335,45 @@ func TestMultiSegmentParallelDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		got := runEngine(t, cfg, setup, cycles, "run", workers, false)
 		diffEngines(t, fmt.Sprintf("bridged workers=%d", workers), ref, got)
+	}
+}
+
+// TestFleetParallelDifferential runs the differential on the fleet
+// shape: sixteen machines on four bridged segments, most of them with
+// halted CPUs, a server, one caller on the server's segment and one
+// across the bridge. The wire replay skips from wire event to wire
+// event, so the reference run must carry busy wires with deferred
+// stations, collision backoffs, and frames held in the bridge.
+func TestFleetParallelDifferential(t *testing.T) {
+	cfg := Config{
+		Machines: 16,
+		Segments: 4,
+		Node:     quickNode(),
+		Net:      fastNet(3),
+		Seed:     3,
+	}
+	setup := func(cl *Cluster) {
+		cl.Node(0).StartServer()
+		cl.Node(1).StartCallers(8, 0, 64)
+		cl.Node(6).StartCallers(8, 0, 64)
+		for i := 2; i < cl.Size(); i++ {
+			if i == 6 {
+				continue
+			}
+			m := cl.Machine(i)
+			for p := 0; p < m.Config().Processors; p++ {
+				m.CPU(p).Halt()
+			}
+		}
+	}
+	const cycles = 800_000
+	ref := runEngine(t, cfg, setup, cycles, "step", 1, false)
+	if ref.collisions == 0 || ref.deferrals == 0 || ref.forwarded == 0 {
+		t.Fatalf("fleet exercised collisions=%d deferrals=%d forwarded=%d; want all > 0",
+			ref.collisions, ref.deferrals, ref.forwarded)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := runEngine(t, cfg, setup, cycles, "run", workers, false)
+		diffEngines(t, fmt.Sprintf("fleet workers=%d", workers), ref, got)
 	}
 }

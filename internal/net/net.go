@@ -337,8 +337,9 @@ func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 
 // SkipCycles credits n skipped cycles of wire activity: the per-cycle
 // accounting Step would have done had it been called n times with the
-// wire in its current state. Only valid over a window in which no
-// station Sends (the cluster skips only when every machine is idle).
+// wire in its current state. Only valid over a stretch that ends before
+// NextEvent and in which no station Sends: the cluster skips only
+// between wire events and injections of captured sends.
 func (s *Segment) SkipCycles(n uint64) {
 	if s.cur == nil {
 		return

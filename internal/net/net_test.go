@@ -239,3 +239,110 @@ func TestUtilizationAndIdle(t *testing.T) {
 		t.Fatalf("utilization = %.2f, want ~0.8", u)
 	}
 }
+
+// timedSend queues one frame from each listed station at the end of
+// cycle at.
+type timedSend struct {
+	at   sim.Cycle
+	from []int
+}
+
+// skipReplay drives one segment through a send schedule sorted by
+// cycle. With skip set it advances the way the cluster's wire replay
+// does, crediting SkipCycles over every stretch before the next wire
+// event or send, and counts the skipped cycles by the wire state each
+// stretch began in; otherwise it Steps every cycle.
+func skipReplay(sends []timedSend, end sim.Cycle, skip bool) (st Stats, trace []byte, skipped map[string]uint64) {
+	clock := &sim.Clock{}
+	seg := NewSegment(clock, Config{Seed: 11})
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	seg.SetTracer(obs.NewTracer(sink))
+	for i := 0; i < 4; i++ {
+		seg.Attach(func(Frame) {})
+	}
+	skipped = map[string]uint64{}
+	next := 0
+	for now := clock.Now(); now < end; now = clock.Now() {
+		for ; next < len(sends) && sends[next].at == now; next++ {
+			for _, i := range sends[next].from {
+				seg.Station(i).Send(Frame{Dst: (i + 1) % 4, Words: make([]uint32, 10)}, nil)
+			}
+		}
+		if skip {
+			ev := seg.NextEvent(now)
+			if next < len(sends) {
+				ev = sim.EarliestEvent(ev, sends[next].at+1)
+			}
+			if ev > now+1 {
+				target := ev - 1
+				if target > end {
+					target = end
+				}
+				skipped[wireState(seg, now)] += uint64(target - now)
+				clock.Advance(target - now)
+				seg.SkipCycles(uint64(target - now))
+				continue
+			}
+		}
+		clock.Tick()
+		seg.Step()
+	}
+	sink.Close()
+	return seg.Stats(), buf.Bytes(), skipped
+}
+
+// wireState names what the segment is waiting on after cycle now: a
+// frame in flight, a queued station's collision backoff, the interframe
+// gap, or nothing at all.
+func wireState(seg *Segment, now sim.Cycle) string {
+	if seg.cur != nil {
+		return "busy"
+	}
+	for _, st := range seg.stations {
+		if len(st.queue) > 0 && st.backoffUntil > now+1 {
+			return "backoff"
+		}
+	}
+	if seg.idleAt > now+1 {
+		return "gap"
+	}
+	return "idle"
+}
+
+// TestSkipCyclesMatchesStep pins the contract the cluster's event-driven
+// wire replay relies on: crediting SkipCycles wherever NextEvent lies
+// beyond the next cycle is indistinguishable from stepping every cycle.
+// The schedule covers a busy frame with a second station queued behind
+// it (a deferral), two stations contending at once (a collision and its
+// backoffs), and the interframe gaps after every frame.
+func TestSkipCyclesMatchesStep(t *testing.T) {
+	sends := []timedSend{
+		{0, []int{0}},       // seizes the wire for 320 cycles
+		{40, []int{1}},      // defers behind station 0
+		{2000, []int{2, 3}}, // collide, back off, retry
+		{9000, []int{0}},
+		{9100, []int{1, 2}}, // both defer, then contend when the wire frees
+	}
+	const end = 60_000
+	refStats, refTrace, _ := skipReplay(sends, end, false)
+	gotStats, gotTrace, skipped := skipReplay(sends, end, true)
+	if refStats.Deferrals.Value() == 0 || refStats.Collisions.Value() == 0 {
+		t.Fatalf("schedule exercised no deferral or no collision: %+v", refStats)
+	}
+	if refStats.Frames.Value() != 7 || refStats.Aborted.Value() != 0 {
+		t.Fatalf("reference carried %d frames (%d aborted), want 7 (0)",
+			refStats.Frames.Value(), refStats.Aborted.Value())
+	}
+	for _, kind := range []string{"busy", "gap", "backoff"} {
+		if skipped[kind] == 0 {
+			t.Errorf("no %s stretch was skipped; the test proves nothing about it", kind)
+		}
+	}
+	if refStats != gotStats {
+		t.Errorf("stats diverged:\nstep %+v\nskip %+v", refStats, gotStats)
+	}
+	if !bytes.Equal(refTrace, gotTrace) {
+		t.Errorf("event streams diverged:\n--- step ---\n%s\n--- skip ---\n%s", refTrace, gotTrace)
+	}
+}
