@@ -1,141 +1,40 @@
 // Network: two Fireflies on one Ethernet. SRC's world was "distributed
 // personal computing": workstations speaking RPC over the wire. This
-// example runs two simulated machines in lockstep, cables their DEQNA
-// controllers together, and performs a marshalled RPC call from one to
-// the other — request DMA'd out of the client's memory, 10 Mbit/s wire
-// time, receive DMA into the server's memory, and a reply with a data
-// payload coming back.
+// example builds a two-machine cluster, starts the RPC server on one
+// Firefly, and issues a single 1 KB call from the other. The request is
+// marshalled into the client's memory, DMA'd out through its DEQNA,
+// serialized on the shared 10 Mbit/s segment, DMA'd into the server's
+// memory and served by a Topaz worker thread; the reply takes the same
+// path back.
 package main
 
 import (
 	"fmt"
 
-	"firefly"
-	"firefly/internal/qbus"
+	"firefly/internal/cluster"
 	"firefly/internal/rpc"
 )
 
-// station is one Firefly with its I/O plumbing.
-type station struct {
-	name   string
-	m      *firefly.Machine
-	maps   *qbus.MapRegisters
-	engine *qbus.Engine
-	eth    *qbus.Ethernet
-}
-
-func newStation(name string) *station {
-	m := firefly.NewMicroVAX(2)
-	for _, p := range m.Processors() {
-		p.Halt() // the demo drives I/O directly; CPUs would run Topaz
-	}
-	maps := &qbus.MapRegisters{}
-	engine := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
-	m.AddDevice(engine)
-	eth := qbus.NewEthernet(m.Clock(), m.Bus(), engine, qbus.EthernetConfig{})
-	m.AddDevice(eth)
-	maps.MapRange(0, 0x400000, 1<<20)
-	return &station{name: name, m: m, maps: maps, engine: engine, eth: eth}
-}
-
-// poke writes a marshalled message into the station's memory at the DMA
-// window.
-func (s *station) poke(qaddr uint32, buf []byte) int {
-	words := (len(buf) + 3) / 4
-	for i := 0; i < words; i++ {
-		var w uint32
-		for b := 0; b < 4; b++ {
-			if i*4+b < len(buf) {
-				w |= uint32(buf[i*4+b]) << (8 * uint(3-b))
-			}
-		}
-		phys, err := s.maps.Translate(qaddr + uint32(i*4))
-		if err != nil {
-			panic(err)
-		}
-		s.m.Memory().Poke(phys, w)
-	}
-	return words
-}
-
-// peek reads n bytes back out of the DMA window.
-func (s *station) peek(qaddr uint32, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		phys, err := s.maps.Translate(qaddr + uint32(i/4*4))
-		if err != nil {
-			panic(err)
-		}
-		w := s.m.Memory().Peek(phys)
-		out[i] = byte(w >> (8 * uint(3-i%4)))
-	}
-	return out
-}
-
 func main() {
-	alpha := newStation("alpha")
-	beta := newStation("beta")
+	cl := cluster.New(cluster.Config{})
+	cl.Node(1).StartServer()
 
-	// The cable: each controller's transmissions arrive at the other.
-	alpha.eth.OnWire = func(p qbus.Packet) { beta.eth.Receive(p, 0x8000, nil) }
-	beta.eth.OnWire = func(p qbus.Packet) { alpha.eth.Receive(p, 0x8000, nil) }
-
-	step := func(cycles int) {
-		for i := 0; i < cycles; i++ {
-			alpha.m.Step()
-			beta.m.Step()
-		}
+	var out *rpc.CallOutcome
+	cl.Node(0).Issue(1, 1024, rpc.DefaultProc, func(o rpc.CallOutcome) { out = &o })
+	if !cl.RunUntil(func() bool { return out != nil }, 10_000_000) {
+		panic("network: no reply within one simulated second")
+	}
+	if out.Shed || out.Failed {
+		panic(fmt.Sprintf("network: call did not complete: %+v", *out))
 	}
 
-	// Alpha marshals a call and transmits it.
-	call := &rpc.Message{Kind: rpc.Call, ID: 1, Proc: 42, Payload: []byte("read /topaz/README")}
-	buf, err := call.Marshal()
-	if err != nil {
-		panic(err)
+	fmt.Printf("machine 0 -> machine 1: %d-byte call (proc %d)\n", out.Bytes, rpc.DefaultProc)
+	fmt.Printf("round trip: %.1f µs simulated (DMA, wire and server work both ways)\n",
+		rpc.CyclesToUS(uint64(out.Latency)))
+	seg := cl.Segment().Stats()
+	fmt.Printf("segment: %d frames, %d words on the wire\n",
+		seg.Frames.Value(), seg.WordsOnWire.Value())
+	for i := 0; i < cl.Size(); i++ {
+		fmt.Printf("machine %d bus ops: %d\n", i, cl.Machine(i).Bus().Stats().TotalOps())
 	}
-	words := alpha.poke(0x0, buf)
-	start := alpha.m.Clock().Now()
-	fmt.Printf("alpha -> beta: %d-byte call (proc %d)\n", len(buf), call.Proc)
-	alpha.eth.Transmit(0x0, words, nil)
-
-	// Run until beta's controller has interrupted its I/O processor.
-	for beta.eth.Stats().Received.Value() == 0 {
-		step(1000)
-	}
-	got, err := rpc.Unmarshal(beta.peek(0x8000, len(buf)))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("beta received: kind=%d id=%d proc=%d payload=%q\n",
-		got.Kind, got.ID, got.Proc, string(got.Payload))
-
-	// Beta replies with a frame's worth of file data (larger transfers
-	// fragment, as in internal/rpc's WireBits accounting).
-	data := make([]byte, 1400)
-	for i := range data {
-		data[i] = byte('A' + i%26)
-	}
-	reply := &rpc.Message{Kind: rpc.Reply, ID: got.ID, Proc: got.Proc, Payload: data}
-	rbuf, err := reply.Marshal()
-	if err != nil {
-		panic(err)
-	}
-	rwords := beta.poke(0x10000, rbuf)
-	beta.eth.Transmit(0x10000, rwords, nil)
-	for alpha.eth.Stats().Received.Value() == 0 {
-		step(1000)
-	}
-	rgot, err := rpc.Unmarshal(alpha.peek(0x8000, len(rbuf)))
-	if err != nil {
-		panic(err)
-	}
-	elapsed := float64(alpha.m.Clock().Now()-start) * 100e-9
-	fmt.Printf("alpha received reply: %d bytes of payload, first 13: %q\n",
-		len(rgot.Payload), string(rgot.Payload[:13]))
-	fmt.Printf("\nround trip: %.2f ms simulated (wire + DMA both ways)\n", elapsed*1000)
-	fmt.Printf("payload bandwidth: %.2f Mbit/s over the 10 Mbit/s Ethernet\n",
-		float64(len(data)*8)/elapsed/1e6)
-	fmt.Println("\nEach side's DMA crossed its own MBus through the QBus engine;")
-	fmt.Printf("alpha bus ops: %d, beta bus ops: %d\n",
-		alpha.m.Bus().Stats().TotalOps(), beta.m.Bus().Stats().TotalOps())
 }

@@ -172,7 +172,7 @@ type medium struct {
 	mb *member
 }
 
-func (md *medium) Transmit(_ int, pkt qbus.Packet, done func(ok bool)) {
+func (md *medium) Transmit(pkt qbus.Packet, done func(ok bool)) {
 	md.c.capture(md.mb, pkt, done)
 }
 
@@ -247,10 +247,10 @@ func New(cfg Config) *Cluster {
 		if cfg.NodePatch != nil {
 			ncfg = cfg.NodePatch(i, ncfg)
 		}
-		node := rpc.NewNode(m, i, ncfg)
-		st := c.segs[k].Attach(func(f net.Frame) { node.Deliver(f.Words) })
-		mb := &member{m: m, node: node, st: st, seg: k}
-		node.Ethernet().AttachMedium(&medium{c: c, mb: mb}, i)
+		mb := &member{m: m, seg: k}
+		node := rpc.NewNode(m, i, &medium{c: c, mb: mb}, ncfg)
+		mb.node = node
+		mb.st = c.segs[k].Attach(func(f net.Frame) { node.Deliver(f.Words) })
 		c.members = append(c.members, mb)
 	}
 	if cfg.Segments > 1 {

@@ -99,7 +99,10 @@ func TestEndToEndRPC(t *testing.T) {
 func TestOpenLoopGenerator(t *testing.T) {
 	cl := New(Config{Node: quickNode(), Seed: 11})
 	cl.Node(1).StartServer()
-	cl.Node(0).StartOpenLoop(1, 64, 2_000, 40)
+	for i := 0; i < 40; i++ {
+		cl.Node(0).Issue(1, 64, rpc.DefaultProc, nil)
+		cl.Run(2_000)
+	}
 	ok := cl.RunUntil(func() bool {
 		return cl.Node(0).Stats().CallsCompleted.Value() >= 40
 	}, 20_000_000)

@@ -270,16 +270,23 @@ func (s *Segment) NextEvent(now sim.Cycle) sim.Cycle {
 		if len(st.queue) == 0 {
 			continue
 		}
-		ready := now + 1
-		if st.backoffUntil > now {
-			ready = st.backoffUntil
-		}
-		if s.idleAt > ready {
-			ready = s.idleAt
-		}
-		ev = sim.EarliestEvent(ev, ready)
+		ev = sim.EarliestEvent(ev, s.contendAt(st, now))
 	}
 	return ev
+}
+
+// contendAt is the first cycle after now at which st's head frame may
+// contend for the wire: once its own backoff and the interframe gap have
+// both passed.
+func (s *Segment) contendAt(st *Station, now sim.Cycle) sim.Cycle {
+	ready := now + 1
+	if st.backoffUntil > ready {
+		ready = st.backoffUntil
+	}
+	if s.idleAt > ready {
+		ready = s.idleAt
+	}
+	return ready
 }
 
 // EventHorizon reports a lower bound on the first future cycle at which
@@ -307,15 +314,9 @@ func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 		if len(st.queue) == 0 {
 			continue
 		}
-		// The head frame cannot seize the wire before the interframe gap,
-		// its own backoff, and the current frame have all passed.
-		ready := now + 1
-		if st.backoffUntil > ready {
-			ready = st.backoffUntil
-		}
-		if s.idleAt > ready {
-			ready = s.idleAt
-		}
+		// The head frame cannot seize the wire before it may contend and
+		// the current frame has passed.
+		ready := s.contendAt(st, now)
 		if s.cur != nil && s.busyTill > ready {
 			ready = s.busyTill
 		}

@@ -262,27 +262,11 @@ func (d *Disk) complete(op *diskOp) {
 	}
 }
 
-// EthernetConfig models the DEQNA controller.
-type EthernetConfig struct {
-	// WireWordCycles paces the 10 Mbit/s Ethernet: one longword per 32
-	// bus cycles (3.2 µs = 32 bits at 10 Mbit/s).
-	WireWordCycles uint64
-	// InterruptPort is interrupted on send/receive completion.
-	InterruptPort int
-}
-
-func (c EthernetConfig) withDefaults() EthernetConfig {
-	if c.WireWordCycles == 0 {
-		c.WireWordCycles = 32
-	}
-	return c
-}
-
 // EthernetStats counts controller activity.
 type EthernetStats struct {
 	Transmitted stats.Counter
 	Received    stats.Counter
-	Faults      stats.Counter // operations whose DMA transfer aborted
+	Faults      stats.Counter // operations whose DMA or transmission aborted
 	Interrupts  stats.Counter
 	WordsOnWire stats.Counter
 }
@@ -300,63 +284,48 @@ type etherOp struct {
 	onDone   func(Packet)
 }
 
-// Medium is a shared wire the DEQNA can attach to (internal/net's
-// Segment). When a medium is attached, the controller's private wire
-// model is bypassed: transmitted frames are handed to the medium after
-// the DMA fetch, and the medium owns serialization, busy deferral, and
-// collision backoff; received frames (which the medium has already
-// carried) are DMA'd into memory immediately.
+// Medium is the shared wire the DEQNA transmits on; in a cluster it is
+// the cluster's send capture in front of an internal/net Segment. The
+// medium owns serialization, busy deferral and collision backoff, and it
+// carries every frame the controller later receives.
 type Medium interface {
-	// Transmit serializes pkt from the given station onto the shared
-	// wire. done runs when the frame has left the wire (ok) or the
-	// transmission was abandoned after repeated collisions (!ok).
-	Transmit(station int, pkt Packet, done func(ok bool))
+	// Transmit serializes pkt onto the wire. done runs when the frame has
+	// left the wire (ok) or the transmission was abandoned after repeated
+	// collisions (!ok).
+	Transmit(pkt Packet, done func(ok bool))
 }
 
-// Ethernet is the DEQNA: a DMA Ethernet controller. Transmitted packets
-// are handed to the wire callback; received packets are DMA'd into host
-// memory.
+// Ethernet is the DEQNA: a DMA Ethernet controller on a Medium. A
+// transmit fetches the frame from host memory by DMA and hands it to the
+// medium; a receive, whose frame the medium has already carried, is DMA'd
+// straight into host memory. Every completion interrupts the I/O
+// processor (MBus port 0).
 type Ethernet struct {
-	cfg    EthernetConfig
-	clock  *sim.Clock
-	engine *Engine
 	bus    *mbus.Bus
+	engine *Engine
+	medium Medium
 
-	// OnWire receives every transmitted packet (the network).
-	OnWire func(Packet)
-
-	medium  Medium
-	station int
-
-	queue    []etherOp
-	cur      *etherOp
-	wireTill sim.Cycle
-	onWire   bool
+	queue []etherOp
+	cur   *etherOp
 
 	stats EthernetStats
 }
 
-// NewEthernet creates a DEQNA using the given DMA engine.
-func NewEthernet(clock *sim.Clock, bus *mbus.Bus, engine *Engine, cfg EthernetConfig) *Ethernet {
-	return &Ethernet{cfg: cfg.withDefaults(), clock: clock, engine: engine, bus: bus}
+// NewEthernet creates a DEQNA that uses the given DMA engine and
+// transmits on medium.
+func NewEthernet(bus *mbus.Bus, engine *Engine, medium Medium) *Ethernet {
+	return &Ethernet{bus: bus, engine: engine, medium: medium}
 }
 
 // Stats returns a snapshot of the controller counters.
 func (e *Ethernet) Stats() EthernetStats { return e.stats }
 
-// AttachMedium connects the controller to a shared wire as the given
-// station. Attaching a nil medium restores the private wire model.
-func (e *Ethernet) AttachMedium(m Medium, station int) {
-	e.medium = m
-	e.station = station
-}
-
 // Busy reports whether operations are queued or in progress.
 func (e *Ethernet) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
 
 // Transmit queues a packet send: words longwords DMA'd from QBus address
-// qaddr, then serialized onto the wire. onDone (optional) receives the
-// transmitted packet.
+// qaddr, then serialized onto the medium. onDone (optional) receives the
+// transmitted packet, or an empty one if the send failed.
 func (e *Ethernet) Transmit(qaddr uint32, words int, onDone func(Packet)) {
 	if words <= 0 || words > 379 { // 1516-byte maximum frame
 		panic(fmt.Sprintf("qbus: implausible frame of %d words", words))
@@ -364,8 +333,8 @@ func (e *Ethernet) Transmit(qaddr uint32, words int, onDone func(Packet)) {
 	e.queue = append(e.queue, etherOp{transmit: true, qaddr: qaddr, words: words, onDone: onDone})
 }
 
-// Receive queues an inbound packet: serialized from the wire, then DMA'd
-// to QBus address qaddr.
+// Receive queues an inbound packet, already carried by the medium, for
+// DMA to QBus address qaddr.
 func (e *Ethernet) Receive(pkt Packet, qaddr uint32, onDone func(Packet)) {
 	if len(pkt.Words) == 0 {
 		panic("qbus: empty inbound packet")
@@ -377,22 +346,12 @@ func (e *Ethernet) Receive(pkt Packet, qaddr uint32, onDone func(Packet)) {
 }
 
 // NextEvent reports the earliest future cycle at which Step may change
-// the controller's state: the end of wire serialization under the
-// private wire model, the next cycle while an operation waits at the
+// the controller's state: the next cycle while an operation waits at the
 // head of the queue, and never otherwise — DMA phases advance through
-// engine callbacks and shared-medium transmits through the segment's
-// completion callback, both covered by their owners' NextEvent.
+// engine callbacks and transmits through the medium's completion
+// callback, both covered by their owners' NextEvent.
 func (e *Ethernet) NextEvent(now sim.Cycle) sim.Cycle {
-	if e.cur != nil {
-		if e.onWire {
-			if e.wireTill > now {
-				return e.wireTill
-			}
-			return now + 1
-		}
-		return sim.Never
-	}
-	if len(e.queue) > 0 {
+	if e.cur == nil && len(e.queue) > 0 {
 		return now + 1
 	}
 	return sim.Never
@@ -423,86 +382,51 @@ func (e *Ethernet) RestoreState(s any) error {
 	return nil
 }
 
-// Step advances the controller one cycle.
+// Step advances the controller one cycle: an idle controller starts the
+// DMA for the operation at the head of its queue.
 func (e *Ethernet) Step() {
-	if e.cur != nil {
-		if e.onWire && e.clock.Now() >= e.wireTill {
-			e.onWire = false
-			e.finishWire()
-		}
-		return
-	}
-	if len(e.queue) == 0 {
+	if e.cur != nil || len(e.queue) == 0 {
 		return
 	}
 	op := e.queue[0]
 	e.queue = e.queue[1:]
 	e.cur = &op
 	if op.transmit {
-		buf := make([]uint32, op.words)
-		e.engine.Submit(&Transfer{
-			Device: "deqna", ToMemory: false,
-			QAddr: op.qaddr, Words: op.words, Data: buf,
-			OnDone: func(fault bool) {
-				if fault {
-					// Nothing goes on the wire; complete with an empty
-					// packet so software sees the transmit error.
-					e.stats.Faults.Inc()
-					e.complete(&op, Packet{})
-					return
-				}
-				op.payload = buf
-				if e.medium != nil {
-					e.medium.Transmit(e.station, Packet{Words: buf}, func(ok bool) {
-						if !ok {
-							// Abandoned after repeated collisions; software
-							// sees the transmit error and may retry.
-							e.stats.Faults.Inc()
-							e.complete(&op, Packet{})
-							return
-						}
-						e.stats.WordsOnWire.Add(uint64(op.words))
-						e.finishTransmit(&op)
-					})
-					return
-				}
-				e.beginWire(op.words)
-			},
-		})
-		return
-	}
-	if e.medium != nil {
-		// The shared wire already carried the frame; DMA straight in.
+		e.submitTransmitDMA(&op)
+	} else {
 		e.submitReceiveDMA(&op)
-		return
 	}
-	// Receive: wire first, then DMA into memory.
-	e.beginWire(op.words)
 }
 
-func (e *Ethernet) beginWire(words int) {
-	e.onWire = true
-	e.wireTill = e.clock.Now() + sim.Cycle(uint64(words)*e.cfg.WireWordCycles)
-	e.stats.WordsOnWire.Add(uint64(words))
-}
-
-func (e *Ethernet) finishWire() {
-	op := e.cur
-	if op.transmit {
-		e.finishTransmit(op)
-		return
-	}
-	e.submitReceiveDMA(op)
-}
-
-// finishTransmit completes a transmit whose frame has left the wire.
-func (e *Ethernet) finishTransmit(op *etherOp) {
-	e.stats.Transmitted.Inc()
-	pkt := Packet{Words: op.payload}
-	e.complete(op, pkt)
-	if e.OnWire != nil {
-		e.OnWire(pkt)
-	}
+// submitTransmitDMA fetches a frame from host memory and hands it to the
+// medium.
+func (e *Ethernet) submitTransmitDMA(op *etherOp) {
+	buf := make([]uint32, op.words)
+	e.engine.Submit(&Transfer{
+		Device: "deqna", ToMemory: false,
+		QAddr: op.qaddr, Words: op.words, Data: buf,
+		OnDone: func(fault bool) {
+			if fault {
+				// Nothing goes on the wire; complete with an empty
+				// packet so software sees the transmit error.
+				e.stats.Faults.Inc()
+				e.complete(op, Packet{})
+				return
+			}
+			e.medium.Transmit(Packet{Words: buf}, func(ok bool) {
+				if !ok {
+					// Abandoned after repeated collisions; software
+					// sees the transmit error and may retry.
+					e.stats.Faults.Inc()
+					e.complete(op, Packet{})
+					return
+				}
+				e.stats.WordsOnWire.Add(uint64(op.words))
+				e.stats.Transmitted.Inc()
+				e.complete(op, Packet{Words: buf})
+			})
+		},
+	})
 }
 
 // submitReceiveDMA moves a received frame from the controller into host
@@ -528,7 +452,7 @@ func (e *Ethernet) submitReceiveDMA(op *etherOp) {
 func (e *Ethernet) complete(op *etherOp, pkt Packet) {
 	e.cur = nil
 	e.stats.Interrupts.Inc()
-	e.bus.Interrupt(e.engine.Port(), e.cfg.InterruptPort)
+	e.bus.Interrupt(e.engine.Port(), 0)
 	if op.onDone != nil {
 		op.onDone(pkt)
 	}

@@ -337,36 +337,85 @@ func TestDiskSeekDelay(t *testing.T) {
 	}
 }
 
+// fakeMedium stands in for the shared wire: it records every packet it
+// is handed and reports the outcome delay cycles after the hand-off. It
+// steps as a machine device after the controller.
+type fakeMedium struct {
+	clock  *sim.Clock
+	delay  sim.Cycle
+	ok     bool
+	sent   []Packet
+	sentAt sim.Cycle
+	done   func(ok bool)
+}
+
+func (f *fakeMedium) Transmit(pkt Packet, done func(ok bool)) {
+	f.sent = append(f.sent, pkt)
+	f.sentAt = f.clock.Now()
+	f.done = done
+}
+
+func (f *fakeMedium) Step() {
+	if f.done != nil && f.clock.Now() >= f.sentAt+f.delay {
+		done := f.done
+		f.done = nil
+		done(f.ok)
+	}
+}
+
+func (f *fakeMedium) NextEvent(now sim.Cycle) sim.Cycle {
+	if f.done == nil {
+		return sim.Never
+	}
+	if due := f.sentAt + f.delay; due > now {
+		return due
+	}
+	return now + 1
+}
+
+// newEthernet adds a DEQNA on a fake medium to the bench, with the first
+// 64 KB of QBus space mapped at physical 0x100000.
+func newEthernet(b *bench, delay sim.Cycle, ok bool) (*Ethernet, *fakeMedium) {
+	b.maps.MapRange(0, 0x100000, 1<<16)
+	med := &fakeMedium{clock: b.m.Clock(), delay: delay, ok: ok}
+	eth := NewEthernet(b.m.Bus(), b.engine, med)
+	b.m.AddDevice(eth)
+	b.m.AddDevice(med)
+	return eth, med
+}
+
 func TestEthernetTransmit(t *testing.T) {
 	b := newBench(t, 1, 4)
-	b.maps.MapRange(0, 0x100000, 1<<16)
-	eth := NewEthernet(b.m.Clock(), b.m.Bus(), b.engine, EthernetConfig{WireWordCycles: 8})
-	b.m.AddDevice(eth)
+	eth, med := newEthernet(b, 100, true)
 	for i := 0; i < 16; i++ {
 		b.m.Memory().Poke(mbus.Addr(0x100000+i*4), uint32(0xdead0000+i))
 	}
-	var wire Packet
-	eth.OnWire = func(p Packet) { wire = p }
-	eth.Transmit(0, 16, nil)
+	var got Packet
+	eth.Transmit(0, 16, func(p Packet) { got = p })
 	b.run(10_000)
-	if len(wire.Words) != 16 {
-		t.Fatalf("wire packet %d words", len(wire.Words))
+	if len(med.sent) != 1 || len(med.sent[0].Words) != 16 {
+		t.Fatalf("medium got %d packets, want one of 16 words", len(med.sent))
 	}
-	for i, w := range wire.Words {
+	for i, w := range med.sent[0].Words {
 		if w != uint32(0xdead0000+i) {
 			t.Fatalf("wire word %d = %#x", i, w)
 		}
 	}
-	if eth.Stats().Transmitted.Value() != 1 {
-		t.Fatal("transmit not counted")
+	if len(got.Words) != 16 {
+		t.Fatalf("onDone packet %d words, want 16", len(got.Words))
+	}
+	st := eth.Stats()
+	if st.Transmitted.Value() != 1 || st.WordsOnWire.Value() != 16 || st.Faults.Value() != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if irq := b.m.CPU(0).TakeInterrupts(); len(irq) != 1 {
+		t.Fatalf("interrupts = %v", irq)
 	}
 }
 
 func TestEthernetReceive(t *testing.T) {
 	b := newBench(t, 1, 4)
-	b.maps.MapRange(0, 0x100000, 1<<16)
-	eth := NewEthernet(b.m.Clock(), b.m.Bus(), b.engine, EthernetConfig{WireWordCycles: 8})
-	b.m.AddDevice(eth)
+	eth, med := newEthernet(b, 100, true)
 	in := Packet{Words: []uint32{7, 8, 9}}
 	got := false
 	eth.Receive(in, 512, func(Packet) { got = true })
@@ -374,10 +423,16 @@ func TestEthernetReceive(t *testing.T) {
 	if !got {
 		t.Fatal("receive did not complete")
 	}
+	if len(med.sent) != 0 {
+		t.Fatalf("receive put %d packets on the medium", len(med.sent))
+	}
 	for i, want := range in.Words {
 		if b.m.Memory().Peek(mbus.Addr(0x100000+512+i*4)) != want {
 			t.Fatalf("received word %d wrong", i)
 		}
+	}
+	if eth.Stats().Received.Value() != 1 {
+		t.Fatal("receive not counted")
 	}
 	if got := b.m.CPU(0).TakeInterrupts(); len(got) != 1 {
 		t.Fatalf("interrupts = %v", got)
@@ -385,26 +440,57 @@ func TestEthernetReceive(t *testing.T) {
 }
 
 func TestEthernetWireTime(t *testing.T) {
-	// 10 Mbit/s: a longer packet takes proportionally longer.
-	time := func(words int) uint64 {
+	// Wire pacing is the medium's job: a transmit completes when the
+	// medium reports done, so extra medium delay shifts the completion
+	// by exactly that much.
+	finish := func(delay sim.Cycle) sim.Cycle {
 		b := newBench(t, 1, 1)
-		b.maps.MapRange(0, 0x100000, 1<<16)
-		eth := NewEthernet(b.m.Clock(), b.m.Bus(), b.engine, EthernetConfig{})
-		b.m.AddDevice(eth)
-		var doneAt uint64
-		eth.Transmit(0, words, func(Packet) { doneAt = uint64(b.m.Clock().Now()) })
+		eth, med := newEthernet(b, delay, true)
+		var doneAt sim.Cycle
+		eth.Transmit(0, 10, func(Packet) { doneAt = b.m.Clock().Now() })
 		b.run(100_000)
+		if len(med.sent) != 1 || doneAt < med.sentAt+delay {
+			t.Fatalf("delay %d: sent %d packets at %d, done at %d",
+				delay, len(med.sent), med.sentAt, doneAt)
+		}
 		return doneAt
 	}
-	short, long := time(10), time(300)
-	if long < short*10 {
-		t.Fatalf("wire time not proportional: %d vs %d", short, long)
+	short, long := finish(1_000), finish(9_000)
+	if long-short != 8_000 {
+		t.Fatalf("completion at %d and %d, want 8000 cycles apart", short, long)
+	}
+}
+
+func TestEthernetTransmitAbort(t *testing.T) {
+	// The medium abandons the frame (repeated collisions): software sees
+	// a transmit error, and nothing counts as sent.
+	b := newBench(t, 1, 4)
+	eth, med := newEthernet(b, 100, false)
+	var got *Packet
+	eth.Transmit(0, 16, func(p Packet) { got = &p })
+	b.run(10_000)
+	if len(med.sent) != 1 {
+		t.Fatalf("medium got %d packets, want 1", len(med.sent))
+	}
+	if got == nil || len(got.Words) != 0 {
+		t.Fatalf("onDone packet = %v, want an empty packet", got)
+	}
+	st := eth.Stats()
+	if st.Faults.Value() != 1 || st.Interrupts.Value() != 1 ||
+		st.Transmitted.Value() != 0 || st.WordsOnWire.Value() != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if irq := b.m.CPU(0).TakeInterrupts(); len(irq) != 1 {
+		t.Fatalf("interrupts = %v", irq)
+	}
+	if eth.Busy() {
+		t.Fatal("controller still busy after the abort")
 	}
 }
 
 func TestEthernetValidation(t *testing.T) {
 	b := newBench(t, 1, 4)
-	eth := NewEthernet(b.m.Clock(), b.m.Bus(), b.engine, EthernetConfig{})
+	eth, _ := newEthernet(b, 100, true)
 	for _, f := range []func(){
 		func() { eth.Transmit(0, 0, nil) },
 		func() { eth.Transmit(0, 1000, nil) },

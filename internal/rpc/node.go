@@ -358,14 +358,14 @@ type Node struct {
 	queuePeak int
 
 	stats   NodeStats
-	latSum  uint64
 	latHist stats.LogHist
 }
 
 // NewNode builds the runtime on a machine, as the given station. It
-// creates the node's QBus DMA engine, DEQNA, and Topaz kernel, registers
-// them as machine devices, and maps the NIC buffer rings.
-func NewNode(m *machine.Machine, station int, cfg NodeConfig) *Node {
+// creates the node's QBus DMA engine, a DEQNA transmitting on medium, and
+// a Topaz kernel, registers them as machine devices, and maps the NIC
+// buffer rings.
+func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig) *Node {
 	cfg = cfg.withDefaults(m.Config().Seed)
 	n := &Node{
 		station: station,
@@ -381,7 +381,7 @@ func NewNode(m *machine.Machine, station int, cfg NodeConfig) *Node {
 		panic("rpc: NIC buffer region exceeds physical memory")
 	}
 	n.engine = qbus.NewEngine(n.clock, m.Bus(), n.maps, 0)
-	n.eth = qbus.NewEthernet(n.clock, m.Bus(), n.engine, qbus.EthernetConfig{})
+	n.eth = qbus.NewEthernet(m.Bus(), n.engine, medium)
 	n.maps.MapRange(cfg.QWindow, cfg.BufferBase, uint32(cfg.Slots)*slotBytes)
 	m.AddDevice(n.engine)
 	m.AddDevice(n.eth)
@@ -404,9 +404,6 @@ func (n *Node) Machine() *machine.Machine { return n.m }
 // Kernel returns the node's Topaz kernel.
 func (n *Node) Kernel() *topaz.Kernel { return n.k }
 
-// Ethernet returns the node's DEQNA, for attachment to a shared medium.
-func (n *Node) Ethernet() *qbus.Ethernet { return n.eth }
-
 // Station returns the node's station number.
 func (n *Node) Station() int { return n.station }
 
@@ -424,11 +421,11 @@ func (n *Node) QueuePeak() int { return n.queuePeak }
 
 // MeanLatencyUS returns the mean completed-call latency in microseconds.
 func (n *Node) MeanLatencyUS() float64 {
-	c := n.stats.CallsCompleted.Value()
+	c := n.latHist.Count()
 	if c == 0 {
 		return 0
 	}
-	return float64(n.latSum) / float64(c) * (sim.CycleNS / 1000.0)
+	return float64(n.latHist.Sum()) / float64(c) * (sim.CycleNS / 1000.0)
 }
 
 // Latencies returns the node's completed-call latency histogram
@@ -622,7 +619,7 @@ func (n *Node) Issue(dst, payloadBytes int, proc uint16, onDone func(CallOutcome
 }
 
 // issue marshals and transmits one call. Caller threads run it inside
-// the client station; the open-loop generator and Issue run it directly.
+// the client station; Issue runs it directly.
 func (n *Node) issue(dst, payloadBytes int, proc uint16, openLoop bool, onDone func(CallOutcome)) *call {
 	n.nextID++
 	id := n.nextID
@@ -894,7 +891,6 @@ func (n *Node) clientAccept(msg *Message) {
 func (n *Node) recordCompleted(c *call) {
 	n.stats.CallsCompleted.Inc()
 	n.stats.BytesMoved.Add(uint64(c.bytes))
-	n.latSum += uint64(c.latency)
 	n.latHist.Observe(uint64(c.latency))
 }
 
@@ -1034,31 +1030,4 @@ func (n *Node) callerProgram(dst, payloadBytes int) topaz.Program {
 			return topaz.Unlock{M: n.cliMu}
 		}
 	})
-}
-
-// StartOpenLoop forks a generator thread that issues count calls to dst
-// at a fixed interval regardless of completions — the open-loop load
-// the bus-service-discipline studies measure contention with. Completed
-// calls are accounted when their replies arrive.
-func (n *Node) StartOpenLoop(dst, payloadBytes int, intervalCycles uint64, count int) {
-	if payloadBytes == 0 {
-		payloadBytes = n.cfg.Costs.PayloadBytes
-	}
-	if intervalCycles == 0 {
-		panic("rpc: open-loop generator needs a positive interval")
-	}
-	issued := 0
-	sleeping := false
-	n.k.Fork(topaz.ProgramFunc(func(*topaz.Thread) topaz.Action {
-		if !sleeping {
-			sleeping = true
-			return topaz.Sleep{Cycles: intervalCycles}
-		}
-		sleeping = false
-		if issued >= count {
-			return topaz.Exit{}
-		}
-		issued++
-		return topaz.Call{Fn: func() { n.issue(dst, payloadBytes, DefaultProc, true, nil) }}
-	}), topaz.ThreadSpec{Name: "rpc-openloop"}, nil)
 }
