@@ -40,11 +40,11 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkTable1Simulated cross-checks Table 1 on the cycle simulator,
 // running the full NP sweep through the sweep engine (parallel across
-// points when -workers / GOMAXPROCS allows).
+// points when GOMAXPROCS allows).
 func BenchmarkTable1Simulated(b *testing.B) {
 	var out experiments.Outcome
 	for i := 0; i < b.N; i++ {
-		out = experiments.Table1Sim(experiments.Quick)
+		out = experiments.Table1Sim(experiments.Options{})
 	}
 	if len(out.Text) == 0 {
 		b.Fatal("empty outcome")
@@ -66,7 +66,7 @@ func BenchmarkTable2(b *testing.B) {
 // diagram through the cache controller.
 func BenchmarkFigure3Transitions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.Figure3(experiments.Quick)
+		out := experiments.Figure3(experiments.Options{})
 		if len(out.Text) == 0 {
 			b.Fatal("empty outcome")
 		}
@@ -77,7 +77,7 @@ func BenchmarkFigure3Transitions(b *testing.B) {
 // the Figure 4 bus timing.
 func BenchmarkFigure4Timing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.Figure4(experiments.Quick)
+		out := experiments.Figure4(experiments.Options{})
 		if len(out.Text) == 0 {
 			b.Fatal("empty outcome")
 		}
@@ -88,7 +88,7 @@ func BenchmarkFigure4Timing(b *testing.B) {
 // (X-proto in DESIGN.md).
 func BenchmarkProtocolComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ProtocolComparison(experiments.Quick)
+		experiments.ProtocolComparison(experiments.Options{})
 	}
 }
 
@@ -96,14 +96,14 @@ func BenchmarkProtocolComparison(b *testing.B) {
 // (X-migrate).
 func BenchmarkMigrationAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.MigrationAblation(experiments.Quick)
+		experiments.MigrationAblation(experiments.Options{})
 	}
 }
 
 // BenchmarkCVAXSpeedup measures the second-version upgrade (X-cvax).
 func BenchmarkCVAXSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.CVAXSpeedup(experiments.Quick)
+		experiments.CVAXSpeedup(experiments.Options{})
 	}
 }
 
@@ -119,28 +119,28 @@ func BenchmarkRPCThroughput(b *testing.B) {
 // BenchmarkQBusLoad measures DMA bandwidth consumption (X-qbus).
 func BenchmarkQBusLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.QBusLoad(experiments.Quick)
+		experiments.QBusLoad(experiments.Options{})
 	}
 }
 
 // BenchmarkMDCThroughput measures display controller paint rates (X-mdc).
 func BenchmarkMDCThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.MDCThroughput(experiments.Quick)
+		experiments.MDCThroughput(experiments.Options{})
 	}
 }
 
 // BenchmarkParallelMake measures the §6 parallel make speedup (X-make).
 func BenchmarkParallelMake(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ParallelMake(experiments.Quick)
+		experiments.ParallelMake(experiments.Options{})
 	}
 }
 
 // BenchmarkFigure2Structure instantiates the Topaz structure (Figure 2).
 func BenchmarkFigure2Structure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure2(experiments.Quick)
+		experiments.Figure2(experiments.Options{})
 	}
 }
 
@@ -148,7 +148,7 @@ func BenchmarkFigure2Structure(b *testing.B) {
 // (§6 footnote 5).
 func BenchmarkSyscallEmulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.SyscallEmulation(experiments.Quick)
+		experiments.SyscallEmulation(experiments.Options{})
 	}
 }
 
@@ -156,7 +156,7 @@ func BenchmarkSyscallEmulation(b *testing.B) {
 // (§6's collector-on-another-processor claim).
 func BenchmarkGCOffload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.GCOffload(experiments.Quick)
+		experiments.GCOffload(experiments.Options{})
 	}
 }
 
@@ -164,21 +164,21 @@ func BenchmarkGCOffload(b *testing.B) {
 // experiment (§6).
 func BenchmarkFileIO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.FileIO(experiments.Quick)
+		experiments.FileIO(experiments.Options{})
 	}
 }
 
 // BenchmarkLineSize runs the cache line size ablation.
 func BenchmarkLineSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.LineSizeAblation(experiments.Quick)
+		experiments.LineSizeAblation(experiments.Options{})
 	}
 }
 
 // BenchmarkOnChipData runs the CVAX on-chip data cache ablation.
 func BenchmarkOnChipData(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.OnChipDataAblation(experiments.Quick)
+		experiments.OnChipDataAblation(experiments.Options{})
 	}
 }
 
@@ -186,10 +186,8 @@ func BenchmarkOnChipData(b *testing.B) {
 // baseline for BenchmarkSweepParallel. The two must produce byte-identical
 // Outcome.Text (see TestSweepDeterministic); only wall time may differ.
 func BenchmarkSweepSerial(b *testing.B) {
-	prev := experiments.SetWorkers(1)
-	defer experiments.SetWorkers(prev)
 	for i := 0; i < b.N; i++ {
-		experiments.Table1Sim(experiments.Quick)
+		experiments.Table1Sim(experiments.Options{Workers: 1})
 	}
 }
 
@@ -197,23 +195,8 @@ func BenchmarkSweepSerial(b *testing.B) {
 // available CPU. On a multi-core runner this should approach
 // serial/NumCPU; on a single core it measures pool overhead.
 func BenchmarkSweepParallel(b *testing.B) {
-	prev := experiments.SetWorkers(0)
-	defer experiments.SetWorkers(prev)
 	for i := 0; i < b.N; i++ {
-		experiments.Table1Sim(experiments.Quick)
-	}
-}
-
-// BenchmarkSweepWarmStart measures the Table 1 sweep with the
-// warm-start snapshot cache primed: every point restores a post-warmup
-// snapshot instead of re-running the warmup. The first Table1Sim call
-// (outside the timer) pays the warmups and populates the cache;
-// compare against BenchmarkSweepSerial/Parallel for the saving.
-func BenchmarkSweepWarmStart(b *testing.B) {
-	experiments.Table1Sim(experiments.Quick)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Table1Sim(experiments.Quick)
+		experiments.Table1Sim(experiments.Options{})
 	}
 }
 

@@ -24,8 +24,8 @@ import (
 // shape (§5.1): write-through invalidate saturates the bus first;
 // invalidation protocols degrade as true sharing grows (invalidated data
 // must be reloaded); the update protocols (Firefly, Dragon) hold up.
-func ProtocolComparison(budget Budget) Outcome {
-	cycles := budget.cycles(300_000, 3_000_000)
+func ProtocolComparison(o Options) Outcome {
+	cycles := o.Budget.cycles(300_000, 3_000_000)
 	shares := []float64{0, 0.1, 0.3}
 	const nproc = 4
 
@@ -40,7 +40,7 @@ func ProtocolComparison(budget Budget) Outcome {
 	// the full cross product as sweep points and assemble the table rows
 	// in submission order.
 	protos := coherence.All()
-	cells := Sweep(len(protos)*len(shares), func(i int) string {
+	cells := Sweep(o, len(protos)*len(shares), func(i int) string {
 		proto, s := protos[i/len(shares)], shares[i%len(shares)]
 		cfg := machine.MicroVAXConfig(nproc)
 		cfg.Protocol = proto
@@ -69,9 +69,9 @@ suggests ("The Xerox Dragon uses a similar scheme").
 // conditional write-through: with affinity off, migrated threads leave
 // their writeable data in two caches and every write becomes a bus
 // write-through until the old copies are displaced (§5.1).
-func MigrationAblation(budget Budget) Outcome {
-	warmup := budget.cycles(100_000, 400_000)
-	measure := budget.cycles(800_000, 8_000_000)
+func MigrationAblation(o Options) Outcome {
+	warmup := o.Budget.cycles(100_000, 400_000)
+	measure := o.Budget.cycles(800_000, 8_000_000)
 
 	// Threads with purely private, write-heavy working sets: the only
 	// source of write-through traffic is a migrated thread whose data is
@@ -115,7 +115,7 @@ func MigrationAblation(budget Budget) Outcome {
 		kRefs      float64
 	}
 	policies := []topaz.DispatchPolicy{topaz.MigrationAverse{}, topaz.OldestFirst{}}
-	res := SweepItems(policies, func(dispatch topaz.DispatchPolicy) migResult {
+	res := SweepItems(o, policies, func(dispatch topaz.DispatchPolicy) migResult {
 		mig, wt, rate := run(dispatch)
 		return migResult{mig, wt, rate}
 	})
@@ -145,8 +145,8 @@ func max64(a, b uint64) uint64 {
 // CVAXSpeedup compares the second-version Firefly against the original on
 // the same workload. The paper: "the upgrade has improved execution
 // speeds by factors of 2.0 to 2.5."
-func CVAXSpeedup(budget Budget) Outcome {
-	cycles := budget.cycles(600_000, 6_000_000)
+func CVAXSpeedup(o Options) Outcome {
+	cycles := o.Budget.cycles(600_000, 6_000_000)
 
 	measure := func(cfg machine.Config, miss float64) (instrPerSec float64, loadPerCPU float64) {
 		m := machine.New(cfg)
@@ -170,7 +170,7 @@ func CVAXSpeedup(budget Budget) Outcome {
 		miss float64
 	}
 	type sysResult struct{ rate, load float64 }
-	res := SweepItems([]sysPoint{
+	res := SweepItems(o, []sysPoint{
 		{machine.MicroVAXConfig(4), 0.20},
 		{machine.CVAXConfig(4), 0.05},
 	}, func(p sysPoint) sysResult {
@@ -198,8 +198,8 @@ same bus load per processor").
 // RPCThroughput sweeps outstanding calls and reports sustained bandwidth,
 // reproducing §6's "4.6 megabits per second using an average of three
 // concurrent threads."
-func RPCThroughput(budget Budget) Outcome {
-	secs := budget.seconds(0.5, 4)
+func RPCThroughput(o Options) Outcome {
+	secs := o.Budget.seconds(0.5, 4)
 	threads := []int{1, 2, 3, 4, 6, 8}
 	results := rpc.Sweep(rpc.Config{}, threads, secs)
 	t := stats.NewTable("RPC data transfer: bandwidth vs concurrent threads",
@@ -224,8 +224,8 @@ server stage saturates at ~4.6 Mbit/s of payload (§6).
 // consumes, plus the slowdown inflicted on a computing processor.
 // The paper: "When fully loaded, the QBus consumes about 30% of the main
 // memory bandwidth. The average I/O load is much lower."
-func QBusLoad(budget Budget) Outcome {
-	cycles := budget.cycles(500_000, 5_000_000)
+func QBusLoad(o Options) Outcome {
+	cycles := o.Budget.cycles(500_000, 5_000_000)
 
 	run := func(flood bool) (load float64, cpuRate float64) {
 		m := machine.New(machine.MicroVAXConfig(1))
@@ -252,7 +252,7 @@ func QBusLoad(budget Budget) Outcome {
 	}
 
 	type qbusResult struct{ load, rate float64 }
-	res := SweepItems([]bool{false, true}, func(flood bool) qbusResult {
+	res := SweepItems(o, []bool{false, true}, func(flood bool) qbusResult {
 		load, rate := run(flood)
 		return qbusResult{load, rate}
 	})
@@ -270,18 +270,11 @@ storage system, which the cache exists to keep small.
 	return Outcome{ID: "qbus", Title: "QBus bandwidth consumption", Text: text}
 }
 
-// MDCThroughput measures the display controller's paint rates against
-// the paper's figures: 16 megapixels/second for area operations and
-// about 20,000 10-point characters/second from the font cache.
-func MDCThroughput(budget Budget) Outcome {
-	return mdcThroughput(budget)
-}
-
 // ParallelMake runs the §6 parallel make over a processor sweep.
-func ParallelMake(budget Budget) Outcome {
-	maxCycles := budget.cycles(300_000_000, 3_000_000_000)
+func ParallelMake(o Options) Outcome {
+	maxCycles := o.Budget.cycles(300_000_000, 3_000_000_000)
 	leaves, cost := 8, uint64(40_000)
-	if budget == Quick {
+	if o.Budget == Quick {
 		leaves, cost = 6, 20_000
 	}
 	t := stats.NewTable("Parallel make: rebuild with fan-out "+fmt.Sprint(leaves),
@@ -294,7 +287,7 @@ func ParallelMake(budget Budget) Outcome {
 		mcycles float64
 		ok      bool
 	}
-	results := SweepItems(ns, func(n int) makeResult {
+	results := SweepItems(o, ns, func(n int) makeResult {
 		m := machine.New(machine.MicroVAXConfig(n))
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: topaz.MigrationAverse{}})
 		res := workload.RunMake(k, workload.StandardBuild(leaves, cost), maxCycles)
@@ -326,7 +319,7 @@ parallel make a showcase Topaz application (§6).
 // footnote: "A larger line would probably have reduced the miss rate
 // considerably, but it would have complicated the design... we did not
 // pursue a larger line."
-func LineSizeAblation(budget Budget) Outcome {
+func LineSizeAblation(o Options) Outcome {
 	base := model.MicroVAX()
 	t := stats.NewTable("Line size ablation (analytic, 5-processor system)",
 		"line bytes", "miss rate", "TPI", "TP(5)")
@@ -349,12 +342,12 @@ func LineSizeAblation(budget Budget) Outcome {
 	// workload drifts one word at a time — the weak spatial locality of
 	// the pointer-heavy Modula-2+ code SRC ran — so prefetching buys
 	// little while every fill occupies the bus for W operations.
-	cycles := budget.cycles(300_000, 3_000_000)
+	cycles := o.Budget.cycles(300_000, 3_000_000)
 	ts := stats.NewTable("Line size ablation (simulated, 5-processor system, working-set workload)",
 		"line bytes", "miss rate", "bus load", "per-CPU K refs/s")
 	lws := []int{1, 2, 4, 8}
 	type lineResult struct{ miss, load, krefs float64 }
-	simmed := SweepItems(lws, func(lw int) lineResult {
+	simmed := SweepItems(o, lws, func(lw int) lineResult {
 		cfg := machine.MicroVAXConfig(5)
 		cfg.LineWords = lw
 		m := machine.New(cfg)
@@ -392,8 +385,8 @@ storage modules").
 
 // OnChipDataAblation measures what the CVAX Firefly gave up by keeping
 // data out of the on-chip cache (§5, §5.3).
-func OnChipDataAblation(budget Budget) Outcome {
-	cycles := budget.cycles(600_000, 6_000_000)
+func OnChipDataAblation(o Options) Outcome {
+	cycles := o.Budget.cycles(600_000, 6_000_000)
 
 	measure := func(dcache bool) float64 {
 		cfg := machine.CVAXConfig(4)
@@ -412,7 +405,7 @@ func OnChipDataAblation(budget Budget) Outcome {
 		return float64(instr) / rep.Seconds
 	}
 
-	res := SweepItems([]bool{false, true}, measure)
+	res := SweepItems(o, []bool{false, true}, measure)
 	off, on := res[0], res[1]
 	t := stats.NewTable("CVAX on-chip cache: instruction-only vs instructions+data",
 		"configuration", "K instr/s (4 CPUs)")
@@ -429,5 +422,3 @@ store only instruction references, not data."
 `, (on/off-1)*100)
 	return Outcome{ID: "onchipdata", Title: "On-chip data cache ablation", Text: text}
 }
-
-var _ = core.Firefly{} // the protocol suite's first entry, used via coherence.All

@@ -13,8 +13,8 @@ import (
 // sequentially-coherent reference memory, the invariant walker sweeping
 // the caches throughout. It is a self-test of the simulator rather than a
 // paper reproduction — the table should read all-zero violations.
-func CoherenceCheck(budget Budget) Outcome {
-	ops := int(budget.cycles(30_000, 1<<20))
+func CoherenceCheck(o Options) Outcome {
+	ops := int(o.Budget.cycles(30_000, 1<<20))
 	t := stats.NewTable(
 		fmt.Sprintf("Coherence checking: %d-op randomized stress per protocol (4 CPUs, seed 7919)", ops),
 		"protocol", "checked ops", "walks", "cycles", "violations")

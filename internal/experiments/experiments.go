@@ -9,6 +9,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"firefly/internal/mbus"
+	"firefly/internal/topaz"
 )
 
 // Outcome is one experiment's rendered result.
@@ -55,10 +58,49 @@ func (b Budget) seconds(quick, full float64) float64 {
 	return full
 }
 
+// Options is everything a run may vary. Drivers read nothing else, so
+// each is a pure function of its Options. The zero value runs the Quick
+// budget with one sweep worker per CPU, a single Ethernet segment and
+// PolicySweep's full axes.
+type Options struct {
+	// Budget scales run lengths.
+	Budget Budget
+	// Workers bounds the sweep worker pool; 0 means one per CPU
+	// (runtime.GOMAXPROCS). Output is identical for any value.
+	Workers int
+	// Segments is the cluster experiment's Ethernet segment count: 0 or
+	// 1 is one shared wire, 2 puts client and server on bridged wires.
+	Segments int
+	// Arbs and Scheds restrict PolicySweep's arbitration and dispatch
+	// axes to the named policies; empty keeps the full axis.
+	Arbs, Scheds []string
+}
+
+// Validate reports the first option no driver can honour.
+func (o Options) Validate() error {
+	if o.Workers < 0 {
+		return fmt.Errorf("workers must be >= 0 (0 = one per CPU), got %d", o.Workers)
+	}
+	if o.Segments < 0 || o.Segments > 2 {
+		return fmt.Errorf("segments must be 0-2 (the cluster experiment has two machines), got %d", o.Segments)
+	}
+	for _, a := range o.Arbs {
+		if _, ok := mbus.NewArbiterByName(a); !ok {
+			return fmt.Errorf("unknown arbiter %q (known: %v)", a, mbus.ArbiterNames())
+		}
+	}
+	for _, s := range o.Scheds {
+		if _, ok := topaz.PolicyByName(s); !ok {
+			return fmt.Errorf("unknown dispatch policy %q (known: %v)", s, topaz.PolicyNames())
+		}
+	}
+	return nil
+}
+
 // Runner is a named experiment driver.
 type Runner struct {
 	ID   string
-	Run  func(Budget) Outcome
+	Run  func(Options) Outcome
 	Note string
 }
 

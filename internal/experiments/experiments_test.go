@@ -7,9 +7,9 @@ import (
 
 func TestAllRunnersQuick(t *testing.T) {
 	for _, r := range All() {
-		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			out := r.Run(Quick)
+			t.Parallel()
+			out := r.Run(Options{})
 			if out.ID != r.ID {
 				t.Fatalf("outcome ID %q != runner ID %q", out.ID, r.ID)
 			}
@@ -36,7 +36,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestTable1ContainsPaperCells(t *testing.T) {
-	out := Table1(Quick)
+	out := Table1(Options{})
 	for _, cell := range []string{"0.33", "13.9", "8.07", "Saturation"} {
 		if !strings.Contains(out.Text, cell) {
 			t.Fatalf("Table 1 report missing %q:\n%s", cell, out.Text)
@@ -45,21 +45,21 @@ func TestTable1ContainsPaperCells(t *testing.T) {
 }
 
 func TestTable2ShapeChecksPass(t *testing.T) {
-	out := Table2(Quick)
+	out := Table2(Options{})
 	if !strings.Contains(out.Text, "[ok  ]") || strings.Contains(out.Text, "[FAIL]") {
 		t.Fatalf("Table 2 shape checks did not all pass:\n%s", out.Text)
 	}
 }
 
 func TestFigure3AllArcsVerified(t *testing.T) {
-	out := Figure3(Quick)
+	out := Figure3(Options{})
 	if !strings.Contains(out.Text, "Every Figure 3 arc verified.") {
 		t.Fatalf("figure 3 arcs failed:\n%s", out.Text)
 	}
 }
 
 func TestFigure4ShowsFourPhases(t *testing.T) {
-	out := Figure4(Quick)
+	out := Figure4(Options{})
 	for _, want := range []string{"arbitrate+address", "tag probe", "MShared asserted", "data"} {
 		if !strings.Contains(out.Text, want) {
 			t.Fatalf("figure 4 trace missing %q:\n%s", want, out.Text)
@@ -91,5 +91,25 @@ func TestMeasureExerciserSharing(t *testing.T) {
 	}
 	if row.BusLoad <= 0 {
 		t.Fatal("no bus load measured")
+	}
+}
+
+func TestPolicySweepAxes(t *testing.T) {
+	out := PolicySweep(Options{Arbs: []string{"fixed"}, Scheds: []string{"oldest"}})
+	// One arbiter x one dispatch policy leaves the 2 protocols x 2
+	// footprints: the data rows sit between the header rule and the
+	// first blank line.
+	_, body, _ := strings.Cut(out.Text, "-\n")
+	body, _, _ = strings.Cut(body, "\n\n")
+	if rows := strings.Count(body, "\n") + 1; rows != 4 {
+		t.Fatalf("restricted policy sweep rendered %d data rows, want 4:\n%s", rows, out.Text)
+	}
+	for _, o := range []Options{
+		{Arbs: []string{"nope"}},
+		{Scheds: []string{"nope"}},
+	} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted an unknown policy name", o)
+		}
 	}
 }

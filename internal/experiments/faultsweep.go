@@ -20,8 +20,8 @@ import (
 // core claim: injected faults abort before any architectural effect, so
 // recovery never perturbs coherence. The zero-rate row doubles as the
 // no-plan baseline (a zero-rate plan draws no randomness at all).
-func FaultSweep(budget Budget) Outcome {
-	cycles := budget.cycles(120_000, 2_000_000)
+func FaultSweep(o Options) Outcome {
+	cycles := o.Budget.cycles(120_000, 2_000_000)
 	rates := []float64{0, 1e-5, 1e-4, 1e-3, 1e-2}
 
 	type point struct {
@@ -34,7 +34,7 @@ func FaultSweep(budget Budget) Outcome {
 		viol      int
 	}
 
-	res := SweepItems(rates, func(rate float64) point {
+	res := SweepItems(o, rates, func(rate float64) point {
 		cfg := machine.MicroVAXConfig(4)
 		cfg.Seed = 7919
 		cfg.Faults = &fault.Config{

@@ -14,9 +14,9 @@ import (
 // system uses multiple threads to do read-ahead and write-behind"): a
 // sequential file scan with read-ahead on and off, and a burst of writes
 // with write-behind against synchronous write-through.
-func FileIO(budget Budget) Outcome {
-	blocks := uint32(budget.cycles(30, 120))
-	maxCycles := budget.cycles(300_000_000, 3_000_000_000)
+func FileIO(o Options) Outcome {
+	blocks := uint32(o.Budget.cycles(30, 120))
+	maxCycles := o.Budget.cycles(300_000_000, 3_000_000_000)
 
 	scan := func(readAhead int) (elapsed uint64, st fs.Stats) {
 		m := machine.New(machine.MicroVAXConfig(2))

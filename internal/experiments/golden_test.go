@@ -17,7 +17,7 @@ import (
 func TestFixedPriorityGolden(t *testing.T) {
 	cases := []struct {
 		fixture string
-		run     func(Budget) Outcome
+		run     func(Options) Outcome
 	}{
 		{"table1sim", Table1Sim},
 		{"protocols", ProtocolComparison},
@@ -27,19 +27,16 @@ func TestFixedPriorityGolden(t *testing.T) {
 		{"make", ParallelMake},
 		{"linesize", LineSizeAblation},
 		{"onchipdata", OnChipDataAblation},
-		{"mdc", mdcThroughput},
+		{"mdc", MDCThroughput},
 	}
-	// Run serially so a concurrent SetWorkers elsewhere cannot perturb
-	// scheduling; output is worker-count-independent anyway, this just
-	// keeps the failure mode simple.
-	defer SetWorkers(SetWorkers(1))
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
+			t.Parallel()
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.fixture+".txt"))
 			if err != nil {
 				t.Fatalf("reading fixture: %v", err)
 			}
-			got := tc.run(Quick).Text
+			got := tc.run(Options{}).Text
 			if got != string(want) {
 				t.Fatalf("%s output diverged from pre-policy-layer fixture\n--- got ---\n%s\n--- want ---\n%s",
 					tc.fixture, got, want)

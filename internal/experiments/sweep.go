@@ -25,39 +25,20 @@ import (
 // Machines are not safe for concurrent use; the pool never shares a
 // machine between workers — parallelism is strictly across points.
 
-// sweepWorkers is the configured pool size; 0 selects the default
-// (runtime.GOMAXPROCS(0)). It is atomic so tests and command-line flags
-// can adjust it while benchmarks read it from other goroutines.
-var sweepWorkers atomic.Int32
-
-// Workers returns the worker-pool size sweeps will use.
-func Workers() int {
-	if n := int(sweepWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers sets the sweep worker-pool size and returns the previous
-// setting. n < 1 restores the default (GOMAXPROCS). The fireflysim and
-// tables commands expose this as -workers.
-func SetWorkers(n int) (prev int) {
-	if n < 1 {
-		n = 0
-	}
-	return int(sweepWorkers.Swap(int32(n)))
-}
-
-// Sweep runs fn(0), fn(1), ..., fn(n-1) on up to Workers() goroutines
-// and returns the results in submission (index) order. fn must be
-// self-contained per point: it builds, runs, and measures its own
-// machine and must not touch state shared with other points.
-func Sweep[R any](n int, fn func(point int) R) []R {
+// Sweep runs fn(0), fn(1), ..., fn(n-1) on up to o.Workers goroutines
+// (one per CPU when zero) and returns the results in submission (index)
+// order. fn must be self-contained per point: it builds, runs, and
+// measures its own machine and must not touch state shared with other
+// points.
+func Sweep[R any](o Options, n int, fn func(point int) R) []R {
 	if n <= 0 {
 		return nil
 	}
 	results := make([]R, n)
-	workers := Workers()
+	workers := o.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -88,6 +69,6 @@ func Sweep[R any](n int, fn func(point int) R) []R {
 
 // SweepItems is Sweep over a slice: it runs fn on every element of items
 // concurrently and returns the results in element order.
-func SweepItems[T, R any](items []T, fn func(item T) R) []R {
-	return Sweep(len(items), func(i int) R { return fn(items[i]) })
+func SweepItems[T, R any](o Options, items []T, fn func(item T) R) []R {
+	return Sweep(o, len(items), func(i int) R { return fn(items[i]) })
 }

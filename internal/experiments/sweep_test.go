@@ -6,10 +6,8 @@ import (
 )
 
 func TestSweepOrdering(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 16} {
-		prev := SetWorkers(workers)
-		got := Sweep(100, func(i int) int { return i * i })
-		SetWorkers(prev)
+	for _, workers := range []int{0, 1, 2, 7, 16} {
+		got := Sweep(Options{Workers: workers}, 100, func(i int) int { return i * i })
 		if len(got) != 100 {
 			t.Fatalf("workers=%d: %d results, want 100", workers, len(got))
 		}
@@ -22,37 +20,21 @@ func TestSweepOrdering(t *testing.T) {
 }
 
 func TestSweepEmpty(t *testing.T) {
-	if got := Sweep(0, func(i int) int { return i }); got != nil {
+	if got := Sweep(Options{}, 0, func(i int) int { return i }); got != nil {
 		t.Fatalf("Sweep(0) = %v, want nil", got)
 	}
-	if got := SweepItems(nil, func(s string) string { return s }); got != nil {
+	if got := SweepItems(Options{}, nil, func(s string) string { return s }); got != nil {
 		t.Fatalf("SweepItems(nil) = %v, want nil", got)
 	}
 }
 
 func TestSweepItemsOrdering(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
 	items := []string{"a", "b", "c", "d", "e"}
-	got := SweepItems(items, func(s string) string { return s + s })
+	got := SweepItems(Options{Workers: 4}, items, func(s string) string { return s + s })
 	for i, s := range items {
 		if got[i] != s+s {
 			t.Fatalf("result[%d] = %q, want %q", i, got[i], s+s)
 		}
-	}
-}
-
-func TestSetWorkers(t *testing.T) {
-	orig := SetWorkers(3)
-	defer SetWorkers(orig)
-	if w := Workers(); w != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", w)
-	}
-	if prev := SetWorkers(0); prev != 3 {
-		t.Fatalf("SetWorkers returned prev=%d, want 3", prev)
-	}
-	if w := Workers(); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers() = %d with default, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -63,7 +45,7 @@ func TestSetWorkers(t *testing.T) {
 func TestSweepDeterministic(t *testing.T) {
 	experiments := []struct {
 		name string
-		run  func(Budget) Outcome
+		run  func(Options) Outcome
 	}{
 		{"Table1Sim", Table1Sim},
 		{"ProtocolComparison", ProtocolComparison},
@@ -75,22 +57,14 @@ func TestSweepDeterministic(t *testing.T) {
 		{"QBusLoad", QBusLoad},
 		{"PolicySweep", PolicySweep},
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		// Even on a small runner, oversubscribing exercises the
-		// concurrent path and interleaves completion order.
-		workers = 4
-	}
-	// SetWorkers is process-global, so the subtests must not run in
-	// parallel with each other: a concurrent SetWorkers(1) would quietly
-	// turn the "serial" leg into a parallel one.
-	defer SetWorkers(SetWorkers(0))
+	// Even on a small runner, oversubscribing exercises the concurrent
+	// path and interleaves completion order.
+	workers := max(4, runtime.GOMAXPROCS(0))
 	for _, ex := range experiments {
 		t.Run(ex.name, func(t *testing.T) {
-			SetWorkers(1)
-			serial := ex.run(Quick).Text
-			SetWorkers(workers)
-			parallel := ex.run(Quick).Text
+			t.Parallel()
+			serial := ex.run(Options{Workers: 1}).Text
+			parallel := ex.run(Options{Workers: workers}).Text
 			if serial != parallel {
 				t.Fatalf("%s: output differs between 1 worker and %d workers\n--- serial ---\n%s\n--- parallel ---\n%s",
 					ex.name, workers, serial, parallel)

@@ -20,7 +20,7 @@ const (
 )
 
 // TrafficLoad runs the fleet traffic engine at offered loads straddling
-// the analytic capacity knee (0.4x, 0.8x, 1.2x): an open-loop session
+// the analytic capacity knee (0.4x, 0.8x, 1.5x): an open-loop session
 // population, least-outstanding balancing, and a bounded server queue.
 // The workload is the compile-farm class (make-only): every request and
 // reply funnels through the front end's own Ethernet segment, and the
@@ -33,8 +33,8 @@ const (
 // collapse a FIFO fleet — the admission bound sheds the excess instead,
 // holding goodput at capacity. The differential tests pin the same
 // numbers byte-for-byte at every cluster worker count.
-func TrafficLoad(budget Budget) Outcome {
-	secs := budget.seconds(0.25, 2.0)
+func TrafficLoad(o Options) Outcome {
+	secs := o.Budget.seconds(0.25, 2.0)
 	base := traffic.DefaultSpec()
 	base.Mix = [traffic.NumClasses]int{0, 1, 0}
 	base.Queue = 8
@@ -51,7 +51,7 @@ func TrafficLoad(budget Budget) Outcome {
 		segUtil          []float64
 		bridged          uint64
 	}
-	rows := SweepItems(factors, func(f float64) row {
+	rows := SweepItems(o, factors, func(f float64) row {
 		spec := base
 		spec.Rate = knee * f
 		cl := cluster.New(spec.ClusterConfig(trafficMachines, trafficSegments, 11))

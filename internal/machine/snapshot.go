@@ -28,8 +28,7 @@ type Snapshottable interface {
 // plan, and every attached device, all as opaque deep copies. A
 // snapshot restored into an identically built machine — same Config,
 // same sources, same devices in the same order — continues bit-for-bit
-// as the original would have, which is what lets the sweep engine
-// warm-start cloned machines past a shared prefix and fireflysim
+// as the original would have, which is what lets fireflysim
 // time-travel. Wiring (tracers, hooks) is not captured: a machine with
 // tracing enabled emits events the snapshot knows nothing about.
 type Snapshot struct {
