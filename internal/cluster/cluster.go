@@ -65,8 +65,6 @@ type Config struct {
 	// across them in contiguous blocks and a store-and-forward bridge
 	// joins them (default 1: a single shared wire, no bridge).
 	Segments int
-	// Bridge tunes the inter-segment bridge (multi-segment only).
-	Bridge net.BridgeConfig
 	// Workers bounds the goroutines that step member machines inside
 	// Run's wire-bounded windows (default 1: serial in-line; use
 	// DefaultWorkers for one per CPU). Output is byte-identical for any
@@ -190,9 +188,9 @@ type Cluster struct {
 	bridgeStation []int // segment index -> bridge's local station
 
 	// minVisible bounds how soon a frame sent at or after "now" can
-	// complete or abort: min(MinFrameWords*WordCycles,
-	// (MaxAttempts-1)*SlotCycles) over the segments. It caps Run's
-	// window length so in-window sends stay invisible to the machines.
+	// complete or abort: the least SendHorizon over the segments. It caps
+	// Run's window length so in-window sends stay invisible to the
+	// machines.
 	minVisible sim.Cycle
 }
 
@@ -255,22 +253,16 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Segments > 1 {
 		// The bridge takes the station after each segment's machines.
-		c.bridge = net.NewBridge(c.clock, c.routeFrame, cfg.Bridge)
+		c.bridge = net.NewBridge(c.clock, c.routeFrame, net.BridgeConfig{})
 		for _, s := range c.segs {
 			c.bridgeStation = append(c.bridgeStation, s.Stations())
 			c.bridge.AttachPort(s)
 		}
 	}
-	mv := sim.Never
+	c.minVisible = sim.Never
 	for _, s := range c.segs {
-		scfg := s.Config()
-		v := uint64(scfg.MinFrameWords) * scfg.WordCycles
-		if a := uint64(scfg.MaxAttempts-1) * scfg.SlotCycles; a < v {
-			v = a
-		}
-		mv = sim.EarliestEvent(mv, sim.Cycle(v))
+		c.minVisible = min(c.minVisible, s.SendHorizon())
 	}
-	c.minVisible = mv
 	return c
 }
 

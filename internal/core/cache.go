@@ -133,13 +133,8 @@ type FaultPolicy struct {
 // an mbus.Initiator and mbus.Snooper. One CPU access may be outstanding at
 // a time, mirroring the MicroVAX's single memory interface.
 type Cache struct {
-	clock *sim.Clock
-	proto Protocol
-	// isFirefly devirtualizes the hot protocol calls: Firefly{} is a
-	// stateless zero-width struct, so dispatching to it directly (rather
-	// than through the Protocol interface) lets the per-snoop and
-	// per-write-hit decisions inline into the cache controller.
-	isFirefly bool
+	clock     *sim.Clock
+	proto     Protocol
 	lines     int
 	lineWords int // longwords per line (1 on the real Firefly)
 
@@ -217,11 +212,9 @@ func NewCacheGeometry(clock *sim.Clock, proto Protocol, lines, lineWords int) *C
 	if lineWords <= 0 || lineWords&(lineWords-1) != 0 {
 		panic(fmt.Sprintf("core: line words must be a power of two, got %d", lineWords))
 	}
-	_, isFirefly := proto.(Firefly)
 	return &Cache{
 		clock:     clock,
 		proto:     proto,
-		isFirefly: isFirefly,
 		lines:     lines,
 		lineWords: lineWords,
 		tags:      make([]mbus.Addr, lines),
@@ -295,32 +288,6 @@ func (c *Cache) ClearMachineCheck() { c.machineCheck = false }
 
 // Protocol returns the coherence protocol the cache runs.
 func (c *Cache) Protocol() Protocol { return c.proto }
-
-// snoopAction, writeHitOp, and afterWriteHit dispatch the protocol
-// decisions on the controller's hot paths, devirtualized for Firefly{}
-// (the direct call on the concrete zero-width struct inlines; the
-// interface call does not). Behaviour is identical either way.
-
-func (c *Cache) snoopAction(s State, op mbus.OpKind) SnoopAction {
-	if c.isFirefly {
-		return Firefly{}.Snoop(s, op)
-	}
-	return c.proto.Snoop(s, op)
-}
-
-func (c *Cache) writeHitOp(s State) (mbus.OpKind, bool) {
-	if c.isFirefly {
-		return Firefly{}.WriteHitOp(s)
-	}
-	return c.proto.WriteHitOp(s)
-}
-
-func (c *Cache) afterWriteHit(s State, usedBus, shared bool) State {
-	if c.isFirefly {
-		return Firefly{}.AfterWriteHit(s, usedBus, shared)
-	}
-	return c.proto.AfterWriteHit(s, usedBus, shared)
-}
 
 // Lines returns the cache's line count.
 func (c *Cache) Lines() int { return c.lines }
@@ -520,11 +487,11 @@ func (c *Cache) begin() bool {
 		if c.tracer != nil {
 			c.emit(obs.KindCacheWriteHit, acc.Addr, 0, 0)
 		}
-		op, needBus := c.writeHitOp(c.states[idx])
+		op, needBus := c.proto.WriteHitOp(c.states[idx])
 		if !needBus {
 			c.stats.LocalWriteHits++
 			*c.word(idx, acc.Addr) = acc.Data
-			c.setState(idx, c.afterWriteHit(c.states[idx], false, false))
+			c.setState(idx, c.proto.AfterWriteHit(c.states[idx], false, false))
 			if c.tracer != nil {
 				c.emit(obs.KindCacheStore, acc.Addr, uint64(acc.Data), 1)
 			}
@@ -754,10 +721,10 @@ func (c *Cache) BusComplete(res mbus.Result) {
 			return
 		}
 		// Complete the write as a hit on the just-filled line.
-		op, needBus := c.writeHitOp(c.states[idx])
+		op, needBus := c.proto.WriteHitOp(c.states[idx])
 		if !needBus {
 			*c.word(idx, c.acc.Addr) = c.acc.Data
-			c.setState(idx, c.afterWriteHit(c.states[idx], false, false))
+			c.setState(idx, c.proto.AfterWriteHit(c.states[idx], false, false))
 			if c.tracer != nil {
 				c.emit(obs.KindCacheStore, c.acc.Addr, uint64(c.acc.Data), 1)
 			}
@@ -805,7 +772,7 @@ func (c *Cache) BusComplete(res mbus.Result) {
 			return
 		}
 		*c.word(idx, c.acc.Addr) = c.acc.Data
-		c.setState(idx, c.afterWriteHit(c.states[idx], true, res.Shared))
+		c.setState(idx, c.proto.AfterWriteHit(c.states[idx], true, res.Shared))
 		if c.tracer != nil && !res.Op.CarriesData() {
 			// An MInv-based write hit: the store serialized with the
 			// invalidation broadcast but never put data on the bus, so
@@ -857,7 +824,7 @@ func (c *Cache) SnoopProbe(op mbus.OpKind, addr mbus.Addr, data uint32) mbus.Sno
 		return mbus.SnoopVerdict{}
 	}
 	c.stats.SnoopHits++
-	action := c.snoopAction(c.states[idx], op)
+	action := c.proto.Snoop(c.states[idx], op)
 	c.snoopIdx = idx
 	c.snoopLive = action.AssertShared // commit arrives only when MShared was driven
 	v := mbus.SnoopVerdict{HasLine: action.AssertShared}
@@ -908,7 +875,7 @@ func (c *Cache) SnoopProbe(op mbus.OpKind, addr mbus.Addr, data uint32) mbus.Sno
 //   - otherwise (a read): assert MShared only — both fills then complete
 //     Shared on both sides.
 func (c *Cache) snoopFillConflict(op mbus.OpKind, addr mbus.Addr, data uint32) mbus.SnoopVerdict {
-	action := c.snoopAction(Shared, op)
+	action := c.proto.Snoop(Shared, op)
 	if !action.Next.Valid() {
 		c.fillPoisoned = true
 		c.stats.SnoopInvals++
@@ -935,7 +902,7 @@ func (c *Cache) SnoopCommit(op mbus.OpKind, addr mbus.Addr, data uint32, shared 
 	idx := c.snoopIdx
 	// The line cannot have changed between probe and commit: local writes
 	// that could change it either need the (busy) bus or were deferred.
-	action := c.snoopAction(c.states[idx], op)
+	action := c.proto.Snoop(c.states[idx], op)
 	if action.TakeData && op.CarriesData() {
 		*c.word(idx, addr) = data
 		c.stats.SnoopTakes++
@@ -968,10 +935,6 @@ func boolArg(b bool) uint64 {
 	}
 	return 0
 }
-
-// AddStall lets the CPU charge stall cycles it spent waiting on this
-// cache (bus waits, tag-store interference).
-func (c *Cache) AddStall(n uint64) { c.stats.StallCycles += n }
 
 var (
 	_ mbus.Initiator = (*Cache)(nil)

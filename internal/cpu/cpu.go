@@ -147,11 +147,6 @@ type Processor struct {
 	v     Variant
 	cache *core.Cache
 	src   trace.Source
-	// syn devirtualizes the reference-source call for the synthetic
-	// generator (the sweep workloads' source): set when src is a
-	// *trace.Synthetic so the per-reference Next goes through a direct
-	// call instead of the interface. Kept in sync by SetSource.
-	syn *trace.Synthetic
 	// tickMask is TickCycles-1 when TickCycles is a power of two (both
 	// hardware variants: 1 and 2), letting the per-cycle tick-boundary
 	// test be a mask instead of a 64-bit modulo; -1 disables the fast
@@ -187,13 +182,13 @@ func New(id int, clock *sim.Clock, v Variant, cache *core.Cache, src trace.Sourc
 		clock:    clock,
 		v:        v,
 		cache:    cache,
+		src:      src,
 		tickMask: -1,
 		rng:      sim.NewRand(seed ^ uint64(id)*0x9e3779b9),
 	}
 	if v.TickCycles&(v.TickCycles-1) == 0 {
 		p.tickMask = int64(v.TickCycles - 1)
 	}
-	p.SetSource(src)
 	return p
 }
 
@@ -216,7 +211,6 @@ func (p *Processor) ResetStats() { p.stats = Stats{} }
 // layer). Takes effect at the next reference.
 func (p *Processor) SetSource(s trace.Source) {
 	p.src = s
-	p.syn, _ = s.(*trace.Synthetic)
 }
 
 // Source returns the current reference source.
@@ -344,12 +338,7 @@ func (p *Processor) tick() {
 	}
 	p.probeStalled = false
 
-	var ref trace.Ref
-	if p.syn != nil {
-		ref = p.syn.Next(st.refKind)
-	} else {
-		ref = p.src.Next(st.refKind)
-	}
+	ref := p.src.Next(st.refKind)
 	p.qhead++
 
 	onChipEligible := p.v.OnChipICache &&

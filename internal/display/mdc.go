@@ -31,6 +31,13 @@ const (
 	depositEvery     = 166667 // 60 Hz keyboard/mouse deposit
 )
 
+// The controller's words in main memory.
+const (
+	doorbellAddr mbus.Addr = 0x7000 // work-queue doorbell
+	statusAddr   mbus.Addr = 0x7004 // completion count
+	depositAddr  mbus.Addr = 0x7100 // 60 Hz mouse/keyboard deposit (6 words)
+)
+
 // Command is one work-queue entry.
 type Command interface{ isCommand() }
 
@@ -86,33 +93,13 @@ type Stats struct {
 
 // Config tunes the controller.
 type Config struct {
-	// DoorbellAddr is the work-queue doorbell word in main memory.
-	DoorbellAddr mbus.Addr
-	// StatusAddr receives the completion count.
-	StatusAddr mbus.Addr
-	// DepositAddr receives the 60 Hz mouse/keyboard deposit (6 words).
-	DepositAddr mbus.Addr
 	// PollCycles is the doorbell polling interval (default 500 = 50 µs).
 	PollCycles uint64
-	// Font is the resident font cache (default: synthetic 8x12).
-	Font *Font
 }
 
 func (c Config) withDefaults() Config {
-	if c.DoorbellAddr == 0 {
-		c.DoorbellAddr = 0x7000
-	}
-	if c.StatusAddr == 0 {
-		c.StatusAddr = 0x7004
-	}
-	if c.DepositAddr == 0 {
-		c.DepositAddr = 0x7100
-	}
 	if c.PollCycles == 0 {
 		c.PollCycles = defaultPollEvery
-	}
-	if c.Font == nil {
-		c.Font = SyntheticFont(12, 8)
 	}
 	return c
 }
@@ -137,6 +124,7 @@ type MDC struct {
 	clock *sim.Clock
 	mem   *memory.System
 	frame *Bitmap
+	font  *Font // the resident font cache: synthetic 8x12
 
 	queue     []Command
 	submitted uint32
@@ -177,6 +165,7 @@ func New(clock *sim.Clock, bus *mbus.Bus, mem *memory.System, cfg Config) *MDC {
 		clock:       clock,
 		mem:         mem,
 		frame:       NewBitmap(FrameWidth, FrameHeight),
+		font:        SyntheticFont(12, 8),
 		nextDeposit: sim.Cycle(depositEvery),
 	}
 	bus.Attach(m, nil, nil)
@@ -187,7 +176,7 @@ func New(clock *sim.Clock, bus *mbus.Bus, mem *memory.System, cfg Config) *MDC {
 func (m *MDC) Frame() *Bitmap { return m.frame }
 
 // Font returns the resident font cache.
-func (m *MDC) Font() *Font { return m.cfg.Font }
+func (m *MDC) Font() *Font { return m.font }
 
 // Stats returns a snapshot of the controller counters.
 func (m *MDC) Stats() Stats { return m.stats }
@@ -207,7 +196,7 @@ func (m *MDC) Submit(cmd Command) {
 	}
 	m.queue = append(m.queue, cmd)
 	m.submitted++
-	m.mem.Poke(m.cfg.DoorbellAddr, m.submitted)
+	m.mem.Poke(doorbellAddr, m.submitted)
 }
 
 // SetMouse updates the mouse position reported at the next deposit.
@@ -250,7 +239,7 @@ func (m *MDC) Step() {
 	switch m.phase {
 	case mdcIdle:
 		if now >= m.nextPoll {
-			m.raise(mbus.MRead, m.cfg.DoorbellAddr, 0)
+			m.raise(mbus.MRead, doorbellAddr, 0)
 			m.stats.PollReads.Inc()
 			m.phase = mdcPollWait
 		}
@@ -320,10 +309,10 @@ func (m *MDC) beginExec() {
 		m.busyUntil = m.clock.Now() + sim.Cycle(uint64(n)*pixelCyclesNum/pixelCyclesDen)
 		m.phase = mdcExec
 	case CmdPaintString:
-		adv := PaintString(m.frame, m.cfg.Font, cmd.S, cmd.X, cmd.Y, cmd.Op)
+		adv := PaintString(m.frame, m.font, cmd.S, cmd.X, cmd.Y, cmd.Op)
 		chars := uint64(len([]rune(cmd.S)))
 		m.stats.CharsPainted.Add(chars)
-		m.stats.PixelsPainted.Add(uint64(adv * m.cfg.Font.Height))
+		m.stats.PixelsPainted.Add(uint64(adv * m.font.Height))
 		m.busyUntil = m.clock.Now() + sim.Cycle(chars*charCycles)
 		m.phase = mdcExec
 	case CmdBltFromMemory:
@@ -401,7 +390,7 @@ func (m *MDC) finishCommand() {
 	m.completed++
 	m.stats.Commands.Inc()
 	m.cur = nil
-	m.raise(mbus.MWrite, m.cfg.StatusAddr, m.completed)
+	m.raise(mbus.MWrite, statusAddr, m.completed)
 	m.phase = mdcStatus
 }
 
@@ -419,7 +408,7 @@ func (m *MDC) stepDeposit() {
 		m.stats.Deposits.Inc()
 		return
 	}
-	m.raise(mbus.MWrite, m.cfg.DepositAddr+mbus.Addr(i*4), words[i])
+	m.raise(mbus.MWrite, depositAddr+mbus.Addr(i*4), words[i])
 	m.depositPos++
 }
 

@@ -110,7 +110,7 @@ func PolicySweep(o Options) Outcome {
 		var r result
 		r.kRefs = rep.MeanCPU().Total / 1000
 		r.busLoad = rep.BusLoad
-		r.svcFair = fairnessRatio(svc)
+		r.svcFair = stats.MaxMinRatio(svc)
 		for _, w := range rep.PortWaits {
 			if w > r.maxWait {
 				r.maxWait = w
@@ -141,31 +141,6 @@ heavy, §5.1), averse favours affinity, steal is averse until a processor
 would idle.
 `
 	return Outcome{ID: "policysweep", Title: "Policy fairness sweep", Text: text}
-}
-
-// fairnessRatio is the max/min ratio of the values (1 fair, +Inf
-// starved, 0 all-zero) — the same statistic machine.Report computes for
-// its lifetime counters, here applied to interval deltas.
-func fairnessRatio(vals []uint64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == 0 {
-		return 0
-	}
-	if lo == 0 {
-		return math.Inf(1)
-	}
-	return float64(hi) / float64(lo)
 }
 
 // formatRatio renders a fairness ratio, keeping +Inf table-friendly.

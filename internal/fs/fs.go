@@ -55,10 +55,11 @@ type Config struct {
 	// WriteThrough disables write-behind: writes block until the sector
 	// is on the disk. The ablation knob.
 	WriteThrough bool
-	// BufferQAddr is the QBus window used for the daemons' DMA (two
-	// sector buffers). It must be mapped before use.
-	BufferQAddr uint32
 }
+
+// bufferQAddr is the QBus window used for the daemons' DMA (two sector
+// buffers). It must be mapped before use.
+const bufferQAddr uint32 = 0
 
 func (c Config) withDefaults() Config {
 	if c.CacheBlocks == 0 {
@@ -101,7 +102,7 @@ type FS struct {
 
 // New builds the file system over a disk and forks its two daemons into
 // the given address space (nil for a fresh one). mem and maps give the
-// daemons access to their DMA buffers (two sectors at cfg.BufferQAddr,
+// daemons access to their DMA buffers (two sectors at bufferQAddr,
 // which must already be mapped).
 func New(k *topaz.Kernel, disk *qbus.Disk, mem *memory.System, maps *qbus.MapRegisters, cfg Config, space *topaz.AddressSpace) *FS {
 	cfg = cfg.withDefaults()
@@ -140,12 +141,6 @@ func (f *FS) DirtyBlocks() int {
 		}
 	}
 	return n
-}
-
-// Cached reports whether a block is resident.
-func (f *FS) Cached(lba uint32) bool {
-	_, ok := f.cache[lba]
-	return ok
 }
 
 // --- client-side operations (call under Mu, from Call actions) ---
@@ -288,7 +283,7 @@ func (f *FS) fetchDaemon() topaz.Program {
 	var lba uint32
 	var speculative bool
 	var data []uint32
-	buf := f.cfg.BufferQAddr
+	buf := bufferQAddr
 	return topaz.ProgramFunc(func(*topaz.Thread) topaz.Action {
 		switch state {
 		case 0:
@@ -352,7 +347,7 @@ func (f *FS) flushDaemon() topaz.Program {
 	var lba uint32
 	var b *block
 	var data []uint32
-	buf := f.cfg.BufferQAddr + uint32(BlockWords*4)
+	buf := bufferQAddr + uint32(BlockWords*4)
 	return topaz.ProgramFunc(func(*topaz.Thread) topaz.Action {
 		switch state {
 		case 0:

@@ -97,9 +97,9 @@ func TestRunSecondsRounds(t *testing.T) {
 }
 
 // TestStepZeroAllocsAnyArbiter extends the hot-loop allocation contract
-// to the policy layer: the bus devirtualizes fixed priority, but the
-// interface-dispatched arbiters (rr, fcfs) must not allocate per cycle
-// either — fcfs in particular must reuse its queue storage once grown.
+// to the policy layer: no arbiter, dispatched through the Arbiter
+// interface, may allocate per cycle — fcfs in particular must reuse its
+// queue storage once grown.
 func TestStepZeroAllocsAnyArbiter(t *testing.T) {
 	for _, name := range mbus.ArbiterNames() {
 		t.Run(name, func(t *testing.T) {

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"firefly/internal/mbus"
@@ -75,7 +74,7 @@ func (m *Machine) Report() Report {
 		for i := range m.cpus {
 			r.CPUService = append(r.CPUService, reg.MustValue(fmt.Sprintf("kernel.cpu%d.service", i)))
 		}
-		r.ServiceFairness = fairness(r.CPUService)
+		r.ServiceFairness = stats.MaxMinRatio(r.CPUService)
 	}
 	if secs == 0 {
 		return r
@@ -102,31 +101,6 @@ func (m *Machine) Report() Report {
 		r.PerCPU = append(r.PerCPU, cr)
 	}
 	return r
-}
-
-// fairness returns the max/min ratio of the values: 1 is perfectly
-// fair, +Inf marks a starved entry (some service, but a zero), 0 means
-// no service anywhere (undefined).
-func fairness(vals []uint64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == 0 {
-		return 0
-	}
-	if lo == 0 {
-		return math.Inf(1)
-	}
-	return float64(hi) / float64(lo)
 }
 
 // MeanCPU averages the per-CPU rows.

@@ -51,8 +51,7 @@ type StatefulArbiter interface {
 }
 
 // fixedPriority grants the lowest-numbered requesting port, as the
-// hardware backplane did. It is stateless; the bus devirtualizes it on
-// the hot path (see Bus.arbitrate).
+// hardware backplane did. It is stateless.
 type fixedPriority struct{}
 
 // NewFixedPriority returns the hardware's fixed-priority arbiter: the

@@ -298,17 +298,12 @@ func (s Stats) Load() float64 {
 // Bus is the MBus. It is stepped once per 100 ns cycle by the machine's
 // run loop; it is not safe for concurrent use (the hardware wasn't either).
 type Bus struct {
-	clock *sim.Clock
-	arb   Arbiter
-	// arbFixed devirtualizes the default policy: when the arbiter is the
-	// stateless fixed-priority singleton, arbitration grants the first
-	// requester inline instead of through the interface, keeping the hot
-	// loop at its pre-policy-layer cost.
-	arbFixed bool
-	ports    []port
-	mem      Memory
-	eccMem   ECCMemory // non-nil when mem implements ECCMemory
-	inj      FaultInjector
+	clock  *sim.Clock
+	arb    Arbiter
+	ports  []port
+	mem    Memory
+	eccMem ECCMemory // non-nil when mem implements ECCMemory
+	inj    FaultInjector
 
 	// in-flight operation
 	active   bool
@@ -342,9 +337,7 @@ func New(clock *sim.Clock, arb Arbiter) *Bus {
 		arb = NewFixedPriority()
 	}
 	arb.Reset()
-	b := &Bus{clock: clock, arb: arb, lastGrant: -1}
-	_, b.arbFixed = arb.(fixedPriority)
-	return b
+	return &Bus{clock: clock, arb: arb, lastGrant: -1}
 }
 
 // Arbiter returns the bus's arbitration policy.
@@ -374,9 +367,6 @@ func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 	b.stats.WaitPerPort = append(b.stats.WaitPerPort, 0)
 	return len(b.ports) - 1
 }
-
-// NumPorts reports the number of attached agents.
-func (b *Bus) NumPorts() int { return len(b.ports) }
 
 // Stats returns a snapshot of the accumulated bus statistics.
 func (b *Bus) Stats() Stats {
@@ -533,7 +523,7 @@ func (b *Bus) arbitrate() {
 		b.reqs = make([]bool, n)
 	}
 	b.reqs = b.reqs[:n]
-	nreq, first := 0, -1
+	nreq := 0
 	for i := 0; i < n; i++ {
 		ok := false
 		if in := b.ports[i].initiator; in != nil {
@@ -542,20 +532,14 @@ func (b *Bus) arbitrate() {
 		b.reqs[i] = ok
 		if ok {
 			nreq++
-			if first < 0 {
-				first = i
-			}
 		}
 	}
 	if nreq == 0 {
 		return
 	}
-	granted := first
-	if !b.arbFixed {
-		granted = b.arb.Grant(b.reqs, b.lastGrant)
-		if granted < 0 || granted >= n || !b.reqs[granted] {
-			panic(fmt.Sprintf("mbus: arbiter %q granted port %d, which is not requesting", b.arb.Name(), granted))
-		}
+	granted := b.arb.Grant(b.reqs, b.lastGrant)
+	if granted < 0 || granted >= n || !b.reqs[granted] {
+		panic(fmt.Sprintf("mbus: arbiter %q granted port %d, which is not requesting", b.arb.Name(), granted))
 	}
 	if nreq > 1 {
 		var mask uint64

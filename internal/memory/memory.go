@@ -187,9 +187,6 @@ func (s *System) Bytes() uint64 {
 	return t
 }
 
-// NumModules returns the module count.
-func (s *System) NumModules() int { return len(s.modules) }
-
 // Module returns the i'th module.
 func (s *System) Module(i int) *Module { return s.modules[i] }
 

@@ -13,14 +13,6 @@ type MutatorConfig struct {
 	// instructions (default 300). The "in-line cost of reference counted
 	// assignments" is charged separately per assignment.
 	CostPerOp uint64
-	// AssignCost is the RC bookkeeping cost per counted assignment
-	// (default 12 instructions).
-	AssignCost uint64
-	// MaxRoots bounds the mutator's live root set (default 24).
-	MaxRoots int
-	// CycleEvery makes every n'th allocation pair a dropped cycle that
-	// only the trace-and-sweep collector can reclaim (default 5).
-	CycleEvery int
 	// Seed drives the operation mix.
 	Seed uint64
 }
@@ -32,20 +24,22 @@ func (c MutatorConfig) withDefaults() MutatorConfig {
 	if c.CostPerOp == 0 {
 		c.CostPerOp = 300
 	}
-	if c.AssignCost == 0 {
-		c.AssignCost = 12
-	}
-	if c.MaxRoots == 0 {
-		c.MaxRoots = 24
-	}
-	if c.CycleEvery == 0 {
-		c.CycleEvery = 5
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
+
+const (
+	// assignCost is the RC bookkeeping cost per counted assignment, in
+	// instructions.
+	assignCost = 12
+	// maxRoots bounds the mutator's live root set.
+	maxRoots = 24
+	// cycleEvery makes every n'th allocation pair a dropped cycle that
+	// only the trace-and-sweep collector can reclaim.
+	cycleEvery = 5
+)
 
 // MutatorProgram returns a Topaz program performing a random mix of
 // allocations, counted reference assignments, and root drops against the
@@ -61,10 +55,10 @@ func MutatorProgram(h *Heap, cfg MutatorConfig) topaz.Program {
 	mutate := func() {
 		assignsThisOp = 0
 		switch {
-		case len(held) < 2 || (len(held) < cfg.MaxRoots && rng.Bool(0.45)):
+		case len(held) < 2 || (len(held) < maxRoots && rng.Bool(0.45)):
 			// Allocate; every few allocations, build a cyclic pair and
 			// drop it — garbage only the tracer can reclaim.
-			if int(h.stats.Allocs)%cfg.CycleEvery == cfg.CycleEvery-1 {
+			if int(h.stats.Allocs)%cycleEvery == cycleEvery-1 {
 				a := h.Alloc()
 				b := h.Alloc()
 				if a >= 0 && b >= 0 {
@@ -133,7 +127,7 @@ func MutatorProgram(h *Heap, cfg MutatorConfig) topaz.Program {
 			return topaz.Unlock{M: h.Mu}
 		case 3:
 			state = 0
-			return topaz.Compute{Instructions: cfg.CostPerOp + assignsThisOp*cfg.AssignCost}
+			return topaz.Compute{Instructions: cfg.CostPerOp + assignsThisOp*assignCost}
 		default:
 			return topaz.Exit{}
 		}
@@ -142,40 +136,28 @@ func MutatorProgram(h *Heap, cfg MutatorConfig) topaz.Program {
 
 // CollectorConfig tunes the concurrent collector thread.
 type CollectorConfig struct {
-	// Batch is objects marked or swept per lock acquisition (default 16):
-	// small batches keep the runtime lock available to the mutator.
-	Batch int
-	// BatchCost is the collector's computation per batch, in instructions
-	// (default 200).
-	BatchCost uint64
-	// IdleSleep is the timer pause between GC cycles in bus cycles
-	// (default 50_000 = 5 ms): the collector paces itself to the
-	// application's garbage rate instead of spinning.
-	IdleSleep uint64
 	// Stop ends the collector when it reports true (checked between
 	// batches). nil runs forever.
 	Stop func() bool
 }
 
-func (c CollectorConfig) withDefaults() CollectorConfig {
-	if c.Batch == 0 {
-		c.Batch = 16
-	}
-	if c.BatchCost == 0 {
-		c.BatchCost = 200
-	}
-	if c.IdleSleep == 0 {
-		c.IdleSleep = 50_000
-	}
-	return c
-}
+const (
+	// collectBatch is objects marked or swept per lock acquisition: small
+	// batches keep the runtime lock available to the mutator.
+	collectBatch = 16
+	// batchCost is the collector's computation per batch, in instructions.
+	batchCost = 200
+	// idleSleep is the timer pause between GC cycles in bus cycles (5 ms):
+	// the collector paces itself to the application's garbage rate
+	// instead of spinning.
+	idleSleep = 50_000
+)
 
 // CollectorProgram returns the concurrent trace-and-sweep collector as a
 // Topaz program: it repeatedly takes the runtime lock, advances the
 // marking or sweeping by one batch, releases the lock, and computes —
 // interleaving with the mutator exactly as the Modula-2+ collector did.
 func CollectorProgram(h *Heap, cfg CollectorConfig) topaz.Program {
-	cfg = cfg.withDefaults()
 	state := 0
 	marking := false
 	idle := false
@@ -196,11 +178,11 @@ func CollectorProgram(h *Heap, cfg CollectorConfig) topaz.Program {
 					h.StartCycle()
 					marking = true
 				case marking:
-					if h.MarkBatch(cfg.Batch) {
+					if h.MarkBatch(collectBatch) {
 						marking = false
 					}
 				default:
-					if h.SweepBatch(cfg.Batch) {
+					if h.SweepBatch(collectBatch) {
 						idle = true // cycle finished: rest before the next
 					}
 				}
@@ -211,9 +193,9 @@ func CollectorProgram(h *Heap, cfg CollectorConfig) topaz.Program {
 		default:
 			state = 0
 			if idle {
-				return topaz.Sleep{Cycles: cfg.IdleSleep}
+				return topaz.Sleep{Cycles: idleSleep}
 			}
-			return topaz.Compute{Instructions: cfg.BatchCost}
+			return topaz.Compute{Instructions: batchCost}
 		}
 	})
 }

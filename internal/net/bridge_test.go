@@ -139,7 +139,8 @@ func TestBridgeNextEvent(t *testing.T) {
 // TestEventHorizonNeverOverReports drives random traffic and checks the
 // contract the cluster's windowed engine relies on: with no new sends,
 // the segment makes no call-out (delivery, done, abort) at any cycle
-// strictly before EventHorizon.
+// strictly before EventHorizon, and a frame Sent at now completes or
+// aborts no earlier than now plus SendHorizon.
 func TestEventHorizonNeverOverReports(t *testing.T) {
 	clock := &sim.Clock{}
 	s := NewSegment(clock, Config{WordCycles: 4, GapCycles: 8, SlotCycles: 16, MaxAttempts: 4, Seed: 5})
@@ -156,7 +157,14 @@ func TestEventHorizonNeverOverReports(t *testing.T) {
 			src := rng.Intn(len(st))
 			dst := (src + 1 + rng.Intn(len(st)-1)) % len(st)
 			words := make([]uint32, 1+rng.Intn(4))
-			st[src].Send(Frame{Dst: dst, Words: words}, func(bool) { record() })
+			sent := clock.Now()
+			st[src].Send(Frame{Dst: dst, Words: words}, func(bool) {
+				record()
+				if now, bound := clock.Now(), sent+s.SendHorizon(); now < bound {
+					t.Fatalf("frame sent at %d called done at %d, before SendHorizon bound %d",
+						sent, now, bound)
+				}
+			})
 		}
 		now := clock.Now()
 		h := s.EventHorizon(now)

@@ -35,9 +35,6 @@ type Config struct {
 	// SlotCycles is the collision backoff slot (default 512: the Ethernet
 	// slot time of 512 bit times).
 	SlotCycles uint64
-	// MaxBackoffExp caps the backoff exponent (default 10: the truncated
-	// binary exponential backoff of the standard).
-	MaxBackoffExp int
 	// MaxAttempts bounds transmission attempts per frame before the
 	// station gives up and reports the frame aborted (default 16).
 	MaxAttempts int
@@ -60,9 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlotCycles == 0 {
 		c.SlotCycles = 512
-	}
-	if c.MaxBackoffExp == 0 {
-		c.MaxBackoffExp = 10
 	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 16
@@ -131,9 +125,6 @@ type Station struct {
 // ID returns the station number.
 func (s *Station) ID() int { return s.id }
 
-// SetHandler installs the frame receiver (replacing any previous one).
-func (s *Station) SetHandler(h Handler) { s.handler = h }
-
 // Pending returns the number of frames queued for transmission.
 func (s *Station) Pending() int { return len(s.queue) }
 
@@ -187,9 +178,6 @@ func NewSegment(clock *sim.Clock, cfg Config) *Segment {
 		rng:   sim.NewRand(cfg.Seed*0x9e3779b97f4a7c15 + 0xe7e),
 	}
 }
-
-// Config returns the (defaulted) configuration.
-func (s *Segment) Config() Config { return s.cfg }
 
 // Attach adds a station with the given receive handler (nil is allowed;
 // frames delivered to it count as Unheard).
@@ -296,10 +284,7 @@ func (s *Segment) contendAt(st *Station, now sim.Cycle) sim.Cycle {
 // collision pushes a completion back) but never over-reports, so the
 // cluster can run every machine independently through cycles strictly
 // before the horizon — no wire event can touch them there. Frames sent
-// after now are not covered; the caller bounds those separately from
-// MinFrameWords (no frame can finish sooner than MinFrameWords*WordCycles
-// after it first contends, and no frame can abort sooner than
-// MaxAttempts-1 backoff slots after its first collision).
+// after now are not covered; the caller bounds those with SendHorizon.
 func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 	h := sim.Never
 	if s.cur != nil {
@@ -334,6 +319,16 @@ func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 		h = sim.EarliestEvent(h, ev)
 	}
 	return h
+}
+
+// SendHorizon bounds the frames EventHorizon does not cover: a frame Sent
+// at cycle t makes no call-out (delivery, done, abort) before t plus
+// SendHorizon. No frame finishes sooner than MinFrameWords*WordCycles
+// after it first contends, and none aborts sooner than MaxAttempts-1
+// backoff slots after its first collision.
+func (s *Segment) SendHorizon() sim.Cycle {
+	return sim.Cycle(min(uint64(s.cfg.MinFrameWords)*s.cfg.WordCycles,
+		uint64(s.cfg.MaxAttempts-1)*s.cfg.SlotCycles))
 }
 
 // SkipCycles credits n skipped cycles of wire activity: the per-cycle
@@ -434,8 +429,12 @@ func (s *Segment) begin(st *Station) {
 	s.emit(obs.KindNetTx, st.id, words, uint64(uint32(tx.frame.Dst)))
 }
 
+// maxBackoffExp caps the backoff exponent: the truncated binary
+// exponential backoff of the Ethernet standard.
+const maxBackoffExp = 10
+
 // collide backs off every contending station: each draws one seeded
-// backoff of r slots, r uniform in [0, 2^min(attempts, MaxBackoffExp)),
+// backoff of r slots, r uniform in [0, 2^min(attempts, maxBackoffExp)),
 // and a frame that has collided MaxAttempts times is abandoned.
 func (s *Segment) collide(now sim.Cycle) {
 	s.stats.Collisions.Inc()
@@ -454,10 +453,7 @@ func (s *Segment) collide(now sim.Cycle) {
 			}
 			continue
 		}
-		exp := tx.attempts
-		if exp > s.cfg.MaxBackoffExp {
-			exp = s.cfg.MaxBackoffExp
-		}
+		exp := min(tx.attempts, maxBackoffExp)
 		slots := uint64(s.rng.Intn(1 << exp))
 		backoff := (slots + 1) * s.cfg.SlotCycles
 		st.backoffUntil = now + sim.Cycle(backoff)

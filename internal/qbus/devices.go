@@ -21,12 +21,6 @@ type DiskConfig struct {
 	// SeekCycles is the average seek plus rotational latency in bus
 	// cycles (default 250_000 = 25 ms, typical for an RD53).
 	SeekCycles uint64
-	// MediaWordCycles is the media transfer pacing per longword (default
-	// 16 cycles = 1.6 µs/word ≈ 625 KB/s).
-	MediaWordCycles uint64
-	// InterruptPort is the MBus port interrupted on completion (the I/O
-	// processor, port 0).
-	InterruptPort int
 }
 
 func (c DiskConfig) withDefaults() DiskConfig {
@@ -35,9 +29,6 @@ func (c DiskConfig) withDefaults() DiskConfig {
 	}
 	if c.SeekCycles == 0 {
 		c.SeekCycles = 250_000
-	}
-	if c.MediaWordCycles == 0 {
-		c.MediaWordCycles = 16
 	}
 	return c
 }
@@ -256,7 +247,7 @@ func (d *Disk) startTransfer() {
 func (d *Disk) complete(op *diskOp) {
 	d.cur = nil
 	d.stats.Interrupts.Inc()
-	d.bus.Interrupt(d.engine.Port(), d.cfg.InterruptPort)
+	d.bus.Interrupt(d.engine.Port(), 0) // the I/O processor
 	if op.onDone != nil {
 		op.onDone()
 	}

@@ -174,20 +174,6 @@ type NodeConfig struct {
 	// RetransmitCycles is the base client retransmission timeout
 	// (default 250_000 = 25 ms); it doubles per attempt.
 	RetransmitCycles uint64
-	// MaxRetransmits bounds retransmissions before a call fails
-	// (default 8).
-	MaxRetransmits int
-	// ReplyBytes is the server's reply payload size (default 16).
-	ReplyBytes int
-	// BufferBase is the physical base of the NIC buffer region
-	// (default 0xE00000, above every Topaz address space).
-	BufferBase mbus.Addr
-	// QWindow is the QBus address of the mapped buffer window
-	// (default 0x200000).
-	QWindow uint32
-	// Slots is the number of 2 KB NIC buffer slots, split evenly between
-	// transmit and receive rings (default 64).
-	Slots int
 	// MaxQueue bounds the server dispatch queue — admission control. A
 	// call arriving with the queue at its bound is shed: answered
 	// immediately from the receive path with a rejection reply
@@ -219,31 +205,8 @@ func (c NodeConfig) withDefaults(seed uint64) NodeConfig {
 	if c.RetransmitCycles == 0 {
 		c.RetransmitCycles = 250_000
 	}
-	if c.MaxRetransmits == 0 {
-		c.MaxRetransmits = 8
-	}
-	if c.ReplyBytes == 0 {
-		c.ReplyBytes = 16
-	}
-	if c.BufferBase == 0 {
-		c.BufferBase = 0xE00000
-	}
-	if c.QWindow == 0 {
-		c.QWindow = 0x200000
-	}
-	if c.Slots == 0 {
-		c.Slots = 64
-	}
 	if c.Kernel.Seed == 0 {
 		c.Kernel.Seed = seed
-	}
-	if c.Kernel.Quantum == 0 {
-		c.Kernel.Quantum = 2000
-	}
-	if c.Kernel.SwitchCost == 0 {
-		// Mirror the kernel's own default so the stage calibration below
-		// can price context switches.
-		c.Kernel.SwitchCost = 50
 	}
 	if c.Kernel.Dispatch == nil {
 		c.Kernel.Dispatch = topaz.MigrationAverse{}
@@ -377,12 +340,12 @@ func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig
 		dedup:   make(map[uint64]*svc),
 		reasms:  make(map[uint64]*reasm),
 	}
-	if uint64(cfg.BufferBase)+uint64(cfg.Slots)*slotBytes > m.Memory().Bytes() {
+	if uint64(bufferBase)+slots*slotBytes > m.Memory().Bytes() {
 		panic("rpc: NIC buffer region exceeds physical memory")
 	}
 	n.engine = qbus.NewEngine(n.clock, m.Bus(), n.maps, 0)
 	n.eth = qbus.NewEthernet(m.Bus(), n.engine, medium)
-	n.maps.MapRange(cfg.QWindow, cfg.BufferBase, uint32(cfg.Slots)*slotBytes)
+	n.maps.MapRange(qWindow, bufferBase, slots*slotBytes)
 	m.AddDevice(n.engine)
 	m.AddDevice(n.eth)
 	m.AddDevice(n)
@@ -396,7 +359,21 @@ func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig
 	return n
 }
 
-const slotBytes = 2048
+// The NIC buffer region: slots 2 KB buffers, split evenly between the
+// transmit and receive rings, at physical bufferBase (above every Topaz
+// address space) and mapped at QBus address qWindow.
+const (
+	slotBytes            = 2048
+	slots                = 64
+	bufferBase mbus.Addr = 0xE00000
+	qWindow              = 0x200000
+)
+
+// maxRetransmits bounds retransmissions before a call fails.
+const maxRetransmits = 8
+
+// replyBytes is the server's reply payload size.
+const replyBytes = 16
 
 // Machine returns the underlying machine.
 func (n *Node) Machine() *machine.Machine { return n.m }
@@ -413,9 +390,6 @@ func (n *Node) Stats() NodeStats { return n.stats }
 // Outstanding returns the number of client calls awaiting replies.
 func (n *Node) Outstanding() int { return len(n.byID) }
 
-// QueuedCalls returns the server backlog awaiting a worker.
-func (n *Node) QueuedCalls() int { return len(n.srvQueue) }
-
 // QueuePeak returns the deepest server backlog seen so far.
 func (n *Node) QueuePeak() int { return n.queuePeak }
 
@@ -427,11 +401,6 @@ func (n *Node) MeanLatencyUS() float64 {
 	}
 	return float64(n.latHist.Sum()) / float64(c) * (sim.CycleNS / 1000.0)
 }
-
-// Latencies returns the node's completed-call latency histogram
-// (cycles). Merge the histograms of several members for fleet-wide
-// percentiles; CyclesToUS converts the bounds.
-func (n *Node) Latencies() *stats.LogHist { return &n.latHist }
 
 // CyclesToUS converts a cycle count (histogram bounds, latencies) to
 // microseconds.
@@ -496,7 +465,7 @@ func (n *Node) nominalInstrCycles() uint64 {
 // at the variant's nominal rate).
 func (n *Node) switchCycles() uint64 {
 	v := n.m.Config().Variant
-	return uint64(float64(n.cfg.Kernel.SwitchCost) * v.BaseTPI * float64(v.TickCycles))
+	return uint64(float64(n.k.SwitchCost()) * v.BaseTPI * float64(v.TickCycles))
 }
 
 // wireWords is the total frame words a marshalled message of msgBytes
@@ -562,21 +531,21 @@ func (n *Node) serverCycles(payloadBytes int) uint64 {
 // slotAddr returns the physical and QBus addresses of slot i.
 func (n *Node) slotAddr(i int) (mbus.Addr, uint32) {
 	off := uint32(i) * slotBytes
-	return n.cfg.BufferBase + mbus.Addr(off), n.cfg.QWindow + off
+	return bufferBase + mbus.Addr(off), qWindow + off
 }
 
 // nextTx rotates through the transmit half of the buffer ring.
 func (n *Node) nextTx() int {
 	i := n.txSlot
-	n.txSlot = (n.txSlot + 1) % (n.cfg.Slots / 2)
+	n.txSlot = (n.txSlot + 1) % (slots / 2)
 	return i
 }
 
 // nextRx rotates through the receive half.
 func (n *Node) nextRx() int {
 	i := n.rxSlot
-	n.rxSlot = (n.rxSlot + 1) % (n.cfg.Slots / 2)
-	return n.cfg.Slots/2 + i
+	n.rxSlot = (n.rxSlot + 1) % (slots / 2)
+	return slots/2 + i
 }
 
 // transmitFrames pokes each frame into a transmit slot and queues the
@@ -663,7 +632,7 @@ func (n *Node) Step() {
 			continue // reply arrived or given up; drop from the timer list
 		}
 		if now >= c.deadline {
-			if c.attempts >= n.cfg.MaxRetransmits {
+			if c.attempts >= maxRetransmits {
 				c.failed = true
 				delete(n.byID, c.id)
 				n.stats.CallsFailed.Inc()
@@ -849,7 +818,7 @@ func (n *Node) popServer() *svc {
 func (n *Node) sendReply(e *svc) {
 	reply := &Message{
 		Kind: Reply, ID: e.msg.ID, Proc: e.msg.Proc,
-		Payload: callPayload(e.msg.ID^0xabcd, n.cfg.ReplyBytes),
+		Payload: callPayload(e.msg.ID^0xabcd, replyBytes),
 	}
 	buf, err := reply.Marshal()
 	if err != nil {

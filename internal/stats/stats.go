@@ -8,6 +8,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -44,6 +45,28 @@ func Ratio(c, total uint64) float64 {
 		return 0
 	}
 	return float64(c) / float64(total)
+}
+
+// MaxMinRatio returns the max/min ratio of vals — the fairness statistic
+// of the scheduling reports: 1 is perfectly fair, +Inf marks a starved
+// entry (a zero among non-zeros), and 0 means empty or all-zero
+// (undefined).
+func MaxMinRatio(vals []uint64) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo = min(lo, v)
+		hi = max(hi, v)
+	}
+	if hi == 0 {
+		return 0
+	}
+	if lo == 0 {
+		return math.Inf(1)
+	}
+	return float64(hi) / float64(lo)
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

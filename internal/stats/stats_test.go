@@ -84,6 +84,22 @@ func TestRatioEdgeCases(t *testing.T) {
 	}
 }
 
+func TestMaxMinRatio(t *testing.T) {
+	for _, tc := range []struct {
+		vals []uint64
+		want float64
+	}{
+		{nil, 0},
+		{[]uint64{0, 0, 0}, 0},
+		{[]uint64{4, 0, 2}, math.Inf(1)},
+		{[]uint64{3, 6}, 2},
+	} {
+		if got := MaxMinRatio(tc.vals); got != tc.want {
+			t.Errorf("MaxMinRatio(%v) = %v, want %v", tc.vals, got, tc.want)
+		}
+	}
+}
+
 func TestMean(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("Mean(nil) = %v", got)

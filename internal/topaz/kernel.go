@@ -24,14 +24,16 @@ type Config struct {
 	// SwitchCost is the kernel instruction overhead of a context switch
 	// (default 50).
 	SwitchCost uint64
-	// KernelBase is the shared region holding lock words and kernel data
-	// (default 0x8000).
-	KernelBase mbus.Addr
-	// SpaceBytes is the memory carved per address space (default 1 MB).
-	SpaceBytes uint32
 	// Seed drives scheduling randomness.
 	Seed uint64
 }
+
+const (
+	// kernelBase is the shared region holding lock words and kernel data.
+	kernelBase mbus.Addr = 0x8000
+	// spaceBytes is the memory carved per address space.
+	spaceBytes uint32 = 1 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.Quantum == 0 {
@@ -39,12 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SwitchCost == 0 {
 		c.SwitchCost = 50
-	}
-	if c.KernelBase == 0 {
-		c.KernelBase = 0x8000
-	}
-	if c.SpaceBytes == 0 {
-		c.SpaceBytes = 1 << 20
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -146,11 +142,11 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		m:        m,
 		cfg:      cfg,
 		rng:      sim.NewRand(cfg.Seed * 6364136223846793005),
-		syncNext: cfg.KernelBase,
+		syncNext: kernelBase,
 	}
-	k.shared = trace.NewSharedRegion(cfg.KernelBase+0x1000, 64)
+	k.shared = trace.NewSharedRegion(kernelBase+0x1000, 64)
 	for i, p := range m.Processors() {
-		idleBase := cfg.KernelBase + 0x2000 + mbus.Addr(i)*0x400
+		idleBase := kernelBase + 0x2000 + mbus.Addr(i)*0x400
 		ps := &procState{
 			src: &procSource{
 				idle: trace.NewWorkingSet(trace.WorkingSetConfig{
@@ -158,7 +154,7 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 					Seed: cfg.Seed + uint64(i)*13,
 				}),
 				kern: trace.NewWorkingSet(trace.WorkingSetConfig{
-					Base: cfg.KernelBase + 0x4000, Bytes: 0x2000, SetLines: 32,
+					Base: kernelBase + 0x4000, Bytes: 0x2000, SetLines: 32,
 					Seed: cfg.Seed + 1000 + uint64(i),
 				}),
 			},
@@ -183,13 +179,13 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 	return k
 }
 
-// Dispatcher returns the kernel's ready-queue policy.
-func (k *Kernel) Dispatcher() DispatchPolicy { return k.cfg.Dispatch }
-
 // CPUService returns the thread instructions processor proc has executed
 // — its accumulated service. The max/min ratio of these across
 // processors is the fairness metric the policy sweeps report.
 func (k *Kernel) CPUService(proc int) uint64 { return k.procs[proc].service }
+
+// SwitchCost returns the kernel instructions a context switch costs.
+func (k *Kernel) SwitchCost() uint64 { return k.cfg.SwitchCost }
 
 // Machine returns the underlying machine.
 func (k *Kernel) Machine() *machine.Machine { return k.m }
@@ -200,17 +196,14 @@ func (k *Kernel) Stats() Stats { return k.stats }
 // Threads returns every thread ever created.
 func (k *Kernel) Threads() []*Thread { return k.threads }
 
-// ReadyLen returns the ready-queue length.
-func (k *Kernel) ReadyLen() int { return len(k.ready) }
-
 // NewSpace creates an address space. Ultrix spaces admit a single thread.
 func (k *Kernel) NewSpace(name string, ultrix bool) *AddressSpace {
 	id := len(k.spaces)
-	base := mbus.Addr(0x100000) + mbus.Addr(uint32(id)*k.cfg.SpaceBytes)
-	if uint64(base)+uint64(k.cfg.SpaceBytes) > k.m.Memory().Bytes() {
+	base := mbus.Addr(0x100000) + mbus.Addr(uint32(id)*spaceBytes)
+	if uint64(base)+uint64(spaceBytes) > k.m.Memory().Bytes() {
 		panic(fmt.Sprintf("topaz: address space %q exceeds physical memory", name))
 	}
-	sp := &AddressSpace{id: id, name: name, ultrix: ultrix, base: base, bytes: k.cfg.SpaceBytes}
+	sp := &AddressSpace{id: id, name: name, ultrix: ultrix, base: base, bytes: spaceBytes}
 	k.spaces = append(k.spaces, sp)
 	return sp
 }
@@ -229,7 +222,7 @@ func (k *Kernel) NewCond(name string) *CondVar {
 func (k *Kernel) allocSyncWord() mbus.Addr {
 	a := k.syncNext
 	k.syncNext += 4
-	if k.syncNext >= k.cfg.KernelBase+0x1000 {
+	if k.syncNext >= kernelBase+0x1000 {
 		panic("topaz: sync word region exhausted")
 	}
 	return a

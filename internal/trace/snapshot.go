@@ -59,21 +59,6 @@ func (f *Fixed) SourceState() any { return f.seq }
 // RestoreSourceState implements Stateful.
 func (f *Fixed) RestoreSourceState(s any) { f.seq = s.(uint32) }
 
-type replayerState struct {
-	pos   int
-	wraps int
-}
-
-// SourceState implements Stateful.
-func (r *Replayer) SourceState() any { return replayerState{pos: r.pos, wraps: r.Wraps} }
-
-// RestoreSourceState implements Stateful.
-func (r *Replayer) RestoreSourceState(s any) {
-	st := s.(replayerState)
-	r.pos = st.pos
-	r.Wraps = st.wraps
-}
-
 type partitionedState struct {
 	rng    uint64
 	writes uint32
@@ -97,6 +82,5 @@ var (
 	_ Stateful = (*Synthetic)(nil)
 	_ Stateful = (*WorkingSet)(nil)
 	_ Stateful = (*Fixed)(nil)
-	_ Stateful = (*Replayer)(nil)
 	_ Stateful = (*Partitioned)(nil)
 )

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"firefly/internal/mbus"
 )
@@ -17,137 +14,6 @@ func TestKindString(t *testing.T) {
 	if InstrRead.IsWrite() || DataRead.IsWrite() || !DataWrite.IsWrite() {
 		t.Fatal("IsWrite wrong")
 	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	refs := []Ref{
-		{Kind: InstrRead, Addr: 0x1234},
-		{Kind: DataRead, Addr: 0x5678},
-		{Kind: DataWrite, Addr: 0x9abc, Data: 7},
-		{Kind: DataWrite, Addr: 0x9abc, Data: 8, Partial: true},
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, refs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(refs) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(refs))
-	}
-	for i := range refs {
-		if got[i] != refs[i] {
-			t.Fatalf("ref %d: %+v != %+v", i, got[i], refs[i])
-		}
-	}
-}
-
-func TestReadSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# a comment\n\nI 0x0000100\n"
-	refs, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != 1 || refs[0].Addr != 0x100 {
-		t.Fatalf("refs = %+v", refs)
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	for _, in := range []string{
-		"X 0x100\n",     // unknown kind
-		"I\n",           // missing address
-		"W 0x100\n",     // write missing data
-		"I zzz\n",       // bad address
-		"W 0x100 zzz\n", // bad data
-	} {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("Read(%q) succeeded", in)
-		}
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	f := func(addrs []uint32, kinds []uint8) bool {
-		var refs []Ref
-		for i, a := range addrs {
-			k := DataRead
-			if i < len(kinds) {
-				k = Kind(kinds[i] % 3)
-			}
-			r := Ref{Kind: k, Addr: mbus.Addr(a)}
-			if k == DataWrite {
-				r.Data = a ^ 0xffffffff
-				r.Partial = a%2 == 0
-			}
-			refs = append(refs, r)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, refs); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(refs) {
-			return len(refs) == 0 && len(got) == 0
-		}
-		for i := range refs {
-			if got[i] != refs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecorderAndReplayer(t *testing.T) {
-	fixed := &Fixed{Addr: 0x40}
-	rec := &Recorder{Inner: fixed}
-	rec.Next(InstrRead)
-	rec.Next(DataWrite)
-	if len(rec.Refs) != 2 {
-		t.Fatalf("recorded %d refs", len(rec.Refs))
-	}
-	rep := &Replayer{Refs: rec.Refs}
-	a := rep.Next(DataRead) // kind argument ignored
-	if a.Kind != InstrRead || a.Addr != 0x40 {
-		t.Fatalf("replay[0] = %+v", a)
-	}
-	b := rep.Next(DataRead)
-	if b.Kind != DataWrite || b.Data != 1 {
-		t.Fatalf("replay[1] = %+v", b)
-	}
-	// Wrap-around.
-	c := rep.Next(DataRead)
-	if c != a || rep.Wraps != 1 {
-		t.Fatalf("wrap failed: %+v wraps=%d", c, rep.Wraps)
-	}
-}
-
-func TestRecorderLimit(t *testing.T) {
-	rec := &Recorder{Inner: &Fixed{Addr: 0x40}, Limit: 3}
-	for i := 0; i < 10; i++ {
-		rec.Next(DataRead)
-	}
-	if len(rec.Refs) != 3 {
-		t.Fatalf("limit ignored: %d refs", len(rec.Refs))
-	}
-}
-
-func TestReplayerEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty replay did not panic")
-		}
-	}()
-	(&Replayer{}).Next(DataRead)
 }
 
 func TestSharedRegion(t *testing.T) {

@@ -298,10 +298,8 @@ func (s Spec) ClusterConfig(machines, segments int, seed uint64) cluster.Config 
 
 // Accessors for tests and reports.
 
-// SessionsStarted counts admitted users; SessionsFinished counts those
-// whose last call reached a disposition.
-func (e *Engine) SessionsStarted() uint64  { return e.sessionsStarted }
-func (e *Engine) SessionsFinished() uint64 { return e.sessionsFinished }
+// SessionsStarted counts admitted users.
+func (e *Engine) SessionsStarted() uint64 { return e.sessionsStarted }
 
 // CallsIssued, CallsCompleted, CallsShed, CallsFailed sum the classes.
 func (e *Engine) CallsIssued() uint64 {
@@ -328,9 +326,6 @@ func (e *Engine) sumClasses(f func(*classAccount) uint64) uint64 {
 // FleetHist is the merged latency histogram of every completed
 // (non-shed) call.
 func (e *Engine) FleetHist() *stats.LogHist { return &e.fleetHist }
-
-// ClassHist is class c's latency histogram.
-func (e *Engine) ClassHist(c Class) *stats.LogHist { return &e.class[c].hist }
 
 // OutstandingPeak is the balancer's peak in-flight count toward machine
 // i.

@@ -12,28 +12,23 @@ import (
 type CompilerConfig struct {
 	// Procedures is the number of procedure bodies (default 12).
 	Procedures int
-	// ReadCost is the serial front-end cost in instructions (default
-	// 20_000).
-	ReadCost uint64
 	// ProcCost is the per-procedure compile cost (default 40_000).
 	ProcCost uint64
-	// EmitCost is the serial back-end cost after all bodies (default
-	// 10_000).
-	EmitCost uint64
 }
+
+// The compiler's serial phases, in instructions: the front end that
+// reads the source, and the back end that emits after all bodies.
+const (
+	readCost = 20_000
+	emitCost = 10_000
+)
 
 func (c CompilerConfig) withDefaults() CompilerConfig {
 	if c.Procedures == 0 {
 		c.Procedures = 12
 	}
-	if c.ReadCost == 0 {
-		c.ReadCost = 20_000
-	}
 	if c.ProcCost == 0 {
 		c.ProcCost = 40_000
-	}
-	if c.EmitCost == 0 {
-		c.EmitCost = 10_000
 	}
 	return c
 }
@@ -57,7 +52,7 @@ func RunCompiler(k *topaz.Kernel, cfg CompilerConfig, maxCycles uint64) Compiler
 	start := k.Machine().Clock().Now()
 
 	handles := make([]*topaz.Handle, cfg.Procedures)
-	acts := []topaz.Action{topaz.Compute{Instructions: cfg.ReadCost}}
+	acts := []topaz.Action{topaz.Compute{Instructions: readCost}}
 	for i := 0; i < cfg.Procedures; i++ {
 		i := i
 		handles[i] = &topaz.Handle{}
@@ -73,7 +68,7 @@ func RunCompiler(k *topaz.Kernel, cfg CompilerConfig, maxCycles uint64) Compiler
 	for i := 0; i < cfg.Procedures; i++ {
 		acts = append(acts, topaz.Join{Handle: handles[i]})
 	}
-	acts = append(acts, topaz.Compute{Instructions: cfg.EmitCost})
+	acts = append(acts, topaz.Compute{Instructions: emitCost})
 	k.Fork(topaz.Seq(acts...), topaz.ThreadSpec{Name: "driver"}, space)
 
 	res.OK = k.RunUntilDone(maxCycles)

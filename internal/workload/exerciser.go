@@ -23,10 +23,6 @@ type ExerciserConfig struct {
 	Threads int
 	// Rounds is the iterations per worker (default 50).
 	Rounds int
-	// Mutexes is the shared lock pool size (default 4).
-	Mutexes int
-	// ComputePerRound is the per-round instruction count (default 300).
-	ComputePerRound uint64
 	// SharedFraction directs this fraction of each worker's data
 	// references at shared kernel data (default 0.3, the heavy sharing
 	// the measured program exhibits).
@@ -52,12 +48,6 @@ func (c ExerciserConfig) withDefaults() ExerciserConfig {
 	if c.Rounds == 0 {
 		c.Rounds = 50
 	}
-	if c.Mutexes == 0 {
-		c.Mutexes = 4
-	}
-	if c.ComputePerRound == 0 {
-		c.ComputePerRound = 300
-	}
 	if c.SharedFraction == 0 {
 		c.SharedFraction = 0.3
 	}
@@ -72,6 +62,13 @@ func (c ExerciserConfig) withDefaults() ExerciserConfig {
 	}
 	return c
 }
+
+const (
+	// exerciserMutexes is the shared lock pool size.
+	exerciserMutexes = 4
+	// computePerRound is each worker's per-round instruction count.
+	computePerRound = 300
+)
 
 // Exerciser is an instantiated Table 2 workload.
 type Exerciser struct {
@@ -97,9 +94,9 @@ func NewExerciser(k *topaz.Kernel, cfg ExerciserConfig) *Exerciser {
 		kernel:   k,
 		cond:     k.NewCond("exerciser-rendezvous"),
 		condMu:   k.NewMutex("exerciser-rendezvous-mu"),
-		counters: make([]uint64, cfg.Mutexes),
+		counters: make([]uint64, exerciserMutexes),
 	}
-	for i := 0; i < cfg.Mutexes; i++ {
+	for i := 0; i < exerciserMutexes; i++ {
 		e.mutexes = append(e.mutexes, k.NewMutex(fmt.Sprintf("exerciser-%d", i)))
 	}
 	space := k.NewSpace("exerciser", false)
@@ -166,7 +163,7 @@ func (e *Exerciser) workerProgram(id int, rng *sim.Rand) topaz.Program {
 		acts := []topaz.Action{
 			topaz.Lock{M: mu},
 			topaz.Call{Fn: func() { e.counters[mi]++ }},
-			topaz.Compute{Instructions: e.cfg.ComputePerRound},
+			topaz.Compute{Instructions: computePerRound},
 			topaz.Unlock{M: mu},
 		}
 		// Every few rounds, rendezvous: block on the condition variable
@@ -186,7 +183,7 @@ func (e *Exerciser) workerProgram(id int, rng *sim.Rand) topaz.Program {
 				topaz.Unlock{M: e.condMu},
 			)
 		}
-		acts = append(acts, topaz.Yield{}, topaz.Compute{Instructions: e.cfg.ComputePerRound / 2})
+		acts = append(acts, topaz.Yield{}, topaz.Compute{Instructions: computePerRound / 2})
 		return acts
 	})
 }

@@ -15,8 +15,6 @@ type PipelineConfig struct {
 	Stages int
 	// Items is the number of work items pushed through (default 40).
 	Items int
-	// BufferSlots bounds each inter-stage buffer (default 4).
-	BufferSlots int
 	// CostPerItem is each stage's per-item work in instructions
 	// (default 2000).
 	CostPerItem uint64
@@ -29,14 +27,14 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	if c.Items == 0 {
 		c.Items = 40
 	}
-	if c.BufferSlots == 0 {
-		c.BufferSlots = 4
-	}
 	if c.CostPerItem == 0 {
 		c.CostPerItem = 2000
 	}
 	return c
 }
+
+// bufferSlots bounds each inter-stage buffer.
+const bufferSlots = 4
 
 // pipeBuffer is a bounded queue between stages, implemented with Topaz
 // primitives exactly as a Topaz program would write it: one mutex, two
@@ -79,7 +77,7 @@ func RunPipeline(k *topaz.Kernel, cfg PipelineConfig, maxCycles uint64) Pipeline
 
 	bufs := make([]*pipeBuffer, cfg.Stages+1)
 	for i := range bufs {
-		bufs[i] = newPipeBuffer(k, fmt.Sprintf("pipe%d", i), cfg.BufferSlots)
+		bufs[i] = newPipeBuffer(k, fmt.Sprintf("pipe%d", i), bufferSlots)
 	}
 
 	// Source.

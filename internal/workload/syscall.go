@@ -10,9 +10,6 @@ import "firefly/internal/topaz"
 type SyscallConfig struct {
 	// Calls is the number of system calls to issue (default 100).
 	Calls int
-	// TrapCost is the user-side entry/exit cost in instructions
-	// (default 40: the mode switch a native kernel also pays).
-	TrapCost uint64
 	// ServiceCost is the work the call actually performs (default 200
 	// for a simple call; thousands for a long-running service).
 	ServiceCost uint64
@@ -27,14 +24,15 @@ func (c SyscallConfig) withDefaults() SyscallConfig {
 	if c.Calls == 0 {
 		c.Calls = 100
 	}
-	if c.TrapCost == 0 {
-		c.TrapCost = 40
-	}
 	if c.ServiceCost == 0 {
 		c.ServiceCost = 200
 	}
 	return c
 }
+
+// trapCost is the user-side entry/exit cost in instructions: the mode
+// switch a native kernel also pays.
+const trapCost = 40
 
 // SyscallResult reports a system-call benchmark run.
 type SyscallResult struct {
@@ -60,9 +58,9 @@ func RunSyscalls(k *topaz.Kernel, cfg SyscallConfig, maxCycles uint64) SyscallRe
 		// Native: trap, service, return — all in the calling thread.
 		client := k.Fork(topaz.LoopProgram(cfg.Calls, func(int) []topaz.Action {
 			return []topaz.Action{
-				topaz.Compute{Instructions: cfg.TrapCost},
+				topaz.Compute{Instructions: trapCost},
 				topaz.Compute{Instructions: cfg.ServiceCost},
-				topaz.Compute{Instructions: cfg.TrapCost},
+				topaz.Compute{Instructions: trapCost},
 			}
 		}), topaz.ThreadSpec{Name: "ultrix-app"}, k.NewSpace("ultrix-native", true))
 		res.OK = runThreadToDone(k, client, maxCycles)
@@ -123,7 +121,7 @@ func RunSyscalls(k *topaz.Kernel, cfg SyscallConfig, maxCycles uint64) SyscallRe
 			}
 			clientCalls++
 			clientState = 1
-			return topaz.Compute{Instructions: cfg.TrapCost}
+			return topaz.Compute{Instructions: trapCost}
 		case 1:
 			clientState = 2
 			return topaz.Lock{M: mu}
@@ -140,7 +138,7 @@ func RunSyscalls(k *topaz.Kernel, cfg SyscallConfig, maxCycles uint64) SyscallRe
 			return topaz.Unlock{M: mu}
 		case 4:
 			clientState = 0
-			return topaz.Compute{Instructions: cfg.TrapCost}
+			return topaz.Compute{Instructions: trapCost}
 		default:
 			// Nudge the server awake for its shutdown check.
 			clientState = 6
