@@ -10,7 +10,9 @@ import (
 	"firefly/internal/machine"
 	"firefly/internal/obs"
 	"firefly/internal/qbus"
+	"firefly/internal/topaz"
 	"firefly/internal/trace"
+	"firefly/internal/workload"
 )
 
 // traceHash folds every observability event into an order-sensitive
@@ -45,15 +47,17 @@ func (th *traceHash) Observe(ev obs.Event) {
 	}
 }
 
-// bigstepRig is one machine under the big-step differential: synthetic
-// load, a correctable fault plan, the QBus DMA engine and disk, the
-// coherence oracle, and a trace hash over every emitted event.
+// bigstepRig is one machine under a big-step differential: its load,
+// a fault plan, the QBus DMA engine and disk, the coherence oracle, and
+// a trace hash over every emitted event. kernel is nil unless a Topaz
+// kernel drives the processors.
 type bigstepRig struct {
 	m       *machine.Machine
 	disk    *qbus.Disk
 	engine  *qbus.Engine
 	hash    *traceHash
 	checker *Checker
+	kernel  *topaz.Kernel
 }
 
 func newBigstepRig(t *testing.T, protoName string, seed uint64) *bigstepRig {
@@ -80,6 +84,15 @@ func newBigstepRig(t *testing.T, protoName string, seed uint64) *bigstepRig {
 			DMAStallRate:     2e-3,
 		},
 	})
+	rig := attachRig(t, m, 20_000)
+	m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05})
+	return rig
+}
+
+// attachRig wires the oracle, the trace hash, and the QBus DMA engine
+// and disk (QBus page 0 mapped to physical 0x40000) onto m.
+func attachRig(t *testing.T, m *machine.Machine, seekCycles uint64) *bigstepRig {
+	t.Helper()
 	rig := &bigstepRig{m: m, hash: newTraceHash()}
 	var err error
 	rig.checker, err = Attach(m)
@@ -87,13 +100,12 @@ func newBigstepRig(t *testing.T, protoName string, seed uint64) *bigstepRig {
 		t.Fatal(err)
 	}
 	m.Trace(rig.hash)
-	m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05})
 	maps := &qbus.MapRegisters{}
 	maps.MapRange(0, 0x40000, 1<<15)
 	rig.engine = qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
 	pl := m.Faults()
 	rig.engine.SetFaultPolicy(pl, pl.MaxRetries(), pl.BackoffCycles())
-	rig.disk = qbus.NewDisk(m.Clock(), m.Bus(), rig.engine, qbus.DiskConfig{SeekCycles: 20_000})
+	rig.disk = qbus.NewDisk(m.Clock(), m.Bus(), rig.engine, qbus.DiskConfig{SeekCycles: seekCycles})
 	m.AddDevice(rig.engine)
 	m.AddDevice(rig.disk)
 	return rig
@@ -138,34 +150,156 @@ func TestBigStepDifferential(t *testing.T) {
 				fast := newBigstepRig(t, proto.Name(), seed)
 				slow := newBigstepRig(t, proto.Name(), seed)
 				driveBigstep(fast, func(n uint64) { fast.m.Run(n) })
-				driveBigstep(slow, func(n uint64) {
-					for i := uint64(0); i < n; i++ {
-						slow.m.Step()
-					}
-				})
-
-				if fc, sc := fast.m.Clock().Now(), slow.m.Clock().Now(); fc != sc {
-					t.Fatalf("seed %d: clock diverged: big-step %d, stepped %d", seed, fc, sc)
-				}
-				if fast.hash.n != slow.hash.n || fast.hash.h != slow.hash.h {
-					t.Errorf("seed %d: trace streams diverged: big-step %d events (%#x), stepped %d events (%#x)",
-						seed, fast.hash.n, fast.hash.h, slow.hash.n, slow.hash.h)
-				}
-				if fr, sr := fmt.Sprint(fast.m.Report()), fmt.Sprint(slow.m.Report()); fr != sr {
-					t.Errorf("seed %d: reports diverged\n--- big-step ---\n%s\n--- stepped ---\n%s", seed, fr, sr)
-				}
-				fd := fmt.Sprintf("%+v %+v", fast.disk.Stats(), fast.engine.Stats())
-				sd := fmt.Sprintf("%+v %+v", slow.disk.Stats(), slow.engine.Stats())
-				if fd != sd {
-					t.Errorf("seed %d: device counters diverged\n--- big-step ---\n%s\n--- stepped ---\n%s", seed, fd, sd)
-				}
-				for name, rig := range map[string]*bigstepRig{"big-step": fast, "stepped": slow} {
-					rig.checker.Walk()
-					for _, v := range rig.checker.Violations() {
-						t.Errorf("seed %d: %s: oracle violation: %v", seed, name, v)
-					}
-				}
+				driveBigstep(slow, stepEach(slow.m))
+				diffRigs(t, fmt.Sprintf("seed %d", seed), fast, slow)
 			}
 		})
+	}
+}
+
+// stepEach returns a driver that advances m n cycles one Step at a time.
+func stepEach(m *machine.Machine) func(uint64) {
+	return func(n uint64) {
+		for i := uint64(0); i < n; i++ {
+			m.Step()
+		}
+	}
+}
+
+// diffRigs fails the test unless the big-step rig fast and the stepped
+// rig slow agree byte for byte — clock, trace stream, report, device
+// counters and kernel counters — and both satisfy the coherence oracle.
+func diffRigs(t *testing.T, label string, fast, slow *bigstepRig) {
+	t.Helper()
+	if fc, sc := fast.m.Clock().Now(), slow.m.Clock().Now(); fc != sc {
+		t.Fatalf("%s: clock diverged: big-step %d, stepped %d", label, fc, sc)
+	}
+	if fast.hash.n != slow.hash.n || fast.hash.h != slow.hash.h {
+		t.Errorf("%s: trace streams diverged: big-step %d events (%#x), stepped %d events (%#x)",
+			label, fast.hash.n, fast.hash.h, slow.hash.n, slow.hash.h)
+	}
+	if fr, sr := fmt.Sprint(fast.m.Report()), fmt.Sprint(slow.m.Report()); fr != sr {
+		t.Errorf("%s: reports diverged\n--- big-step ---\n%s\n--- stepped ---\n%s", label, fr, sr)
+	}
+	fd := fmt.Sprintf("%+v %+v", fast.disk.Stats(), fast.engine.Stats())
+	sd := fmt.Sprintf("%+v %+v", slow.disk.Stats(), slow.engine.Stats())
+	if fd != sd {
+		t.Errorf("%s: device counters diverged\n--- big-step ---\n%s\n--- stepped ---\n%s", label, fd, sd)
+	}
+	if fast.kernel != nil {
+		if fk, sk := fmt.Sprintf("%+v", fast.kernel.Stats()), fmt.Sprintf("%+v", slow.kernel.Stats()); fk != sk {
+			t.Errorf("%s: kernel counters diverged\n--- big-step ---\n%s\n--- stepped ---\n%s", label, fk, sk)
+		}
+	}
+	for name, rig := range map[string]*bigstepRig{"big-step": fast, "stepped": slow} {
+		rig.checker.Walk()
+		for _, v := range rig.checker.Violations() {
+			t.Errorf("%s: %s: oracle violation: %v", label, name, v)
+		}
+	}
+}
+
+// kernelRigCPUs is the processor count of the hook-driven rig.
+const kernelRigCPUs = 4
+
+// newKernelRig builds the hook-driven rig: a Topaz kernel running the
+// threads exerciser plus an I/O thread whose topaz.Call queues a disk
+// read, so an instruction hook hands a device work in the middle of a
+// run of processor-only ticks. The fault plan injects only tag-store
+// parity errors, drawn from one stream every cache shares in tick
+// order; a parity error on a dirty line latches a machine check and
+// Topaz offlines the processor.
+func newKernelRig(t *testing.T, protoName string, v cpu.Variant, seed uint64) *bigstepRig {
+	t.Helper()
+	proto, ok := ProtocolByName(protoName)
+	if !ok {
+		t.Fatalf("unknown protocol %q", protoName)
+	}
+	m := machine.New(machine.Config{
+		Processors: kernelRigCPUs,
+		Variant:    v,
+		Protocol:   proto,
+		CacheLines: 1024,
+		Seed:       seed,
+		// Injections stop halfway through the 200 000-cycle run, so the
+		// survivors of an offline keep running through the second half.
+		Faults: &fault.Config{TagParityRate: 1e-4, EndCycle: 100_000},
+	})
+	rig := attachRig(t, m, 3_000)
+	// The oracle still checks every load and store; the full walk of all
+	// four caches runs every 1024 bus operations instead of every 16,
+	// which would otherwise dominate the test's time.
+	rig.checker.SetWalkEvery(1024)
+	rig.kernel = topaz.NewKernel(m, topaz.Config{Seed: seed})
+	workload.NewExerciser(rig.kernel, workload.ExerciserConfig{Threads: 6, Rounds: 400, Seed: seed})
+	disk := rig.disk
+	rig.kernel.Fork(topaz.LoopProgram(1<<20, func(i int) []topaz.Action {
+		return []topaz.Action{
+			topaz.Call{Fn: func() { disk.Read(uint32(i%8), uint32(i%4)*qbus.SectorBytes, nil) }},
+			topaz.Compute{Instructions: 200},
+			topaz.Sleep{Cycles: 4_000},
+		}
+	}), topaz.ThreadSpec{Name: "io", WorkingSetLines: 16}, nil)
+	return rig
+}
+
+// kernelRigChunks is the hook-driven rig's 200 000-cycle run, driven in
+// uneven chunks so Run's windows also end on the chunk boundaries.
+var kernelRigChunks = []uint64{37_000, 63_000, 100_000}
+
+// TestBigStepKernelDifferential is the Run-vs-Step differential for
+// machines whose processors run instruction hooks: a Topaz kernel with
+// the threads exerciser, both CPU variants (the CVAX ticks every cycle
+// and draws its on-chip hits from the CPU's random stream), all five
+// protocols, a shared tag-parity stream that offlines processors, and
+// disk reads issued from a topaz.Call. Reports, kernel and device
+// counters, trace streams and the oracle must agree byte for byte; the
+// test also checks that each run hit the events it is meant to cover.
+func TestBigStepKernelDifferential(t *testing.T) {
+	for _, v := range []cpu.Variant{cpu.MicroVAX78032(), cpu.CVAX78034()} {
+		for _, proto := range coherence.All() {
+			v, proto := v, proto
+			t.Run(v.Name+"/"+proto.Name(), func(t *testing.T) {
+				t.Parallel()
+				for _, seed := range []uint64{1, 2} {
+					fast := newKernelRig(t, proto.Name(), v, seed)
+					slow := newKernelRig(t, proto.Name(), v, seed)
+					for _, n := range kernelRigChunks {
+						fast.m.Run(n)
+						stepEach(slow.m)(n)
+					}
+					label := fmt.Sprintf("seed %d", seed)
+					diffRigs(t, label, fast, slow)
+					checkKernelRigCoverage(t, label, slow)
+				}
+			})
+		}
+	}
+}
+
+// checkKernelRigCoverage fails the test if a run missed an event the
+// hook-driven differential exists to cover: a hook-issued disk read, a
+// tag-parity fault, and an offline that leaves a processor running.
+// Write-through keeps no dirty line, so under write-through-invalidate
+// every tag-parity error is correctable and no processor goes offline.
+func checkKernelRigCoverage(t *testing.T, label string, rig *bigstepRig) {
+	t.Helper()
+	if rig.disk.Stats().Reads.Value() == 0 {
+		t.Errorf("%s: no disk read completed", label)
+	}
+	var tagFaults uint64
+	for _, c := range rig.m.Caches() {
+		tagFaults += c.Stats().TagFaults
+	}
+	if tagFaults == 0 {
+		t.Errorf("%s: no tag-parity fault injected", label)
+	}
+	off := rig.kernel.Stats().Offlines
+	if _, wt := rig.m.Config().Protocol.(coherence.WriteThroughInvalidate); wt {
+		if off != 0 {
+			t.Errorf("%s: %d processors offlined under write-through", label, off)
+		}
+	} else if off < 1 || off >= kernelRigCPUs {
+		t.Errorf("%s: %d of %d processors offlined, want at least one and not all", label, off, kernelRigCPUs)
 	}
 }

@@ -70,8 +70,6 @@ type Stats struct {
 	SnoopTakes    uint64 // update data absorbed from the bus
 	SnoopInvals   uint64 // lines invalidated by snooped ops
 
-	StallCycles uint64 // cycles a CPU access waited on this cache
-
 	// Fault recovery accounting (all zero on a fault-free machine).
 	BusFaults     uint64 // faulted bus operations delivered to this cache
 	Retries       uint64 // faulted operations retried after backoff

@@ -246,8 +246,8 @@ func (p *Processor) Halted() bool { return p.halted }
 
 // SetHaltHook installs a callback invoked whenever the processor's halted
 // state changes (true on Halt, false on Resume). The machine uses it to
-// keep an O(1) running-processor count for the big-step run loop, so the
-// hot path never walks the processor list.
+// keep an O(1) running-processor count, so its NextEvent answers for a
+// running machine without walking the processor list.
 func (p *Processor) SetHaltHook(fn func(halted bool)) { p.haltHook = fn }
 
 // NextEvent reports the earliest future cycle at which the processor may
@@ -255,7 +255,8 @@ func (p *Processor) SetHaltHook(fn func(halted bool)) { p.haltHook = fn }
 // every NextEvent in the simulator it is a pure function of component
 // state and may under-shoot (report an earlier cycle than the real event)
 // but never over-shoot: stepping the processor on any cycle strictly
-// before the returned one is an observable no-op.
+// before the returned one is an observable no-op. The machine's run loop
+// uses it to find the tick boundaries it moves the clock between.
 func (p *Processor) NextEvent(now sim.Cycle) sim.Cycle {
 	if p.halted {
 		return sim.Never
@@ -294,24 +295,41 @@ func (p *Processor) Step() {
 	p.tick()
 }
 
-func (p *Processor) tick() {
+// Tick runs the processor's action for the current tick boundary; unlike
+// Step it does not test the clock, so the caller must call it only on a
+// boundary (NextEvent names the next one). A halted processor does
+// nothing. Tick reports whether the tick stayed local: no instruction
+// hook ran (a hook may reach kernel state, devices and other processors)
+// and no cache access was left outstanding (a miss, a write-through or a
+// deferred access raises work for the next bus cycle). The machine's run
+// loop keeps ticking only the processors while every tick stays local.
+func (p *Processor) Tick() (local bool) {
+	if p.halted {
+		return true
+	}
+	return p.tick()
+}
+
+func (p *Processor) tick() (local bool) {
 	p.stats.Ticks++
 
 	if p.waiting {
 		if p.cache.Busy() {
 			p.stats.StallTicks++
-			return
+			return true
 		}
 		p.waiting = false
 		// The completed reference already consumed its access tick at
 		// submission; this tick proceeds with the next step.
 	}
 
+	local = true
 	if p.qhead == len(p.queue) {
 		if p.instrHook != nil {
+			local = false
 			p.instrHook(p)
 			if p.halted {
-				return
+				return false
 			}
 		}
 		p.buildInstruction()
@@ -326,7 +344,7 @@ func (p *Processor) tick() {
 				p.retire()
 			}
 		}
-		return
+		return local
 	}
 
 	// A reference step. Check tag-store interference first: a snoop probe
@@ -334,7 +352,7 @@ func (p *Processor) tick() {
 	if !p.probeStalled && p.cache.TagStoreBusyWithin(p.clock.Now(), p.v.TickCycles) {
 		p.probeStalled = true
 		p.stats.ProbeStalls++
-		return
+		return local
 	}
 	p.probeStalled = false
 
@@ -348,7 +366,7 @@ func (p *Processor) tick() {
 		if p.qhead == len(p.queue) {
 			p.retire()
 		}
-		return
+		return local
 	}
 
 	acc := core.Access{
@@ -362,13 +380,14 @@ func (p *Processor) tick() {
 	} else {
 		p.stats.Reads++
 	}
-	done := p.cache.Submit(acc)
-	if !done {
+	if !p.cache.Submit(acc) {
 		p.waiting = true
+		local = false
 	}
 	if p.qhead == len(p.queue) {
 		p.retire()
 	}
+	return local
 }
 
 func (p *Processor) retire() {

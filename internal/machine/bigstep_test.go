@@ -180,11 +180,29 @@ func TestRestoreShapeMismatch(t *testing.T) {
 }
 
 // TestStepZeroAllocsEventScan extends the hot-loop allocation contract
-// to the big-step path: the event scan, the bulk skip, and the
-// CycleSkipper accounting must all run without allocating, both while a
-// device owns time (a disk mid-seek) and when the machine is fully
+// to the big-step path: the event scan, the bulk skip, the processor-only
+// ticks between bus operations, and the CycleSkipper accounting must all
+// run without allocating — while processors run on a quiet bus, while a
+// device owns time (a disk mid-seek), and when the machine is fully
 // quiescent.
 func TestStepZeroAllocsEventScan(t *testing.T) {
+	// Running processors with a low miss rate and a DMA engine attached
+	// (a CycleSkipper): the bus stays idle for most cycles, so each
+	// measured Run spends most of its time ticking only the processors.
+	quiet := New(MicroVAXConfig(2))
+	quiet.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.01})
+	qmaps := &qbus.MapRegisters{}
+	qmaps.MapRange(0, 0x40000, 1<<15)
+	quiet.AddDevice(qbus.NewEngine(quiet.Clock(), quiet.Bus(), qmaps, 0))
+	quiet.Warmup(20_000)
+	avg := testing.AllocsPerRun(500, func() { quiet.Run(5_000) })
+	if avg != 0 {
+		t.Fatalf("running processors on a quiet bus allocate %.2f times per Run, want 0", avg)
+	}
+	if bs := quiet.Bus().Stats(); bs.BusyCycles*10 > bs.Cycles {
+		t.Fatalf("bus busy %d of %d cycles: the measured Runs were not mostly quiet", bs.BusyCycles, bs.Cycles)
+	}
+
 	// A disk mid-seek with a horizon far beyond the measured window, so
 	// every measured Run is pure scan+skip.
 	long := New(MicroVAXConfig(2))
@@ -199,7 +217,7 @@ func TestStepZeroAllocsEventScan(t *testing.T) {
 	haltAll(long)
 	slowDisk.Read(3, 0, nil)
 	long.Run(16) // pick up the command and settle into the seek
-	avg := testing.AllocsPerRun(500, func() { long.Run(5_000) })
+	avg = testing.AllocsPerRun(500, func() { long.Run(5_000) })
 	if avg != 0 {
 		t.Fatalf("event scan over a seeking disk allocates %.2f times per Run, want 0", avg)
 	}

@@ -165,13 +165,16 @@ type Machine struct {
 	cpus    []*cpu.Processor
 	caches  []*core.Cache
 	devices []Device
-	tracer  *obs.Tracer
-	reg     *stats.Registry
-	plan    *fault.Plan
+	// skippers are the devices that implement CycleSkipper, in AddDevice
+	// order, so SkipCycles makes no type assertion per call.
+	skippers []CycleSkipper
+	tracer   *obs.Tracer
+	reg      *stats.Registry
+	plan     *fault.Plan
 
 	// running counts non-halted processors, maintained by halt hooks, so
-	// Run's hot path gates the event scan on one integer compare instead
-	// of touring every component per cycle.
+	// NextEvent answers for a running machine with one integer compare
+	// instead of touring every component.
 	running int
 }
 
@@ -329,7 +332,6 @@ func (m *Machine) buildRegistry() {
 		r.Register(pre+"snoop_supplies", func() uint64 { return c.Stats().SnoopSupplies })
 		r.Register(pre+"snoop_takes", func() uint64 { return c.Stats().SnoopTakes })
 		r.Register(pre+"snoop_invals", func() uint64 { return c.Stats().SnoopInvals })
-		r.Register(pre+"stall_cycles", func() uint64 { return c.Stats().StallCycles })
 		r.Register(pre+"bus_faults", func() uint64 { return c.Stats().BusFaults })
 		r.Register(pre+"retries", func() uint64 { return c.Stats().Retries })
 		r.Register(pre+"tag_faults", func() uint64 { return c.Stats().TagFaults })
@@ -379,7 +381,12 @@ func (m *Machine) Caches() []*core.Cache { return m.caches }
 
 // AddDevice registers a device for per-cycle stepping. The device is
 // responsible for attaching itself to the bus.
-func (m *Machine) AddDevice(d Device) { m.devices = append(m.devices, d) }
+func (m *Machine) AddDevice(d Device) {
+	m.devices = append(m.devices, d)
+	if cs, ok := d.(CycleSkipper); ok {
+		m.skippers = append(m.skippers, cs)
+	}
+}
 
 // AttachSources installs a reference source per processor.
 func (m *Machine) AttachSources(mk func(i int, c *core.Cache) trace.Source) {
@@ -427,17 +434,30 @@ func (m *Machine) Step() {
 	}
 }
 
-// Run advances the machine by n cycles. While any processor is running
-// or a bus operation is in flight the machine steps cycle-by-cycle; the
-// hot path costs one integer compare and one bus flag load before the
-// Step. Once every processor has halted and the bus has drained, Run
-// asks each remaining time-owner (caches, devices, the bus, the fault
-// plan) for its NextEvent and jumps the clock to just before the
-// earliest one in a single bulk advance — cycle-exact and
-// byte-identical to stepping, because the elided cycles are provably
-// no-ops apart from the per-cycle accounting CycleSkipper devices apply
-// in bulk. This is the fast path for DMA drains, seek waits, scripted
-// rigs, and halted-CPU measurement harnesses.
+// Run advances the machine by n cycles, in three regimes chosen by one
+// event scan over the bus, the caches, the devices and the fault plan —
+// everything that owns time except the processors:
+//
+//   - While a bus operation is in flight, or something has an event at
+//     the next cycle, Run steps one cycle.
+//   - Otherwise the bus, caches and devices are quiet until the scanned
+//     horizon H, and Run moves the clock from tick boundary to tick
+//     boundary up to H-1, ticking only the running processors. At each
+//     boundary it first applies SkipCycles for the elided cycles, then
+//     ticks every running processor in port order, so the processors stay
+//     in lockstep and touch shared state (the Topaz ready queue, the fault
+//     plan's tag-parity stream, the synthetic shared region) in exactly
+//     the order Step would. The window ends after any tick that was not
+//     local (cpu.Processor.Tick): an instruction hook ran, which may give
+//     a device work, wake a thread or halt a processor, or a cache access
+//     was left outstanding. Run then scans again.
+//   - With every processor halted the same window is a single jump: the
+//     fast path for DMA drains, seek waits, scripted rigs and
+//     halted-CPU measurement harnesses.
+//
+// The result is cycle-exact and byte-identical to stepping: inside a
+// window the bus, cache and device steps are provably no-ops apart from
+// the per-cycle accounting SkipCycles applies in bulk.
 func (m *Machine) Run(n uint64) {
 	end := m.clock.Now() + sim.Cycle(n)
 	for {
@@ -445,22 +465,49 @@ func (m *Machine) Run(n uint64) {
 		if now >= end {
 			return
 		}
-		if m.running > 0 || m.bus.Busy() {
+		if m.bus.Busy() {
 			m.Step()
 			continue
 		}
-		ne := m.nextEvent(now)
-		if ne <= now+1 {
+		h := m.nextEvent(now)
+		if h <= now+1 {
 			m.Step()
 			continue
 		}
-		// Skip to one cycle before the event (or the end of the run) and
-		// let the next iteration step through the event normally.
-		target := ne - 1
-		if target > end {
-			target = end
+		stop := h - 1
+		if stop > end {
+			stop = end
 		}
-		m.SkipCycles(uint64(target - now))
+		m.runQuiet(now, stop)
+	}
+}
+
+// runQuiet ticks the running processors on each of their tick boundaries
+// in (now, stop], moving the clock and the per-cycle accounting up to
+// each boundary first, and stops after the first tick that was not
+// local. Valid only when nothing but the processors has an event in the
+// window (nextEvent(now) > stop).
+func (m *Machine) runQuiet(now, stop sim.Cycle) {
+	for {
+		next := sim.Never
+		for _, p := range m.cpus {
+			next = sim.EarliestEvent(next, p.NextEvent(now))
+		}
+		if next > stop {
+			m.SkipCycles(uint64(stop - now))
+			return
+		}
+		m.SkipCycles(uint64(next - now))
+		now = next
+		local := true
+		for _, p := range m.cpus {
+			if !p.Tick() {
+				local = false
+			}
+		}
+		if !local {
+			return
+		}
 	}
 }
 
@@ -478,16 +525,13 @@ func (m *Machine) NextEvent(now sim.Cycle) sim.Cycle {
 	return m.nextEvent(now)
 }
 
-// nextEvent scans every time-owning component for its earliest future
-// event. Only called with all processors halted and the bus inactive;
-// the bus is still polled because backed-off requesters are invisible
-// to it (their own NextEvent reports the retry expiry) while queued
-// requesters make it report the next cycle.
+// nextEvent scans every time-owning component except the processors for
+// its earliest future event. Only called with the bus inactive; the bus
+// is still polled because backed-off requesters are invisible to it
+// (their own NextEvent reports the retry expiry) while queued requesters
+// make it report the next cycle.
 func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 	ev := m.bus.NextEvent(now)
-	for _, p := range m.cpus {
-		ev = sim.EarliestEvent(ev, p.NextEvent(now))
-	}
 	for _, c := range m.caches {
 		ev = sim.EarliestEvent(ev, c.NextEvent(now))
 	}
@@ -508,10 +552,8 @@ func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 func (m *Machine) SkipCycles(n uint64) {
 	m.clock.Advance(sim.Cycle(n))
 	m.bus.SkipCycles(n)
-	for _, d := range m.devices {
-		if cs, ok := d.(CycleSkipper); ok {
-			cs.SkipCycles(n)
-		}
+	for _, cs := range m.skippers {
+		cs.SkipCycles(n)
 	}
 }
 
