@@ -25,7 +25,11 @@
 //     serially through the same cycles, from wire event to wire event,
 //     injecting each machine's captured sends at the cycles they were
 //     made. Because no wire event lands inside the window, the result
-//     is byte-identical to Step()ing, for any worker count.
+//     is byte-identical to Step()ing, for any worker count. When a wire
+//     event is imminent, Run takes one serial Step instead.
+//
+// RunUntil() is the Step loop with a predicate checked before every
+// cycle.
 //
 // Determinism contract (see DESIGN.md, "Parallel cluster engine"):
 // fixed per-machine seeds, sends merged in station order at their
@@ -46,8 +50,6 @@ package cluster
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"firefly/internal/fault"
 	"firefly/internal/machine"
@@ -192,6 +194,12 @@ type Cluster struct {
 	// Run's window length so in-window sends stay invisible to the
 	// machines.
 	minVisible sim.Cycle
+
+	// runMember runs member j through the current window of length
+	// window. Built once in New so handing it to sim.Parallel on every
+	// window allocates nothing.
+	runMember func(j int)
+	window    uint64
 }
 
 // New builds the cluster: machines, kernels, NICs, wires, and bridge.
@@ -263,6 +271,7 @@ func New(cfg Config) *Cluster {
 	for _, s := range c.segs {
 		c.minVisible = min(c.minVisible, s.SendHorizon())
 	}
+	c.runMember = func(j int) { c.members[j].m.Run(c.window) }
 	return c
 }
 
@@ -378,11 +387,7 @@ func (c *Cluster) Step() {
 }
 
 // Run advances the cluster n cycles, byte-identical to calling Step n
-// times. Three regimes, checked in order each iteration:
-//
-//   - Everything quiescent (no machine event, no wire event before some
-//     future cycle): the cluster clock and every machine clock jump
-//     there in one bulk advance.
+// times. Two regimes, checked in order each iteration:
 //
 //   - The wire cannot call into any machine for a while (no delivery,
 //     no transmit completion or abort before the horizon): a window.
@@ -395,26 +400,15 @@ func (c *Cluster) Step() {
 //     per machine-cycle.
 //
 //   - A wire event is imminent: one serial Step.
+//
+// A fleet whose every CPU is halted still moves window by window, not
+// in one jump. Running fleets never get there: rpc.NewNode boots a Topaz
+// kernel on every member, and its idle loop keeps the processors running
+// until a caller halts them.
 func (c *Cluster) Run(n uint64) {
 	end := c.clock.Now() + sim.Cycle(n)
-	for {
-		now := c.clock.Now()
-		if now >= end {
-			return
-		}
-		ne := c.nextEvent(now)
-		if ne > now+1 {
-			target := ne - 1
-			if target > end {
-				target = end
-			}
-			c.skip(uint64(target - now))
-			continue
-		}
-		limit := end
-		if h := c.horizon(now); h-1 < limit {
-			limit = h - 1
-		}
+	for now := c.clock.Now(); now < end; now = c.clock.Now() {
+		limit := min(end, c.horizon(now)-1)
 		if limit <= now+1 {
 			c.Step()
 			continue
@@ -428,32 +422,8 @@ func (c *Cluster) Run(n uint64) {
 // calls into a machine anywhere in the window, so the machines' head
 // start is unobservable.
 func (c *Cluster) round(w uint64) {
-	if c.cfg.Workers > 1 && len(c.members) > 1 {
-		workers := c.cfg.Workers
-		if workers > len(c.members) {
-			workers = len(c.members)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				for {
-					j := next.Add(1) - 1
-					if j >= int64(len(c.members)) {
-						return
-					}
-					c.members[j].m.Run(w)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, mb := range c.members {
-			mb.m.Run(w)
-		}
-	}
+	c.window = w
+	sim.Parallel(c.cfg.Workers, len(c.members), c.runMember)
 	// Phase B replays the wire from event to event. Between injections
 	// and wire events a segment's only per-cycle effects are busy-cycle
 	// accounting and carrier-sense deferral marks, which SkipCycles
@@ -486,8 +456,8 @@ func (c *Cluster) round(w uint64) {
 		}
 	}
 	// Sends stamped at the window's last cycle become wire-visible at
-	// the next cycle's segment step; stage them now so the quiescence
-	// scan cannot mistake loaded members for an idle wire.
+	// the next cycle's segment step; stage them now so the next horizon
+	// sees them queued at their stations.
 	c.injectSends(c.clock.Now())
 }
 
@@ -516,22 +486,6 @@ func (c *Cluster) wireEvent(now sim.Cycle) sim.Cycle {
 	return ev
 }
 
-// nextEvent returns the earliest future cycle at which any machine, the
-// wire, or a captured-but-uninjected send may change cluster state.
-func (c *Cluster) nextEvent(now sim.Cycle) sim.Cycle {
-	if c.nextStamp() != sim.Never {
-		return now + 1
-	}
-	ev := sim.Never
-	for _, mb := range c.members {
-		ev = sim.EarliestEvent(ev, mb.m.NextEvent(now))
-		if ev <= now+1 {
-			return ev
-		}
-	}
-	return sim.EarliestEvent(ev, c.wireEvent(now))
-}
-
 // horizon returns the first future cycle at which the wire may call
 // into a machine: a frame delivery, a transmit completion, or an abort,
 // on any segment — or a bridge release, conservatively treated as
@@ -552,17 +506,6 @@ func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 	return h
 }
 
-// skip advances the cluster n cycles in bulk: the cluster clock, each
-// segment's busy accounting, and every machine (whose own clocks stay
-// in lockstep with the cluster clock). Valid only when nextEvent
-// reports nothing inside the window.
-func (c *Cluster) skip(n uint64) {
-	c.skipWire(n)
-	for _, mb := range c.members {
-		mb.m.SkipCycles(n)
-	}
-}
-
 // skipWire advances the cluster clock and each segment's busy
 // accounting n cycles in bulk, leaving the machines where they are.
 // Valid only when no wire event and no injection falls inside the
@@ -581,32 +524,17 @@ func (c *Cluster) RunSeconds(s float64) {
 	c.Run(sim.SecondsToCycles(s))
 }
 
-// RunUntil advances until pred holds or maxCycles elapse; it reports
-// whether pred held. Between predicate checks it big-steps: when the
-// whole cluster is quiescent until some future event, the clocks jump
-// there in one bulk advance, so a cluster waiting on a retransmission
-// timer costs a handful of scans rather than millions of Steps. The
-// trigger cycle is identical to checking pred before every Step,
-// provided pred reads event-driven simulation state (call counters,
-// machine or kernel state — not per-cycle accounting such as
-// Stats().BusyCycles, which bulk advances apply in one lump).
+// RunUntil advances until pred holds or maxCycles elapse, checking pred
+// before every Step; it reports whether pred held. The trigger cycle is
+// therefore the first cycle at which pred reads true, whatever state
+// pred reads.
 func (c *Cluster) RunUntil(pred func() bool, maxCycles uint64) bool {
 	end := c.clock.Now() + sim.Cycle(maxCycles)
 	for c.clock.Now() < end {
 		if pred() {
 			return true
 		}
-		now := c.clock.Now()
-		ne := c.nextEvent(now)
-		if ne <= now+1 {
-			c.Step()
-			continue
-		}
-		target := ne - 1
-		if target > end {
-			target = end
-		}
-		c.skip(uint64(target - now))
+		c.Step()
 	}
 	return pred()
 }

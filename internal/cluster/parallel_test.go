@@ -32,10 +32,9 @@ func TestClusterRunSecondsRounds(t *testing.T) {
 	}
 }
 
-// TestRunUntilBigStepDifferential proves the big-stepping RunUntil
-// triggers at exactly the cycle the old step-every-cycle loop did:
-// twin clusters, one driven by an explicit per-cycle loop, one by
-// RunUntil, must agree on the trigger cycle and every counter.
+// TestRunUntilBigStepDifferential pins that RunUntil checks pred before
+// every Step: twin clusters, one driven by an explicit per-cycle loop,
+// one by RunUntil, must agree on the trigger cycle and every counter.
 func TestRunUntilBigStepDifferential(t *testing.T) {
 	build := func() *Cluster {
 		cl := New(Config{Node: quickNode(), Seed: 7})
@@ -375,5 +374,55 @@ func TestFleetParallelDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		got := runEngine(t, cfg, setup, cycles, "run", workers, false)
 		diffEngines(t, fmt.Sprintf("fleet workers=%d", workers), ref, got)
+	}
+}
+
+// TestQuiescentFleetDifferential drives Run over a fleet with no running
+// CPU: sixteen machines on four bridged segments step serially with a
+// server and two callers (one across the bridge) until calls are in
+// flight, then every processor on every member halts. From then on
+// in-flight frames, DEQNA DMA and retransmission deadlines are the only
+// events, and the windowed engine must still match the serial
+// reference byte for byte.
+func TestQuiescentFleetDifferential(t *testing.T) {
+	cfg := Config{
+		Machines: 16,
+		Segments: 4,
+		Node:     quickNode(),
+		Net:      fastNet(5),
+		Seed:     5,
+	}
+	var last *Cluster
+	var atHalt uint64
+	retransmits := func(cl *Cluster) uint64 {
+		n := uint64(0)
+		for i := 0; i < cl.Size(); i++ {
+			n += cl.Node(i).Stats().Retransmits.Value()
+		}
+		return n
+	}
+	setup := func(cl *Cluster) {
+		last = cl
+		cl.Node(0).StartServer()
+		cl.Node(1).StartCallers(4, 0, 64)
+		cl.Node(6).StartCallers(4, 0, 64)
+		for i := 0; i < 60_000; i++ {
+			cl.Step()
+		}
+		for _, m := range cl.Machines() {
+			for _, p := range m.Processors() {
+				p.Halt()
+			}
+		}
+		atHalt = retransmits(cl)
+	}
+	const cycles = 600_000
+	ref := runEngine(t, cfg, setup, cycles, "step", 1, false)
+	if n := retransmits(last); n <= atHalt {
+		t.Fatalf("halted fleet retransmitted nothing (%d before the halt, %d after); the differential covers no timer-driven traffic", atHalt, n)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := runEngine(t, cfg, setup, cycles, "run", workers, false)
+		diffEngines(t, fmt.Sprintf("quiescent fleet workers=%d", workers), ref, got)
 	}
 }

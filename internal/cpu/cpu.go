@@ -162,7 +162,6 @@ type Processor struct {
 	halted       bool
 
 	instrHook func(p *Processor)
-	haltHook  func(halted bool)
 
 	pendingInts []int
 
@@ -223,32 +222,12 @@ func (p *Processor) SetInstrHook(fn func(*Processor)) { p.instrHook = fn }
 
 // Halt stops the processor; Resume restarts it. A halted processor
 // consumes no ticks.
-func (p *Processor) Halt() {
-	if !p.halted {
-		p.halted = true
-		if p.haltHook != nil {
-			p.haltHook(true)
-		}
-	}
-}
+func (p *Processor) Halt() { p.halted = true }
 
-func (p *Processor) Resume() {
-	if p.halted {
-		p.halted = false
-		if p.haltHook != nil {
-			p.haltHook(false)
-		}
-	}
-}
+func (p *Processor) Resume() { p.halted = false }
 
 // Halted reports whether the processor is halted.
 func (p *Processor) Halted() bool { return p.halted }
-
-// SetHaltHook installs a callback invoked whenever the processor's halted
-// state changes (true on Halt, false on Resume). The machine uses it to
-// keep an O(1) running-processor count, so its NextEvent answers for a
-// running machine without walking the processor list.
-func (p *Processor) SetHaltHook(fn func(halted bool)) { p.haltHook = fn }
 
 // NextEvent reports the earliest future cycle at which the processor may
 // change state: the next tick boundary, or sim.Never while halted. Like

@@ -9,6 +9,7 @@ import (
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
 	"firefly/internal/obs"
+	"firefly/internal/sim"
 )
 
 // mdcImage is everything observable about an MDC machine: the clock,
@@ -59,7 +60,7 @@ func TestMDCBigStepDifferential(t *testing.T) {
 		}, 250_000},
 		{func(*MDC) {}, 200_000}, // idle: polls and a deposit only
 	}
-	run := func(bigStep bool) (*machine.Machine, string) {
+	run := func(bigStep bool) (*machine.Machine, *MDC, string) {
 		m := machine.New(machine.MicroVAXConfig(1))
 		m.CPU(0).Halt()
 		events := fnv.New64a()
@@ -85,17 +86,18 @@ func TestMDCBigStepDifferential(t *testing.T) {
 		if d := mdc.Stats().Deposits.Value(); d < 2 {
 			t.Fatalf("script covered %d input deposits, want at least 2", d)
 		}
-		return m, mdcImage(m, mdc, events)
+		return m, mdc, mdcImage(m, mdc, events)
 	}
-	bm, got := run(true)
-	_, want := run(false)
+	bm, bmdc, got := run(true)
+	_, _, want := run(false)
 	if got != want {
 		t.Fatalf("big-step diverged from per-cycle stepping\n--- Run ---\n%s\n--- Step ---\n%s", got, want)
 	}
 	// The idle controller must actually open a skip window, or Run never
 	// exercised the big-step path this test claims to cover.
-	if now := bm.Clock().Now(); bm.NextEvent(now) <= now+1 {
-		t.Fatalf("idle MDC machine reports NextEvent %d at cycle %d: no skip window", bm.NextEvent(now), now)
+	now := bm.Clock().Now()
+	if ev := sim.EarliestEvent(bm.Bus().NextEvent(now), bmdc.NextEvent(now)); ev <= now+1 {
+		t.Fatalf("idle MDC machine's bus and controller report next event %d at cycle %d: no skip window", ev, now)
 	}
 }
 

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"firefly/internal/sim"
 )
 
 // The sweep engine runs the independent points of a parameter sweep —
@@ -34,36 +34,12 @@ func Sweep[R any](o Options, n int, fn func(point int) R) []R {
 	if n <= 0 {
 		return nil
 	}
-	results := make([]R, n)
 	workers := o.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			results[i] = fn(i)
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				results[i] = fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
+	results := make([]R, n)
+	sim.Parallel(workers, n, func(i int) { results[i] = fn(i) })
 	return results
 }
 

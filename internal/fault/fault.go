@@ -160,6 +160,9 @@ func (s Stats) Total() uint64 {
 // machine.New into the bus, the storage array, every cache, and (by the
 // caller) any DMA engines. Each subsystem draws from its own derived
 // stream, so enabling one fault class does not perturb another's draws.
+// The plan owns no time: every injection is drawn when an acting
+// component consults it, so skipping cycles in which nothing acts cannot
+// skip a fault.
 type Plan struct {
 	cfg   Config
 	clock *sim.Clock
@@ -289,14 +292,6 @@ func (p *Plan) FrameDrop() bool {
 	p.stats.NetDrops.Inc()
 	return true
 }
-
-// NextEvent reports the earliest future cycle at which the plan itself
-// will change machine state: never. The plan is purely reactive — every
-// injection is drawn synchronously when an acting component consults it
-// (a bus operation, a memory read, a DMA word, a cache hit, a delivered
-// frame), so a machine with no component activity draws no faults, and
-// bulk-advancing the clock over an idle window cannot skip one.
-func (p *Plan) NextEvent(sim.Cycle) sim.Cycle { return sim.Never }
 
 // PlanState is an opaque snapshot of a plan's mutable state: the five
 // per-subsystem random streams and the injection counters.

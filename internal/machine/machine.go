@@ -171,11 +171,6 @@ type Machine struct {
 	tracer   *obs.Tracer
 	reg      *stats.Registry
 	plan     *fault.Plan
-
-	// running counts non-halted processors, maintained by halt hooks, so
-	// NextEvent answers for a running machine with one integer compare
-	// instead of touring every component.
-	running int
 }
 
 // New builds a machine. Reference sources start nil; attach them with
@@ -198,16 +193,6 @@ func New(cfg Config) *Machine {
 		}
 		m.caches = append(m.caches, cache)
 		m.cpus = append(m.cpus, p)
-	}
-	m.running = len(m.cpus)
-	for _, p := range m.cpus {
-		p.SetHaltHook(func(halted bool) {
-			if halted {
-				m.running--
-			} else {
-				m.running++
-			}
-		})
 	}
 	if cfg.Faults != nil {
 		fcfg := *cfg.Faults
@@ -435,8 +420,8 @@ func (m *Machine) Step() {
 }
 
 // Run advances the machine by n cycles, in three regimes chosen by one
-// event scan over the bus, the caches, the devices and the fault plan —
-// everything that owns time except the processors:
+// event scan over the bus, the caches and the devices — everything that
+// owns time except the processors:
 //
 //   - While a bus operation is in flight, or something has an event at
 //     the next cycle, Run steps one cycle.
@@ -511,20 +496,6 @@ func (m *Machine) runQuiet(now, stop sim.Cycle) {
 	}
 }
 
-// NextEvent reports the earliest future cycle at which stepping the
-// machine may change observable state, with sim.Never meaning the
-// machine is fully quiescent until new outside work arrives. A machine
-// with a running processor or an active bus operation conservatively
-// reports the next cycle; otherwise every time-owning component is
-// polled. The cluster uses it to big-step several machines and the
-// Ethernet segment together.
-func (m *Machine) NextEvent(now sim.Cycle) sim.Cycle {
-	if m.running > 0 || m.bus.Busy() {
-		return now + 1
-	}
-	return m.nextEvent(now)
-}
-
 // nextEvent scans every time-owning component except the processors for
 // its earliest future event. Only called with the bus inactive; the bus
 // is still polled because backed-off requesters are invisible to it
@@ -538,16 +509,13 @@ func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 	for _, d := range m.devices {
 		ev = sim.EarliestEvent(ev, d.NextEvent(now))
 	}
-	if m.plan != nil {
-		ev = sim.EarliestEvent(ev, m.plan.NextEvent(now))
-	}
 	return ev
 }
 
 // SkipCycles advances the machine n cycles in one bulk jump: the clock
 // and the bus cycle counter move, and CycleSkipper devices apply their
-// per-cycle accounting. Valid only when the machine has no event in the
-// window (NextEvent(now) > now+n); Run and the cluster maintain that
+// per-cycle accounting. Valid only when no bus, cache, device or
+// processor event falls inside the window; Run maintains that
 // invariant.
 func (m *Machine) SkipCycles(n uint64) {
 	m.clock.Advance(sim.Cycle(n))

@@ -125,13 +125,5 @@ func (m *Machine) Restore(s *Snapshot) error {
 	}
 	m.clock.Reset()
 	m.clock.Advance(s.cycle)
-	// Halted flags were restored directly; recount the running population
-	// the halt hooks normally maintain.
-	m.running = 0
-	for _, p := range m.cpus {
-		if !p.Halted() {
-			m.running++
-		}
-	}
 	return nil
 }

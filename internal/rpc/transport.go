@@ -88,28 +88,19 @@ func (c Config) ServerServiceCycles(payloadBytes int) uint64 {
 	return c.ServerFixedCycles + c.ServerPerByteCentiCycles*uint64(payloadBytes)/100
 }
 
-// station is a FIFO server: one request at a time, queued in arrival
-// order.
+// station is a FIFO server: one request at a time, served in the order
+// the requests were queued.
 type station struct {
-	name      string
-	q         *sim.EventQueue
 	busyUntil sim.Cycle
 	busyTime  uint64
-	served    stats.Counter
 }
 
-// acquire schedules fn after the station has served this request for
-// duration cycles, FIFO behind earlier requests.
-func (s *station) acquire(duration uint64, fn func()) {
-	start := s.q.Now()
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	end := start + sim.Cycle(duration)
-	s.busyUntil = end
+// acquire queues a request of duration cycles arriving at now behind
+// every earlier request and returns the cycle its service ends.
+func (s *station) acquire(now sim.Cycle, duration uint64) sim.Cycle {
+	s.busyUntil = max(now, s.busyUntil) + sim.Cycle(duration)
 	s.busyTime += duration
-	s.served.Inc()
-	s.q.At(end, fn)
+	return s.busyUntil
 }
 
 // utilization returns the fraction of elapsed time the station was busy.
@@ -118,6 +109,19 @@ func (s *station) utilization(elapsed sim.Cycle) float64 {
 		return 0
 	}
 	return float64(s.busyTime) / float64(uint64(elapsed))
+}
+
+// pipelineCall is one client thread's in-flight call: the pipeline stage
+// it is queued on, the cycle that stage ends, and the order in which the
+// stage was queued, which breaks ties between stages ending on the same
+// cycle.
+type pipelineCall struct {
+	stage   int
+	end     sim.Cycle // sim.Never once the thread has stopped issuing
+	seq     uint64
+	started sim.Cycle
+	id      uint32
+	buf     []byte // the marshalled request the server unmarshals
 }
 
 // Result summarizes one transport run.
@@ -148,12 +152,7 @@ func Run(cfg Config, threads int, seconds float64) Result {
 	if threads < 1 {
 		panic("rpc: need at least one client thread")
 	}
-	clock := &sim.Clock{}
-	q := sim.NewEventQueue(clock)
-	client := &station{name: "client", q: q}
-	wire := &station{name: "wire", q: q}
-	server := &station{name: "server", q: q}
-
+	var client, wire, server station
 	deadline := sim.Cycle(seconds * 1e9 / sim.CycleNS)
 	res := Result{Threads: threads, SimSeconds: seconds}
 	var latencySum uint64
@@ -168,11 +167,30 @@ func Run(cfg Config, threads int, seconds float64) Result {
 	perByte := func(centi uint64) uint64 {
 		return centi * uint64(cfg.PayloadBytes) / 100
 	}
-
-	var issue func()
-	issue = func() {
-		started := q.Now()
-		if started >= deadline {
+	// Every call passes through these stations in order. At 10 Mbit/s
+	// one bit takes exactly one 100 ns cycle.
+	stages := [...]struct {
+		st     *station
+		cycles uint64
+	}{
+		{&client, cfg.ClientFixedCycles + perByte(cfg.ClientPerByteCentiCycles)},
+		{&wire, cfg.WireFixedCycles + (&Message{Payload: payload}).WireBits()},
+		{&server, cfg.ServerFixedCycles + perByte(cfg.ServerPerByteCentiCycles)},
+		{&wire, cfg.ReplyWireCycles},
+		{&client, cfg.ClientFinishCycles},
+	}
+	var seq uint64
+	enter := func(c *pipelineCall, stage int, now sim.Cycle) {
+		c.stage = stage
+		c.end = stages[stage].st.acquire(now, stages[stage].cycles)
+		c.seq = seq
+		seq++
+	}
+	// issue starts the thread's next call at now, or stops the thread
+	// once the deadline has passed.
+	issue := func(c *pipelineCall, now sim.Cycle) {
+		if now >= deadline {
+			c.end = sim.Never
 			return
 		}
 		nextID++
@@ -181,39 +199,50 @@ func Run(cfg Config, threads int, seconds float64) Result {
 		if err != nil {
 			panic(err)
 		}
-		// At 10 Mbit/s one bit takes exactly one 100 ns cycle.
-		wireCycles := cfg.WireFixedCycles + msg.WireBits()
-
-		client.acquire(cfg.ClientFixedCycles+perByte(cfg.ClientPerByteCentiCycles), func() {
-			wire.acquire(wireCycles, func() {
-				// The server unmarshals the actual bytes; a failure here
-				// is a transport bug, counted loudly.
-				if got, err := Unmarshal(buf); err != nil || got.ID != msg.ID || len(got.Payload) != len(payload) {
-					res.MarshalledBad++
-				} else {
-					res.MarshalledOK++
-				}
-				server.acquire(cfg.ServerFixedCycles+perByte(cfg.ServerPerByteCentiCycles), func() {
-					wire.acquire(cfg.ReplyWireCycles, func() {
-						client.acquire(cfg.ClientFinishCycles, func() {
-							res.Calls++
-							res.BytesMoved += uint64(cfg.PayloadBytes)
-							latencySum += uint64(q.Now() - started)
-							latencies.Observe(uint64(q.Now() - started))
-							issue()
-						})
-					})
-				})
-			})
-		})
+		c.started, c.id, c.buf = now, nextID, buf
+		enter(c, 0, now)
 	}
 
-	for i := 0; i < threads; i++ {
-		issue()
+	calls := make([]pipelineCall, threads)
+	for i := range calls {
+		issue(&calls[i], 0)
 	}
-	q.RunUntil(deadline)
+	for {
+		// The stage ending first completes next; stages ending on the
+		// same cycle complete in the order they were queued.
+		var c *pipelineCall
+		for i := range calls {
+			x := &calls[i]
+			if x.end <= deadline && (c == nil || x.end < c.end || x.end == c.end && x.seq < c.seq) {
+				c = x
+			}
+		}
+		if c == nil {
+			break
+		}
+		now := c.end
+		switch c.stage {
+		case 1:
+			// The request is off the wire. The server unmarshals the
+			// actual bytes; a failure here is a transport bug, counted
+			// loudly.
+			if got, err := Unmarshal(c.buf); err != nil || got.ID != c.id || len(got.Payload) != len(payload) {
+				res.MarshalledBad++
+			} else {
+				res.MarshalledOK++
+			}
+		case len(stages) - 1:
+			res.Calls++
+			res.BytesMoved += uint64(cfg.PayloadBytes)
+			latencySum += uint64(now - c.started)
+			latencies.Observe(uint64(now - c.started))
+			issue(c, now)
+			continue
+		}
+		enter(c, c.stage+1, now)
+	}
 
-	elapsed := clock.Now()
+	elapsed := deadline
 	// A zero-length or call-free run must report zeros, not NaN: with
 	// elapsed == 0 the Mbps division is 0/0, and every percentile of an
 	// empty histogram is defined as 0.

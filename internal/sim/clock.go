@@ -1,7 +1,7 @@
 // Package sim provides the simulation substrate shared by every Firefly
 // subsystem: a cycle clock in MBus cycles (100 ns), a deterministic
-// pseudo-random source, and a discrete-event queue used by the Topaz and
-// RPC layers, which operate on simulated time rather than bus cycles.
+// pseudo-random source, and the worker pool that runs independent
+// simulations (sweep points, cluster members) concurrently.
 package sim
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -164,113 +165,30 @@ func TestRandUniformity(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	var order []int
-	q.At(30, func() { order = append(order, 3) })
-	q.At(10, func() { order = append(order, 1) })
-	q.At(20, func() { order = append(order, 2) })
-	q.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("event order = %v", order)
-	}
-	if clock.Now() != 30 {
-		t.Fatalf("clock = %v, want 30", clock.Now())
-	}
-}
-
-func TestEventQueueFIFOTieBreak(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		q.At(5, func() { order = append(order, i) })
-	}
-	q.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events fired out of order: %v", order)
+// TestParallelCoversEveryIndexOnce checks the worker pool at in-line and
+// concurrent worker counts, including more workers than indices: every
+// index runs exactly once, and the in-line pool runs them in order.
+func TestParallelCoversEveryIndexOnce(t *testing.T) {
+	const n = 100
+	for _, workers := range []int{-1, 0, 1, 2, 8, 2 * n} {
+		var calls [n]atomic.Int32
+		var order []int
+		Parallel(workers, n, func(i int) {
+			calls[i].Add(1)
+			if workers <= 1 {
+				order = append(order, i)
+			}
+		})
+		for i := range calls {
+			if got := calls[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times, want 1", workers, i, got)
+			}
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("workers=%d: in-line pool ran index %d at position %d", workers, v, i)
+			}
 		}
 	}
-}
-
-func TestEventQueueCancel(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	fired := false
-	e := q.At(10, func() { fired = true })
-	e.Cancel()
-	q.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEventQueuePastPanics(t *testing.T) {
-	var clock Clock
-	clock.Advance(100)
-	q := NewEventQueue(&clock)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	q.At(50, func() {})
-}
-
-func TestEventQueueRunUntil(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	count := 0
-	q.At(10, func() { count++ })
-	q.At(20, func() {
-		count++
-		q.After(5, func() { count++ }) // lands at 25, inside deadline
-	})
-	q.At(100, func() { count++ }) // beyond deadline
-	fired := q.RunUntil(50)
-	if fired != 3 || count != 3 {
-		t.Fatalf("fired=%d count=%d, want 3,3", fired, count)
-	}
-	if clock.Now() != 50 {
-		t.Fatalf("clock = %v, want 50 after RunUntil", clock.Now())
-	}
-	if q.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", q.Pending())
-	}
-}
-
-func TestEventQueueAfter(t *testing.T) {
-	var clock Clock
-	clock.Advance(7)
-	q := NewEventQueue(&clock)
-	var at Cycle
-	q.After(3, func() { at = clock.Now() })
-	q.Run()
-	if at != 10 {
-		t.Fatalf("After(3) fired at %v, want 10", at)
-	}
-}
-
-func TestEventQueueReschedulingChain(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 100 {
-			q.After(2, tick)
-		}
-	}
-	q.After(2, tick)
-	q.Run()
-	if count != 100 {
-		t.Fatalf("chain fired %d times, want 100", count)
-	}
-	if clock.Now() != 200 {
-		t.Fatalf("clock = %v, want 200", clock.Now())
-	}
+	Parallel(4, 0, func(int) { t.Fatal("called with n=0") })
 }
