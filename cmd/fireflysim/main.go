@@ -16,7 +16,7 @@
 //
 // Exit status 2 means bad input; 1 means a finding (a coherence
 // violation, an unsafe -verify, a replay that trips the oracle) or an
-// I/O or restore failure.
+// I/O failure.
 //
 // Examples:
 //
@@ -101,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.clusterN, "cluster", 0, "run an N-machine cluster on a shared Ethernet instead of one machine (node 0 serves, the rest call)")
 	fs.IntVar(&o.callers, "callers", 3, "caller threads per client machine in -cluster mode")
 	fs.IntVar(&o.segments, "segments", 1, "Ethernet segments in -cluster mode, joined store-and-forward by a bridge (machines split in contiguous blocks)")
-	fs.Uint64Var(&o.travel, "travel", 0, "time-travel: after the run, restore the post-warmup snapshot, replay to this cycle, and print the report there (synthetic workload only; 0 = off)")
+	fs.Uint64Var(&o.travel, "travel", 0, "time-travel: after the run, rebuild the machine, replay it to this cycle, and print the report there (synthetic workload only; 0 = off)")
 	fs.StringVar(&o.traffic, "traffic", "", `fleet traffic spec, e.g. "rate=2000,mix=file:6/make:3/mdc:1,lb=least,queue=32,seed=5": member 0 load-balances an open-loop user population over the rest (defaults to a 16-machine 4-segment fleet unless -cluster/-segments are set)`)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
@@ -318,7 +318,9 @@ func (o *options) runFleet(w io.Writer, faults *fault.Config) error {
 
 // runMachine runs one Firefly under the chosen workload and prints its
 // report, then the -travel replay, the fault summary and the -check
-// verdict.
+// verdict. -travel K rebuilds the machine from the same Config and runs
+// it to cycle K; runs are deterministic, so that is the state the first
+// run passed through at K.
 func (o *options) runMachine(w io.Writer, faults *fault.Config) (err error) {
 	var cfg machine.Config
 	switch o.variant {
@@ -363,9 +365,9 @@ func (o *options) runMachine(w io.Writer, faults *fault.Config) (err error) {
 	case o.travel > 0 && o.workload != "synthetic":
 		return badf("-travel only supports the synthetic workload (got %q)", o.workload)
 	case o.travel > 0 && o.check:
-		return badf("-travel is incompatible with -check (the oracle's shadow state cannot rewind)")
+		return badf("-travel is incompatible with -check (the replayed machine has no oracle)")
 	case o.travel > 0 && o.travel < warm:
-		return badf("-travel %d is before the post-warmup snapshot at cycle %d", o.travel, warm)
+		return badf("-travel %d is before the end of warmup at cycle %d", o.travel, warm)
 	case o.tracePath != "" && o.traceFormat != "jsonl" && o.traceFormat != "chrome":
 		return badf("unknown trace format %q (known: jsonl, chrome)", o.traceFormat)
 	}
@@ -377,14 +379,14 @@ func (o *options) runMachine(w io.Writer, faults *fault.Config) (err error) {
 			return badInput{err}
 		}
 	}
+	var sink interface {
+		obs.Observer
+		Close() error
+	}
 	if o.tracePath != "" {
 		f, ferr := os.Create(o.tracePath)
 		if ferr != nil {
 			return ferr
-		}
-		var sink interface {
-			obs.Observer
-			Close() error
 		}
 		if o.traceFormat == "jsonl" {
 			sink = obs.NewJSONL(f)
@@ -399,17 +401,11 @@ func (o *options) runMachine(w io.Writer, faults *fault.Config) (err error) {
 		}()
 	}
 
-	var travelSnap *machine.Snapshot
 	budget := sim.SecondsToCycles(o.seconds) * 100
 	switch o.workload {
 	case "synthetic":
 		m.AttachSyntheticLoad(load)
 		m.Warmup(warm)
-		if o.travel > 0 {
-			if travelSnap, err = m.Snapshot(); err != nil {
-				return fmt.Errorf("-travel: %w", err)
-			}
-		}
 		m.RunSeconds(o.seconds)
 	case "exerciser":
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 1500, Dispatch: dispatch, Seed: o.seed})
@@ -443,13 +439,19 @@ func (o *options) runMachine(w io.Writer, faults *fault.Config) (err error) {
 
 	fmt.Fprint(w, m.Report())
 
-	if travelSnap != nil {
-		if err := m.Restore(travelSnap); err != nil {
-			return fmt.Errorf("-travel restore: %w", err)
+	if o.travel > 0 {
+		// The replayed machine replaces m, so the fault summary below
+		// reads the state at cycle K. A stateful arbiter is not shared.
+		cfg.Arbiter, _ = mbus.NewArbiterByName(o.arb)
+		m = machine.New(cfg)
+		m.AttachSyntheticLoad(load)
+		m.Warmup(warm)
+		if sink != nil {
+			m.Trace(sink)
 		}
 		m.Run(o.travel - warm)
 		fmt.Fprintf(w, "\ntime-travel: restored to cycle %d, replayed to cycle %d\n",
-			uint64(travelSnap.Cycle()), uint64(m.Clock().Now()))
+			warm, uint64(m.Clock().Now()))
 		fmt.Fprint(w, m.Report())
 	}
 

@@ -115,6 +115,16 @@ var goroutineTrace = regexp.MustCompile(`goroutine \d+ \[`)
 // message and nothing on stdout, never a panic.
 func TestBadInput(t *testing.T) {
 	tmp := t.TempDir()
+	for name, header := range map[string]string{
+		"huge-ops.replay":   "cpus 2\ncachelines 16\nlinewords 1\nops 99999999999999\n",
+		"cachelines.replay": "cpus 2\ncachelines 3\nlinewords 1\nops 0\n",
+		"linewords.replay":  "cpus 2\ncachelines 16\nlinewords 3\nops 0\n",
+	} {
+		body := "firefly-check replay v1\nprotocol firefly\n" + header
+		if err := os.WriteFile(filepath.Join(tmp, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, args := range [][]string{
 		{"-miss", "2"},
 		{"-miss", "-1"},
@@ -134,6 +144,9 @@ func TestBadInput(t *testing.T) {
 		{"-trace-format", "xml", "-trace", filepath.Join(tmp, "trace.out")},
 		{"-verify", "nope"},
 		{"-replay", filepath.Join(tmp, "missing.replay")},
+		{"-replay", filepath.Join(tmp, "huge-ops.replay")},
+		{"-replay", filepath.Join(tmp, "cachelines.replay")},
+		{"-replay", filepath.Join(tmp, "linewords.replay")},
 		{"-arb", "nope"},
 		{"-workload", "nope"},
 		{"-travel", "1"},
@@ -173,6 +186,42 @@ func TestTraceWriteFailure(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), "fireflysim: closing trace: ") {
 				t.Errorf("stderr should report the failed trace write, got:\n%s", stderr.String())
+			}
+		})
+	}
+}
+
+// TestTravelMatchesDirectRun: -travel K rebuilds the machine and runs it
+// to cycle K, so what it prints after the time-travel line must equal a
+// direct run that stops at K, fault summary included. The default warmup
+// is 20,000 cycles, so -travel 30000 lands where -seconds 0.001 stops.
+func TestTravelMatchesDirectRun(t *testing.T) {
+	for _, flags := range [][]string{
+		nil,
+		{"-faults", "all=1e-4"},
+		{"-arb", "fcfs", "-protocol", "mesi"},
+		{"-variant", "cvax", "-linewords", "2", "-faults", "tag=1e-3"},
+	} {
+		name := strings.Join(flags, " ")
+		if name == "" {
+			name = "plain"
+		}
+		t.Run(name, func(t *testing.T) {
+			stdoutOf := func(args ...string) string {
+				var stdout, stderr bytes.Buffer
+				if code := run(append(append([]string{"-cpus", "3"}, flags...), args...), &stdout, &stderr); code != 0 {
+					t.Fatalf("%v: exit %d\nstderr: %s", args, code, stderr.String())
+				}
+				return stdout.String()
+			}
+			travel := stdoutOf("-seconds", "0.002", "-travel", "30000")
+			_, after, found := strings.Cut(travel, "\ntime-travel: ")
+			if !found {
+				t.Fatalf("no time-travel line in:\n%s", travel)
+			}
+			_, after, _ = strings.Cut(after, "\n")
+			if direct := stdoutOf("-seconds", "0.001"); after != direct {
+				t.Errorf("travel report differs from a direct run\n--- travel ---\n%s--- direct ---\n%s", after, direct)
 			}
 		})
 	}

@@ -154,13 +154,19 @@ func ReadReplay(r io.Reader) (StressConfig, Schedule, error) {
 			return fail("unknown header key %q", key)
 		}
 	}
-	if _, ok := ProtocolByName(cfg.Protocol); !ok {
+	proto, ok := ProtocolByName(cfg.Protocol)
+	if !ok {
 		return fail("unknown protocol %q", cfg.Protocol)
 	}
 	if cfg.CPUs < 1 || cfg.CPUs > 64 {
 		return fail("implausible cpu count %d", cfg.CPUs)
 	}
-	sched := make(Schedule, 0, nOps)
+	if err := cfg.withDefaults().machineConfig(proto).Validate(); err != nil {
+		return fail("%v", err)
+	}
+	// The declared count is untrusted: grow the schedule as ops arrive,
+	// so an inflated count ends as a truncated file, not an allocation.
+	sched := Schedule{}
 	for i := 0; i < nOps; i++ {
 		line, ok := next()
 		if !ok {

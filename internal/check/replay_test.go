@@ -66,6 +66,9 @@ func TestReplayMalformed(t *testing.T) {
 		{"unknown protocol", strings.Replace(good, "protocol firefly", "protocol vaporware", 1), "unknown protocol"},
 		{"implausible cpus", strings.Replace(good, "cpus 2", "cpus 9000", 1), "implausible cpu count"},
 		{"missing ops", strings.TrimSuffix(good, "1 2 6 0\n"), "truncated"},
+		{"huge ops count", strings.Replace(good, "ops 2", "ops 99999999999999", 1), "truncated"},
+		{"cachelines not a power of two", strings.Replace(good, "cachelines 16", "cachelines 3", 1), "power of two"},
+		{"linewords not a power of two", strings.Replace(good, "linewords 1", "linewords 3", 1), "power of two"},
 		{"malformed op fields", strings.Replace(good, "1 2 6 0", "1 2 6", 1), "want 4 fields"},
 		{"non-numeric op", strings.Replace(good, "1 2 6 0", "1 x 6 0", 1), "malformed op"},
 	}

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 
+	"firefly/internal/core"
 	"firefly/internal/cpu"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
@@ -247,6 +248,18 @@ type RunOpts struct {
 	Quiescent func(m *machine.Machine)
 }
 
+// machineConfig is the stress rig's machine for a defaulted config.
+func (c StressConfig) machineConfig(proto core.Protocol) machine.Config {
+	return machine.Config{
+		Processors: c.CPUs,
+		Variant:    cpu.MicroVAX78032(),
+		Protocol:   proto,
+		CacheLines: c.CacheLines,
+		LineWords:  c.LineWords,
+		Seed:       c.Seed,
+	}
+}
+
 // RunSchedule executes a schedule under full checking and returns the
 // result. The run is deterministic: a given (cfg, sched) pair always
 // produces the same result.
@@ -261,14 +274,7 @@ func RunScheduleOpts(cfg StressConfig, sched Schedule, opts RunOpts) (Result, er
 	if !ok {
 		return Result{}, fmt.Errorf("check: unknown protocol %q", cfg.Protocol)
 	}
-	m := machine.New(machine.Config{
-		Processors: cfg.CPUs,
-		Variant:    cpu.MicroVAX78032(),
-		Protocol:   proto,
-		CacheLines: cfg.CacheLines,
-		LineWords:  cfg.LineWords,
-		Seed:       cfg.Seed,
-	})
+	m := machine.New(cfg.machineConfig(proto))
 	checker, err := Attach(m)
 	if err != nil {
 		return Result{}, err

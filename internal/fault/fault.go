@@ -293,35 +293,6 @@ func (p *Plan) FrameDrop() bool {
 	return true
 }
 
-// PlanState is an opaque snapshot of a plan's mutable state: the five
-// per-subsystem random streams and the injection counters.
-type PlanState struct {
-	bus, mem, dma, tag, net uint64
-	stats                   Stats
-}
-
-// SaveState returns a copy of the plan's mutable state.
-func (p *Plan) SaveState() *PlanState {
-	return &PlanState{
-		bus:   p.busRand.State(),
-		mem:   p.memRand.State(),
-		dma:   p.dmaRand.State(),
-		tag:   p.tagRand.State(),
-		net:   p.netRand.State(),
-		stats: p.stats,
-	}
-}
-
-// RestoreState rewinds the plan to a previously saved state.
-func (p *Plan) RestoreState(st *PlanState) {
-	p.busRand.SetState(st.bus)
-	p.memRand.SetState(st.mem)
-	p.dmaRand.SetState(st.dma)
-	p.tagRand.SetState(st.tag)
-	p.netRand.SetState(st.net)
-	p.stats = st.stats
-}
-
 // RegisterStats names the plan's injection counters in a registry.
 func (p *Plan) RegisterStats(r *stats.Registry) {
 	r.RegisterCounter("fault.bus_parity", &p.stats.BusParity)

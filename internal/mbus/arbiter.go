@@ -16,8 +16,8 @@ package mbus
 // own state and its arguments — no clocks, no randomness that is not
 // seeded through the arbiter itself — so that a machine rebuilt with a
 // fresh arbiter and stepped through the same schedule reproduces the
-// same grants (the property snapshot/replay and the sweep engine rely
-// on). Stateful arbiters keep all bookkeeping internal and restore their
+// same grants (the property replay and the sweep engine rely on).
+// Stateful arbiters keep all bookkeeping internal and restore their
 // initial state on Reset.
 type Arbiter interface {
 	// Name returns the policy's stable identifier ("fixed", "rr",
@@ -33,21 +33,9 @@ type Arbiter interface {
 	// requester, so stateful arbiters may update their bookkeeping here.
 	Grant(requests []bool, last int) int
 	// Reset restores the arbiter's initial state. The bus calls it once
-	// at attachment; snapshot/replay harnesses call it before replaying
-	// a schedule from cycle zero.
+	// at attachment, so an arbiter value reused for a new machine starts
+	// fresh.
 	Reset()
-}
-
-// StatefulArbiter is implemented by arbiters whose Grant decisions
-// depend on internal bookkeeping (e.g. the FCFS queue). Machine
-// snapshot/restore uses it to capture and rewind that bookkeeping;
-// stateless arbiters need not implement it.
-type StatefulArbiter interface {
-	Arbiter
-	// ArbState returns a deep copy of the arbiter's internal state.
-	ArbState() any
-	// RestoreArbState rewinds to a state previously returned by ArbState.
-	RestoreArbState(any)
 }
 
 // fixedPriority grants the lowest-numbered requesting port, as the
@@ -162,28 +150,6 @@ func (q *fcfsQueue) Reset() {
 		q.queued[i] = false
 	}
 }
-
-type fcfsState struct {
-	queue  []int
-	queued []bool
-}
-
-// ArbState implements StatefulArbiter.
-func (q *fcfsQueue) ArbState() any {
-	return fcfsState{
-		queue:  append([]int(nil), q.queue...),
-		queued: append([]bool(nil), q.queued...),
-	}
-}
-
-// RestoreArbState implements StatefulArbiter.
-func (q *fcfsQueue) RestoreArbState(s any) {
-	st := s.(fcfsState)
-	q.queue = append(q.queue[:0], st.queue...)
-	q.queued = append(q.queued[:0:0], st.queued...)
-}
-
-var _ StatefulArbiter = (*fcfsQueue)(nil)
 
 // arbiterNames lists the known policies in presentation order.
 var arbiterNames = []string{"fixed", "rr", "fcfs"}

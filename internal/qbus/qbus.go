@@ -419,45 +419,6 @@ func boolArg(b bool) uint64 {
 	return 0
 }
 
-// EngineState is an opaque copy of the engine's snapshot-visible state.
-// Transfers hold caller-owned buffers and completion callbacks that a
-// snapshot cannot deep-copy, so the engine only snapshots while idle —
-// between transfers — capturing the issue pacing timer (which reaches
-// into the next transfer) and the statistics.
-type EngineState struct {
-	nextIssue sim.Cycle
-	stats     EngineStats
-}
-
-// SaveState returns the engine's snapshot state. It fails unless the
-// engine is idle (no queued or in-flight transfer): an in-flight
-// Transfer's Data and OnDone belong to the submitting device and cannot
-// be rewound.
-func (e *Engine) SaveState() (any, error) {
-	if e.NextEvent(e.clock.Now()) != sim.Never {
-		return nil, fmt.Errorf("qbus: snapshot requires an idle DMA engine (transfer in progress)")
-	}
-	return &EngineState{nextIssue: e.nextIssue, stats: e.Stats()}, nil
-}
-
-// RestoreState rewinds an idle engine to a previously saved state.
-func (e *Engine) RestoreState(s any) error {
-	st, ok := s.(*EngineState)
-	if !ok {
-		return fmt.Errorf("qbus: RestoreState with foreign state %T", s)
-	}
-	if e.NextEvent(e.clock.Now()) != sim.Never {
-		return fmt.Errorf("qbus: restore requires an idle DMA engine (transfer in progress)")
-	}
-	e.nextIssue = st.nextIssue
-	e.stats = st.stats
-	e.stats.PerDeviceWord = make(map[string]uint64, len(st.stats.PerDeviceWord))
-	for k, v := range st.stats.PerDeviceWord {
-		e.stats.PerDeviceWord[k] = v
-	}
-	return nil
-}
-
 func (e *Engine) finishCurrent(fault bool) {
 	done := e.cur.OnDone
 	e.cur = nil

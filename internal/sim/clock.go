@@ -55,9 +55,6 @@ func (c *Clock) Advance(n Cycle) Cycle {
 	return c.now
 }
 
-// Reset rewinds the clock to zero. Used between benchmark iterations.
-func (c *Clock) Reset() { c.now = 0 }
-
 // Never is the NextEvent sentinel: the component will not change state at
 // any future cycle without external input (a new request, a delivered
 // frame, a resumed processor). Any real event cycle compares smaller.

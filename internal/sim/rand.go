@@ -60,10 +60,3 @@ func (r *Rand) Uint64AsWord() uint32 { return uint32(r.Uint64()) }
 func (r *Rand) Split() *Rand {
 	return NewRand(r.Uint64() | 1)
 }
-
-// State returns the generator's internal state, for snapshot/restore.
-// Restoring the state with SetState resumes the exact draw sequence.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a state previously returned by State.
-func (r *Rand) SetState(s uint64) { r.state = s }

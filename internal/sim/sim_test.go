@@ -42,10 +42,6 @@ func TestClockTickAdvance(t *testing.T) {
 	if c.Now() != 10 {
 		t.Fatalf("clock = %v, want 10", c.Now())
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("after Reset clock = %v, want 0", c.Now())
-	}
 }
 
 func TestRandDeterminism(t *testing.T) {

@@ -57,17 +57,6 @@ type Source interface {
 	Next(kind Kind) Ref
 }
 
-// Stateful is implemented by sources that can save and restore their
-// internal position (RNG state, cursors, sequence counters), enabling
-// deterministic machine snapshot/restore: a restored source continues
-// with exactly the reference stream the original would have produced.
-// The value returned by SourceState is opaque to callers and must be a
-// deep copy — mutating the source afterwards must not change it.
-type Stateful interface {
-	SourceState() any
-	RestoreSourceState(any)
-}
-
 // Residency lets a generator inspect the cache it feeds, so it can
 // construct guaranteed hits or guaranteed misses. core.Cache implements
 // it. This is a measurement instrument, not a simulation shortcut: the
