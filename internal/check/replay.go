@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -128,6 +129,9 @@ func ReadReplay(r io.Reader) (StressConfig, Schedule, error) {
 		if err != nil && key != "protocol" {
 			return fail("bad %s value %q", key, val)
 		}
+		if n > math.MaxInt && key != "seed" && key != "walkevery" {
+			return fail("%s value %d does not fit in an int", key, n)
+		}
 		switch key {
 		case "protocol":
 			cfg.Protocol = strings.TrimSpace(val)
@@ -161,7 +165,7 @@ func ReadReplay(r io.Reader) (StressConfig, Schedule, error) {
 	if cfg.CPUs < 1 || cfg.CPUs > 64 {
 		return fail("implausible cpu count %d", cfg.CPUs)
 	}
-	if err := cfg.withDefaults().machineConfig(proto).Validate(); err != nil {
+	if err := cfg.withDefaults().validate(proto); err != nil {
 		return fail("%v", err)
 	}
 	// The declared count is untrusted: grow the schedule as ops arrive,

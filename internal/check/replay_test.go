@@ -69,6 +69,12 @@ func TestReplayMalformed(t *testing.T) {
 		{"huge ops count", strings.Replace(good, "ops 2", "ops 99999999999999", 1), "truncated"},
 		{"cachelines not a power of two", strings.Replace(good, "cachelines 16", "cachelines 3", 1), "power of two"},
 		{"linewords not a power of two", strings.Replace(good, "linewords 1", "linewords 3", 1), "power of two"},
+		{"poollines beyond an int", strings.Replace(good, "poollines 8", "poollines 18446744073709551615", 1), "line 6: poollines value 18446744073709551615 does not fit in an int"},
+		{"cachelines beyond memory", strings.Replace(good, "cachelines 16", "cachelines 4611686018427387904", 1), "line 9: check: 8 pool lines and a 4611686018427387904-line cache"},
+		{"poollines beyond memory", strings.Replace(good, "poollines 8", "poollines 1099511627776", 1), "do not fit the rig's 16777216-byte memory"},
+		{"cachelines beyond memory by its pool offset", strings.Replace(good, "cachelines 16", "cachelines 1073741824", 1), "do not fit the rig's"},
+		{"cache filling memory leaves no room for the pool", strings.Replace(good, "cachelines 16", "cachelines 4194304", 1), "do not fit the rig's"},
+		{"linewords beyond memory", strings.Replace(good, "linewords 1", "linewords 4611686018427387904", 1), "do not fit the rig's"},
 		{"malformed op fields", strings.Replace(good, "1 2 6 0", "1 2 6", 1), "want 4 fields"},
 		{"non-numeric op", strings.Replace(good, "1 2 6 0", "1 x 6 0", 1), "malformed op"},
 	}
@@ -84,9 +90,12 @@ func TestReplayMalformed(t *testing.T) {
 		})
 	}
 
-	// The valid baseline must still parse.
-	if _, _, err := ReadReplay(strings.NewReader(good)); err != nil {
-		t.Fatalf("baseline replay rejected: %v", err)
+	// The valid baseline must still parse, and so must a cache of half
+	// the rig's memory.
+	for _, in := range []string{good, strings.Replace(good, "cachelines 16", "cachelines 2097152", 1)} {
+		if _, _, err := ReadReplay(strings.NewReader(in)); err != nil {
+			t.Fatalf("valid replay rejected: %v", err)
+		}
 	}
 }
 

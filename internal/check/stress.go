@@ -7,6 +7,7 @@ import (
 	"firefly/internal/cpu"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
+	"firefly/internal/memory"
 	"firefly/internal/obs"
 	"firefly/internal/sim"
 	"firefly/internal/trace"
@@ -251,13 +252,34 @@ type RunOpts struct {
 // machineConfig is the stress rig's machine for a defaulted config.
 func (c StressConfig) machineConfig(proto core.Protocol) machine.Config {
 	return machine.Config{
-		Processors: c.CPUs,
-		Variant:    cpu.MicroVAX78032(),
-		Protocol:   proto,
-		CacheLines: c.CacheLines,
-		LineWords:  c.LineWords,
-		Seed:       c.Seed,
+		Processors:    c.CPUs,
+		Variant:       cpu.MicroVAX78032(),
+		Protocol:      proto,
+		CacheLines:    c.CacheLines,
+		LineWords:     c.LineWords,
+		MemoryModules: 4,
+		ModuleBytes:   memory.MicroVAXModuleBytes,
+		Seed:          c.Seed,
 	}
+}
+
+// validate checks a defaulted config as the rig builds it: a valid
+// machine whose memory holds the pool with its aliasing offset of one
+// cache size. Each factor is bounded before it is multiplied, so an
+// absurd geometry can neither overflow nor size an allocation.
+func (c StressConfig) validate(proto core.Protocol) error {
+	mc := c.machineConfig(proto)
+	if err := mc.Validate(); err != nil {
+		return err
+	}
+	mem := uint64(mc.MemoryModules) * uint64(mc.ModuleBytes)
+	words, lines, pairs := uint64(c.LineWords), uint64(c.CacheLines), (uint64(c.PoolLines)+1)/2
+	if words > mem/4 || lines > mem/(4*words) || pairs > mem/(4*words) ||
+		uint64(poolBase)+(lines+pairs)*4*words > mem {
+		return fmt.Errorf("check: %d pool lines and a %d-line cache of %d-word lines do not fit the rig's %d-byte memory",
+			c.PoolLines, c.CacheLines, c.LineWords, mem)
+	}
+	return nil
 }
 
 // RunSchedule executes a schedule under full checking and returns the

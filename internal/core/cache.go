@@ -228,11 +228,6 @@ func NewMicroVAXCache(clock *sim.Clock, proto Protocol) *Cache {
 	return NewCache(clock, proto, MicroVAXLines)
 }
 
-// NewCVAXCache returns the 64 KB second-version cache.
-func NewCVAXCache(clock *sim.Clock, proto Protocol) *Cache {
-	return NewCache(clock, proto, CVAXLines)
-}
-
 // SetTracer installs (or, with nil, removes) the observability tracer.
 // unit is the processor index used in emitted events. The cache emits
 // hit/miss events per CPU reference, a state event for every Figure 3
@@ -419,15 +414,6 @@ func (c *Cache) NextEvent(now sim.Cycle) sim.Cycle {
 		return c.retryAt
 	}
 	return now + 1
-}
-
-// TagStoreBusyAt reports whether the tag store serviced a snoop probe at
-// the given cycle. The CPU uses this to model the paper's SP term: "Each
-// CPU cache access that hits will be slowed by one tick if an MBus
-// operation needs to access the tag store during the same cycle as the
-// CPU" (§5.2).
-func (c *Cache) TagStoreBusyAt(cycle sim.Cycle) bool {
-	return c.lastProbed == cycle && cycle != 0
 }
 
 // TagStoreBusyWithin reports whether a snoop probe used the tag store in

@@ -371,15 +371,15 @@ func TestTagStoreBusyDuringSnoop(t *testing.T) {
 	// Start a read on cache 1 that will probe cache 0's tags in cycle 2.
 	r.caches[1].Submit(Access{Addr: 0x100})
 	r.run(1) // cycle: arbitration
-	if r.caches[0].TagStoreBusyAt(r.clock.Now()) {
+	if r.caches[0].TagStoreBusyWithin(r.clock.Now(), 1) {
 		t.Fatal("tag store busy before the probe cycle")
 	}
 	r.run(1) // cycle: tag probe
-	if !r.caches[0].TagStoreBusyAt(r.clock.Now()) {
+	if !r.caches[0].TagStoreBusyWithin(r.clock.Now(), 1) {
 		t.Fatal("tag store not busy during the probe cycle")
 	}
 	r.run(2)
-	if r.caches[0].TagStoreBusyAt(r.clock.Now()) {
+	if r.caches[0].TagStoreBusyWithin(r.clock.Now(), 1) {
 		t.Fatal("tag store still busy after transaction")
 	}
 }

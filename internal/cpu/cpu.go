@@ -161,7 +161,7 @@ type Processor struct {
 	probeStalled bool
 	halted       bool
 
-	instrHook func(p *Processor)
+	instrHook func(p *Processor) (local bool)
 
 	pendingInts []int
 
@@ -217,8 +217,9 @@ func (p *Processor) Source() trace.Source { return p.src }
 
 // SetInstrHook installs a callback invoked at every instruction boundary,
 // before the next instruction begins. The Topaz scheduler uses it for
-// quantum accounting and context switching.
-func (p *Processor) SetInstrHook(fn func(*Processor)) { p.instrHook = fn }
+// quantum accounting and context switching. It reports local when it
+// wrote nothing the bus's, a cache's or a device's NextEvent reads.
+func (p *Processor) SetInstrHook(fn func(*Processor) (local bool)) { p.instrHook = fn }
 
 // Halt stops the processor; Resume restarts it. A halted processor
 // consumes no ticks.
@@ -228,21 +229,6 @@ func (p *Processor) Resume() { p.halted = false }
 
 // Halted reports whether the processor is halted.
 func (p *Processor) Halted() bool { return p.halted }
-
-// NextEvent reports the earliest future cycle at which the processor may
-// change state: the next tick boundary, or sim.Never while halted. Like
-// every NextEvent in the simulator it is a pure function of component
-// state and may under-shoot (report an earlier cycle than the real event)
-// but never over-shoot: stepping the processor on any cycle strictly
-// before the returned one is an observable no-op. The machine's run loop
-// uses it to find the tick boundaries it moves the clock between.
-func (p *Processor) NextEvent(now sim.Cycle) sim.Cycle {
-	if p.halted {
-		return sim.Never
-	}
-	tc := sim.Cycle(p.v.TickCycles)
-	return (now/tc + 1) * tc
-}
 
 // Interrupt implements mbus.InterruptSink.
 func (p *Processor) Interrupt(from int) {
@@ -276,12 +262,12 @@ func (p *Processor) Step() {
 
 // Tick runs the processor's action for the current tick boundary; unlike
 // Step it does not test the clock, so the caller must call it only on a
-// boundary (NextEvent names the next one). A halted processor does
-// nothing. Tick reports whether the tick stayed local: no instruction
-// hook ran (a hook may reach kernel state, devices and other processors)
-// and no cache access was left outstanding (a miss, a write-through or a
-// deferred access raises work for the next bus cycle). The machine's run
-// loop keeps ticking only the processors while every tick stays local.
+// boundary (a multiple of the variant's TickCycles). A halted processor
+// does nothing. Tick reports whether the tick stayed local: it left no
+// cache access outstanding (a miss, a write-through or a deferred access
+// raises work for the next bus cycle), and the instruction hook, if one
+// ran, reported local. The machine's run loop keeps ticking only the
+// processors while every tick stays local.
 func (p *Processor) Tick() (local bool) {
 	if p.halted {
 		return true
@@ -305,10 +291,9 @@ func (p *Processor) tick() (local bool) {
 	local = true
 	if p.qhead == len(p.queue) {
 		if p.instrHook != nil {
-			local = false
-			p.instrHook(p)
+			local = p.instrHook(p)
 			if p.halted {
-				return false
+				return local
 			}
 		}
 		p.buildInstruction()

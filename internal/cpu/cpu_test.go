@@ -225,11 +225,12 @@ func TestInstrHookAndSetSource(t *testing.T) {
 	m := newMachine(1, MicroVAX78032(), hitSource)
 	var hookCount int
 	other := &trace.Fixed{Addr: 0x2000}
-	m.cpus[0].SetInstrHook(func(p *Processor) {
+	m.cpus[0].SetInstrHook(func(p *Processor) bool {
 		hookCount++
 		if hookCount == 5 {
 			p.SetSource(other)
 		}
+		return true
 	})
 	m.run(2000)
 	if hookCount == 0 {
@@ -246,11 +247,110 @@ func TestInstrHookAndSetSource(t *testing.T) {
 
 func TestHookCanHalt(t *testing.T) {
 	m := newMachine(1, MicroVAX78032(), hitSource)
-	m.cpus[0].SetInstrHook(func(p *Processor) { p.Halt() })
+	m.cpus[0].SetInstrHook(func(p *Processor) bool { p.Halt(); return true })
 	m.run(1000)
 	st := m.cpus[0].Stats()
 	if st.Instructions > 2 {
 		t.Fatalf("halt from hook ignored: %d instructions", st.Instructions)
+	}
+}
+
+// tickRun advances m like run, but drives every processor through Tick
+// on its tick boundaries instead of Step on every cycle, and counts the
+// boundaries at which CPU 0's tick reported non-local.
+func (m *machine) tickRun(cycles int) (nonLocal int) {
+	for i := 0; i < cycles; i++ {
+		m.clock.Tick()
+		m.bus.Step()
+		for _, p := range m.cpus {
+			p.Cache().Step()
+		}
+		if uint64(m.clock.Now())%uint64(m.cpus[0].v.TickCycles) != 0 {
+			continue
+		}
+		for j, p := range m.cpus {
+			if !p.Tick() && j == 0 {
+				nonLocal++
+			}
+		}
+	}
+	return nonLocal
+}
+
+// TestTickHookLocal: on a warm cache, where every reference hits, a
+// hook that reports local leaves every tick local although it runs at
+// every instruction boundary.
+func TestTickHookLocal(t *testing.T) {
+	m := newMachine(1, MicroVAX78032(), hitSource)
+	m.run(1000)
+	calls := 0
+	m.cpus[0].SetInstrHook(func(*Processor) bool { calls++; return true })
+	if n := m.tickRun(2000); n != 0 {
+		t.Fatalf("%d non-local ticks with a local hook and an all-hit source", n)
+	}
+	if calls == 0 {
+		t.Fatal("hook never ran")
+	}
+}
+
+// TestTickHookNonLocal: a hook that reports non-local makes exactly the
+// ticks it runs on non-local.
+func TestTickHookNonLocal(t *testing.T) {
+	m := newMachine(1, MicroVAX78032(), hitSource)
+	m.run(1000)
+	calls := 0
+	m.cpus[0].SetInstrHook(func(*Processor) bool { calls++; return false })
+	n := m.tickRun(2000)
+	if calls == 0 || n != calls {
+		t.Fatalf("%d non-local ticks for %d non-local hook calls", n, calls)
+	}
+}
+
+// TestTickMissNonLocal: a tick that leaves a cache access outstanding is
+// non-local even with a local hook; on a cold cache the first reference
+// misses.
+func TestTickMissNonLocal(t *testing.T) {
+	m := newMachine(1, MicroVAX78032(), hitSource)
+	m.cpus[0].SetInstrHook(func(*Processor) bool { return true })
+	if n := m.tickRun(200); n == 0 {
+		t.Fatal("a cold-cache miss left every tick local")
+	}
+	if n := m.tickRun(2000); n != 0 {
+		t.Fatalf("%d non-local ticks once the cache is warm", n)
+	}
+}
+
+// TestTickHookHaltMatchesStep: a hook that halts the processor on its
+// third call leaves it in the same state under Tick as under Step,
+// whichever answer the hook gives, and Tick passes that answer on for
+// the halting call too.
+func TestTickHookHaltMatchesStep(t *testing.T) {
+	for _, answer := range []bool{true, false} {
+		mk := func() *machine {
+			m := newMachine(1, MicroVAX78032(), hitSource)
+			m.run(1000)
+			calls := 0
+			m.cpus[0].SetInstrHook(func(p *Processor) bool {
+				if calls++; calls == 3 {
+					p.Halt()
+				}
+				return answer
+			})
+			return m
+		}
+		stepped, ticked := mk(), mk()
+		stepped.run(500)
+		nonLocal := ticked.tickRun(500)
+		sp, tp := stepped.cpus[0], ticked.cpus[0]
+		if !sp.Halted() || !tp.Halted() {
+			t.Fatalf("answer %v: halted: stepped %v, ticked %v", answer, sp.Halted(), tp.Halted())
+		}
+		if sp.Stats() != tp.Stats() {
+			t.Fatalf("answer %v: stats diverged\nstepped %+v\nticked  %+v", answer, sp.Stats(), tp.Stats())
+		}
+		if want := map[bool]int{true: 0, false: 3}[answer]; nonLocal != want {
+			t.Fatalf("answer %v: %d non-local ticks, want %d", answer, nonLocal, want)
+		}
 	}
 }
 

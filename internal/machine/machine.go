@@ -430,12 +430,13 @@ func (m *Machine) Step() {
 //     boundary up to H-1, ticking only the running processors. At each
 //     boundary it first applies SkipCycles for the elided cycles, then
 //     ticks every running processor in port order, so the processors stay
-//     in lockstep and touch shared state (the Topaz ready queue, the fault
-//     plan's tag-parity stream, the synthetic shared region) in exactly
-//     the order Step would. The window ends after any tick that was not
-//     local (cpu.Processor.Tick): an instruction hook ran, which may give
-//     a device work, wake a thread or halt a processor, or a cache access
-//     was left outstanding. Run then scans again.
+//     in lockstep, each instruction hook runs at its own boundary, and
+//     shared state (the Topaz ready queue, the fault plan's tag-parity
+//     stream, the synthetic shared region) is touched in exactly the
+//     order Step would. The window ends after any boundary with a tick
+//     that was not local (cpu.Processor.Tick): a cache access was left
+//     outstanding, or an instruction hook reported non-local. Run then
+//     scans again.
 //   - With every processor halted the same window is a single jump: the
 //     fast path for DMA drains, seek waits, scripted rigs and
 //     halted-CPU measurement harnesses.
@@ -467,33 +468,32 @@ func (m *Machine) Run(n uint64) {
 	}
 }
 
-// runQuiet ticks the running processors on each of their tick boundaries
-// in (now, stop], moving the clock and the per-cycle accounting up to
-// each boundary first, and stops after the first tick that was not
-// local. Valid only when nothing but the processors has an event in the
-// window (nextEvent(now) > stop).
+// runQuiet ticks the running processors on each tick boundary in
+// (now, stop], one division finding the first and addition the rest,
+// after moving the clock and the per-cycle accounting up to it. It stops
+// after the first boundary with a non-local tick. Valid only when nothing
+// but the processors has an event in the window (nextEvent(now) > stop).
 func (m *Machine) runQuiet(now, stop sim.Cycle) {
-	for {
-		next := sim.Never
-		for _, p := range m.cpus {
-			next = sim.EarliestEvent(next, p.NextEvent(now))
+	tc := sim.Cycle(m.cfg.Variant.TickCycles)
+	next := sim.Never
+	for _, p := range m.cpus {
+		if !p.Halted() {
+			next = (now/tc + 1) * tc
+			break
 		}
-		if next > stop {
-			m.SkipCycles(uint64(stop - now))
-			return
-		}
+	}
+	for ; next <= stop; next += tc {
 		m.SkipCycles(uint64(next - now))
 		now = next
 		local := true
 		for _, p := range m.cpus {
-			if !p.Tick() {
-				local = false
-			}
+			local = p.Tick() && local
 		}
 		if !local {
 			return
 		}
 	}
+	m.SkipCycles(uint64(stop - now))
 }
 
 // nextEvent scans every time-owning component except the processors for

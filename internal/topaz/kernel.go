@@ -162,7 +162,7 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		k.procs = append(k.procs, ps)
 		proc := i
 		p.SetSource(ps.src)
-		p.SetInstrHook(func(*cpu.Processor) { k.onInstr(proc) })
+		p.SetInstrHook(func(*cpu.Processor) bool { return k.onInstr(proc) })
 	}
 	reg := m.Registry()
 	reg.Register("kernel.context_switches", func() uint64 { return k.stats.ContextSwitches })
@@ -348,18 +348,20 @@ func (k *Kernel) Offline(proc int) {
 // IsOffline reports whether processor proc has been offlined.
 func (k *Kernel) IsOffline(proc int) bool { return k.procs[proc].offline }
 
-// onInstr is the per-instruction scheduler hook for processor proc.
-func (k *Kernel) onInstr(proc int) {
+// onInstr is the per-instruction scheduler hook for processor proc. It
+// reports non-local only after advance, whose program code may give a
+// device work (DESIGN.md, "Tick only the processors").
+func (k *Kernel) onInstr(proc int) (local bool) {
 	ps := k.procs[proc]
 	if ps.offline {
-		return
+		return true
 	}
 	if k.m.Cache(proc).MachineCheck() {
 		// An uncorrectable cache fault (tag parity on a dirty line, or a
 		// bus access abandoned after retry exhaustion) latched since the
 		// last instruction: take the processor out of service.
 		k.Offline(proc)
-		return
+		return true
 	}
 	if len(k.sleepers) > 0 && k.m.Clock().Now() >= k.earliestWake {
 		k.wakeSleepers()
@@ -369,13 +371,13 @@ func (k *Kernel) onInstr(proc int) {
 		if ps.switchLeft == 0 {
 			ps.src.inKern = false
 		}
-		return
+		return true
 	}
 	t := ps.cur
 	if t == nil {
 		k.stats.IdleInstr++
 		k.dispatch(proc)
-		return
+		return true
 	}
 
 	t.Instructions++
@@ -386,7 +388,7 @@ func (k *Kernel) onInstr(proc int) {
 		t.instrLeft--
 		if t.instrLeft > 0 {
 			k.maybePreempt(proc)
-			return
+			return true
 		}
 	}
 
@@ -395,6 +397,7 @@ func (k *Kernel) onInstr(proc int) {
 	if ps.cur != nil {
 		k.maybePreempt(proc)
 	}
+	return false
 }
 
 func (k *Kernel) maybePreempt(proc int) {
