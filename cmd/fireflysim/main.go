@@ -123,7 +123,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // execute dispatches to the mode the flags select.
 func (o *options) execute(w io.Writer) error {
 	// A negative or NaN duration would wrap to an effectively endless
-	// cycle count.
+	// cycle count, and so would one whose cycles, warmup included, reach
+	// 2^63: the float-to-integer conversion is then undefined, and the
+	// run's end cycle could wrap.
+	cycles := 0.0
 	for _, d := range []struct {
 		flag string
 		s    float64
@@ -131,6 +134,10 @@ func (o *options) execute(w io.Writer) error {
 		if d.s < 0 || math.IsNaN(d.s) || math.IsInf(d.s, 0) {
 			return badf("-%s must be a finite non-negative number of seconds, got %v", d.flag, d.s)
 		}
+		cycles += math.Round(d.s * 1e9 / sim.CycleNS)
+	}
+	if cycles >= 1<<63 {
+		return badf("-seconds plus -warmup is %g cycles, at or beyond the simulator's 2^63-cycle range", cycles)
 	}
 	switch {
 	case o.verify != "":

@@ -151,6 +151,10 @@ func TestBadInput(t *testing.T) {
 		{"-workload", "nope"},
 		{"-travel", "1"},
 		{"-seconds", "-1"},
+		{"-seconds", "1e300"},
+		{"-seconds", "5e11", "-warmup", "5e11"},
+		{"-faults", "all=1e-3,start=5,end=1"},
+		{"-faults", "all=1e-3,addrmin=0x200,addrmax=0x100"},
 		{"-experiment", "table1"},
 	} {
 		name := strings.ReplaceAll(strings.Join(args, " "), tmp+string(filepath.Separator), "")

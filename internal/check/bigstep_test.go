@@ -60,7 +60,19 @@ type bigstepRig struct {
 	kernel  *topaz.Kernel
 }
 
-func newBigstepRig(t *testing.T, protoName string, seed uint64) *bigstepRig {
+// bigstepFaults is the synthetic-load rig's fault plan: correctable
+// classes only. Parity and timeouts are retried, soft memory errors
+// corrected, DMA stalls waited out. The retry backoff windows are exactly
+// the windows the event scan must get right (a backed-off requester is
+// invisible to the bus).
+var bigstepFaults = fault.Config{
+	BusParityRate:    2e-4,
+	BusTimeoutRate:   1e-4,
+	MemSoftErrorRate: 2e-4,
+	DMAStallRate:     2e-3,
+}
+
+func newBigstepRig(t *testing.T, protoName string, seed uint64, faults fault.Config) *bigstepRig {
 	t.Helper()
 	proto, ok := ProtocolByName(protoName)
 	if !ok {
@@ -73,16 +85,7 @@ func newBigstepRig(t *testing.T, protoName string, seed uint64) *bigstepRig {
 		CacheLines: 256,
 		LineWords:  2,
 		Seed:       seed,
-		// Correctable classes only: parity and timeouts are retried, soft
-		// memory errors corrected, DMA stalls waited out. The retry
-		// backoff windows are exactly the windows the event scan must get
-		// right (a backed-off requester is invisible to the bus).
-		Faults: &fault.Config{
-			BusParityRate:    2e-4,
-			BusTimeoutRate:   1e-4,
-			MemSoftErrorRate: 2e-4,
-			DMAStallRate:     2e-3,
-		},
+		Faults:     &faults,
 	})
 	rig := attachRig(t, m, 20_000)
 	m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05})
@@ -142,18 +145,37 @@ func driveBigstep(rig *bigstepRig, step func(uint64)) {
 // trace event streams (count and order-sensitive hash), identical
 // device counters, and a green coherence oracle on both machines.
 func TestBigStepDifferential(t *testing.T) {
-	for _, proto := range coherence.All() {
-		proto := proto
-		t.Run(proto.Name(), func(t *testing.T) {
-			t.Parallel()
-			for _, seed := range []uint64{1, 11} {
-				fast := newBigstepRig(t, proto.Name(), seed)
-				slow := newBigstepRig(t, proto.Name(), seed)
-				driveBigstep(fast, func(n uint64) { fast.m.Run(n) })
-				driveBigstep(slow, stepEach(slow.m))
-				diffRigs(t, fmt.Sprintf("seed %d", seed), fast, slow)
-			}
-		})
+	// The backoff subtests fault the bus often enough that processors
+	// wait out backed-off retries inside processor-only windows: a
+	// waiting processor stalls on every tick and has no compute ticks to
+	// elide.
+	backoff := bigstepFaults
+	backoff.BusParityRate, backoff.BusTimeoutRate = 5e-3, 2e-3
+	for _, plan := range []struct {
+		prefix string
+		faults fault.Config
+	}{{"", bigstepFaults}, {"backoff/", backoff}} {
+		for _, proto := range coherence.All() {
+			plan, proto := plan, proto
+			t.Run(plan.prefix+proto.Name(), func(t *testing.T) {
+				t.Parallel()
+				for _, seed := range []uint64{1, 11} {
+					fast := newBigstepRig(t, proto.Name(), seed, plan.faults)
+					slow := newBigstepRig(t, proto.Name(), seed, plan.faults)
+					driveBigstep(fast, func(n uint64) { fast.m.Run(n) })
+					driveBigstep(slow, stepEach(slow.m))
+					label := fmt.Sprintf("seed %d", seed)
+					diffRigs(t, label, fast, slow)
+					var retries uint64
+					for _, c := range slow.m.Caches() {
+						retries += c.Stats().Retries
+					}
+					if plan.prefix != "" && retries == 0 {
+						t.Errorf("%s: no cache retried a faulted bus operation", label)
+					}
+				}
+			})
+		}
 	}
 }
 

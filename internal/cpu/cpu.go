@@ -267,12 +267,42 @@ func (p *Processor) Step() {
 // cache access outstanding (a miss, a write-through or a deferred access
 // raises work for the next bus cycle), and the instruction hook, if one
 // ran, reported local. The machine's run loop keeps ticking only the
-// processors while every tick stays local.
+// processors while every tick stays local, and elides compute ticks with
+// SkipCompute.
 func (p *Processor) Tick() (local bool) {
 	if p.halted {
 		return true
 	}
 	return p.tick()
+}
+
+// ComputeAhead returns how many of the processor's next ticks are pure
+// compute: ticks that only count down the current compute step and read
+// nothing outside the processor (no clock, cache, source or hook). It is 0
+// while halted, while waiting on the cache, at a reference step and at an
+// instruction boundary.
+func (p *Processor) ComputeAhead() int {
+	if p.halted || p.waiting || p.qhead == len(p.queue) || p.queue[p.qhead].kind != stepCompute {
+		return 0
+	}
+	return p.queue[p.qhead].compute
+}
+
+// SkipCompute applies n elided compute ticks, n <= ComputeAhead(), in one
+// go, with exactly the effect of n calls to Tick.
+func (p *Processor) SkipCompute(n int) {
+	if n == 0 {
+		return
+	}
+	p.stats.Ticks += uint64(n)
+	st := &p.queue[p.qhead]
+	st.compute -= n
+	if st.compute == 0 {
+		p.qhead++
+		if p.qhead == len(p.queue) {
+			p.retire()
+		}
+	}
 }
 
 func (p *Processor) tick() (local bool) {

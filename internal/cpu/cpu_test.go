@@ -406,3 +406,168 @@ func TestStallAccountingConsistent(t *testing.T) {
 		t.Fatalf("TPI = %v, want ~%v from stall accounting", st.TPI(), wantTPI)
 	}
 }
+
+// refLog is a reference source that records each reference with the
+// cycle it was drawn at, so two runs compare by timing as well as by
+// address.
+type refLog struct {
+	src   trace.Source
+	clock *sim.Clock
+	refs  []refAt
+}
+
+type refAt struct {
+	at   sim.Cycle
+	kind trace.Kind
+	addr mbus.Addr
+}
+
+func (r *refLog) Next(k trace.Kind) trace.Ref {
+	ref := r.src.Next(k)
+	r.refs = append(r.refs, refAt{r.clock.Now(), k, ref.Addr})
+	return ref
+}
+
+// idle advances m like run without stepping the processors: the cycles a
+// caller has applied to them by SkipCompute.
+func (m *machine) idle(cycles int) {
+	for i := 0; i < cycles; i++ {
+		m.clock.Tick()
+		m.bus.Step()
+		for _, p := range m.cpus {
+			p.Cache().Step()
+		}
+	}
+}
+
+// TestSkipComputeMatchesTicks: at a tick boundary with k compute ticks
+// ahead, SkipCompute(n) followed by n elided boundaries leaves the
+// processor exactly where n real ticks do, for every n <= k: the same
+// counters, and the same next 1000 references at the same cycles.
+func TestSkipComputeMatchesTicks(t *testing.T) {
+	for _, v := range []Variant{MicroVAX78032(), CVAX78034()} {
+		tc := v.TickCycles
+		for seed := uint64(1); seed <= 4; seed++ {
+			mk := func(boundaries int) (*machine, *refLog) {
+				var log *refLog
+				m := newMachine(1, v, func(i int, c *core.Cache) trace.Source {
+					src := trace.NewSynthetic(trace.SyntheticConfig{
+						MissRate: 0.1, PrivateBase: 0x10000, PrivateBytes: 0x10000, Seed: seed,
+					}, trace.NewSharedRegion(0x300000, 16), c)
+					log = &refLog{src: src}
+					return log
+				})
+				log.clock = m.clock
+				m.tickRun(boundaries * tc)
+				return m, log
+			}
+			// Find the first boundary after warmup with at least two
+			// compute ticks ahead.
+			at := 500 + int(seed)*37
+			probe, _ := mk(at)
+			for probe.cpus[0].ComputeAhead() < 2 {
+				probe.tickRun(tc)
+				at++
+			}
+			ahead := probe.cpus[0].ComputeAhead()
+			for n := 1; n <= ahead; n++ {
+				skip, skipLog := mk(at)
+				tick, tickLog := mk(at)
+				skip.cpus[0].SkipCompute(n)
+				skip.idle(n * tc)
+				tick.tickRun(n * tc)
+				sp, tp := skip.cpus[0], tick.cpus[0]
+				if sp.Stats() != tp.Stats() {
+					t.Fatalf("%s seed %d n=%d of %d: stats diverged\nskipped %+v\nticked  %+v",
+						v.Name, seed, n, ahead, sp.Stats(), tp.Stats())
+				}
+				base := len(tickLog.refs)
+				for len(tickLog.refs) < base+1000 {
+					skip.tickRun(tc)
+					tick.tickRun(tc)
+				}
+				for i := base; i < base+1000; i++ {
+					if skipLog.refs[i] != tickLog.refs[i] {
+						t.Fatalf("%s seed %d n=%d of %d: reference %d diverged: skipped %+v, ticked %+v",
+							v.Name, seed, n, ahead, i-base, skipLog.refs[i], tickLog.refs[i])
+					}
+				}
+				if sp.Stats() != tp.Stats() {
+					t.Fatalf("%s seed %d n=%d of %d: stats diverged after 1000 references", v.Name, seed, n, ahead)
+				}
+			}
+		}
+	}
+}
+
+// TestComputeAhead: ComputeAhead is 0 while halted, while waiting on the
+// cache, at a reference step and at an instruction boundary, and
+// otherwise counts ticks that touch neither the reference source nor
+// the instruction hook, after which the processor is at one of the
+// states where it reports 0.
+func TestComputeAhead(t *testing.T) {
+	for _, v := range []Variant{MicroVAX78032(), CVAX78034()} {
+		var logs []*refLog
+		m := newMachine(2, v, func(i int, c *core.Cache) trace.Source {
+			log := &refLog{src: syntheticSource(0.3)(i, c)}
+			logs = append(logs, log)
+			return log
+		})
+		for _, log := range logs {
+			log.clock = m.clock
+		}
+		p := m.cpus[0]
+		hooks := 0
+		p.SetInstrHook(func(*Processor) bool { hooks++; return true })
+		seen := map[string]int{}
+		state := func() string {
+			switch {
+			case p.waiting:
+				return "waiting"
+			case p.qhead == len(p.queue):
+				return "boundary"
+			case p.queue[p.qhead].kind == stepRef:
+				return "reference"
+			}
+			return "compute"
+		}
+		for i := 0; i < 20_000; i++ {
+			m.tickRun(v.TickCycles)
+			ahead := p.ComputeAhead()
+			st := state()
+			seen[st]++
+			if st != "compute" {
+				if ahead != 0 {
+					t.Fatalf("%s: ComputeAhead %d %s", v.Name, ahead, st)
+				}
+				continue
+			}
+			if ahead < 1 || ahead != p.queue[p.qhead].compute {
+				t.Fatalf("%s: ComputeAhead %d in a compute step of %d ticks", v.Name, ahead, p.queue[p.qhead].compute)
+			}
+			refs, calls := len(logs[0].refs), hooks
+			m.tickRun(ahead * v.TickCycles)
+			if len(logs[0].refs) != refs || hooks != calls {
+				t.Fatalf("%s: %d compute ticks drew %d references and ran %d hooks",
+					v.Name, ahead, len(logs[0].refs)-refs, hooks-calls)
+			}
+			after := state()
+			if after != "boundary" && after != "reference" {
+				t.Fatalf("%s: %s after the %d compute ticks counted", v.Name, after, ahead)
+			}
+			seen[after]++
+			if n := p.ComputeAhead(); n != 0 {
+				t.Fatalf("%s: %d compute ticks ahead after the %d counted", v.Name, n, ahead)
+			}
+		}
+		for _, state := range []string{"compute", "waiting", "boundary", "reference"} {
+			if seen[state] == 0 {
+				t.Errorf("%s: never sampled a processor %s", v.Name, state)
+			}
+		}
+		p.Halt()
+		if n := p.ComputeAhead(); n != 0 {
+			t.Errorf("%s: ComputeAhead %d while halted", v.Name, n)
+		}
+	}
+}

@@ -105,7 +105,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks rate ranges.
+// Validate checks rate ranges and rejects empty cycle windows and
+// address ranges, which would silently inject nothing.
 func (c Config) Validate() error {
 	check := func(name string, v float64) error {
 		if !(v >= 0 && v <= 1) { // NaN fails both comparisons
@@ -130,8 +131,13 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.MaxRetries < 0 {
+	switch {
+	case c.MaxRetries < 0:
 		return fmt.Errorf("fault: negative max retries %d", c.MaxRetries)
+	case c.EndCycle != 0 && c.EndCycle < c.StartCycle:
+		return fmt.Errorf("fault: empty cycle window: end %d before start %d", c.EndCycle, c.StartCycle)
+	case c.AddrMax != 0 && c.AddrMax < c.AddrMin:
+		return fmt.Errorf("fault: empty address range: max %#x below min %#x", uint32(c.AddrMax), uint32(c.AddrMin))
 	}
 	return nil
 }

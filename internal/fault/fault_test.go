@@ -161,6 +161,35 @@ func TestValidateRejectsNaN(t *testing.T) {
 	}
 }
 
+// An end cycle before the start, or an address maximum below the
+// minimum, leaves nothing to inject into: the plan would silently do
+// nothing. One-cycle and one-address windows stay valid.
+func TestValidateRejectsEmptyWindows(t *testing.T) {
+	for _, c := range []Config{
+		{BusParityRate: 1e-3, StartCycle: 5, EndCycle: 1},
+		{BusParityRate: 1e-3, AddrMin: 0x200, AddrMax: 0x100},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v validated", c)
+		}
+	}
+	for _, spec := range []string{"all=1e-3,start=5,end=1", "all=1e-3,addrmin=0x200,addrmax=0x100"} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Errorf("ParseSpec(%q) accepted an empty window", spec)
+		}
+	}
+	for _, c := range []Config{
+		{StartCycle: 5, EndCycle: 5},
+		{StartCycle: 5},
+		{AddrMin: 0x100, AddrMax: 0x100},
+		{AddrMin: 0x100},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+}
+
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

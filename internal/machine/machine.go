@@ -171,7 +171,17 @@ type Machine struct {
 	tracer   *obs.Tracer
 	reg      *stats.Registry
 	plan     *fault.Plan
+	// hz holds each processor's place in the current processor-only
+	// window (runQuiet), kept here so a window allocates nothing.
+	hz []horizon
 }
+
+// horizon is one processor's place in a processor-only window, in tick
+// boundary indices (cycle / TickCycles): its last real tick, and its next
+// one (sim.Never once halted). The ticks strictly between are compute
+// ticks, applied by SkipCompute when the processor is next due or when
+// the window ends.
+type horizon struct{ last, due sim.Cycle }
 
 // New builds a machine. Reference sources start nil; attach them with
 // AttachSources (or install a Topaz kernel) before running.
@@ -194,6 +204,7 @@ func New(cfg Config) *Machine {
 		m.caches = append(m.caches, cache)
 		m.cpus = append(m.cpus, p)
 	}
+	m.hz = make([]horizon, cfg.Processors)
 	if cfg.Faults != nil {
 		fcfg := *cfg.Faults
 		if fcfg.Seed == 0 {
@@ -419,31 +430,32 @@ func (m *Machine) Step() {
 	}
 }
 
-// Run advances the machine by n cycles, in three regimes chosen by one
+// Run advances the machine by n cycles, in two regimes chosen by one
 // event scan over the bus, the caches and the devices — everything that
 // owns time except the processors:
 //
 //   - While a bus operation is in flight, or something has an event at
 //     the next cycle, Run steps one cycle.
 //   - Otherwise the bus, caches and devices are quiet until the scanned
-//     horizon H, and Run moves the clock from tick boundary to tick
-//     boundary up to H-1, ticking only the running processors. At each
-//     boundary it first applies SkipCycles for the elided cycles, then
-//     ticks every running processor in port order, so the processors stay
-//     in lockstep, each instruction hook runs at its own boundary, and
-//     shared state (the Topaz ready queue, the fault plan's tag-parity
-//     stream, the synthetic shared region) is touched in exactly the
-//     order Step would. The window ends after any boundary with a tick
-//     that was not local (cpu.Processor.Tick): a cache access was left
-//     outstanding, or an instruction hook reported non-local. Run then
-//     scans again.
-//   - With every processor halted the same window is a single jump: the
-//     fast path for DMA drains, seek waits, scripted rigs and
-//     halted-CPU measurement harnesses.
+//     horizon H, and runQuiet moves the clock up to H-1 ticking only the
+//     running processors, each only at its own references and
+//     instruction boundaries; the compute ticks between are applied in
+//     bulk (cpu.Processor.SkipCompute). Every real tick still runs at its
+//     own boundary, in port order, so each instruction hook and reference
+//     touches shared state (the Topaz ready queue, the fault plan's
+//     tag-parity stream, the synthetic shared region) in exactly the order
+//     Step would. The window ends after any boundary with a tick that was
+//     not local (cpu.Processor.Tick): a cache access was left outstanding,
+//     or an instruction hook reported non-local. Run then scans again.
+//     With every processor halted no processor is ever due, and the window
+//     is two bulk skips (to the first boundary, then to H-1): the fast
+//     path for DMA drains, seek waits, scripted rigs and halted-CPU
+//     measurement harnesses.
 //
 // The result is cycle-exact and byte-identical to stepping: inside a
 // window the bus, cache and device steps are provably no-ops apart from
-// the per-cycle accounting SkipCycles applies in bulk.
+// the per-cycle accounting SkipCycles applies in bulk, and a compute tick
+// touches only its own processor, which nothing reads mid-window.
 func (m *Machine) Run(n uint64) {
 	end := m.clock.Now() + sim.Cycle(n)
 	for {
@@ -468,32 +480,69 @@ func (m *Machine) Run(n uint64) {
 	}
 }
 
-// runQuiet ticks the running processors on each tick boundary in
-// (now, stop], one division finding the first and addition the rest,
-// after moving the clock and the per-cycle accounting up to it. It stops
-// after the first boundary with a non-local tick. Valid only when nothing
-// but the processors has an event in the window (nextEvent(now) > stop).
+// runQuiet moves the clock from now to stop, or to the first tick boundary
+// with a non-local tick, ticking each running processor only at the
+// boundaries where it is due: the first boundary after now, and after each
+// real tick the boundary following its ComputeAhead compute ticks. The
+// clock and the per-cycle accounting jump straight from one visited
+// boundary to the next. Due processors tick in port order, each first
+// catching up its elided compute ticks; when the window ends every
+// processor is settled through the last boundary, so the machine is left
+// exactly as lockstep ticking leaves it. Valid only when nothing but the
+// processors has an event in the window (nextEvent(now) > stop).
 func (m *Machine) runQuiet(now, stop sim.Cycle) {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
-	next := sim.Never
-	for _, p := range m.cpus {
-		if !p.Halted() {
-			next = (now/tc + 1) * tc
-			break
+	b, end := now/tc+1, stop/tc // first and last boundary index
+	if b > end {
+		m.SkipCycles(uint64(stop - now))
+		return
+	}
+	m.SkipCycles(uint64(b*tc - now))
+	// The first boundary ticks every processor, in the pass that sets the
+	// horizons.
+	local, next := true, sim.Never
+	for i, p := range m.cpus {
+		local = p.Tick() && local
+		next = min(next, m.rearm(i, b))
+	}
+	if !local {
+		return // every processor ticked at b, so none owes a compute tick
+	}
+	for local && next <= end {
+		m.SkipCycles(uint64((next - b) * tc))
+		b, next = next, sim.Never
+		for i, p := range m.cpus {
+			h := &m.hz[i]
+			if h.due == b {
+				p.SkipCompute(int(b - h.last - 1))
+				local = p.Tick() && local
+				m.rearm(i, b)
+			}
+			next = min(next, h.due)
 		}
 	}
-	for ; next <= stop; next += tc {
-		m.SkipCycles(uint64(next - now))
-		now = next
-		local := true
-		for _, p := range m.cpus {
-			local = p.Tick() && local
-		}
-		if !local {
-			return
+	if local {
+		b = end
+	}
+	for i, p := range m.cpus {
+		if h := &m.hz[i]; h.due != sim.Never {
+			p.SkipCompute(int(b - h.last))
 		}
 	}
-	m.SkipCycles(uint64(stop - now))
+	if local {
+		m.SkipCycles(uint64(stop - m.clock.Now()))
+	}
+}
+
+// rearm records that processor i ticked at boundary b and returns the
+// boundary it is next due at.
+func (m *Machine) rearm(i int, b sim.Cycle) sim.Cycle {
+	h := &m.hz[i]
+	h.last, h.due = b, sim.Never
+	if p := m.cpus[i]; !p.Halted() {
+		h.due = b + 1 + sim.Cycle(p.ComputeAhead())
+	}
+	return h.due
 }
 
 // nextEvent scans every time-owning component except the processors for

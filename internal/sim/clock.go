@@ -26,7 +26,8 @@ func (c Cycle) Seconds() float64 { return float64(c.NS()) * 1e-9 }
 // SecondsToCycles converts simulated seconds to the nearest whole number
 // of cycles. It rounds rather than truncates: 0.0003 s is 3000 cycles
 // even though 0.0003*1e7 lands a hair under 3000 in floating point.
-// Negative and NaN durations are the caller's to reject.
+// Negative and NaN durations, and those of 2^63 cycles or more, are the
+// caller's to reject.
 func SecondsToCycles(s float64) uint64 { return uint64(math.Round(s * 1e9 / CycleNS)) }
 
 // String formats the cycle with its wall-clock equivalent.
