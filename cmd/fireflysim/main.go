@@ -139,6 +139,9 @@ func (o *options) execute(w io.Writer) error {
 	if cycles >= 1<<63 {
 		return badf("-seconds plus -warmup is %g cycles, at or beyond the simulator's 2^63-cycle range", cycles)
 	}
+	if o.workers < 0 {
+		return badf("-workers %d: need 0 (one per CPU) or more", o.workers)
+	}
 	switch {
 	case o.verify != "":
 		return runVerify(w, o.verify, o.verifyOut)
@@ -154,7 +157,7 @@ func (o *options) execute(w io.Writer) error {
 		}
 		faults = &fcfg
 	}
-	if o.traffic != "" || o.clusterN > 0 {
+	if o.traffic != "" || o.clusterN != 0 {
 		return o.runFleet(w, faults)
 	}
 	return o.runMachine(w, faults)
@@ -258,7 +261,7 @@ func (o *options) runFleet(w io.Writer, faults *fault.Config) error {
 	} else if o.callers < 1 {
 		return badf("-callers %d: need at least 1 caller thread", o.callers)
 	}
-	if o.workers < 1 {
+	if o.workers == 0 {
 		o.workers = cluster.DefaultWorkers()
 	}
 	cfg.Workers = o.workers
@@ -357,7 +360,7 @@ func (o *options) runMachine(w io.Writer, faults *fault.Config) (err error) {
 	cfg.Seed = o.seed
 	cfg.LineWords = o.lineWords
 	cfg.Faults = faults
-	if o.cacheLines > 0 {
+	if o.cacheLines != 0 {
 		cfg.CacheLines = o.cacheLines
 	}
 	if err := cfg.Validate(); err != nil {

@@ -325,3 +325,66 @@ func checkKernelRigCoverage(t *testing.T, label string, rig *bigstepRig) {
 		t.Errorf("%s: %d of %d processors offlined, want at least one and not all", label, off, kernelRigCPUs)
 	}
 }
+
+// runChunks are the lengths, in cycles, of the Run calls the chunked
+// differential cycles through. The odd lengths start and end calls off
+// tick boundaries and in the middle of bus operations.
+var runChunks = []uint64{1, 2, 3, 5, 7, 64, 1001}
+
+// TestChunkedRunDifferential pins Run's entry and exit rules: each call
+// arms every processor's horizon from the clock and settles its elided
+// compute ticks on return. One twin is driven by many short Run calls,
+// the other by Step; after every call each processor's counters and the
+// bus counters must agree, and at the end so must the reports. The
+// machines cover a bus busy most cycles (10 MicroVAX CPUs at M=0.2), a
+// processor that ticks every cycle (the CVAX), and instruction hooks (a
+// Topaz kernel running the threads exerciser).
+func TestChunkedRunDifferential(t *testing.T) {
+	synthetic := func(cfg machine.Config, load trace.SyntheticLoad) func() *machine.Machine {
+		return func() *machine.Machine {
+			m := machine.New(cfg)
+			m.AttachSyntheticLoad(load)
+			return m
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		cycles uint64
+		build  func() *machine.Machine
+	}{
+		{"microvax-10cpu", 60_000, synthetic(machine.MicroVAXConfig(10), trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05})},
+		{"cvax-4cpu", 60_000, synthetic(machine.CVAXConfig(4), trace.SyntheticLoad{MissRate: 0.05, ShareFraction: 0.1, SharedReadFraction: 0.05})},
+		{"topaz-exerciser", 150_000, func() *machine.Machine {
+			m := machine.New(machine.MicroVAXConfig(5))
+			k := topaz.NewKernel(m, topaz.Config{Quantum: 1500, Seed: 3})
+			workload.NewExerciser(k, workload.ExerciserConfig{Threads: 16, Rounds: 1_000_000, SharedFraction: 0.35, Seed: 3})
+			return m
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			fast, slow := tc.build(), tc.build()
+			for i, done := 0, uint64(0); done < tc.cycles; i++ {
+				n := min(runChunks[i%len(runChunks)], tc.cycles-done)
+				fast.Run(n)
+				stepEach(slow)(n)
+				done += n
+				for p := range slow.Processors() {
+					if fs, ss := fast.CPU(p).Stats(), slow.CPU(p).Stats(); fs != ss {
+						t.Fatalf("cycle %d (chunk of %d): cpu%d diverged\nRun:  %+v\nStep: %+v", done, n, p, fs, ss)
+					}
+				}
+				if fb, sb := fmt.Sprintf("%+v", fast.Bus().Stats()), fmt.Sprintf("%+v", slow.Bus().Stats()); fb != sb {
+					t.Fatalf("cycle %d (chunk of %d): bus diverged\nRun:  %s\nStep: %s", done, n, fb, sb)
+				}
+			}
+			if fr, sr := fmt.Sprint(fast.Report()), fmt.Sprint(slow.Report()); fr != sr {
+				t.Errorf("reports diverged\n--- Run ---\n%s\n--- Step ---\n%s", fr, sr)
+			}
+			if slow.Bus().Stats().BusyCycles == 0 {
+				t.Error("the bus never carried an operation")
+			}
+		})
+	}
+}

@@ -266,9 +266,10 @@ func (p *Processor) Step() {
 // does nothing. Tick reports whether the tick stayed local: it left no
 // cache access outstanding (a miss, a write-through or a deferred access
 // raises work for the next bus cycle), and the instruction hook, if one
-// ran, reported local. The machine's run loop keeps ticking only the
-// processors while every tick stays local, and elides compute ticks with
-// SkipCompute.
+// ran, reported local. Machine.Run calls Tick only at the boundaries
+// where the processor is due (see ComputeAhead), on busy and quiet bus
+// cycles alike, and keeps a window of processor-only ticks open only
+// while every tick stays local.
 func (p *Processor) Tick() (local bool) {
 	if p.halted {
 		return true
@@ -281,6 +282,16 @@ func (p *Processor) Tick() (local bool) {
 // nothing outside the processor (no clock, cache, source or hook). It is 0
 // while halted, while waiting on the cache, at a reference step and at an
 // instruction boundary.
+//
+// Machine.Run elides these ticks for the whole call and applies them
+// with SkipCompute when the processor is next due or when Run returns.
+// That is exact because a compute tick commutes with everything else
+// that happens during Run: nothing outside the processor reads or writes
+// its step queue, its waiting flag or its tick and instruction counters.
+// Interrupt only queues and counts, for the processor's own hook to drain
+// at a real tick; SetSource changes only what the next reference reads;
+// Halt comes only from the processor's own hook or from outside Run; and
+// the cache's Busy is polled only while waiting, when ComputeAhead is 0.
 func (p *Processor) ComputeAhead() int {
 	if p.halted || p.waiting || p.qhead == len(p.queue) || p.queue[p.qhead].kind != stepCompute {
 		return 0

@@ -23,6 +23,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -106,7 +107,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate checks rate ranges and rejects empty cycle windows and
-// address ranges, which would silently inject nothing.
+// address ranges, which would silently inject nothing, and retry
+// schedules whose largest backoff reaches 2^63 cycles.
 func (c Config) Validate() error {
 	check := func(name string, v float64) error {
 		if !(v >= 0 && v <= 1) { // NaN fails both comparisons
@@ -131,9 +133,15 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
+	d := c.withDefaults()
 	switch {
 	case c.MaxRetries < 0:
 		return fmt.Errorf("fault: negative max retries %d", c.MaxRetries)
+	case d.MaxRetries > 64-bits.Len64(d.BackoffCycles):
+		// The last retry backs off BackoffCycles<<(MaxRetries-1) cycles,
+		// which must stay below 2^63 so it neither wraps to zero nor
+		// moves the retry cycle into the past.
+		return fmt.Errorf("fault: largest retry backoff %d<<%d cycles reaches 2^63", d.BackoffCycles, d.MaxRetries-1)
 	case c.EndCycle != 0 && c.EndCycle < c.StartCycle:
 		return fmt.Errorf("fault: empty cycle window: end %d before start %d", c.EndCycle, c.StartCycle)
 	case c.AddrMax != 0 && c.AddrMax < c.AddrMin:

@@ -190,6 +190,43 @@ func TestValidateRejectsEmptyWindows(t *testing.T) {
 	}
 }
 
+// The last retry backs off BackoffCycles<<(MaxRetries-1) cycles. A
+// schedule where that reaches 2^63 would wrap the shift to zero or move
+// the retry cycle into the past, so the run would have no backoff at all.
+// The largest schedules below the bound stay valid, and so do the
+// defaults (4 retries of 16 cycles).
+func TestValidateRejectsBackoffOverflow(t *testing.T) {
+	for _, c := range []Config{
+		{BackoffCycles: math.MaxUint64},
+		{BackoffCycles: 1 << 60}, // 2^60<<3 = 2^63 with the default 4 retries
+		{MaxRetries: 64, BackoffCycles: 1},
+		{MaxRetries: 100},
+		{MaxRetries: 60}, // 16<<59 = 2^63 with the default backoff
+		{MaxRetries: 2, BackoffCycles: 1 << 62},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v validated", c)
+		}
+	}
+	for _, spec := range []string{"backoff=18446744073709551615,all=1e-3", "retries=100,all=1e-3"} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Errorf("ParseSpec(%q) accepted an overflowing backoff", spec)
+		}
+	}
+	for _, c := range []Config{
+		{},
+		{BackoffCycles: 1<<60 - 1},
+		{MaxRetries: 1, BackoffCycles: 1<<63 - 1},
+		{MaxRetries: 63, BackoffCycles: 1},
+		{MaxRetries: 59},
+		{MaxRetries: 2, BackoffCycles: 1<<62 - 1},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+}
+
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -171,16 +171,16 @@ type Machine struct {
 	tracer   *obs.Tracer
 	reg      *stats.Registry
 	plan     *fault.Plan
-	// hz holds each processor's place in the current processor-only
-	// window (runQuiet), kept here so a window allocates nothing.
+	// hz holds each processor's horizon for the current Run call, kept
+	// here so a Run allocates nothing.
 	hz []horizon
 }
 
-// horizon is one processor's place in a processor-only window, in tick
-// boundary indices (cycle / TickCycles): its last real tick, and its next
-// one (sim.Never once halted). The ticks strictly between are compute
-// ticks, applied by SkipCompute when the processor is next due or when
-// the window ends.
+// horizon is one processor's place in a Run call, in tick boundary
+// indices (cycle / TickCycles): its last real tick, and its next one
+// (sim.Never once halted). Run arms it on entry and settles it on
+// return. The ticks strictly between are compute ticks, applied by
+// SkipCompute when the processor is next due or when Run returns.
 type horizon struct{ last, due sim.Cycle }
 
 // New builds a machine. Reference sources start nil; attach them with
@@ -415,8 +415,18 @@ func (m *Machine) AttachSyntheticLoad(load trace.SyntheticLoad) {
 // Step advances the machine one bus cycle: bus, then caches (deferred
 // work), then devices, then processors. Processor requests raised in this
 // cycle reach arbitration on the next, matching the hardware's
-// request/grant timing.
+// request/grant timing. Step is the lockstep reference Run is checked
+// against: it ticks every running processor at every tick boundary.
 func (m *Machine) Step() {
+	m.stepShared()
+	for _, p := range m.cpus {
+		p.Step()
+	}
+}
+
+// stepShared advances the clock one cycle and steps everything but the
+// processors, in the order every cycle uses: bus, caches, devices.
+func (m *Machine) stepShared() {
 	m.clock.Tick()
 	m.bus.Step()
 	for _, c := range m.caches {
@@ -425,117 +435,109 @@ func (m *Machine) Step() {
 	for _, d := range m.devices {
 		d.Step()
 	}
-	for _, p := range m.cpus {
-		p.Step()
-	}
 }
 
-// Run advances the machine by n cycles, in two regimes chosen by one
-// event scan over the bus, the caches and the devices — everything that
-// owns time except the processors:
+// Run advances the machine by n cycles. It gives each processor one
+// horizon for the whole call (armed on entry, settled on return) and
+// ticks a processor only at the boundaries where it is due: its
+// references, its instruction boundaries and its stall ticks. The compute
+// ticks between are applied in bulk (cpu.Processor.SkipCompute) when the
+// processor is next due or when Run returns. Due processors tick in port
+// order, so each instruction hook and reference touches shared state (the
+// Topaz ready queue, the fault plan's tag-parity stream, the synthetic
+// shared region) in exactly the order Step would.
+//
+// The rest of the machine runs in two regimes, chosen by one event scan
+// over the bus, the caches and the devices — everything that owns time
+// except the processors:
 //
 //   - While a bus operation is in flight, or something has an event at
-//     the next cycle, Run steps one cycle.
-//   - Otherwise the bus, caches and devices are quiet until the scanned
-//     horizon H, and runQuiet moves the clock up to H-1 ticking only the
-//     running processors, each only at its own references and
-//     instruction boundaries; the compute ticks between are applied in
-//     bulk (cpu.Processor.SkipCompute). Every real tick still runs at its
-//     own boundary, in port order, so each instruction hook and reference
-//     touches shared state (the Topaz ready queue, the fault plan's
-//     tag-parity stream, the synthetic shared region) in exactly the order
-//     Step would. The window ends after any boundary with a tick that was
-//     not local (cpu.Processor.Tick): a cache access was left outstanding,
-//     or an instruction hook reported non-local. Run then scans again.
-//     With every processor halted no processor is ever due, and the window
-//     is two bulk skips (to the first boundary, then to H-1): the fast
-//     path for DMA drains, seek waits, scripted rigs and halted-CPU
-//     measurement harnesses.
+//     the next cycle, Run steps the bus, caches and devices one cycle and
+//     then ticks the processors due at that boundary.
+//   - Otherwise they are quiet until the scanned horizon H, and runQuiet
+//     jumps the clock from one due boundary to the next, up to H-1. The
+//     window ends after any boundary with a tick that was not local
+//     (cpu.Processor.Tick): a cache access was left outstanding, or an
+//     instruction hook reported non-local. Run then scans again. With
+//     every processor halted no processor is ever due, and the window is
+//     one bulk skip: the fast path for DMA drains, seek waits, scripted
+//     rigs and halted-CPU measurement harnesses.
 //
-// The result is cycle-exact and byte-identical to stepping: inside a
+// The result is cycle-exact and byte-identical to stepping. Inside a
 // window the bus, cache and device steps are provably no-ops apart from
-// the per-cycle accounting SkipCycles applies in bulk, and a compute tick
-// touches only its own processor, which nothing reads mid-window.
+// the per-cycle accounting SkipCycles applies in bulk. A compute tick
+// touches only its own processor, and nothing the bus, caches or devices
+// do reads or writes a processor's step queue or counters: a bus
+// interrupt only queues on the processor, a processor is halted only by
+// its own hook or from outside Run, and a cache's Busy is polled only by
+// a waiting processor, which has no compute ahead.
 func (m *Machine) Run(n uint64) {
-	end := m.clock.Now() + sim.Cycle(n)
-	for {
-		now := m.clock.Now()
-		if now >= end {
-			return
+	tc := sim.Cycle(m.cfg.Variant.TickCycles)
+	now := m.clock.Now()
+	end := now + sim.Cycle(n)
+	next := sim.Never // the earliest boundary any processor is due at
+	for i := range m.cpus {
+		next = min(next, m.rearm(i, now/tc))
+	}
+	for now < end {
+		if !m.bus.Busy() {
+			if h := m.nextEvent(now); h > now+1 {
+				next = m.runQuiet(now, min(h-1, end), next)
+				now = m.clock.Now()
+				continue
+			}
 		}
-		if m.bus.Busy() {
-			m.Step()
-			continue
+		m.stepShared()
+		now++
+		if next != sim.Never && now == next*tc {
+			next, _ = m.tickDue(next)
 		}
-		h := m.nextEvent(now)
-		if h <= now+1 {
-			m.Step()
-			continue
+	}
+	for i, p := range m.cpus {
+		if h := &m.hz[i]; h.due != sim.Never {
+			p.SkipCompute(int(end/tc - h.last))
 		}
-		stop := h - 1
-		if stop > end {
-			stop = end
-		}
-		m.runQuiet(now, stop)
 	}
 }
 
 // runQuiet moves the clock from now to stop, or to the first tick boundary
-// with a non-local tick, ticking each running processor only at the
-// boundaries where it is due: the first boundary after now, and after each
-// real tick the boundary following its ComputeAhead compute ticks. The
-// clock and the per-cycle accounting jump straight from one visited
-// boundary to the next. Due processors tick in port order, each first
-// catching up its elided compute ticks; when the window ends every
-// processor is settled through the last boundary, so the machine is left
-// exactly as lockstep ticking leaves it. Valid only when nothing but the
-// processors has an event in the window (nextEvent(now) > stop).
-func (m *Machine) runQuiet(now, stop sim.Cycle) {
+// with a non-local tick, jumping straight from one due boundary to the
+// next; next is the earliest due boundary, and runQuiet returns the one
+// after it stops. Valid only when nothing but the processors has an event
+// in the window (nextEvent(now) > stop).
+func (m *Machine) runQuiet(now, stop, next sim.Cycle) sim.Cycle {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
-	b, end := now/tc+1, stop/tc // first and last boundary index
-	if b > end {
-		m.SkipCycles(uint64(stop - now))
-		return
-	}
-	m.SkipCycles(uint64(b*tc - now))
-	// The first boundary ticks every processor, in the pass that sets the
-	// horizons.
-	local, next := true, sim.Never
-	for i, p := range m.cpus {
-		local = p.Tick() && local
-		next = min(next, m.rearm(i, b))
-	}
-	if !local {
-		return // every processor ticked at b, so none owes a compute tick
-	}
-	for local && next <= end {
-		m.SkipCycles(uint64((next - b) * tc))
-		b, next = next, sim.Never
-		for i, p := range m.cpus {
-			h := &m.hz[i]
-			if h.due == b {
-				p.SkipCompute(int(b - h.last - 1))
-				local = p.Tick() && local
-				m.rearm(i, b)
-			}
-			next = min(next, h.due)
+	for local := true; next <= stop/tc; {
+		m.SkipCycles(uint64(next*tc - now))
+		now = next * tc
+		if next, local = m.tickDue(next); !local {
+			return next
 		}
 	}
-	if local {
-		b = end
-	}
-	for i, p := range m.cpus {
-		if h := &m.hz[i]; h.due != sim.Never {
-			p.SkipCompute(int(b - h.last))
-		}
-	}
-	if local {
-		m.SkipCycles(uint64(stop - m.clock.Now()))
-	}
+	m.SkipCycles(uint64(stop - now))
+	return next
 }
 
-// rearm records that processor i ticked at boundary b and returns the
-// boundary it is next due at.
+// tickDue ticks, in port order, every processor due at boundary b, each
+// first catching up its elided compute ticks, and rearms it. It returns
+// the earliest boundary any processor is due at next, and whether every
+// tick stayed local.
+func (m *Machine) tickDue(b sim.Cycle) (next sim.Cycle, local bool) {
+	next, local = sim.Never, true
+	for i, p := range m.cpus {
+		h := &m.hz[i]
+		if h.due == b {
+			p.SkipCompute(int(b - h.last - 1))
+			local = p.Tick() && local
+			m.rearm(i, b)
+		}
+		next = min(next, h.due)
+	}
+	return next, local
+}
+
+// rearm records boundary b as processor i's last real tick and returns
+// the boundary it is next due at.
 func (m *Machine) rearm(i int, b sim.Cycle) sim.Cycle {
 	h := &m.hz[i]
 	h.last, h.due = b, sim.Never
