@@ -283,9 +283,13 @@ func (o *options) runFleet(w io.Writer, faults *fault.Config) error {
 		return nil
 	}
 
-	cl.Node(0).StartServer()
+	if err := cl.Node(0).StartServer(); err != nil {
+		return badInput{err}
+	}
 	for i := 1; i < n; i++ {
-		cl.Node(i).StartCallers(o.callers, 0, 0)
+		if err := cl.Node(i).StartCallers(o.callers, 0, 0); err != nil {
+			return badInput{err}
+		}
 	}
 	cl.RunSeconds(o.seconds)
 	fmt.Fprintf(w, "cluster: %d machines on %d segment(s), %d caller threads each, %d workers, %.3f simulated seconds\n",

@@ -144,6 +144,10 @@ func TestBadInput(t *testing.T) {
 		{"-cluster", "1"},
 		{"-cluster", "2", "-segments", "3"},
 		{"-cluster", "2", "-callers", "0"},
+		{"-cluster", "2", "-callers", "14"},
+		{"-cluster", "2", "-callers", "16"},
+		{"-cluster", "2", "-faults", "stall=1e-2,stallcycles=18446744073709551615"},
+		{"-linewords", "1048576"},
 		{"-traffic", "rate=0"},
 		{"-traffic", "rate=100", "-segments", "0"},
 		{"-faults", "bogus"},

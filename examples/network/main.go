@@ -17,7 +17,9 @@ import (
 
 func main() {
 	cl := cluster.New(cluster.Config{})
-	cl.Node(1).StartServer()
+	if err := cl.Node(1).StartServer(); err != nil {
+		panic(err)
+	}
 
 	var out *rpc.CallOutcome
 	cl.Node(0).Issue(1, 1024, rpc.DefaultProc, func(o rpc.CallOutcome) { out = &o })

@@ -263,15 +263,13 @@ func (c StressConfig) machineConfig(proto core.Protocol) machine.Config {
 	}
 }
 
-// validate checks a defaulted config as the rig builds it: a valid
-// machine whose memory holds the pool with its aliasing offset of one
-// cache size. Each factor is bounded before it is multiplied, so an
-// absurd geometry can neither overflow nor size an allocation.
+// validate checks a defaulted config as the rig builds it: a machine
+// whose memory holds the pool with its aliasing offset of one cache size,
+// and that is valid. The fit comes first because it is the stricter size
+// rule. Each factor is bounded before it is multiplied, so an absurd
+// geometry can neither overflow nor size an allocation.
 func (c StressConfig) validate(proto core.Protocol) error {
 	mc := c.machineConfig(proto)
-	if err := mc.Validate(); err != nil {
-		return err
-	}
 	mem := uint64(mc.MemoryModules) * uint64(mc.ModuleBytes)
 	words, lines, pairs := uint64(c.LineWords), uint64(c.CacheLines), (uint64(c.PoolLines)+1)/2
 	if words > mem/4 || lines > mem/(4*words) || pairs > mem/(4*words) ||
@@ -279,7 +277,7 @@ func (c StressConfig) validate(proto core.Protocol) error {
 		return fmt.Errorf("check: %d pool lines and a %d-line cache of %d-word lines do not fit the rig's %d-byte memory",
 			c.PoolLines, c.CacheLines, c.LineWords, mem)
 	}
-	return nil
+	return mc.Validate()
 }
 
 // RunSchedule executes a schedule under full checking and returns the

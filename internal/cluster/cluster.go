@@ -425,9 +425,9 @@ func (c *Cluster) round(w uint64) {
 	c.window = w
 	sim.Parallel(c.cfg.Workers, len(c.members), c.runMember)
 	// Phase B replays the wire from event to event. Between injections
-	// and wire events a segment's only per-cycle effects are busy-cycle
-	// accounting and carrier-sense deferral marks, which SkipCycles
-	// credits in bulk; no machine is called, so nothing else can happen.
+	// and wire events a segment step would only repeat the carrier-sense
+	// deferral marks the next event's step makes anyway, and no machine
+	// is called, so the clock moves straight to the cycle before it.
 	end := c.clock.Now() + sim.Cycle(w)
 	stamp := c.nextStamp()
 	for now := c.clock.Now(); now < end; now = c.clock.Now() {
@@ -440,7 +440,7 @@ func (c *Cluster) round(w uint64) {
 			if target > end {
 				target = end
 			}
-			c.skipWire(uint64(target - now))
+			c.clock.Advance(target - now)
 			continue
 		}
 		now = c.clock.Tick()
@@ -504,17 +504,6 @@ func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 		h = sim.EarliestEvent(h, c.bridge.NextEvent(now))
 	}
 	return h
-}
-
-// skipWire advances the cluster clock and each segment's busy
-// accounting n cycles in bulk, leaving the machines where they are.
-// Valid only when no wire event and no injection falls inside the
-// stretch.
-func (c *Cluster) skipWire(n uint64) {
-	c.clock.Advance(sim.Cycle(n))
-	for _, s := range c.segs {
-		s.SkipCycles(n)
-	}
 }
 
 // RunSeconds advances the cluster by simulated wall time, rounded to

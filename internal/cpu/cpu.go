@@ -139,20 +139,15 @@ type step struct {
 	compute int
 }
 
-// Processor is one Firefly CPU. The machine steps it once per bus cycle;
-// it acts on its tick boundaries.
+// Processor is one Firefly CPU. The machine calls Tick on its tick
+// boundaries.
 type Processor struct {
 	id    int
 	clock *sim.Clock
 	v     Variant
 	cache *core.Cache
 	src   trace.Source
-	// tickMask is TickCycles-1 when TickCycles is a power of two (both
-	// hardware variants: 1 and 2), letting the per-cycle tick-boundary
-	// test be a mask instead of a 64-bit modulo; -1 disables the fast
-	// path.
-	tickMask int64
-	rng      *sim.Rand
+	rng   *sim.Rand
 
 	tpiCarry     float64
 	queue        []step
@@ -176,19 +171,14 @@ func New(id int, clock *sim.Clock, v Variant, cache *core.Cache, src trace.Sourc
 	if cache == nil {
 		panic("cpu: processor needs a cache")
 	}
-	p := &Processor{
-		id:       id,
-		clock:    clock,
-		v:        v,
-		cache:    cache,
-		src:      src,
-		tickMask: -1,
-		rng:      sim.NewRand(seed ^ uint64(id)*0x9e3779b9),
+	return &Processor{
+		id:    id,
+		clock: clock,
+		v:     v,
+		cache: cache,
+		src:   src,
+		rng:   sim.NewRand(seed ^ uint64(id)*0x9e3779b9),
 	}
-	if v.TickCycles&(v.TickCycles-1) == 0 {
-		p.tickMask = int64(v.TickCycles - 1)
-	}
-	return p
 }
 
 // ID returns the processor number.
@@ -243,26 +233,10 @@ func (p *Processor) TakeInterrupts() []int {
 	return ints
 }
 
-// Step advances the processor by one bus cycle. It acts only on its tick
-// boundaries; the machine must call Step exactly once per cycle, after the
-// bus has been stepped.
-func (p *Processor) Step() {
-	if p.halted {
-		return
-	}
-	if p.tickMask >= 0 {
-		if int64(p.clock.Now())&p.tickMask != 0 {
-			return
-		}
-	} else if uint64(p.clock.Now())%uint64(p.v.TickCycles) != 0 {
-		return
-	}
-	p.tick()
-}
-
-// Tick runs the processor's action for the current tick boundary; unlike
-// Step it does not test the clock, so the caller must call it only on a
-// boundary (a multiple of the variant's TickCycles). A halted processor
+// Tick runs the processor's action for the current tick boundary. It
+// does not test the clock, so the caller must call it only on a boundary
+// (a multiple of the variant's TickCycles), after the bus, the caches and
+// the devices have stepped that cycle. A halted processor
 // does nothing. Tick reports whether the tick stayed local: it left no
 // cache access outstanding (a miss, a write-through or a deferred access
 // raises work for the next bus cycle), and the instruction hook, if one

@@ -35,17 +35,19 @@ func newMachine(n int, v Variant, mkSource func(i int, c *core.Cache) trace.Sour
 	return m
 }
 
-func (m *machine) run(cycles int) {
-	for i := 0; i < cycles; i++ {
-		m.clock.Tick()
-		m.bus.Step()
-		for _, p := range m.cpus {
-			p.Cache().Step()
-		}
-		for _, p := range m.cpus {
-			p.Step()
-		}
+// run advances m the way Machine.Step does: each cycle it steps the bus
+// and the caches and then, on a tick boundary, ticks every processor.
+func (m *machine) run(cycles int) { m.tickRun(cycles) }
+
+// cycle moves m to the next cycle and steps the bus and the caches there.
+// It reports whether that cycle is a tick boundary.
+func (m *machine) cycle() (boundary bool) {
+	m.clock.Tick()
+	m.bus.Step()
+	for _, p := range m.cpus {
+		p.Cache().Step()
 	}
+	return uint64(m.clock.Now())%uint64(m.cpus[0].v.TickCycles) == 0
 }
 
 func hitSource(int, *core.Cache) trace.Source { return &trace.Fixed{Addr: 0x1000} }
@@ -255,17 +257,11 @@ func TestHookCanHalt(t *testing.T) {
 	}
 }
 
-// tickRun advances m like run, but drives every processor through Tick
-// on its tick boundaries instead of Step on every cycle, and counts the
-// boundaries at which CPU 0's tick reported non-local.
+// tickRun advances m like run and counts the boundaries at which CPU 0's
+// tick reported non-local.
 func (m *machine) tickRun(cycles int) (nonLocal int) {
 	for i := 0; i < cycles; i++ {
-		m.clock.Tick()
-		m.bus.Step()
-		for _, p := range m.cpus {
-			p.Cache().Step()
-		}
-		if uint64(m.clock.Now())%uint64(m.cpus[0].v.TickCycles) != 0 {
+		if !m.cycle() {
 			continue
 		}
 		for j, p := range m.cpus {
@@ -321,9 +317,9 @@ func TestTickMissNonLocal(t *testing.T) {
 }
 
 // TestTickHookHaltMatchesStep: a hook that halts the processor on its
-// third call leaves it in the same state under Tick as under Step,
-// whichever answer the hook gives, and Tick passes that answer on for
-// the halting call too.
+// third call halts it whichever answer the hook gives, twin rigs end in
+// the same state, and Tick passes that answer on for the halting call
+// too.
 func TestTickHookHaltMatchesStep(t *testing.T) {
 	for _, answer := range []bool{true, false} {
 		mk := func() *machine {
@@ -432,11 +428,7 @@ func (r *refLog) Next(k trace.Kind) trace.Ref {
 // caller has applied to them by SkipCompute.
 func (m *machine) idle(cycles int) {
 	for i := 0; i < cycles; i++ {
-		m.clock.Tick()
-		m.bus.Step()
-		for _, p := range m.cpus {
-			p.Cache().Step()
-		}
+		m.cycle()
 	}
 }
 

@@ -33,8 +33,12 @@ func ClusterRPC(o Options) Outcome {
 	}
 	rows := SweepItems(o, threads, func(n int) row {
 		cl := cluster.New(cluster.Config{Seed: 6, Segments: segments})
-		cl.Node(1).StartServer()
-		cl.Node(0).StartCallers(n, 1, 0)
+		if err := cl.Node(1).StartServer(); err != nil {
+			panic(err)
+		}
+		if err := cl.Node(0).StartCallers(n, 1, 0); err != nil {
+			panic(err)
+		}
 		cl.RunSeconds(secs)
 		cli := cl.Node(0).Stats()
 		return row{

@@ -108,7 +108,8 @@ func (c Config) withDefaults() Config {
 
 // Validate checks rate ranges and rejects empty cycle windows and
 // address ranges, which would silently inject nothing, and retry
-// schedules whose largest backoff reaches 2^63 cycles.
+// schedules whose largest backoff, or DMA stalls whose length, reaches
+// 2^63 cycles.
 func (c Config) Validate() error {
 	check := func(name string, v float64) error {
 		if !(v >= 0 && v <= 1) { // NaN fails both comparisons
@@ -142,6 +143,9 @@ func (c Config) Validate() error {
 		// which must stay below 2^63 so it neither wraps to zero nor
 		// moves the retry cycle into the past.
 		return fmt.Errorf("fault: largest retry backoff %d<<%d cycles reaches 2^63", d.BackoffCycles, d.MaxRetries-1)
+	case c.DMAStallCycles >= 1<<63:
+		// The stall's end cycle would wrap into the past: no stall at all.
+		return fmt.Errorf("fault: DMA stall of %d cycles reaches 2^63", c.DMAStallCycles)
 	case c.EndCycle != 0 && c.EndCycle < c.StartCycle:
 		return fmt.Errorf("fault: empty cycle window: end %d before start %d", c.EndCycle, c.StartCycle)
 	case c.AddrMax != 0 && c.AddrMax < c.AddrMin:

@@ -227,6 +227,22 @@ func TestValidateRejectsBackoffOverflow(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsStallOverflow: a DMA stall of 2^63 cycles or more
+// would wrap the engine's stall end into the past, so no stall at all.
+func TestValidateRejectsStallOverflow(t *testing.T) {
+	for _, n := range []uint64{1 << 63, math.MaxUint64} {
+		if err := (Config{DMAStallCycles: n}).Validate(); err == nil {
+			t.Errorf("DMA stall of %d cycles validated", n)
+		}
+	}
+	if _, err := ParseSpec("stall=1e-2,stallcycles=18446744073709551615"); err == nil {
+		t.Error("ParseSpec accepted an overflowing DMA stall")
+	}
+	if err := (Config{DMAStallCycles: 1<<63 - 1}).Validate(); err != nil {
+		t.Errorf("largest DMA stall below 2^63: %v", err)
+	}
+}
+
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -33,14 +33,14 @@ func snapDeviceRig() (*Machine, *qbus.Engine, *qbus.Disk) {
 }
 
 // TestStepZeroAllocsEventScan extends the hot-loop allocation contract
-// to the big-step path: the event scan, the bulk skip, the processor-only
-// ticks between bus operations, and the CycleSkipper accounting must all
-// run without allocating — while processors run on a quiet bus, while a
+// to the big-step path: the event scan, the clock jumps and the
+// processor-only ticks between bus operations must all run without
+// allocating — while processors run on a quiet bus, while a
 // device owns time (a disk mid-seek), and when the machine is fully
 // quiescent.
 func TestStepZeroAllocsEventScan(t *testing.T) {
-	// Running processors with a low miss rate and a DMA engine attached
-	// (a CycleSkipper): the bus stays idle for most cycles, so each
+	// Running processors with a low miss rate and a DMA engine attached:
+	// the bus stays idle for most cycles, so each
 	// measured Run spends most of its time ticking only the processors.
 	quiet := New(MicroVAXConfig(2))
 	quiet.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.01})

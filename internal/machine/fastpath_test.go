@@ -84,6 +84,45 @@ func TestIdleSkipAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestResetStatsInQuietWindow: statistics cleared at a cycle inside a
+// quiet window, where Run moves the clock without stepping the bus,
+// count from that cycle on. The bus counters and the report match a
+// stepped twin's, and the bus cycle count is exactly the cycles run since
+// the reset.
+func TestResetStatsInQuietWindow(t *testing.T) {
+	build := func() *Machine {
+		m := New(MicroVAXConfig(3))
+		m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.02, ShareFraction: 0.05})
+		return m
+	}
+	fast, slow := build(), build()
+	fast.Run(20_000)
+	stepN(slow, 20_000)
+	for now := fast.Clock().Now(); fast.Bus().Busy() || fast.nextEvent(now) <= now+1; now = fast.Clock().Now() {
+		fast.Run(1)
+		stepN(slow, 1)
+	}
+	fast.ResetStats()
+	slow.ResetStats()
+	const n = 30_000
+	fast.Run(n)
+	stepN(slow, n)
+	fb, sb := fast.Bus().Stats(), slow.Bus().Stats()
+	if fmt.Sprintf("%+v", fb) != fmt.Sprintf("%+v", sb) {
+		t.Fatalf("bus stats diverged\nrun  %+v\nstep %+v", fb, sb)
+	}
+	if fb.Cycles != n || fast.Registry().MustValue("bus.cycles") != n {
+		t.Fatalf("bus cycles %d (registry %d) after a reset and Run(%d)",
+			fb.Cycles, fast.Registry().MustValue("bus.cycles"), n)
+	}
+	if fb.BusyCycles == 0 || fb.BusyCycles*5 > fb.Cycles {
+		t.Fatalf("bus busy %d of %d cycles: want a loaded but mostly quiet bus", fb.BusyCycles, fb.Cycles)
+	}
+	if fr, sr := fmt.Sprint(fast.Report()), fmt.Sprint(slow.Report()); fr != sr {
+		t.Fatalf("reports diverged\n--- run ---\n%s\n--- stepped ---\n%s", fr, sr)
+	}
+}
+
 // TestRunSecondsRounds pins the satellite fix: RunSeconds rounds to the
 // nearest cycle instead of truncating. 150 ns is 1.5 cycles; truncation
 // ran 1 cycle, rounding runs 2.

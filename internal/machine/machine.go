@@ -126,6 +126,15 @@ func (c Config) Validate() error {
 	if !zeroOrPowerOfTwo(c.LineWords) {
 		return fmt.Errorf("machine: line words must be 0 (default) or a power of two, got %d", c.LineWords)
 	}
+	// Each cache's data store holds CacheLines x LineWords longwords; one
+	// larger than memory is no cache of this machine, and allocating it
+	// could exhaust the host. Divided, not multiplied, so it cannot wrap.
+	d := c.withDefaults()
+	mem := uint64(d.MemoryModules) * uint64(d.ModuleBytes)
+	if uint64(d.CacheLines) > mem/4/uint64(d.LineWords) {
+		return fmt.Errorf("machine: a cache of %d lines x %d words is larger than the %d-byte memory",
+			d.CacheLines, d.LineWords, mem)
+	}
 	return c.Variant.Validate()
 }
 
@@ -140,20 +149,12 @@ func zeroOrPowerOfTwo(n int) bool { return n >= 0 && n&(n-1) == 0 }
 // the distance (an early wake is only a lost skip) but never to
 // over-report it, with sim.Never meaning no event without new work from
 // outside the cycle loop. Run uses it to jump the clock over provably
-// dead windows in one bulk advance.
+// dead windows in one bulk advance, so a Step before the reported cycle
+// must do nothing at all: a device that counts elapsed time derives the
+// count from the clock when it is read.
 type Device interface {
 	Step()
 	NextEvent(now sim.Cycle) sim.Cycle
-}
-
-// CycleSkipper is an optional Device extension for devices whose Step
-// has per-cycle accounting even while waiting (the DMA engine counts
-// grant-wait and backoff stalls every cycle). When Run bulk-advances the
-// clock by n cycles it calls SkipCycles(n) so the device applies the
-// accounting those n elided Steps would have done. Devices without
-// per-cycle side effects need not implement it.
-type CycleSkipper interface {
-	SkipCycles(n uint64)
 }
 
 // Machine is an assembled Firefly system.
@@ -165,12 +166,9 @@ type Machine struct {
 	cpus    []*cpu.Processor
 	caches  []*core.Cache
 	devices []Device
-	// skippers are the devices that implement CycleSkipper, in AddDevice
-	// order, so SkipCycles makes no type assertion per call.
-	skippers []CycleSkipper
-	tracer   *obs.Tracer
-	reg      *stats.Registry
-	plan     *fault.Plan
+	tracer  *obs.Tracer
+	reg     *stats.Registry
+	plan    *fault.Plan
 	// hz holds each processor's horizon for the current Run call, kept
 	// here so a Run allocates nothing.
 	hz []horizon
@@ -379,9 +377,6 @@ func (m *Machine) Caches() []*core.Cache { return m.caches }
 // responsible for attaching itself to the bus.
 func (m *Machine) AddDevice(d Device) {
 	m.devices = append(m.devices, d)
-	if cs, ok := d.(CycleSkipper); ok {
-		m.skippers = append(m.skippers, cs)
-	}
 }
 
 // AttachSources installs a reference source per processor.
@@ -413,14 +408,18 @@ func (m *Machine) AttachSyntheticLoad(load trace.SyntheticLoad) {
 }
 
 // Step advances the machine one bus cycle: bus, then caches (deferred
-// work), then devices, then processors. Processor requests raised in this
-// cycle reach arbitration on the next, matching the hardware's
-// request/grant timing. Step is the lockstep reference Run is checked
-// against: it ticks every running processor at every tick boundary.
+// work), then devices, then, on a tick boundary, processors. Processor
+// requests raised in this cycle reach arbitration on the next, matching
+// the hardware's request/grant timing. Step is the lockstep reference Run
+// is checked against: it ticks every running processor at every tick
+// boundary.
 func (m *Machine) Step() {
 	m.stepShared()
+	if m.clock.Now()%sim.Cycle(m.cfg.Variant.TickCycles) != 0 {
+		return
+	}
 	for _, p := range m.cpus {
-		p.Step()
+		p.Tick()
 	}
 }
 
@@ -460,12 +459,12 @@ func (m *Machine) stepShared() {
 //     (cpu.Processor.Tick): a cache access was left outstanding, or an
 //     instruction hook reported non-local. Run then scans again. With
 //     every processor halted no processor is ever due, and the window is
-//     one bulk skip: the fast path for DMA drains, seek waits, scripted
+//     one clock jump: the fast path for DMA drains, seek waits, scripted
 //     rigs and halted-CPU measurement harnesses.
 //
 // The result is cycle-exact and byte-identical to stepping. Inside a
-// window the bus, cache and device steps are provably no-ops apart from
-// the per-cycle accounting SkipCycles applies in bulk. A compute tick
+// window the bus, cache and device steps are provably no-ops, and every
+// counter of elapsed time is derived from the clock. A compute tick
 // touches only its own processor, and nothing the bus, caches or devices
 // do reads or writes a processor's step queue or counters: a bus
 // interrupt only queues on the processor, a processor is halted only by
@@ -501,20 +500,21 @@ func (m *Machine) Run(n uint64) {
 }
 
 // runQuiet moves the clock from now to stop, or to the first tick boundary
-// with a non-local tick, jumping straight from one due boundary to the
-// next; next is the earliest due boundary, and runQuiet returns the one
-// after it stops. Valid only when nothing but the processors has an event
-// in the window (nextEvent(now) > stop).
+// with a non-local tick, advancing it straight from one due boundary to
+// the next; next is the earliest due boundary, and runQuiet returns the
+// one after it stops. Valid only when nothing but the processors has an
+// event in the window (nextEvent(now) > stop): the bus, cache and device
+// steps it leaves out would all have been no-ops.
 func (m *Machine) runQuiet(now, stop, next sim.Cycle) sim.Cycle {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
 	for local := true; next <= stop/tc; {
-		m.SkipCycles(uint64(next*tc - now))
+		m.clock.Advance(next*tc - now)
 		now = next * tc
 		if next, local = m.tickDue(next); !local {
 			return next
 		}
 	}
-	m.SkipCycles(uint64(stop - now))
+	m.clock.Advance(stop - now)
 	return next
 }
 
@@ -561,19 +561,6 @@ func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 		ev = sim.EarliestEvent(ev, d.NextEvent(now))
 	}
 	return ev
-}
-
-// SkipCycles advances the machine n cycles in one bulk jump: the clock
-// and the bus cycle counter move, and CycleSkipper devices apply their
-// per-cycle accounting. Valid only when no bus, cache, device or
-// processor event falls inside the window; Run maintains that
-// invariant.
-func (m *Machine) SkipCycles(n uint64) {
-	m.clock.Advance(sim.Cycle(n))
-	m.bus.SkipCycles(n)
-	for _, cs := range m.skippers {
-		cs.SkipCycles(n)
-	}
 }
 
 // RunSeconds advances the machine by the given simulated time, rounded

@@ -9,6 +9,7 @@ import (
 	"firefly/internal/core"
 	"firefly/internal/cpu"
 	"firefly/internal/mbus"
+	"firefly/internal/memory"
 	"firefly/internal/model"
 	"firefly/internal/sim"
 	"firefly/internal/trace"
@@ -58,6 +59,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := geometry(0, 0).Validate(); err != nil {
 		t.Errorf("Validate rejected default geometry: %v", err)
+	}
+}
+
+// TestConfigRejectsCacheLargerThanMemory: a cache whose data store
+// (lines x words x 4 bytes, defaults applied) exceeds the machine's
+// memory is refused before anything is allocated, also where the
+// product would overflow.
+func TestConfigRejectsCacheLargerThanMemory(t *testing.T) {
+	mem := uint64(4 * memory.MicroVAXModuleBytes)
+	for _, c := range []struct {
+		lines, words int
+		ok           bool
+	}{
+		{0, 1 << 20, false}, // 4096 default lines x 2^20 words: 16 GB
+		{0, 1 << 10, true},  // 16 MB, all of memory
+		{0, 1 << 11, false},
+		{1 << 22, 1, true},
+		{1 << 23, 1, false},
+		{1 << 40, 1 << 40, false}, // 2^82 bytes
+	} {
+		cfg := MicroVAXConfig(2)
+		cfg.CacheLines, cfg.LineWords = c.lines, c.words
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%d lines x %d words against %d bytes: Validate = %v, want ok %v",
+				c.lines, c.words, mem, err, c.ok)
+		}
 	}
 }
 

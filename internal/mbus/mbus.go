@@ -259,7 +259,7 @@ type port struct {
 type Stats struct {
 	Ops        [numOpKinds]uint64 // completed operations by kind
 	BusyCycles uint64             // cycles occupied by operations
-	Cycles     uint64             // total cycles stepped
+	Cycles     uint64             // cycles elapsed since New or ResetStats
 	SharedHits uint64             // ops during which MShared was asserted
 	WaitCycles uint64             // requester-cycles spent waiting for grant
 	PerPort    []uint64           // completed operations per initiating port
@@ -324,6 +324,7 @@ type Bus struct {
 	reqs      []bool // reused request buffer for arbitration
 
 	stats Stats
+	since sim.Cycle // clock at New or the last ResetStats; Stats derives Cycles from it
 
 	tracer *obs.Tracer
 }
@@ -337,7 +338,7 @@ func New(clock *sim.Clock, arb Arbiter) *Bus {
 		arb = NewFixedPriority()
 	}
 	arb.Reset()
-	return &Bus{clock: clock, arb: arb, lastGrant: -1}
+	return &Bus{clock: clock, arb: arb, lastGrant: -1, since: clock.Now()}
 }
 
 // Arbiter returns the bus's arbitration policy.
@@ -368,9 +369,12 @@ func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 	return len(b.ports) - 1
 }
 
-// Stats returns a snapshot of the accumulated bus statistics.
+// Stats returns a snapshot of the accumulated bus statistics. Cycles is
+// the time elapsed on the clock since New or ResetStats: skipped cycles
+// count without the bus doing anything for them.
 func (b *Bus) Stats() Stats {
 	s := b.stats
+	s.Cycles = uint64(b.clock.Now() - b.since)
 	s.PerPort = append([]uint64(nil), b.stats.PerPort...)
 	s.WaitPerPort = append([]uint64(nil), b.stats.WaitPerPort...)
 	return s
@@ -386,6 +390,7 @@ func (b *Bus) ResetStats() {
 		wait[i] = 0
 	}
 	b.stats = Stats{PerPort: per, WaitPerPort: wait}
+	b.since = b.clock.Now()
 }
 
 // SetTracer installs (or, with nil, removes) the observability tracer.
@@ -437,13 +442,6 @@ func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
 	return sim.Never
 }
 
-// SkipCycles accounts n cycles during which the caller has established
-// the bus would only have idled: the cycle counter advances with no
-// busy, wait, or operation accounting, exactly as n idle Steps would
-// have left it. The caller is responsible for advancing the machine
-// clock.
-func (b *Bus) SkipCycles(n uint64) { b.stats.Cycles += n }
-
 // Interrupt delivers an MBus interprocessor interrupt to the agent on the
 // target port. Delivery is immediate; the hardware used dedicated bus
 // facilities that did not contend with data transfers.
@@ -468,7 +466,6 @@ func (b *Bus) Interrupt(from, target int) {
 // Step exactly once per clock tick, after stepping the processors so that
 // requests raised this cycle are visible to arbitration.
 func (b *Bus) Step() {
-	b.stats.Cycles++
 	if !b.active {
 		b.arbitrate()
 		if !b.active {

@@ -154,11 +154,12 @@ type Segment struct {
 	cfg   Config
 	rng   *sim.Rand
 
-	stations []*Station
-	cur      *txFrame
-	curSrc   int
-	busyTill sim.Cycle
-	idleAt   sim.Cycle
+	stations  []*Station
+	cur       *txFrame
+	curSrc    int
+	busySince sim.Cycle // when cur seized the wire
+	busyTill  sim.Cycle
+	idleAt    sim.Cycle
 	// wake caches NextEvent while the wire is idle so per-cycle Steps
 	// through interframe gaps and backoff windows are one compare. Zero
 	// means unknown (recompute); Send resets it.
@@ -202,8 +203,16 @@ func (s *Segment) SetTracer(tr *obs.Tracer) { s.tracer = tr }
 // Tracer returns the installed tracer, or nil.
 func (s *Segment) Tracer() *obs.Tracer { return s.tracer }
 
-// Stats returns a snapshot of the segment counters.
-func (s *Segment) Stats() Stats { return s.stats }
+// Stats returns a snapshot of the segment counters. BusyCycles covers
+// every finished frame and the time the frame still on the wire has held
+// it so far.
+func (s *Segment) Stats() Stats {
+	st := s.stats
+	if s.cur != nil {
+		st.BusyCycles.Add(uint64(s.clock.Now() - s.busySince))
+	}
+	return st
+}
 
 // Utilization returns the fraction of elapsed cycles the wire was busy.
 func (s *Segment) Utilization() float64 {
@@ -211,7 +220,7 @@ func (s *Segment) Utilization() float64 {
 	if now == 0 {
 		return 0
 	}
-	return float64(s.stats.BusyCycles.Value()) / float64(now)
+	return float64(s.Stats().BusyCycles.Value()) / float64(now)
 }
 
 // RegisterStats names the segment counters in a registry.
@@ -224,7 +233,7 @@ func (s *Segment) RegisterStats(r *stats.Registry) {
 	r.RegisterCounter("net.deferrals", &s.stats.Deferrals)
 	r.RegisterCounter("net.aborted", &s.stats.Aborted)
 	r.RegisterCounter("net.words_on_wire", &s.stats.WordsOnWire)
-	r.RegisterCounter("net.busy_cycles", &s.stats.BusyCycles)
+	r.Register("net.busy_cycles", func() uint64 { return s.Stats().BusyCycles.Value() })
 }
 
 // emit sends a segment event to the tracer, if one is installed.
@@ -331,25 +340,6 @@ func (s *Segment) SendHorizon() sim.Cycle {
 		uint64(s.cfg.MaxAttempts-1)*s.cfg.SlotCycles))
 }
 
-// SkipCycles credits n skipped cycles of wire activity: the per-cycle
-// accounting Step would have done had it been called n times with the
-// wire in its current state. Only valid over a stretch that ends before
-// NextEvent and in which no station Sends: the cluster skips only
-// between wire events and injections of captured sends.
-func (s *Segment) SkipCycles(n uint64) {
-	if s.cur == nil {
-		return
-	}
-	s.stats.BusyCycles.Add(n)
-	// Carrier-sense deferral marking is idempotent per head frame, so
-	// marking once covers the whole window.
-	for _, st := range s.stations {
-		if st.id != s.curSrc && len(st.queue) > 0 {
-			st.queue[0].deferred = true
-		}
-	}
-}
-
 // Step advances the wire one cycle. The cluster must call it once per
 // cluster cycle, before stepping the machines.
 func (s *Segment) Step() {
@@ -367,7 +357,6 @@ func (s *Segment) Step() {
 func (s *Segment) step() {
 	now := s.clock.Now()
 	if s.cur != nil {
-		s.stats.BusyCycles.Inc()
 		// Carrier sense: anyone with a frame ready is deferring to the
 		// transmission in progress.
 		for _, st := range s.stations {
@@ -421,7 +410,8 @@ func (s *Segment) begin(st *Station) {
 	s.cur = tx
 	s.curSrc = st.id
 	words := uint64(len(tx.frame.Words))
-	s.busyTill = s.clock.Now() + sim.Cycle(words*s.cfg.WordCycles)
+	s.busySince = s.clock.Now()
+	s.busyTill = s.busySince + sim.Cycle(words*s.cfg.WordCycles)
 	s.stats.WordsOnWire.Add(words)
 	if tx.deferred {
 		s.stats.Deferrals.Inc()
@@ -474,7 +464,9 @@ const (
 func (s *Segment) finishFrame() {
 	tx := s.cur
 	s.cur = nil
-	s.idleAt = s.clock.Now() + sim.Cycle(s.cfg.GapCycles)
+	now := s.clock.Now()
+	s.idleAt = now + sim.Cycle(s.cfg.GapCycles)
+	s.stats.BusyCycles.Add(uint64(now - s.busySince))
 	s.stats.Frames.Inc()
 	if tx.frame.Dst == Broadcast {
 		for _, st := range s.stations {

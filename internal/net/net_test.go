@@ -247,49 +247,59 @@ type timedSend struct {
 	from []int
 }
 
-// skipReplay drives one segment through a send schedule sorted by
-// cycle. With skip set it advances the way the cluster's wire replay
-// does, crediting SkipCycles over every stretch before the next wire
-// event or send, and counts the skipped cycles by the wire state each
-// stretch began in; otherwise it Steps every cycle.
-func skipReplay(sends []timedSend, end sim.Cycle, skip bool) (st Stats, trace []byte, skipped map[string]uint64) {
-	clock := &sim.Clock{}
-	seg := NewSegment(clock, Config{Seed: 11})
-	var buf bytes.Buffer
-	sink := obs.NewJSONL(&buf)
-	seg.SetTracer(obs.NewTracer(sink))
+// replayWire is one segment driven through a send schedule sorted by
+// cycle, with its event stream captured.
+type replayWire struct {
+	clock *sim.Clock
+	seg   *Segment
+	buf   *bytes.Buffer
+	sink  *obs.JSONL
+	sends []timedSend
+	next  int
+}
+
+func newReplayWire(sends []timedSend) *replayWire {
+	w := &replayWire{clock: &sim.Clock{}, buf: &bytes.Buffer{}, sends: sends}
+	w.seg = NewSegment(w.clock, Config{Seed: 11})
+	w.sink = obs.NewJSONL(w.buf)
+	w.seg.SetTracer(obs.NewTracer(w.sink))
 	for i := 0; i < 4; i++ {
-		seg.Attach(func(Frame) {})
+		w.seg.Attach(func(Frame) {})
 	}
-	skipped = map[string]uint64{}
-	next := 0
-	for now := clock.Now(); now < end; now = clock.Now() {
-		for ; next < len(sends) && sends[next].at == now; next++ {
-			for _, i := range sends[next].from {
-				seg.Station(i).Send(Frame{Dst: (i + 1) % 4, Words: make([]uint32, 10)}, nil)
-			}
+	return w
+}
+
+// sendDue queues the frames scheduled for the current cycle.
+func (w *replayWire) sendDue() {
+	now := w.clock.Now()
+	for ; w.next < len(w.sends) && w.sends[w.next].at == now; w.next++ {
+		for _, i := range w.sends[w.next].from {
+			w.seg.Station(i).Send(Frame{Dst: (i + 1) % 4, Words: make([]uint32, 10)}, nil)
 		}
-		if skip {
-			ev := seg.NextEvent(now)
-			if next < len(sends) {
-				ev = sim.EarliestEvent(ev, sends[next].at+1)
-			}
-			if ev > now+1 {
-				target := ev - 1
-				if target > end {
-					target = end
-				}
-				skipped[wireState(seg, now)] += uint64(target - now)
-				clock.Advance(target - now)
-				seg.SkipCycles(uint64(target - now))
-				continue
-			}
-		}
-		clock.Tick()
-		seg.Step()
 	}
-	sink.Close()
-	return seg.Stats(), buf.Bytes(), skipped
+}
+
+// step sends what is due, then moves to the next cycle and steps the
+// segment there.
+func (w *replayWire) step() {
+	w.sendDue()
+	w.clock.Tick()
+	w.seg.Step()
+}
+
+// jumpTarget is where the cluster's wire replay would move the clock
+// from now: the cycle before the next wire event or send, at most end;
+// now itself when the next cycle must be stepped.
+func (w *replayWire) jumpTarget(end sim.Cycle) sim.Cycle {
+	now := w.clock.Now()
+	ev := w.seg.NextEvent(now)
+	if w.next < len(w.sends) {
+		ev = sim.EarliestEvent(ev, w.sends[w.next].at+1)
+	}
+	if ev <= now+1 {
+		return now
+	}
+	return min(ev-1, end)
 }
 
 // wireState names what the segment is waiting on after cycle now: a
@@ -310,13 +320,15 @@ func wireState(seg *Segment, now sim.Cycle) string {
 	return "idle"
 }
 
-// TestSkipCyclesMatchesStep pins the contract the cluster's event-driven
-// wire replay relies on: crediting SkipCycles wherever NextEvent lies
-// beyond the next cycle is indistinguishable from stepping every cycle.
-// The schedule covers a busy frame with a second station queued behind
-// it (a deferral), two stations contending at once (a collision and its
+// TestClockJumpMatchesStep pins the contract the cluster's event-driven
+// wire replay relies on: moving the clock straight to the cycle before
+// the next wire event or send is indistinguishable from stepping every
+// cycle. The jumping wire's Stats equal a stepped twin's after every
+// cycle it steps and at the end, and the event streams match. The
+// schedule covers a busy frame with a second station queued behind it
+// (a deferral), two stations contending at once (a collision and its
 // backoffs), and the interframe gaps after every frame.
-func TestSkipCyclesMatchesStep(t *testing.T) {
+func TestClockJumpMatchesStep(t *testing.T) {
 	sends := []timedSend{
 		{0, []int{0}},       // seizes the wire for 320 cycles
 		{40, []int{1}},      // defers behind station 0
@@ -325,8 +337,29 @@ func TestSkipCyclesMatchesStep(t *testing.T) {
 		{9100, []int{1, 2}}, // both defer, then contend when the wire frees
 	}
 	const end = 60_000
-	refStats, refTrace, _ := skipReplay(sends, end, false)
-	gotStats, gotTrace, skipped := skipReplay(sends, end, true)
+	ref, got := newReplayWire(sends), newReplayWire(sends)
+	skipped := map[string]uint64{}
+	for now := got.clock.Now(); now < end; now = got.clock.Now() {
+		got.sendDue()
+		if target := got.jumpTarget(end); target > now {
+			skipped[wireState(got.seg, now)] += uint64(target - now)
+			got.clock.Advance(target - now)
+			continue
+		}
+		got.step()
+		for ref.clock.Now() < got.clock.Now() {
+			ref.step()
+		}
+		if a, b := ref.seg.Stats(), got.seg.Stats(); a != b {
+			t.Fatalf("stats diverged at cycle %d:\nstep %+v\njump %+v", got.clock.Now(), a, b)
+		}
+	}
+	for ref.clock.Now() < end {
+		ref.step()
+	}
+	ref.sink.Close()
+	got.sink.Close()
+	refStats, gotStats := ref.seg.Stats(), got.seg.Stats()
 	if refStats.Deferrals.Value() == 0 || refStats.Collisions.Value() == 0 {
 		t.Fatalf("schedule exercised no deferral or no collision: %+v", refStats)
 	}
@@ -340,9 +373,46 @@ func TestSkipCyclesMatchesStep(t *testing.T) {
 		}
 	}
 	if refStats != gotStats {
-		t.Errorf("stats diverged:\nstep %+v\nskip %+v", refStats, gotStats)
+		t.Errorf("stats diverged:\nstep %+v\njump %+v", refStats, gotStats)
 	}
-	if !bytes.Equal(refTrace, gotTrace) {
-		t.Errorf("event streams diverged:\n--- step ---\n%s\n--- skip ---\n%s", refTrace, gotTrace)
+	if !bytes.Equal(ref.buf.Bytes(), got.buf.Bytes()) {
+		t.Errorf("event streams diverged:\n--- step ---\n%s\n--- jump ---\n%s", ref.buf.Bytes(), got.buf.Bytes())
+	}
+}
+
+// TestBusyCyclesDerived: one frame on an idle wire. After every cycle,
+// BusyCycles is the time the frame has held the wire so far, at most its
+// serialization time, and Utilization reads the same count.
+func TestBusyCyclesDerived(t *testing.T) {
+	const words = 10
+	clock := &sim.Clock{}
+	seg := NewSegment(clock, Config{})
+	a := seg.Attach(nil)
+	seg.Attach(func(Frame) {})
+	a.Send(Frame{Dst: 1, Words: make([]uint32, words)}, nil)
+	serial := uint64(words * seg.cfg.WordCycles)
+	begin := sim.Never
+	for clock.Now() < 2*sim.Cycle(serial) {
+		clock.Tick()
+		seg.Step()
+		now := clock.Now()
+		if seg.cur != nil && begin == sim.Never {
+			begin = now
+		}
+		want := uint64(0)
+		if begin != sim.Never {
+			want = min(uint64(now-begin), serial)
+		}
+		busy := seg.Stats().BusyCycles.Value()
+		if busy != want {
+			t.Fatalf("cycle %d: busy %d, want %d (frame began at %d)", now, busy, want, begin)
+		}
+		if u, wantU := seg.Utilization(), float64(want)/float64(now); u != wantU {
+			t.Fatalf("cycle %d: utilization %v, want %v", now, u, wantU)
+		}
+	}
+	if begin == sim.Never || seg.cur != nil || seg.Stats().Frames.Value() != 1 {
+		t.Fatalf("frame began at %d, on wire %v, %d frames: want one finished frame",
+			begin, seg.cur != nil, seg.Stats().Frames.Value())
 	}
 }

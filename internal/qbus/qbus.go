@@ -90,7 +90,7 @@ func (m *MapRegisters) Translate(qaddr uint32) (mbus.Addr, error) {
 
 // Transfer is one DMA operation.
 type Transfer struct {
-	// Device labels the requesting controller for statistics.
+	// Device labels the requesting controller in trace events.
 	Device string
 	// ToMemory is true for device-to-memory transfers (disk reads,
 	// packet receive); false for memory-to-device (disk writes, packet
@@ -123,17 +123,13 @@ type DMAFaultInjector interface {
 
 // EngineStats counts DMA activity.
 type EngineStats struct {
-	Transfers     stats.Counter
-	WordsMoved    stats.Counter
-	BusOps        stats.Counter
-	StallCycles   stats.Counter // cycles waiting for MBus grant beyond pacing
-	MapFaults     stats.Counter
-	NXMFaults     stats.Counter // injected device NXM aborts
-	FaultStalls   stats.Counter // injected DMA stalls
-	BusFaults     stats.Counter // MBus operations that completed faulted
-	Retries       stats.Counter // bus-fault retries issued
-	Aborted       stats.Counter // transfers abandoned after retry exhaustion
-	PerDeviceWord map[string]uint64
+	Transfers  stats.Counter
+	WordsMoved stats.Counter
+	MapFaults  stats.Counter
+	NXMFaults  stats.Counter // injected device NXM aborts
+	BusFaults  stats.Counter // MBus operations that completed faulted
+	Retries    stats.Counter // bus-fault retries issued
+	Aborted    stats.Counter // transfers abandoned after retry exhaustion
 }
 
 // Engine is the QBus DMA engine: a paced MBus initiator that executes
@@ -174,7 +170,6 @@ func NewEngine(clock *sim.Clock, bus *mbus.Bus, maps *MapRegisters, wordCycles u
 		bus:        bus,
 		maps:       maps,
 		wordCycles: wordCycles,
-		stats:      EngineStats{PerDeviceWord: make(map[string]uint64)},
 	}
 	e.port = bus.Attach(e, nil, nil)
 	return e
@@ -215,14 +210,7 @@ func (e *Engine) SetFaultPolicy(inj DMAFaultInjector, maxRetries int, backoffCyc
 }
 
 // Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() EngineStats {
-	out := e.stats
-	out.PerDeviceWord = make(map[string]uint64, len(e.stats.PerDeviceWord))
-	for k, v := range e.stats.PerDeviceWord {
-		out.PerDeviceWord[k] = v
-	}
-	return out
-}
+func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Busy reports whether transfers are queued or in progress.
 func (e *Engine) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
@@ -235,7 +223,6 @@ func (e *Engine) QueueLen() int { return len(e.queue) }
 // current transfer, no bus request pending or in flight), the retry
 // backoff expiry while a faulted word waits it out, the pacing or
 // fault-stall expiry between words, and the next cycle otherwise.
-// Cycles strictly before the reported one are covered by SkipCycles.
 func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
 	if e.inFlight {
 		return now + 1
@@ -262,17 +249,6 @@ func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
 	return wake
 }
 
-// SkipCycles accounts n skipped cycles in bulk, reproducing exactly the
-// per-cycle side effects n no-op Steps would have had. The only such
-// side effect is grant-wait accounting: Step charges one StallCycle per
-// cycle while a request is raised and not in flight (including retry
-// backoff); the pacing and fault-stall waits are counter-free.
-func (e *Engine) SkipCycles(n uint64) {
-	if e.reqValid && !e.inFlight {
-		e.stats.StallCycles.Add(n)
-	}
-}
-
 // Submit queues a transfer.
 func (e *Engine) Submit(t *Transfer) {
 	if t.Words <= 0 {
@@ -291,9 +267,6 @@ func (e *Engine) Submit(t *Transfer) {
 // per cycle.
 func (e *Engine) Step() {
 	if e.inFlight || e.reqValid {
-		if !e.inFlight {
-			e.stats.StallCycles.Inc()
-		}
 		return
 	}
 	if e.cur == nil {
@@ -329,7 +302,6 @@ func (e *Engine) Step() {
 			return
 		}
 		if stall > 0 {
-			e.stats.FaultStalls.Inc()
 			e.emit(obs.KindFaultDMAStall, mbus.Addr(qaddr), stall, 0, e.cur.Device)
 			e.stallTill = e.clock.Now() + sim.Cycle(stall)
 			return
@@ -373,7 +345,6 @@ func (e *Engine) BusGrant() {
 // BusComplete implements mbus.Initiator.
 func (e *Engine) BusComplete(res mbus.Result) {
 	e.inFlight = false
-	e.stats.BusOps.Inc()
 	if res.Fault != mbus.FaultNone {
 		e.busFault()
 		return
@@ -383,7 +354,6 @@ func (e *Engine) BusComplete(res mbus.Result) {
 		e.cur.Data[e.pos] = res.Data
 	}
 	e.stats.WordsMoved.Inc()
-	e.stats.PerDeviceWord[e.cur.Device]++
 	e.pos++
 	if e.pos >= e.cur.Words {
 		e.emit(obs.KindDMADone, mbus.Addr(e.cur.QAddr), uint64(e.pos), 0, e.cur.Device)

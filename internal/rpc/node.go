@@ -350,6 +350,7 @@ func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig
 	m.AddDevice(n.eth)
 	m.AddDevice(n)
 	n.k = topaz.NewKernel(m, cfg.Kernel)
+	n.k.Reserve(bufferBase)
 	n.cliMu = n.k.NewMutex("rpc-client")
 	n.connMu = n.k.NewMutex("rpc-conn")
 	if plan := m.Faults(); plan != nil {
@@ -360,8 +361,8 @@ func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig
 }
 
 // The NIC buffer region: slots 2 KB buffers, split evenly between the
-// transmit and receive rings, at physical bufferBase (above every Topaz
-// address space) and mapped at QBus address qWindow.
+// transmit and receive rings, at physical bufferBase (reserved from the
+// Topaz address spaces) and mapped at QBus address qWindow.
 const (
 	slotBytes            = 2048
 	slots                = 64
@@ -867,13 +868,28 @@ func (n *Node) recordCompleted(c *call) {
 // queue and processes calls inside the per-connection station (the
 // transfer protocol's in-order server stage), so service is serialized
 // exactly like the analytic pipeline's server station however many
-// workers overlap the waiting.
-func (n *Node) StartServer() {
+// workers overlap the waiting. It forks nothing and returns an error when
+// the node has no room for the workers (see roomFor).
+func (n *Node) StartServer() error {
+	if err := n.roomFor(n.cfg.Workers, "server workers"); err != nil {
+		return err
+	}
 	for w := 0; w < n.cfg.Workers; w++ {
 		n.k.Fork(n.workerProgram(), topaz.ThreadSpec{
 			Name: fmt.Sprintf("rpc-server-%d", w), WorkingSetLines: 48,
 		}, nil)
 	}
+	return nil
+}
+
+// roomFor refuses nthreads new threads when the kernel cannot give each
+// its own address space below the NIC buffers.
+func (n *Node) roomFor(nthreads int, what string) error {
+	if free := n.k.FreeSpaces(); nthreads > free {
+		return fmt.Errorf("rpc: %d %s need an address space each; node %d has room for %d below its NIC buffers",
+			nthreads, what, n.station, free)
+	}
+	return nil
 }
 
 // workerProgram is one server worker's state machine.
@@ -925,8 +941,12 @@ func (n *Node) workerProgram() topaz.Program {
 
 // StartCallers forks nthreads closed-loop caller threads aimed at dst:
 // each keeps exactly one call outstanding, so nthreads is the
-// concurrent-calls axis of the §6 experiment.
-func (n *Node) StartCallers(nthreads, dst, payloadBytes int) {
+// concurrent-calls axis of the §6 experiment. It forks nothing and
+// returns an error when the node has no room for them (see roomFor).
+func (n *Node) StartCallers(nthreads, dst, payloadBytes int) error {
+	if err := n.roomFor(nthreads, "caller threads"); err != nil {
+		return err
+	}
 	if payloadBytes == 0 {
 		payloadBytes = n.cfg.Costs.PayloadBytes
 	}
@@ -935,6 +955,7 @@ func (n *Node) StartCallers(nthreads, dst, payloadBytes int) {
 			Name: fmt.Sprintf("rpc-caller-%d", i), WorkingSetLines: 48,
 		}, nil)
 	}
+	return nil
 }
 
 // callerProgram is one closed-loop caller's state machine.

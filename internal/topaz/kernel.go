@@ -31,8 +31,9 @@ type Config struct {
 const (
 	// kernelBase is the shared region holding lock words and kernel data.
 	kernelBase mbus.Addr = 0x8000
-	// spaceBytes is the memory carved per address space.
-	spaceBytes uint32 = 1 << 20
+	// Address spaces follow one another from spaceBase, spaceBytes each.
+	spaceBase  mbus.Addr = 0x100000
+	spaceBytes uint32    = 1 << 20
 )
 
 func (c Config) withDefaults() Config {
@@ -127,6 +128,10 @@ type Kernel struct {
 	ready   []*Thread
 	procs   []*procState
 
+	// spaceTop is the end of the memory address spaces may use: physical
+	// memory's end, or the start of a Reserve.
+	spaceTop uint64
+
 	sleepers     []sleeper
 	earliestWake sim.Cycle
 
@@ -143,6 +148,7 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		cfg:      cfg,
 		rng:      sim.NewRand(cfg.Seed * 6364136223846793005),
 		syncNext: kernelBase,
+		spaceTop: m.Memory().Bytes(),
 	}
 	k.shared = trace.NewSharedRegion(kernelBase+0x1000, 64)
 	for i, p := range m.Processors() {
@@ -196,13 +202,27 @@ func (k *Kernel) Stats() Stats { return k.stats }
 // Threads returns every thread ever created.
 func (k *Kernel) Threads() []*Thread { return k.threads }
 
+// Reserve withholds physical memory from base up from address spaces,
+// for a device's buffers: NewSpace refuses a space that would reach it.
+func (k *Kernel) Reserve(base mbus.Addr) { k.spaceTop = min(k.spaceTop, uint64(base)) }
+
+// FreeSpaces returns how many more address spaces NewSpace can create.
+// Fork with a nil space creates one per thread.
+func (k *Kernel) FreeSpaces() int {
+	next := uint64(spaceBase) + uint64(len(k.spaces))*uint64(spaceBytes)
+	if next >= k.spaceTop {
+		return 0
+	}
+	return int((k.spaceTop - next) / uint64(spaceBytes))
+}
+
 // NewSpace creates an address space. Ultrix spaces admit a single thread.
 func (k *Kernel) NewSpace(name string, ultrix bool) *AddressSpace {
-	id := len(k.spaces)
-	base := mbus.Addr(0x100000) + mbus.Addr(uint32(id)*spaceBytes)
-	if uint64(base)+uint64(spaceBytes) > k.m.Memory().Bytes() {
-		panic(fmt.Sprintf("topaz: address space %q exceeds physical memory", name))
+	if k.FreeSpaces() == 0 {
+		panic(fmt.Sprintf("topaz: no memory left for address space %q", name))
 	}
+	id := len(k.spaces)
+	base := spaceBase + mbus.Addr(uint32(id)*spaceBytes)
 	sp := &AddressSpace{id: id, name: name, ultrix: ultrix, base: base, bytes: spaceBytes}
 	k.spaces = append(k.spaces, sp)
 	return sp

@@ -124,7 +124,9 @@ func Attach(cl *cluster.Cluster, spec Spec) *Engine {
 		e.fleet.SegOf[i] = cl.SegmentOf(i)
 		if i > 0 {
 			e.fleet.Backends = append(e.fleet.Backends, i)
-			cl.Node(i).StartServer()
+			if err := cl.Node(i).StartServer(); err != nil {
+				panic(err)
+			}
 		}
 	}
 	p, ok := PolicyByName(spec.LB)
