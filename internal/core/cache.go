@@ -185,6 +185,10 @@ type Cache struct {
 	tracer *obs.Tracer
 	unit   int32
 
+	// gen counts changes of any line's tag or coherence state (see
+	// Generation).
+	gen uint64
+
 	stats Stats
 }
 
@@ -252,8 +256,22 @@ func (c *Cache) setState(idx int, next State) {
 			Label: next.String(),
 		})
 	}
+	if c.states[idx] != next {
+		c.gen++
+	}
 	c.states[idx] = next
 }
+
+// putTag installs a line's tag, moving the line generation.
+func (c *Cache) putTag(idx int, base mbus.Addr) {
+	c.tags[idx] = base
+	c.gen++
+}
+
+// Generation returns a count that changes whenever any line's tag or
+// coherence state changes. A caller that has checked residency
+// (HitsLocally) may trust the answer while the generation stands still.
+func (c *Cache) Generation() uint64 { return c.gen }
 
 // emit sends a simple addr-carrying event when tracing.
 func (c *Cache) emit(kind obs.Kind, addr mbus.Addr, a, b uint64) {
@@ -414,6 +432,22 @@ func (c *Cache) NextEvent(now sim.Cycle) sim.Cycle {
 		return c.retryAt
 	}
 	return now + 1
+}
+
+// HitsLocally reports whether a CPU read or write of each address would
+// hit and complete with no bus operation: its line is resident and the
+// protocol lets a write hit proceed without one. It touches no counter.
+func (c *Cache) HitsLocally(addrs []mbus.Addr) bool {
+	for _, a := range addrs {
+		idx, hit := c.lookup(a)
+		if !hit {
+			return false
+		}
+		if _, needBus := c.proto.WriteHitOp(c.states[idx]); needBus {
+			return false
+		}
+	}
+	return true
 }
 
 // TagStoreBusyWithin reports whether a snoop probe used the tag store in
@@ -693,7 +727,7 @@ func (c *Cache) BusComplete(res mbus.Result) {
 		}
 		c.stats.Fills++
 		idx := c.accIdx
-		c.tags[idx] = c.lineBase(c.acc.Addr)
+		c.putTag(idx, c.lineBase(c.acc.Addr))
 		copy(c.data[idx*c.lineWords:(idx+1)*c.lineWords], c.fillBuf)
 		c.setState(idx, c.proto.AfterFill(c.acc.Write, c.fillShared))
 		if !c.acc.Write {
@@ -778,7 +812,7 @@ func (c *Cache) BusComplete(res mbus.Result) {
 			c.emit(obs.KindCacheWriteThrough, c.acc.Addr, 1, boolArg(res.Shared))
 		}
 		idx := c.accIdx
-		c.tags[idx] = c.lineBase(c.acc.Addr)
+		c.putTag(idx, c.lineBase(c.acc.Addr))
 		*c.word(idx, c.acc.Addr) = c.acc.Data
 		c.setState(idx, c.proto.AfterDirectWriteMiss(res.Shared))
 		c.finish()

@@ -280,6 +280,49 @@ func (p *Processor) SkipCompute(n int) {
 		return
 	}
 	p.stats.Ticks += uint64(n)
+	p.compute(n)
+}
+
+// Waiting reports whether the processor is stalled on an outstanding
+// cache access.
+func (p *Processor) Waiting() bool { return p.waiting }
+
+// RunPrivate applies the processor's next n ticks alone, with exactly
+// the effect of n calls to Tick under these conditions, which the caller
+// must have proved: the processor is neither halted nor waiting; its
+// instruction hook, at each boundary it crosses, would only count the
+// boundary (it writes nothing the processor or any other component
+// reads before the caller hands the count back); every reference its
+// source gives hits in its cache with no bus operation; and no snoop
+// probe touches its tag store in those ticks. It returns the instruction
+// boundaries crossed, where Tick would have called the hook. Compute
+// steps are applied in bulk, as SkipCompute does.
+func (p *Processor) RunPrivate(n int) (boundaries uint64) {
+	p.stats.Ticks += uint64(n)
+	for n > 0 {
+		if p.qhead == len(p.queue) {
+			boundaries++
+			p.buildInstruction()
+		}
+		st := &p.queue[p.qhead]
+		if st.kind == stepCompute {
+			k := min(n, st.compute)
+			n -= k
+			p.compute(k)
+			continue
+		}
+		n--
+		p.probeStalled = false
+		if !p.reference(st.refKind) {
+			panic("cpu: private reference missed its cache")
+		}
+	}
+	return boundaries
+}
+
+// compute counts n ticks, at most what remains, off the compute step at
+// the head of the queue, retiring the instruction when that empties it.
+func (p *Processor) compute(n int) {
 	st := &p.queue[p.qhead]
 	st.compute -= n
 	if st.compute == 0 {
@@ -316,13 +359,7 @@ func (p *Processor) tick() (local bool) {
 
 	st := &p.queue[p.qhead]
 	if st.kind == stepCompute {
-		st.compute--
-		if st.compute <= 0 {
-			p.qhead++
-			if p.qhead == len(p.queue) {
-				p.retire()
-			}
-		}
+		p.compute(1)
 		return local
 	}
 
@@ -334,23 +371,30 @@ func (p *Processor) tick() (local bool) {
 		return local
 	}
 	p.probeStalled = false
+	return p.reference(st.refKind) && local
+}
 
-	ref := p.src.Next(st.refKind)
+// reference runs the reference step at the head of the queue: it draws
+// the address from the source, lets the on-chip cache absorb an eligible
+// read, and submits the rest to the board cache. It reports whether the
+// access completed; when it did not, the processor waits on the cache.
+func (p *Processor) reference(kind trace.Kind) (done bool) {
+	ref := p.src.Next(kind)
 	p.qhead++
 
 	onChipEligible := p.v.OnChipICache &&
-		(st.refKind == trace.InstrRead || (p.v.OnChipDCache && st.refKind == trace.DataRead))
+		(kind == trace.InstrRead || (p.v.OnChipDCache && kind == trace.DataRead))
 	if onChipEligible && p.rng.Bool(p.v.OnChipHitRate) {
 		p.stats.OnChipHits++
 		if p.qhead == len(p.queue) {
 			p.retire()
 		}
-		return local
+		return true
 	}
 
 	acc := core.Access{
-		Write:   st.refKind.IsWrite(),
-		Partial: ref.Partial || (st.refKind.IsWrite() && p.rng.Bool(p.v.PartialWriteFraction)),
+		Write:   kind.IsWrite(),
+		Partial: ref.Partial || (kind.IsWrite() && p.rng.Bool(p.v.PartialWriteFraction)),
 		Addr:    ref.Addr,
 		Data:    ref.Data,
 	}
@@ -359,14 +403,12 @@ func (p *Processor) tick() (local bool) {
 	} else {
 		p.stats.Reads++
 	}
-	if !p.cache.Submit(acc) {
-		p.waiting = true
-		local = false
-	}
+	done = p.cache.Submit(acc)
+	p.waiting = !done
 	if p.qhead == len(p.queue) {
 		p.retire()
 	}
-	return local
+	return done
 }
 
 func (p *Processor) retire() {

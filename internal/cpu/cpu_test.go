@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -560,6 +561,87 @@ func TestComputeAhead(t *testing.T) {
 		p.Halt()
 		if n := p.ComputeAhead(); n != 0 {
 			t.Errorf("%s: ComputeAhead %d while halted", v.Name, n)
+		}
+	}
+}
+
+// probeAtNextRef ticks m boundary by boundary until CPU 0 is at a
+// reference step, and there makes a snoop probe hit its tag store in the
+// same cycle, before the tick: the tick stalls on the probe and latches
+// it. Boundaries crossed on the way count into *hooks through the hook.
+func (m *machine) probeAtNextRef(t *testing.T) {
+	t.Helper()
+	p := m.cpus[0]
+	for i := 0; ; i++ {
+		if i == 10_000 {
+			t.Fatal("CPU 0 never reached a reference step")
+		}
+		if !m.cycle() {
+			continue
+		}
+		if !p.waiting && p.qhead < len(p.queue) && p.queue[p.qhead].kind == stepRef {
+			p.cache.SnoopProbe(mbus.MRead, 0x300000, 0)
+			p.Tick()
+			if !p.probeStalled {
+				t.Fatal("the probe did not stall the reference")
+			}
+			return
+		}
+		p.Tick()
+	}
+}
+
+// TestRunPrivateMatchesTicks: on a warm cache where every reference of a
+// static working set hits locally, RunPrivate(n) leaves the processor
+// and its cache exactly where n ticks leave them, and returns the
+// boundaries the hook would have seen. Each run starts with a probe
+// stall latched, which the first private reference must clear: the next
+// probed reference after the run must stall again.
+func TestRunPrivateMatchesTicks(t *testing.T) {
+	for _, v := range []Variant{MicroVAX78032(), CVAX78034()} {
+		tc := v.TickCycles
+		for _, n := range []int{1, 2, 5, 13, 40, 1000} {
+			mk := func() (*machine, *int) {
+				m := newMachine(1, v, func(int, *core.Cache) trace.Source {
+					return trace.NewWorkingSet(trace.WorkingSetConfig{Base: 0x10000, Bytes: 0x400, SetLines: 8, Seed: 9})
+				})
+				hooks := new(int)
+				m.cpus[0].SetInstrHook(func(*Processor) bool { *hooks++; return true })
+				m.tickRun(4000 * tc)
+				m.probeAtNextRef(t)
+				return m, hooks
+			}
+			priv, privHooks := mk()
+			tick, tickHooks := mk()
+			pp, tp := priv.cpus[0], tick.cpus[0]
+			if !pp.cache.HitsLocally(pp.src.(*trace.WorkingSet).Lines()) {
+				t.Fatalf("%s: working set not resident after warm-up", v.Name)
+			}
+			privBefore, tickBefore := *privHooks, *tickHooks
+			boundaries := pp.RunPrivate(n)
+			if *privHooks != privBefore {
+				t.Fatalf("%s n=%d: RunPrivate ran the hook", v.Name, n)
+			}
+			*privHooks += int(boundaries) // as the scheduler is handed them
+			priv.idle(n * tc)
+			tick.tickRun(n * tc)
+			if got, want := boundaries, uint64(*tickHooks-tickBefore); got != want {
+				t.Fatalf("%s n=%d: RunPrivate crossed %d boundaries, ticks ran the hook %d times", v.Name, n, got, want)
+			}
+			for round := 0; round < 3; round++ {
+				ps := fmt.Sprintf("%+v %+v", pp.Stats(), pp.cache.Stats())
+				ts := fmt.Sprintf("%+v %+v", tp.Stats(), tp.cache.Stats())
+				if ps != ts {
+					t.Fatalf("%s n=%d round %d: diverged\nprivate %s\nticked  %s", v.Name, n, round, ps, ts)
+				}
+				priv.probeAtNextRef(t)
+				tick.probeAtNextRef(t)
+				priv.tickRun(50 * tc)
+				tick.tickRun(50 * tc)
+			}
+			if *privHooks != *tickHooks {
+				t.Fatalf("%s n=%d: hook ran %d times after RunPrivate, %d after ticks", v.Name, n, *privHooks, *tickHooks)
+			}
 		}
 	}
 }

@@ -157,6 +157,28 @@ type Device interface {
 	NextEvent(now sim.Cycle) sim.Cycle
 }
 
+// Scheduler is the kernel installed on a machine's processors, as far as
+// Run needs to know it: it can declare stretches of time in which every
+// running processor is private, so Run may tick each one alone through
+// them (DESIGN.md, "Private runs").
+//
+// A processor is private while its next ticks touch nothing any other
+// processor, the bus, a cache or a device reads, and read nothing they
+// write: its instruction hook would only count boundaries, and every
+// reference it makes comes from one static working set and hits in its
+// own cache with no bus operation.
+type Scheduler interface {
+	// PrivateHorizon returns the first cycle, after now, at which some
+	// running processor may stop being private, or now itself to refuse.
+	// It is asked with the bus, the caches and the devices quiet and
+	// every processor due at now already ticked; a horizon may lie past
+	// the quiet window, which Run honours as well.
+	PrivateHorizon(now sim.Cycle) sim.Cycle
+	// PrivateDone hands back the instruction boundaries processor proc
+	// crossed in a private run, at which its hook did not run.
+	PrivateDone(proc int, boundaries uint64)
+}
+
 // Machine is an assembled Firefly system.
 type Machine struct {
 	cfg     Config
@@ -169,6 +191,7 @@ type Machine struct {
 	tracer  *obs.Tracer
 	reg     *stats.Registry
 	plan    *fault.Plan
+	sched   Scheduler
 	// hz holds each processor's horizon for the current Run call, kept
 	// here so a Run allocates nothing.
 	hz []horizon
@@ -379,6 +402,10 @@ func (m *Machine) AddDevice(d Device) {
 	m.devices = append(m.devices, d)
 }
 
+// SetScheduler installs the kernel that runs the processors (nil: none),
+// so Run can ask it for private horizons.
+func (m *Machine) SetScheduler(s Scheduler) { m.sched = s }
+
 // AttachSources installs a reference source per processor.
 func (m *Machine) AttachSources(mk func(i int, c *core.Cache) trace.Source) {
 	for i, p := range m.cpus {
@@ -507,6 +534,9 @@ func (m *Machine) Run(n uint64) {
 // steps it leaves out would all have been no-ops.
 func (m *Machine) runQuiet(now, stop, next sim.Cycle) sim.Cycle {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
+	if m.sched != nil && next <= stop/tc {
+		next = m.runPrivate(now, stop, next)
+	}
 	for local := true; next <= stop/tc; {
 		m.clock.Advance(next*tc - now)
 		now = next * tc
@@ -515,6 +545,35 @@ func (m *Machine) runQuiet(now, stop, next sim.Cycle) sim.Cycle {
 		}
 	}
 	m.clock.Advance(stop - now)
+	return next
+}
+
+// runPrivate runs every processor alone through the boundaries before
+// the scheduler's private horizon that lie in the quiet window ending at
+// stop, and returns the earliest boundary any processor is due at after
+// them. Each processor ticks through them in one call
+// (cpu.Processor.RunPrivate) and hands its instruction boundaries back
+// to the scheduler once. The clock stays at now: no private tick reads
+// it, and runQuiet moves it on to the next due boundary.
+func (m *Machine) runPrivate(now, stop, next sim.Cycle) sim.Cycle {
+	h := m.sched.PrivateHorizon(now)
+	if h <= now {
+		return next
+	}
+	// b is the last boundary at or before both stop and h-1; written so
+	// that h == sim.Never cannot wrap.
+	b := min(h-1, stop) / sim.Cycle(m.cfg.Variant.TickCycles)
+	if b < next {
+		return next
+	}
+	next = sim.Never
+	for i, p := range m.cpus {
+		if hz := &m.hz[i]; hz.due != sim.Never {
+			n := p.RunPrivate(int(b - hz.last))
+			m.sched.PrivateDone(i, n)
+			next = min(next, m.rearm(i, b))
+		}
+	}
 	return next
 }
 

@@ -3,6 +3,7 @@ package topaz
 import (
 	"fmt"
 
+	"firefly/internal/core"
 	"firefly/internal/cpu"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
@@ -80,6 +81,25 @@ type procState struct {
 	// per-CPU service the fairness sweeps ratio (kernel.cpuN.service).
 	// Idle instructions and context-switch overhead are not service.
 	service uint64
+	// idleRes and kernRes remember whether the idle and kernel working
+	// sets were resident with local write permission (PrivateHorizon).
+	idleRes, kernRes residency
+}
+
+// residency caches a working set's HitsLocally answer with the cache
+// line generation it was computed at; it holds while that stands still.
+type residency struct {
+	ws  *trace.WorkingSet
+	gen uint64
+	ok  bool
+}
+
+// check reports whether every line of ws hits locally in c.
+func (r *residency) check(c *core.Cache, ws *trace.WorkingSet) bool {
+	if g := c.Generation(); r.ws != ws || r.gen != g {
+		*r = residency{ws: ws, gen: g, ok: c.HitsLocally(ws.Lines())}
+	}
+	return r.ok
 }
 
 // procSource is the reference source installed on each processor: forced
@@ -87,17 +107,20 @@ type procState struct {
 // thread's stream; an idle loop runs when no thread is dispatched.
 type procSource struct {
 	forced []trace.Ref
+	fhead  int // forced[fhead:] is pending; the buffer is reused once drained
 	active trace.Source
-	idle   trace.Source
-	kern   trace.Source // kernel working set, used during switch overhead
+	idle   *trace.WorkingSet
+	kern   *trace.WorkingSet // kernel working set, used during switch overhead
 	inKern bool
 }
 
 // Next implements trace.Source.
 func (s *procSource) Next(kind trace.Kind) trace.Ref {
-	if len(s.forced) > 0 {
-		ref := s.forced[0]
-		s.forced = s.forced[1:]
+	if s.fhead < len(s.forced) {
+		ref := s.forced[s.fhead]
+		if s.fhead++; s.fhead == len(s.forced) {
+			s.forced, s.fhead = s.forced[:0], 0
+		}
 		return ref
 	}
 	if s.inKern {
@@ -135,6 +158,10 @@ type Kernel struct {
 	sleepers     []sleeper
 	earliestWake sim.Cycle
 
+	// tick is the processors' tick length in cycles and minInstr the
+	// fewest ticks any instruction takes, floor(BaseTPI) (PrivateHorizon).
+	tick, minInstr sim.Cycle
+
 	stats Stats
 	seq   uint32 // payload sequence for forced writes
 }
@@ -150,6 +177,8 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		syncNext: kernelBase,
 		spaceTop: m.Memory().Bytes(),
 	}
+	v := m.Config().Variant
+	k.tick, k.minInstr = sim.Cycle(v.TickCycles), sim.Cycle(v.BaseTPI)
 	k.shared = trace.NewSharedRegion(kernelBase+0x1000, 64)
 	for i, p := range m.Processors() {
 		idleBase := kernelBase + 0x2000 + mbus.Addr(i)*0x400
@@ -170,6 +199,7 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		p.SetSource(ps.src)
 		p.SetInstrHook(func(*cpu.Processor) bool { return k.onInstr(proc) })
 	}
+	m.SetScheduler(k)
 	reg := m.Registry()
 	reg.Register("kernel.context_switches", func() uint64 { return k.stats.ContextSwitches })
 	reg.Register("kernel.migrations", func() uint64 { return k.stats.Migrations })
@@ -319,10 +349,14 @@ func (k *Kernel) Stuck() bool {
 
 // RunUntilDone steps the machine until all threads exit, a deadlock is
 // detected, or maxCycles elapse. It reports whether all threads finished.
+// It runs in chunks of 2048 cycles and checks between them, so it may
+// stop up to a chunk after the threads finish, but never past maxCycles.
 func (k *Kernel) RunUntilDone(maxCycles uint64) bool {
 	const chunk = 2048
-	for used := uint64(0); used < maxCycles; used += chunk {
-		k.m.Run(chunk)
+	for left := maxCycles; left > 0; {
+		n := min(left, chunk)
+		k.m.Run(n)
+		left -= n
 		if k.Done() {
 			return true
 		}
@@ -367,6 +401,74 @@ func (k *Kernel) Offline(proc int) {
 
 // IsOffline reports whether processor proc has been offlined.
 func (k *Kernel) IsOffline(proc int) bool { return k.procs[proc].offline }
+
+// PrivateHorizon implements machine.Scheduler. Every running processor
+// must be private until the horizon, in one of two ways:
+//
+//   - idle with an empty ready queue: its hook only counts an idle
+//     instruction and finds nothing to dispatch;
+//   - in context-switch overhead with switchLeft ≥ 2: its hook only
+//     counts switchLeft down, and stays clear of the boundary that ends
+//     the switch for (switchLeft−1)·floor(BaseTPI) ticks from the next
+//     boundary, since no instruction is shorter than floor(BaseTPI)
+//     ticks.
+//
+// In both, it must draw from a static working set (idle loop or kernel)
+// with no forced reference pending, every line of which is resident in
+// its cache with local write permission; it must not be waiting on its
+// cache, and no snoop probe may still be in its tag store's window. The
+// horizon never passes the earliest sleeper's wake, and a tracer or a
+// fault plan refuses outright (their events and draws follow the
+// lockstep order). With every processor private, nothing can change the
+// ready queue before the horizon: only another processor's thread, a
+// sleeper's wake, a device (quiet for the whole window) or a machine
+// check (which needs a fault plan) could.
+func (k *Kernel) PrivateHorizon(now sim.Cycle) sim.Cycle {
+	if k.m.Tracer() != nil || k.m.Faults() != nil {
+		return now
+	}
+	first := now/k.tick + 1 // the earliest boundary any processor ticks at next
+	h := sim.Never
+	if len(k.sleepers) > 0 {
+		h = k.earliestWake
+	}
+	for i, ps := range k.procs {
+		p := k.m.CPU(i)
+		if p.Halted() {
+			continue
+		}
+		src := ps.src
+		var ws *trace.WorkingSet
+		var res *residency
+		switch {
+		case ps.switchLeft > 1 && src.inKern:
+			// Capped so the product cannot wrap; a lower horizon is safe.
+			left := sim.Cycle(min(ps.switchLeft-1, 1<<32))
+			h = min(h, (first+left*k.minInstr)*k.tick)
+			ws, res = src.kern, &ps.kernRes
+		case ps.switchLeft == 0 && ps.cur == nil && len(k.ready) == 0:
+			ws, res = src.idle, &ps.idleRes
+		default:
+			return now
+		}
+		c := k.m.Cache(i)
+		if p.Waiting() || src.fhead < len(src.forced) || c.TagStoreBusyWithin(first*k.tick, int(k.tick)) ||
+			!ws.Static() || !res.check(c, ws) {
+			return now
+		}
+	}
+	return max(h, now)
+}
+
+// PrivateDone implements machine.Scheduler: the boundaries crossed are
+// idle instructions, or kernel instructions of the context switch.
+func (k *Kernel) PrivateDone(proc int, boundaries uint64) {
+	if ps := k.procs[proc]; ps.switchLeft > 0 {
+		ps.switchLeft -= boundaries
+	} else {
+		k.stats.IdleInstr += boundaries
+	}
+}
 
 // onInstr is the per-instruction scheduler hook for processor proc. It
 // reports non-local only after advance, whose program code may give a

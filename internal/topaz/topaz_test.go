@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"firefly/internal/machine"
+	"firefly/internal/mbus"
+	"firefly/internal/trace"
 )
 
 func newKernel(nproc int, cfg Config) *Kernel {
@@ -275,6 +277,49 @@ func TestRunUntilDoneBudget(t *testing.T) {
 	k.Fork(Seq(Compute{1_000_000}), ThreadSpec{}, nil)
 	if k.RunUntilDone(10_000) {
 		t.Fatal("impossibly fast completion")
+	}
+}
+
+// TestRunUntilDoneStopsAtBudget: with a thread that never finishes,
+// RunUntilDone advances the clock by exactly maxCycles, also when that
+// is not a multiple of the 2048-cycle chunk it checks between.
+func TestRunUntilDoneStopsAtBudget(t *testing.T) {
+	for _, max := range []uint64{100, 2048, 5_000, 1_000_000} {
+		k := newKernel(1, Config{})
+		k.Fork(Seq(Compute{1 << 40}), ThreadSpec{}, nil)
+		start := k.Machine().Clock().Now()
+		if k.RunUntilDone(max) {
+			t.Fatalf("budget %d: a thread of 2^40 instructions finished", max)
+		}
+		if got := uint64(k.Machine().Clock().Now() - start); got != max {
+			t.Errorf("RunUntilDone(%d) ran %d cycles", max, got)
+		}
+	}
+}
+
+// TestForcedReferencesInOrder: forced references come out first and in
+// the order forced, also when more are forced before the last drains,
+// and forcing after a drain reuses the buffer instead of allocating.
+func TestForcedReferencesInOrder(t *testing.T) {
+	k := newKernel(1, Config{})
+	s := k.procs[0].src
+	ref := func(a mbus.Addr) trace.Ref { return trace.Ref{Kind: trace.DataWrite, Addr: a} }
+	s.force(ref(4), ref(8))
+	got := []mbus.Addr{s.Next(trace.DataWrite).Addr}
+	s.force(ref(12))
+	for i := 0; i < 3; i++ {
+		got = append(got, s.Next(trace.DataWrite).Addr)
+	}
+	if got[0] != 4 || got[1] != 8 || got[2] != 12 || got[3] < kernelBase+0x2000 {
+		t.Fatalf("references %v, want 4, 8, 12, then the idle loop's", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.force(ref(16), ref(20))
+		s.Next(trace.DataRead)
+		s.Next(trace.DataWrite)
+	})
+	if allocs != 0 {
+		t.Fatalf("forcing and draining two references allocates %.1f times", allocs)
 	}
 }
 

@@ -263,6 +263,14 @@ func (w *WorkingSet) Next(kind Kind) Ref {
 	return ref
 }
 
+// Static reports whether the working set never changes: no drift and no
+// jump, so every reference falls in Lines.
+func (w *WorkingSet) Static() bool { return w.cfg.DriftProb <= 0 && w.cfg.JumpProb <= 0 }
+
+// Lines returns the active working set. The slice is the generator's
+// own; callers must not modify it.
+func (w *WorkingSet) Lines() []mbus.Addr { return w.set }
+
 var _ Source = (*WorkingSet)(nil)
 
 // Fixed is a Source that always returns the same address; useful for
