@@ -53,7 +53,6 @@ func quickNode() rpc.NodeConfig {
 			PayloadBytes:             64,
 		},
 		Workers:          2,
-		PollCycles:       64,
 		RetransmitCycles: 50_000,
 	}
 }

@@ -258,7 +258,7 @@ func (p *Processor) Tick() (local bool) {
 // instruction boundary.
 //
 // Machine.Run elides these ticks for the whole call and applies them
-// with SkipCompute when the processor is next due or when Run returns.
+// with RunPrivate when the processor is next due or when Run returns.
 // That is exact because a compute tick commutes with everything else
 // that happens during Run: nothing outside the processor reads or writes
 // its step queue, its waiting flag or its tick and instruction counters.
@@ -271,16 +271,6 @@ func (p *Processor) ComputeAhead() int {
 		return 0
 	}
 	return p.queue[p.qhead].compute
-}
-
-// SkipCompute applies n elided compute ticks, n <= ComputeAhead(), in one
-// go, with exactly the effect of n calls to Tick.
-func (p *Processor) SkipCompute(n int) {
-	if n == 0 {
-		return
-	}
-	p.stats.Ticks += uint64(n)
-	p.compute(n)
 }
 
 // Waiting reports whether the processor is stalled on an outstanding
@@ -296,7 +286,12 @@ func (p *Processor) Waiting() bool { return p.waiting }
 // source gives hits in its cache with no bus operation; and no snoop
 // probe touches its tag store in those ticks. It returns the instruction
 // boundaries crossed, where Tick would have called the hook. Compute
-// steps are applied in bulk, as SkipCompute does.
+// steps are applied in bulk.
+//
+// With n <= ComputeAhead() the conditions hold trivially: the ticks are
+// one compute stretch, crossing no boundary and making no reference, so
+// RunPrivate(n) applies n elided compute ticks at once (Machine.Run's
+// catch-up before a due tick and on return).
 func (p *Processor) RunPrivate(n int) (boundaries uint64) {
 	p.stats.Ticks += uint64(n)
 	for n > 0 {

@@ -426,18 +426,19 @@ func (r *refLog) Next(k trace.Kind) trace.Ref {
 }
 
 // idle advances m like run without stepping the processors: the cycles a
-// caller has applied to them by SkipCompute.
+// caller has applied to them by RunPrivate.
 func (m *machine) idle(cycles int) {
 	for i := 0; i < cycles; i++ {
 		m.cycle()
 	}
 }
 
-// TestSkipComputeMatchesTicks: at a tick boundary with k compute ticks
-// ahead, SkipCompute(n) followed by n elided boundaries leaves the
+// TestRunPrivateComputeMatchesTicks: at a tick boundary with k compute
+// ticks ahead, RunPrivate(n) followed by n elided boundaries leaves the
 // processor exactly where n real ticks do, for every n <= k: the same
-// counters, and the same next 1000 references at the same cycles.
-func TestSkipComputeMatchesTicks(t *testing.T) {
+// counters, no boundary crossed, and the same next 1000 references at
+// the same cycles.
+func TestRunPrivateComputeMatchesTicks(t *testing.T) {
 	for _, v := range []Variant{MicroVAX78032(), CVAX78034()} {
 		tc := v.TickCycles
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -466,7 +467,9 @@ func TestSkipComputeMatchesTicks(t *testing.T) {
 			for n := 1; n <= ahead; n++ {
 				skip, skipLog := mk(at)
 				tick, tickLog := mk(at)
-				skip.cpus[0].SkipCompute(n)
+				if b := skip.cpus[0].RunPrivate(n); b != 0 {
+					t.Fatalf("%s seed %d n=%d of %d: RunPrivate crossed %d boundaries", v.Name, seed, n, ahead, b)
+				}
 				skip.idle(n * tc)
 				tick.tickRun(n * tc)
 				sp, tp := skip.cpus[0], tick.cpus[0]

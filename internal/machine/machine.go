@@ -201,7 +201,7 @@ type Machine struct {
 // indices (cycle / TickCycles): its last real tick, and its next one
 // (sim.Never once halted). Run arms it on entry and settles it on
 // return. The ticks strictly between are compute ticks, applied by
-// SkipCompute when the processor is next due or when Run returns.
+// RunPrivate when the processor is next due or when Run returns.
 type horizon struct{ last, due sim.Cycle }
 
 // New builds a machine. Reference sources start nil; attach them with
@@ -467,7 +467,7 @@ func (m *Machine) stepShared() {
 // horizon for the whole call (armed on entry, settled on return) and
 // ticks a processor only at the boundaries where it is due: its
 // references, its instruction boundaries and its stall ticks. The compute
-// ticks between are applied in bulk (cpu.Processor.SkipCompute) when the
+// ticks between are applied in bulk (cpu.Processor.RunPrivate) when the
 // processor is next due or when Run returns. Due processors tick in port
 // order, so each instruction hook and reference touches shared state (the
 // Topaz ready queue, the fault plan's tag-parity stream, the synthetic
@@ -521,7 +521,7 @@ func (m *Machine) Run(n uint64) {
 	}
 	for i, p := range m.cpus {
 		if h := &m.hz[i]; h.due != sim.Never {
-			p.SkipCompute(int(end/tc - h.last))
+			p.RunPrivate(int(end/tc - h.last))
 		}
 	}
 }
@@ -586,7 +586,7 @@ func (m *Machine) tickDue(b sim.Cycle) (next sim.Cycle, local bool) {
 	for i, p := range m.cpus {
 		h := &m.hz[i]
 		if h.due == b {
-			p.SkipCompute(int(b - h.last - 1))
+			p.RunPrivate(int(b - h.last - 1))
 			local = p.Tick() && local
 			m.rearm(i, b)
 		}

@@ -161,11 +161,10 @@ type NodeConfig struct {
 	// cluster and transport.Run stay mutually calibrated (the
 	// differential test holds them within 15%).
 	Costs Config
-	// Workers is the server worker-thread pool size (default 4).
+	// Workers is the server worker-thread pool size (default 4). Idle
+	// workers, like callers awaiting their reply, block on a condition
+	// variable that the receive path signals.
 	Workers int
-	// PollCycles is the poll interval of caller and worker threads
-	// waiting for work (default 128).
-	PollCycles uint64
 	// DispatchInstr is the slice of each stage executed as real
 	// instructions against the thread's working set — producing genuine
 	// cache and bus traffic — rather than as a calibrated timer sleep
@@ -195,9 +194,6 @@ func (c NodeConfig) withDefaults(seed uint64) NodeConfig {
 	c.Costs = c.Costs.withDefaults()
 	if c.Workers == 0 {
 		c.Workers = 4
-	}
-	if c.PollCycles == 0 {
-		c.PollCycles = 128
 	}
 	if c.DispatchInstr == 0 {
 		c.DispatchInstr = 16
@@ -261,13 +257,12 @@ type CallOutcome struct {
 type call struct {
 	id       uint32
 	dst      int
-	proc     uint16
 	frames   [][]uint32
 	bytes    int // payload bytes
 	started  sim.Cycle
 	deadline sim.Cycle
 	attempts int
-	openLoop bool
+	caller   *topaz.CondVar // the waiting caller thread's; nil from Issue
 	done     bool
 	failed   bool
 	shed     bool
@@ -305,8 +300,9 @@ type Node struct {
 	engine *qbus.Engine
 	eth    *qbus.Ethernet
 
-	cliMu  *topaz.Mutex // the client station: serializes marshal + finish
-	connMu *topaz.Mutex // the server station: serializes per-connection work
+	cliMu  *topaz.Mutex   // the client station: serializes marshal + finish
+	connMu *topaz.Mutex   // the server station: serializes per-connection work
+	work   *topaz.CondVar // signalled by serverAccept for idle workers
 
 	nextID       uint32
 	calls        []*call
@@ -353,6 +349,7 @@ func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig
 	n.k.Reserve(bufferBase)
 	n.cliMu = n.k.NewMutex("rpc-client")
 	n.connMu = n.k.NewMutex("rpc-conn")
+	n.work = n.k.NewCond("rpc-work")
 	if plan := m.Faults(); plan != nil {
 		n.engine.SetFaultPolicy(plan, plan.MaxRetries(), plan.BackoffCycles())
 	}
@@ -480,24 +477,18 @@ func wireWords(msgBytes int) int {
 }
 
 // The calibrated sleeps deduct the real costs the runtime pays anyway —
-// the instruction slice, the transmit DMA, the wake-up context switches,
-// and the mean polling delay — so a stage's observed cost matches its
-// analytic Costs value instead of double-counting. The analytic numbers
-// come from the paper's measured RPC, which includes all of that.
+// the instruction slice, the transmit DMA and the wake-up context
+// switches — so a stage's observed cost matches its analytic Costs value
+// instead of double-counting. The analytic numbers come from the paper's
+// measured RPC, which includes all of that.
 
 // clientOverheadCycles estimates the client-side per-call costs paid in
-// kind: the call's transmit DMA, the two wake-ups (post-marshal sleep
-// and reply poll), and half a poll interval of reply-detection delay.
+// kind: the call's transmit DMA and the two wake-ups (post-marshal sleep
+// and reply). The receive path wakes the caller, so it pays no detection
+// delay.
 func (n *Node) clientOverheadCycles(payloadBytes int) uint64 {
 	dma := uint64(wireWords(headerBytes+payloadBytes)) * qbus.DefaultWordCycles
-	return dma + 2*n.switchCycles() + n.cfg.PollCycles/2
-}
-
-// serverOverheadCycles estimates the server-side equivalents: the
-// dispatch-queue poll and the two worker wake-ups (arrival and
-// post-service sleep).
-func (n *Node) serverOverheadCycles() uint64 {
-	return 2*n.switchCycles() + n.cfg.PollCycles/2
+	return dma + 2*n.switchCycles()
 }
 
 // sleepCycles floors a calibrated stage remainder at one cycle.
@@ -522,11 +513,12 @@ func (n *Node) clientCycles(payloadBytes int) uint64 {
 }
 
 // serverCycles is the server station's per-call cost (receive interrupt,
-// unmarshal, procedure, reply marshal) minus the instruction slice.
+// unmarshal, procedure, reply marshal) minus the instruction slice and
+// the worker's two wake-ups (arrival and post-service sleep).
 func (n *Node) serverCycles(payloadBytes int) uint64 {
 	c := n.cfg.Costs
 	return sleepCycles(c.ServerFixedCycles+perByteCycles(c.ServerPerByteCentiCycles, payloadBytes),
-		n.nominalInstrCycles()+n.serverOverheadCycles())
+		n.nominalInstrCycles()+2*n.switchCycles())
 }
 
 // slotAddr returns the physical and QBus addresses of slot i.
@@ -584,13 +576,14 @@ func (n *Node) Issue(dst, payloadBytes int, proc uint16, onDone func(CallOutcome
 	if payloadBytes == 0 {
 		payloadBytes = n.cfg.Costs.PayloadBytes
 	}
-	c := n.issue(dst, payloadBytes, proc, true, onDone)
+	c := n.issue(dst, payloadBytes, proc, nil, onDone)
 	return c.id
 }
 
 // issue marshals and transmits one call. Caller threads run it inside
-// the client station; Issue runs it directly.
-func (n *Node) issue(dst, payloadBytes int, proc uint16, openLoop bool, onDone func(CallOutcome)) *call {
+// the client station, passing the condition variable they wait on;
+// Issue runs it directly.
+func (n *Node) issue(dst, payloadBytes int, proc uint16, caller *topaz.CondVar, onDone func(CallOutcome)) *call {
 	n.nextID++
 	id := n.nextID
 	msg := &Message{Kind: Call, ID: id, Proc: proc, Payload: callPayload(id, payloadBytes)}
@@ -601,12 +594,11 @@ func (n *Node) issue(dst, payloadBytes int, proc uint16, openLoop bool, onDone f
 	c := &call{
 		id:       id,
 		dst:      dst,
-		proc:     proc,
 		frames:   PackFrames(dst, n.station, id, Call, buf),
 		bytes:    payloadBytes,
 		started:  n.clock.Now(),
 		deadline: n.clock.Now() + sim.Cycle(n.cfg.RetransmitCycles),
-		openLoop: openLoop,
+		caller:   caller,
 		onDone:   onDone,
 	}
 	n.calls = append(n.calls, c)
@@ -620,7 +612,8 @@ func (n *Node) issue(dst, payloadBytes int, proc uint16, openLoop bool, onDone f
 	return c
 }
 
-// Step implements machine.Device: the client's retransmission timer.
+// Step implements machine.Device: the client's retransmission timer. A
+// call whose retransmit budget runs out fails, which wakes its caller.
 func (n *Node) Step() {
 	if len(n.calls) == 0 || n.clock.Now() < n.nextDeadline {
 		return
@@ -637,6 +630,9 @@ func (n *Node) Step() {
 				c.failed = true
 				delete(n.byID, c.id)
 				n.stats.CallsFailed.Inc()
+				if c.caller != nil {
+					n.k.Notify(c.caller)
+				}
 				if c.onDone != nil {
 					c.onDone(CallOutcome{
 						ID: c.id, Latency: now - c.started, Bytes: c.bytes, Failed: true,
@@ -756,7 +752,8 @@ func (n *Node) onFrame(phys mbus.Addr, nwords int) {
 	}
 }
 
-// serverAccept deduplicates and enqueues an inbound call.
+// serverAccept deduplicates and enqueues an inbound call, waking an idle
+// worker.
 func (n *Node) serverAccept(src int, msg *Message) {
 	key := uint64(src)<<32 | uint64(msg.ID)
 	if e, ok := n.dedup[key]; ok {
@@ -802,6 +799,7 @@ func (n *Node) serverAccept(src int, msg *Message) {
 		n.queuePeak = len(n.srvQueue)
 	}
 	n.stats.CallsReceived.Inc()
+	n.k.Notify(n.work)
 }
 
 // popServer hands the oldest queued call to a worker thread.
@@ -830,7 +828,8 @@ func (n *Node) sendReply(e *svc) {
 	n.transmitFrames(e.replyFrames)
 }
 
-// clientAccept matches a reply to its outstanding call.
+// clientAccept matches a reply to its outstanding call and wakes the
+// caller thread waiting for it.
 func (n *Node) clientAccept(msg *Message) {
 	c, ok := n.byID[msg.ID]
 	if !ok || c.done {
@@ -845,8 +844,11 @@ func (n *Node) clientAccept(msg *Message) {
 	n.emit(obs.KindRPCReply, uint64(c.id), uint64(c.latency))
 	if c.shed {
 		n.stats.ShedReplies.Inc()
-	} else if c.openLoop {
+	} else if c.caller == nil {
 		n.recordCompleted(c)
+	}
+	if c.caller != nil {
+		n.k.Notify(c.caller)
 	}
 	if c.onDone != nil {
 		c.onDone(CallOutcome{
@@ -864,12 +866,13 @@ func (n *Node) recordCompleted(c *call) {
 	n.latHist.Observe(uint64(c.latency))
 }
 
-// StartServer forks the worker pool. Each worker polls the dispatch
-// queue and processes calls inside the per-connection station (the
-// transfer protocol's in-order server stage), so service is serialized
-// exactly like the analytic pipeline's server station however many
-// workers overlap the waiting. It forks nothing and returns an error when
-// the node has no room for the workers (see roomFor).
+// StartServer forks the worker pool. An idle worker waits on the node's
+// work condition variable, which the receive path signals; it takes the
+// oldest queued call and processes it inside the per-connection station
+// (the transfer protocol's in-order server stage), so service is
+// serialized exactly like the analytic pipeline's server station however
+// many workers overlap the waiting. It forks nothing and returns an error
+// when the node has no room for the workers (see roomFor).
 func (n *Node) StartServer() error {
 	if err := n.roomFor(n.cfg.Workers, "server workers"); err != nil {
 		return err
@@ -895,21 +898,23 @@ func (n *Node) roomFor(nthreads int, what string) error {
 // workerProgram is one server worker's state machine.
 func (n *Node) workerProgram() topaz.Program {
 	const (
-		wPoll = iota
+		wWait = iota
 		wLock
 		wCompute
 		wSleep
 		wReply
 		wUnlock
 	)
-	state := wPoll
+	state := wWait
 	var cur *svc
+	wait := topaz.Action(topaz.Wait{CV: n.work}) // boxed once: boxing allocates
 	return topaz.ProgramFunc(func(*topaz.Thread) topaz.Action {
 		switch state {
-		case wPoll:
-			cur = n.popServer()
-			if cur == nil {
-				return topaz.Sleep{Cycles: n.cfg.PollCycles}
+		case wWait:
+			// Only serverAccept signals n.work, so this look at the queue
+			// and the Wait are one atomic step and need no mutex.
+			if cur = n.popServer(); cur == nil {
+				return wait
 			}
 			state = wLock
 			return topaz.Lock{M: n.connMu}
@@ -932,17 +937,17 @@ func (n *Node) workerProgram() topaz.Program {
 			state = wUnlock
 			return topaz.Unlock{M: n.connMu}
 		default:
-			state = wPoll
-			cur = nil
+			state = wWait
 			return topaz.Compute{Instructions: 1}
 		}
 	})
 }
 
 // StartCallers forks nthreads closed-loop caller threads aimed at dst:
-// each keeps exactly one call outstanding, so nthreads is the
-// concurrent-calls axis of the §6 experiment. It forks nothing and
-// returns an error when the node has no room for them (see roomFor).
+// each keeps exactly one call outstanding, waiting on a condition
+// variable of its own for the reply or the call's failure, so nthreads
+// is the concurrent-calls axis of the §6 experiment. It forks nothing
+// and returns an error when the node has no room for them (see roomFor).
 func (n *Node) StartCallers(nthreads, dst, payloadBytes int) error {
 	if err := n.roomFor(nthreads, "caller threads"); err != nil {
 		return err
@@ -958,21 +963,22 @@ func (n *Node) StartCallers(nthreads, dst, payloadBytes int) error {
 	return nil
 }
 
-// callerProgram is one closed-loop caller's state machine.
+// callerProgram is one closed-loop caller's state machine. It holds the
+// client station from marshal to finish, except while it waits: the
+// Wait releases cliMu and the wake-up reacquires it.
 func (n *Node) callerProgram(dst, payloadBytes int) topaz.Program {
 	const (
 		cBegin = iota
 		cLock
 		cCompute
 		cSleep
-		cIssue
-		cPoll
-		cFinLock
+		cWait
 		cFinSleep
 		cFinish
 	)
 	state := cBegin
 	var cur *call
+	cv := n.k.NewCond("rpc-caller")
 	return topaz.ProgramFunc(func(*topaz.Thread) topaz.Action {
 		switch state {
 		case cBegin:
@@ -985,25 +991,18 @@ func (n *Node) callerProgram(dst, payloadBytes int) topaz.Program {
 			state = cSleep
 			return topaz.Sleep{Cycles: n.clientCycles(payloadBytes)}
 		case cSleep:
-			state = cIssue
-			return topaz.Call{Fn: func() { cur = n.issue(dst, payloadBytes, DefaultProc, false, nil) }}
-		case cIssue:
-			state = cPoll
-			return topaz.Unlock{M: n.cliMu}
-		case cPoll:
-			if cur.failed {
-				state = cBegin
-				cur = nil
-				return topaz.Compute{Instructions: 1}
+			state = cWait
+			return topaz.Call{Fn: func() { cur = n.issue(dst, payloadBytes, DefaultProc, cv, nil) }}
+		case cWait:
+			if cur.done {
+				state = cFinSleep
+				return topaz.Sleep{Cycles: n.cfg.Costs.ClientFinishCycles}
 			}
-			if !cur.done {
-				return topaz.Sleep{Cycles: n.cfg.PollCycles}
+			if !cur.failed {
+				return topaz.Wait{CV: cv, M: n.cliMu}
 			}
-			state = cFinLock
-			return topaz.Lock{M: n.cliMu}
-		case cFinLock:
-			state = cFinSleep
-			return topaz.Sleep{Cycles: n.cfg.Costs.ClientFinishCycles}
+			// The retransmit budget ran out: release the station and
+			// issue the next call.
 		case cFinSleep:
 			state = cFinish
 			return topaz.Call{Fn: func() {
@@ -1014,10 +1013,9 @@ func (n *Node) callerProgram(dst, payloadBytes int) topaz.Program {
 					n.recordCompleted(cur)
 				}
 			}}
-		default:
-			state = cBegin
-			cur = nil
-			return topaz.Unlock{M: n.cliMu}
 		}
+		state = cBegin
+		cur = nil
+		return topaz.Unlock{M: n.cliMu}
 	})
 }

@@ -260,8 +260,7 @@ func (k *Kernel) NewSpace(name string, ultrix bool) *AddressSpace {
 
 // NewMutex allocates a mutex with its lock word in the kernel region.
 func (k *Kernel) NewMutex(name string) *Mutex {
-	m := &Mutex{id: len(k.threads), name: name, addr: k.allocSyncWord()}
-	return m
+	return &Mutex{name: name, addr: k.allocSyncWord()}
 }
 
 // NewCond allocates a condition variable.
@@ -328,7 +327,8 @@ func (k *Kernel) Done() bool {
 }
 
 // Stuck reports a deadlock: live threads exist but none is ready,
-// running, or due to wake from a Sleep.
+// running, or due to wake from a Sleep. A thread that waits for a
+// device's Notify counts as stuck, so it means nothing on such machines.
 func (k *Kernel) Stuck() bool {
 	if len(k.sleepers) > 0 {
 		return false
@@ -421,8 +421,8 @@ func (k *Kernel) IsOffline(proc int) bool { return k.procs[proc].offline }
 // fault plan refuses outright (their events and draws follow the
 // lockstep order). With every processor private, nothing can change the
 // ready queue before the horizon: only another processor's thread, a
-// sleeper's wake, a device (quiet for the whole window) or a machine
-// check (which needs a fault plan) could.
+// sleeper's wake, a device's Notify (devices are quiet for the whole
+// window) or a machine check (which needs a fault plan) could.
 func (k *Kernel) PrivateHorizon(now sim.Cycle) sim.Cycle {
 	if k.m.Tracer() != nil || k.m.Faults() != nil {
 		return now
@@ -641,7 +641,7 @@ func (k *Kernel) advance(proc int, t *Thread) {
 		k.unlock(act.M, t)
 
 	case Wait:
-		if act.M.owner != t {
+		if act.M != nil && act.M.owner != t {
 			panic(fmt.Sprintf("topaz: thread %d waits on %q without holding %q",
 				t.id, act.CV.name, act.M.name))
 		}
@@ -649,13 +649,14 @@ func (k *Kernel) advance(proc int, t *Thread) {
 		act.CV.Waits++
 		t.wokenFor = act.M
 		act.CV.waiters = append(act.CV.waiters, t)
-		k.unlock(act.M, t)
+		if act.M != nil {
+			k.unlock(act.M, t)
+		}
 		k.block(proc, t)
 
 	case Signal:
 		k.forceWrite(ps, act.CV.Addr())
-		act.CV.Signals++
-		k.signalOne(act.CV)
+		k.Notify(act.CV)
 
 	case Broadcast:
 		k.forceWrite(ps, act.CV.Addr())
@@ -725,7 +726,17 @@ func (k *Kernel) unlock(m *Mutex, t *Thread) {
 	m.owner = nil
 }
 
-// signalOne moves one condition waiter toward reacquiring its mutex.
+// Notify signals cv from device context, as an interrupt handler wakes
+// the thread waiting for its device. It touches no condition word, since
+// no processor executes it; an idle processor dispatches the woken
+// thread at its next instruction boundary. With no waiter it wakes none.
+func (k *Kernel) Notify(cv *CondVar) {
+	cv.Signals++
+	k.signalOne(cv)
+}
+
+// signalOne moves one condition waiter toward reacquiring its mutex, if
+// it waited with one.
 func (k *Kernel) signalOne(cv *CondVar) {
 	if len(cv.waiters) == 0 {
 		return

@@ -7,7 +7,6 @@ import "firefly/internal/mbus"
 // acquire and release generate real coherence traffic on the simulated
 // machine — the dominant sharing pattern of the Table 2 exerciser.
 type Mutex struct {
-	id   int
 	name string
 	addr mbus.Addr
 
@@ -36,7 +35,6 @@ func (m *Mutex) QueueLen() int { return len(m.waiters) }
 // Threads module), with Mesa semantics: Wait atomically releases the
 // associated mutex and reacquires it before returning.
 type CondVar struct {
-	id   int
 	name string
 	addr mbus.Addr
 

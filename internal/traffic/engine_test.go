@@ -32,7 +32,6 @@ func quickNode() rpc.NodeConfig {
 			PayloadBytes:             64,
 		},
 		Workers:          2,
-		PollCycles:       64,
 		RetransmitCycles: 50_000,
 	}
 }

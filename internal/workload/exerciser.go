@@ -103,8 +103,7 @@ func NewExerciser(k *topaz.Kernel, cfg ExerciserConfig) *Exerciser {
 	e.space = space
 	for w := 0; w < cfg.Threads; w++ {
 		rng := sim.NewRand(cfg.Seed + uint64(w)*977)
-		w := w
-		t := k.Fork(e.workerProgram(w, rng), topaz.ThreadSpec{
+		t := k.Fork(e.workerProgram(rng), topaz.ThreadSpec{
 			Name:            fmt.Sprintf("worker-%d", w),
 			SharedFraction:  cfg.SharedFraction,
 			WorkingSetLines: cfg.WorkingSetLines,
@@ -153,46 +152,46 @@ func (e *Exerciser) workersDone() bool {
 	return true
 }
 
+// The fixed computes of a round, boxed once: converting a Compute to an
+// Action allocates.
+var (
+	roundCompute topaz.Action = topaz.Compute{Instructions: computePerRound}
+	tailCompute  topaz.Action = topaz.Compute{Instructions: computePerRound / 2}
+)
+
 // workerProgram builds one worker's action stream: lock a random mutex,
 // bump its counter, compute against (heavily shared) data, occasionally
 // rendezvous on the condition variable, yield to invite rescheduling.
-func (e *Exerciser) workerProgram(id int, rng *sim.Rand) topaz.Program {
+// Every round reuses one action buffer, since LoopProgram drains a round
+// before it asks for the next, and one counter-bump closure, which reads
+// the round's mutex index.
+func (e *Exerciser) workerProgram(rng *sim.Rand) topaz.Program {
+	var mi int
+	bump := topaz.Call{Fn: func() { e.counters[mi]++ }}
+	wait := topaz.Action(topaz.Wait{CV: e.cond, M: e.condMu})
+	acts := make([]topaz.Action, 0, 9)
 	return topaz.LoopProgram(e.cfg.Rounds, func(round int) []topaz.Action {
-		mi := rng.Intn(len(e.mutexes))
+		mi = rng.Intn(len(e.mutexes))
 		mu := e.mutexes[mi]
-		acts := []topaz.Action{
-			topaz.Lock{M: mu},
-			topaz.Call{Fn: func() { e.counters[mi]++ }},
-			topaz.Compute{Instructions: computePerRound},
-			topaz.Unlock{M: mu},
-		}
+		acts = append(acts[:0], topaz.Lock{M: mu}, bump, roundCompute, topaz.Unlock{M: mu})
 		// Every few rounds, rendezvous: block on the condition variable
 		// until another worker passes by and signals — the deliberate
 		// block-and-reschedule of the measured program.
 		switch {
 		case round%5 == 2:
-			acts = append(acts,
-				topaz.Lock{M: e.condMu},
-				topaz.Wait{CV: e.cond, M: e.condMu},
-				topaz.Unlock{M: e.condMu},
-			)
+			acts = append(acts, topaz.Lock{M: e.condMu}, wait, topaz.Unlock{M: e.condMu})
 		case round%5 == 4:
-			acts = append(acts,
-				topaz.Lock{M: e.condMu},
-				topaz.Broadcast{CV: e.cond},
-				topaz.Unlock{M: e.condMu},
-			)
+			acts = append(acts, topaz.Lock{M: e.condMu}, topaz.Broadcast{CV: e.cond}, topaz.Unlock{M: e.condMu})
 		}
-		acts = append(acts, topaz.Yield{}, topaz.Compute{Instructions: computePerRound / 2})
-		return acts
+		return append(acts, topaz.Yield{}, tailCompute)
 	})
 }
 
-// Step runs the machine for the given cycles, waking rendezvous waiters
-// whenever the workload would otherwise stall (all live workers parked in
-// Wait with no signaller left). It reports whether every thread finished.
-// Measurement harnesses use Step to pump the exerciser for a fixed
-// interval regardless of completion.
+// Step runs the machine for the given cycles, in chunks, stopping early
+// once every thread has finished; it never runs past cycles. It reports
+// whether every thread finished. Rendezvous waiters are woken by the
+// daemon thread, not by Step. Measurement harnesses use Step to pump the
+// exerciser for a fixed interval regardless of completion.
 func (e *Exerciser) Step(cycles uint64) bool {
 	const chunk = uint64(50_000)
 	for used := uint64(0); used < cycles; used += chunk {
@@ -211,13 +210,7 @@ func (e *Exerciser) Step(cycles uint64) bool {
 // Run drives the kernel until the workers finish, then verifies the
 // counters. It returns an error list (empty on success).
 func (e *Exerciser) Run(maxCycles uint64) []string {
-	const chunk = 200_000
-	for used := uint64(0); used < maxCycles; used += chunk {
-		if e.Step(chunk) {
-			break
-		}
-	}
-	if !e.kernel.Done() {
+	if !e.Step(maxCycles) {
 		e.errors = append(e.errors, "exerciser did not finish within the cycle budget")
 	}
 	var total uint64

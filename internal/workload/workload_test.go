@@ -227,3 +227,31 @@ func TestSyscallNativeVsEmulated(t *testing.T) {
 		t.Fatalf("long services should suffer less: short %.2fx, long %.2fx", shortRatio, longRatio)
 	}
 }
+
+// TestExerciserRunStopsAtBudget: Run spends exactly its cycle budget
+// when the workers cannot finish in it, and reports that they did not.
+func TestExerciserRunStopsAtBudget(t *testing.T) {
+	k := newKernel(2)
+	e := NewExerciser(k, ExerciserConfig{Threads: 4, Rounds: 1000})
+	start := k.Machine().Clock().Now()
+	errs := e.Run(250_000)
+	if got := k.Machine().Clock().Now() - start; got != 250_000 {
+		t.Errorf("Run(250_000) advanced the clock %d cycles", got)
+	}
+	if len(errs) == 0 || errs[0] != "exerciser did not finish within the cycle budget" {
+		t.Errorf("errors %q, want the unfinished-budget error first", errs)
+	}
+}
+
+// TestExerciserStepAllocs bounds the heap allocations of a warm Step:
+// the workers' rounds reuse their action buffers, closures and boxed
+// actions, so what is left (about 45) is the kernel's queues growing now
+// and then. Allocating per round would cost several times the bound.
+func TestExerciserStepAllocs(t *testing.T) {
+	k := newKernel(5)
+	e := NewExerciser(k, ExerciserConfig{Threads: 16, Rounds: 1 << 20})
+	e.Step(500_000)
+	if allocs := testing.AllocsPerRun(5, func() { e.Step(200_000) }); allocs > 100 {
+		t.Errorf("a warm 200k-cycle Step allocates %.0f times, want at most 100", allocs)
+	}
+}
