@@ -10,6 +10,7 @@ import (
 	"firefly/internal/machine"
 	"firefly/internal/obs"
 	"firefly/internal/qbus"
+	"firefly/internal/stats"
 	"firefly/internal/topaz"
 	"firefly/internal/trace"
 	"firefly/internal/workload"
@@ -387,4 +388,124 @@ func TestChunkedRunDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parkedChunks are the lengths of the Run calls the parked-processor
+// differential cycles through: three calls shorter than one bus
+// operation, so many of them end with a processor parked, and one long
+// enough to wake and park processors many times inside one call.
+var parkedChunks = []uint64{1, 3, 7, 1013}
+
+// TestParkedRunDifferential pins Run's parking of processors whose access
+// waits on a bus operation: the processor has no due boundary until the
+// completion that leaves its cache idle, and its stall ticks are applied
+// in bulk when it is next due or when Run returns. One twin is driven by
+// Run calls of parkedChunks, the other by Step; after every call their
+// full registry snapshots must agree, and at the end so must their
+// reports. The loads keep the bus
+// busy: the Table 1 sweep's densest point (10 CPUs at M=0.2), four-word
+// lines in a small cache (victim writes chained to fills, write-throughs
+// after fills), a fault plan whose parity errors, timeouts and retry
+// exhaustion make a retried or abandoned operation the one a parked
+// processor waits on, and a Topaz kernel running the threads exerciser.
+func TestParkedRunDifferential(t *testing.T) {
+	load := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05}
+	synthetic := func(cfg machine.Config) func() *machine.Machine {
+		return func() *machine.Machine {
+			m := machine.New(cfg)
+			m.AttachSyntheticLoad(load)
+			return m
+		}
+	}
+	multiword := machine.MicroVAXConfig(6)
+	multiword.CacheLines, multiword.LineWords = 64, 4
+	faulty := machine.MicroVAXConfig(6)
+	faulty.CacheLines, faulty.LineWords = 256, 2
+	faulty.Faults = &fault.Config{
+		BusParityRate:     0.03,
+		BusTimeoutRate:    0.01,
+		TimeoutHoldCycles: 40,
+		MaxRetries:        2,
+		BackoffCycles:     8,
+	}
+	for _, tc := range []struct {
+		name   string
+		cycles uint64
+		build  func() *machine.Machine
+		// covered reports what the stepped twin must have exercised.
+		covered func(m *machine.Machine) error
+	}{
+		{"table1-10cpu", 60_000, synthetic(machine.MicroVAXConfig(10)), nil},
+		{"multiword", 60_000, synthetic(multiword), func(m *machine.Machine) error {
+			if r := m.Registry(); r.MustValue("cache0.victim_writes") == 0 || r.MustValue("cache0.write_through_shared") == 0 {
+				return fmt.Errorf("cache0 made %d victim writes and %d shared write-throughs, want both > 0",
+					r.MustValue("cache0.victim_writes"), r.MustValue("cache0.write_through_shared"))
+			}
+			return nil
+		}},
+		{"faults", 60_000, synthetic(faulty), func(m *machine.Machine) error {
+			var retries, abandoned uint64
+			for _, c := range m.Caches() {
+				retries += c.Stats().Retries
+				abandoned += c.Stats().Abandoned
+			}
+			if timeouts := m.Faults().Stats().BusTimeouts.Value(); retries == 0 || abandoned == 0 || timeouts == 0 {
+				return fmt.Errorf("%d retries, %d abandoned accesses, %d bus timeouts; want all > 0", retries, abandoned, timeouts)
+			}
+			return nil
+		}},
+		{"topaz-exerciser", 100_000, func() *machine.Machine {
+			m := machine.New(machine.MicroVAXConfig(5))
+			k := topaz.NewKernel(m, topaz.Config{Quantum: 1500, Seed: 3})
+			workload.NewExerciser(k, workload.ExerciserConfig{Threads: 16, Rounds: 1_000_000, SharedFraction: 0.35, Seed: 3})
+			return m
+		}, nil},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			fast, slow := tc.build(), tc.build()
+			parkedEnds := 0
+			for i, done := 0, uint64(0); done < tc.cycles; i++ {
+				n := min(parkedChunks[i%len(parkedChunks)], tc.cycles-done)
+				fast.Run(n)
+				stepEach(slow)(n)
+				done += n
+				if d := diffSnapshots(fast.Registry().Snapshot(), slow.Registry().Snapshot()); d != "" {
+					t.Fatalf("cycle %d (Run(%d)): %s", done, n, d)
+				}
+				for p, c := range slow.Caches() {
+					if slow.CPU(p).Waiting() && c.AwaitsBus() {
+						parkedEnds++
+						break
+					}
+				}
+			}
+			if fr, sr := fmt.Sprint(fast.Report()), fmt.Sprint(slow.Report()); fr != sr {
+				t.Errorf("reports diverged\n--- Run ---\n%s\n--- Step ---\n%s", fr, sr)
+			}
+			if parkedEnds == 0 {
+				t.Error("no Run call ended with a processor waiting on a bus operation")
+			}
+			if tc.covered != nil {
+				if err := tc.covered(slow); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+}
+
+// diffSnapshots names the first counter on which two registry snapshots
+// disagree, or returns "" when they match.
+func diffSnapshots(run, step []stats.NamedValue) string {
+	if len(run) != len(step) {
+		return fmt.Sprintf("Run has %d counters, Step %d", len(run), len(step))
+	}
+	for i := range run {
+		if run[i] != step[i] {
+			return fmt.Sprintf("counter %s: Run %d, Step %d", step[i].Name, run[i].Value, step[i].Value)
+		}
+	}
+	return ""
 }

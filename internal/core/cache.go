@@ -102,6 +102,7 @@ type seqPhase uint8
 const (
 	seqIdle seqPhase = iota
 	seqDeferred
+	// The phases below wait on a bus operation (AwaitsBus).
 	seqVictim
 	seqFill
 	seqWriteThrough
@@ -410,6 +411,11 @@ func (c *Cache) ValidLines() int {
 func (c *Cache) Busy() bool {
 	return c.phase != seqIdle || (c.doneAt != 0 && c.clock.Now() <= c.doneAt)
 }
+
+// AwaitsBus reports whether the outstanding CPU access waits on a bus
+// operation (a victim write, fill, write-through or direct write), which
+// only BusComplete on the cache's port ends; Busy holds until then.
+func (c *Cache) AwaitsBus() bool { return c.phase > seqDeferred }
 
 // LastRead returns the data produced by the most recent completed read.
 func (c *Cache) LastRead() uint32 { return c.lastRead }

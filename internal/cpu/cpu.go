@@ -242,8 +242,9 @@ func (p *Processor) TakeInterrupts() []int {
 // raises work for the next bus cycle), and the instruction hook, if one
 // ran, reported local. Machine.Run calls Tick only at the boundaries
 // where the processor is due (see ComputeAhead), on busy and quiet bus
-// cycles alike, and keeps a window of processor-only ticks open only
-// while every tick stays local.
+// cycles alike (not while parked on a bus operation, see RunPrivate),
+// and keeps a window of processor-only ticks open only while every tick
+// stays local.
 func (p *Processor) Tick() (local bool) {
 	if p.halted {
 		return true
@@ -265,7 +266,7 @@ func (p *Processor) Tick() (local bool) {
 // Interrupt only queues and counts, for the processor's own hook to drain
 // at a real tick; SetSource changes only what the next reference reads;
 // Halt comes only from the processor's own hook or from outside Run; and
-// the cache's Busy is polled only while waiting, when ComputeAhead is 0.
+// only a waiting processor, which has no compute ahead, reads Busy.
 func (p *Processor) ComputeAhead() int {
 	if p.halted || p.waiting || p.qhead == len(p.queue) || p.queue[p.qhead].kind != stepCompute {
 		return 0
@@ -292,8 +293,16 @@ func (p *Processor) Waiting() bool { return p.waiting }
 // one compute stretch, crossing no boundary and making no reference, so
 // RunPrivate(n) applies n elided compute ticks at once (Machine.Run's
 // catch-up before a due tick and on return).
+//
+// A waiting processor whose cache stays Busy through the n ticks only
+// stalls, and RunPrivate counts n stall ticks (Machine.Run's catch-up of
+// a processor parked on a bus operation).
 func (p *Processor) RunPrivate(n int) (boundaries uint64) {
 	p.stats.Ticks += uint64(n)
+	if p.waiting {
+		p.stats.StallTicks += uint64(n)
+		return 0
+	}
 	for n > 0 {
 		if p.qhead == len(p.queue) {
 			boundaries++

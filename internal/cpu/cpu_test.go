@@ -496,6 +496,49 @@ func TestRunPrivateComputeMatchesTicks(t *testing.T) {
 	}
 }
 
+// TestRunPrivateStallMatchesTicks: at the boundary where a processor
+// starts waiting on its cache's bus operation, with k boundaries ahead at
+// which the cache is still Busy, RunPrivate(n) at the n-th of them, the
+// processor not ticked before it, leaves the processor exactly where n
+// real ticks do, for every n <= k, and both go on to the same counters.
+func TestRunPrivateStallMatchesTicks(t *testing.T) {
+	for _, v := range []Variant{MicroVAX78032(), CVAX78034()} {
+		tc := v.TickCycles
+		mk := func() *machine {
+			m := newMachine(1, v, syntheticSource(0.5))
+			m.tickRun(100 * tc)
+			for p := m.cpus[0]; !p.Waiting() || !p.Cache().AwaitsBus(); {
+				m.tickRun(tc)
+			}
+			return m
+		}
+		probe, k := mk(), 0
+		for probe.idle(tc); probe.cpus[0].Cache().Busy(); probe.idle(tc) {
+			k++
+		}
+		if k == 0 {
+			t.Fatalf("%s: the bus operation completed before the next boundary", v.Name)
+		}
+		for n := 1; n <= k; n++ {
+			skip, tick := mk(), mk()
+			skip.idle(n * tc)
+			if b := skip.cpus[0].RunPrivate(n); b != 0 {
+				t.Fatalf("%s n=%d of %d: RunPrivate crossed %d boundaries", v.Name, n, k, b)
+			}
+			tick.tickRun(n * tc)
+			sp, tp := skip.cpus[0], tick.cpus[0]
+			if sp.Stats() != tp.Stats() || sp.Stats().StallTicks == 0 {
+				t.Fatalf("%s n=%d of %d: stats diverged or no stall\nskipped %+v\nticked  %+v", v.Name, n, k, sp.Stats(), tp.Stats())
+			}
+			skip.tickRun(200 * tc)
+			tick.tickRun(200 * tc)
+			if sp.Stats() != tp.Stats() {
+				t.Fatalf("%s n=%d of %d: stats diverged after the wake\nskipped %+v\nticked  %+v", v.Name, n, k, sp.Stats(), tp.Stats())
+			}
+		}
+	}
+}
+
 // TestComputeAhead: ComputeAhead is 0 while halted, while waiting on the
 // cache, at a reference step and at an instruction boundary, and
 // otherwise counts ticks that touch neither the reference source nor

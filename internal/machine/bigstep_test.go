@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"firefly/internal/display"
 	"firefly/internal/fault"
 	"firefly/internal/qbus"
 	"firefly/internal/trace"
@@ -82,5 +83,76 @@ func TestStepZeroAllocsEventScan(t *testing.T) {
 	avg = testing.AllocsPerRun(500, func() { m.Run(100_000) })
 	if avg != 0 {
 		t.Fatalf("event scan of a quiescent machine allocates %.2f times per Run, want 0", avg)
+	}
+}
+
+// TestNextEventSeesBusRequests pins the event scan's reliance on the
+// initiators: nextEvent does not poll the bus ports, so every initiator
+// must report a raised request through its own NextEvent. A machine with
+// caches, a QBus DMA engine and disk, and the display controller steps
+// in lockstep under a fault plan whose parity errors and timeouts send
+// caches and DMA words into retry backoff. At every cycle the bus is
+// idle, a request the bus would arbitrate next cycle must also bring the
+// scan's event to the next cycle.
+func TestNextEventSeesBusRequests(t *testing.T) {
+	cfg := MicroVAXConfig(3)
+	cfg.CacheLines, cfg.LineWords = 256, 2
+	cfg.Faults = &fault.Config{BusParityRate: 0.02, BusTimeoutRate: 5e-3, DMAStallRate: 0.01}
+	m := New(cfg)
+	m.AttachSyntheticLoad(stdLoad)
+	maps := &qbus.MapRegisters{}
+	maps.MapRange(0, 0x40000, 1<<15)
+	eng := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
+	pl := m.Faults()
+	eng.SetFaultPolicy(pl, pl.MaxRetries(), pl.BackoffCycles())
+	disk := qbus.NewDisk(m.Clock(), m.Bus(), eng, qbus.DiskConfig{SeekCycles: 2_000})
+	mdc := display.New(m.Clock(), m.Bus(), m.Memory(), display.Config{})
+	m.AddDevice(eng)
+	m.AddDevice(disk)
+	m.AddDevice(mdc)
+
+	// requesting counts the checked cycles at which each kind of
+	// initiator had a request up for arbitration.
+	var requesting struct{ cache, dma, mdc int }
+	for phase := 0; phase < 8; phase++ {
+		if phase == 4 {
+			haltAll(m) // devices alone: their requests are no longer hidden behind the caches'
+		}
+		disk.Read(uint32(phase), 0, nil)
+		disk.Write(uint32(phase+8), 0x800, nil)
+		mdc.Submit(display.CmdBltFromMemory{R: display.Rect{X: 0, Y: 0, W: 64, H: 2}, Addr: 0x300000})
+		mdc.Submit(display.CmdBltToMemory{R: display.Rect{X: 0, Y: 0, W: 64, H: 2}, Addr: 0x310000})
+		for i := 0; i < 25_000; i++ {
+			m.Step()
+			now := m.Clock().Now()
+			if m.Bus().Busy() || m.Bus().NextEvent(now) > now+1 {
+				continue
+			}
+			if ev := m.nextEvent(now); ev > now+1 {
+				t.Fatalf("cycle %d: the bus has a request to arbitrate, but the event scan reports cycle %d", now, ev)
+			}
+			for _, c := range m.Caches() {
+				if _, ok := c.BusRequest(); ok {
+					requesting.cache++
+					break
+				}
+			}
+			if _, ok := eng.BusRequest(); ok {
+				requesting.dma++
+			}
+			if _, ok := mdc.BusRequest(); ok {
+				requesting.mdc++
+			}
+		}
+	}
+	if requesting.cache == 0 || requesting.dma == 0 || requesting.mdc == 0 {
+		t.Fatalf("checked requests: cache %d, DMA %d, display %d; want all > 0", requesting.cache, requesting.dma, requesting.mdc)
+	}
+	var retries uint64
+	for _, c := range m.Caches() {
+		retries += c.Stats().Retries
+	}
+	if retries == 0 || eng.Stats().Retries.Value() == 0 {
+		t.Fatalf("cache retries %d, DMA retries %d; want both > 0", retries, eng.Stats().Retries.Value())
 	}
 }

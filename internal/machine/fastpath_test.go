@@ -164,26 +164,36 @@ func TestStepZeroAllocsAnyArbiter(t *testing.T) {
 // cycle but ticks only the processors that are due, without calling Step:
 // the path the table1 and exerciser sweeps spend most of their cycles on.
 func TestStepZeroAllocsLoadedRun(t *testing.T) {
+	// table1Load is the Table 1 sweep's load; at 10 CPUs it keeps most
+	// processors parked on their caches' bus operations.
+	table1Load := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05}
 	for _, name := range mbus.ArbiterNames() {
 		t.Run(name, func(t *testing.T) {
-			arb, ok := mbus.NewArbiterByName(name)
-			if !ok {
-				t.Fatalf("unknown arbiter %q", name)
-			}
-			cfg := MicroVAXConfig(5)
-			cfg.Arbiter = arb
-			m := New(cfg)
-			m.AttachSyntheticLoad(stdLoad)
-			m.Run(20_000) // warm caches, internal buffers, and the fcfs queue
-			before := m.Bus().Stats()
-			avg := testing.AllocsPerRun(200, func() { m.Run(5_000) })
-			if avg != 0 {
-				t.Fatalf("machine.Run on a loaded bus with %s arbiter allocates %.2f times per call, want 0", name, avg)
-			}
-			after := m.Bus().Stats()
-			busy, cycles := after.BusyCycles-before.BusyCycles, after.Cycles-before.Cycles
-			if busy*10 < cycles*3 {
-				t.Fatalf("bus busy %d of %d measured cycles, want at least 30%%: the measured Runs were not loaded", busy, cycles)
+			for _, rig := range []struct {
+				cpus int
+				load trace.SyntheticLoad
+			}{{5, stdLoad}, {10, table1Load}} {
+				t.Run(fmt.Sprintf("%dcpu", rig.cpus), func(t *testing.T) {
+					arb, ok := mbus.NewArbiterByName(name)
+					if !ok {
+						t.Fatalf("unknown arbiter %q", name)
+					}
+					cfg := MicroVAXConfig(rig.cpus)
+					cfg.Arbiter = arb
+					m := New(cfg)
+					m.AttachSyntheticLoad(rig.load)
+					m.Run(20_000) // warm caches, internal buffers, and the fcfs queue
+					before := m.Bus().Stats()
+					avg := testing.AllocsPerRun(200, func() { m.Run(5_000) })
+					if avg != 0 {
+						t.Fatalf("machine.Run on a loaded bus with %s arbiter allocates %.2f times per call, want 0", name, avg)
+					}
+					after := m.Bus().Stats()
+					busy, cycles := after.BusyCycles-before.BusyCycles, after.Cycles-before.Cycles
+					if busy*10 < cycles*3 {
+						t.Fatalf("bus busy %d of %d measured cycles, want at least 30%%: the measured Runs were not loaded", busy, cycles)
+					}
+				})
 			}
 		})
 	}

@@ -151,7 +151,8 @@ func zeroOrPowerOfTwo(n int) bool { return n >= 0 && n&(n-1) == 0 }
 // outside the cycle loop. Run uses it to jump the clock over provably
 // dead windows in one bulk advance, so a Step before the reported cycle
 // must do nothing at all: a device that counts elapsed time derives the
-// count from the clock when it is read.
+// count from the clock when it is read. Run does not poll the bus ports:
+// a device's raised bus request is one of its events.
 type Device interface {
 	Step()
 	NextEvent(now sim.Cycle) sim.Cycle
@@ -199,10 +200,14 @@ type Machine struct {
 
 // horizon is one processor's place in a Run call, in tick boundary
 // indices (cycle / TickCycles): its last real tick, and its next one
-// (sim.Never once halted). Run arms it on entry and settles it on
-// return. The ticks strictly between are compute ticks, applied by
-// RunPrivate when the processor is next due or when Run returns.
-type horizon struct{ last, due sim.Cycle }
+// (sim.Never once halted, or while parked on a bus operation until
+// wake). Run arms it on entry and settles it on return. The ticks
+// strictly between are compute or stall ticks, applied by RunPrivate
+// when the processor is next due or when Run returns.
+type horizon struct {
+	last, due sim.Cycle
+	parked    bool
+}
 
 // New builds a machine. Reference sources start nil; attach them with
 // AttachSources (or install a Topaz kernel) before running.
@@ -451,35 +456,41 @@ func (m *Machine) Step() {
 }
 
 // stepShared advances the clock one cycle and steps everything but the
-// processors, in the order every cycle uses: bus, caches, devices.
-func (m *Machine) stepShared() {
+// processors, in the order every cycle uses: bus, caches, devices. It
+// returns the port whose bus operation completed in the cycle, or -1.
+func (m *Machine) stepShared() (done int) {
 	m.clock.Tick()
-	m.bus.Step()
+	done = m.bus.Step()
 	for _, c := range m.caches {
 		c.Step()
 	}
 	for _, d := range m.devices {
 		d.Step()
 	}
+	return done
 }
 
-// Run advances the machine by n cycles. It gives each processor one
-// horizon for the whole call (armed on entry, settled on return) and
-// ticks a processor only at the boundaries where it is due: its
-// references, its instruction boundaries and its stall ticks. The compute
-// ticks between are applied in bulk (cpu.Processor.RunPrivate) when the
-// processor is next due or when Run returns. Due processors tick in port
-// order, so each instruction hook and reference touches shared state (the
-// Topaz ready queue, the fault plan's tag-parity stream, the synthetic
-// shared region) in exactly the order Step would.
+// Run advances the machine by n cycles, and panics if the clock would
+// reach 2^63. It gives each processor one horizon for the whole call
+// (armed on entry, settled on return) and ticks a processor only at the
+// boundaries where it is due: its references, its instruction
+// boundaries, its stall ticks on a deferred access, and the first
+// boundary after the bus completion that ends an access it is parked on
+// (Busy holds through that cycle). The compute and parked ticks between
+// are applied in bulk (cpu.Processor.RunPrivate) when the processor is
+// next due or when Run returns. Due processors tick in port order, so
+// each instruction hook and reference touches shared state (the Topaz
+// ready queue, the fault plan's tag-parity stream, the synthetic shared
+// region) in exactly the order Step would.
 //
-// The rest of the machine runs in two regimes, chosen by one event scan
-// over the bus, the caches and the devices — everything that owns time
-// except the processors:
+// The rest of the machine runs in two regimes, chosen by Bus.Busy and one
+// event scan over the caches and the devices — everything that owns time
+// except the processors and the bus:
 //
 //   - While a bus operation is in flight, or something has an event at
-//     the next cycle, Run steps the bus, caches and devices one cycle and
-//     then ticks the processors due at that boundary.
+//     the next cycle, Run steps the bus, caches and devices one cycle,
+//     wakes the processor whose operation completed in it, and then
+//     ticks the processors due at that boundary.
 //   - Otherwise they are quiet until the scanned horizon H, and runQuiet
 //     jumps the clock from one due boundary to the next, up to H-1. The
 //     window ends after any boundary with a tick that was not local
@@ -495,11 +506,14 @@ func (m *Machine) stepShared() {
 // touches only its own processor, and nothing the bus, caches or devices
 // do reads or writes a processor's step queue or counters: a bus
 // interrupt only queues on the processor, a processor is halted only by
-// its own hook or from outside Run, and a cache's Busy is polled only by
-// a waiting processor, which has no compute ahead.
+// its own hook or from outside Run, and a cache's Busy is read only by a
+// waiting processor, which has no compute ahead.
 func (m *Machine) Run(n uint64) {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
 	now := m.clock.Now()
+	if n >= 1<<63-uint64(now) {
+		panic(fmt.Sprintf("machine: Run(%d) at cycle %d passes the simulator's 2^63-cycle range", n, now))
+	}
 	end := now + sim.Cycle(n)
 	next := sim.Never // the earliest boundary any processor is due at
 	for i := range m.cpus {
@@ -513,14 +527,17 @@ func (m *Machine) Run(n uint64) {
 				continue
 			}
 		}
-		m.stepShared()
+		done := m.stepShared()
 		now++
+		if done >= 0 {
+			next = m.wake(done, now, next)
+		}
 		if next != sim.Never && now == next*tc {
 			next, _ = m.tickDue(next)
 		}
 	}
 	for i, p := range m.cpus {
-		if h := &m.hz[i]; h.due != sim.Never {
+		if h := &m.hz[i]; h.due != sim.Never || h.parked {
 			p.RunPrivate(int(end/tc - h.last))
 		}
 	}
@@ -578,15 +595,17 @@ func (m *Machine) runPrivate(now, stop, next sim.Cycle) sim.Cycle {
 }
 
 // tickDue ticks, in port order, every processor due at boundary b, each
-// first catching up its elided compute ticks, and rearms it. It returns
-// the earliest boundary any processor is due at next, and whether every
-// tick stayed local.
+// first catching up its elided compute or stall ticks, and rearms it. It
+// returns the earliest boundary any processor is due at next, and
+// whether every tick stayed local.
 func (m *Machine) tickDue(b sim.Cycle) (next sim.Cycle, local bool) {
 	next, local = sim.Never, true
 	for i, p := range m.cpus {
 		h := &m.hz[i]
 		if h.due == b {
-			p.RunPrivate(int(b - h.last - 1))
+			if k := b - h.last - 1; k > 0 {
+				p.RunPrivate(int(k))
+			}
 			local = p.Tick() && local
 			m.rearm(i, b)
 		}
@@ -596,23 +615,41 @@ func (m *Machine) tickDue(b sim.Cycle) (next sim.Cycle, local bool) {
 }
 
 // rearm records boundary b as processor i's last real tick and returns
-// the boundary it is next due at.
+// the boundary it is next due at: sim.Never when it is halted, or parked
+// because its access waits on a bus operation.
 func (m *Machine) rearm(i int, b sim.Cycle) sim.Cycle {
-	h := &m.hz[i]
-	h.last, h.due = b, sim.Never
-	if p := m.cpus[i]; !p.Halted() {
+	h, p := &m.hz[i], m.cpus[i]
+	h.last, h.due, h.parked = b, sim.Never, false
+	switch {
+	case p.Halted():
+	case p.Waiting() && m.caches[i].AwaitsBus():
+		h.parked = true
+	default:
 		h.due = b + 1 + sim.Cycle(p.ComputeAhead())
 	}
 	return h.due
 }
 
-// nextEvent scans every time-owning component except the processors for
-// its earliest future event. Only called with the bus inactive; the bus
-// is still polled because backed-off requesters are invisible to it
-// (their own NextEvent reports the retry expiry) while queued requesters
-// make it report the next cycle.
+// wake makes processor port due at the first boundary after cycle now,
+// if it is parked and the bus operation that completed on its port at
+// now left its cache idle, and returns the earliest due boundary.
+func (m *Machine) wake(port int, now, next sim.Cycle) sim.Cycle {
+	if port >= len(m.hz) || !m.hz[port].parked || m.caches[port].AwaitsBus() {
+		return next
+	}
+	h := &m.hz[port]
+	h.parked = false
+	h.due = now/sim.Cycle(m.cfg.Variant.TickCycles) + 1
+	return min(next, h.due)
+}
+
+// nextEvent scans every time-owning component except the processors and
+// the bus for its earliest future event. Only called with the bus
+// inactive; an idle bus acts only on a raised request, and every
+// initiator on it reports its own (a cache, a QBus engine or the display
+// controller says the next cycle, or its retry backoff's expiry).
 func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
-	ev := m.bus.NextEvent(now)
+	ev := sim.Never
 	for _, c := range m.caches {
 		ev = sim.EarliestEvent(ev, c.NextEvent(now))
 	}

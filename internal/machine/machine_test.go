@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -95,6 +96,47 @@ func TestRunSecondsAdvancesClock(t *testing.T) {
 	if got := m.Clock().Now().Seconds(); math.Abs(got-0.001) > 1e-9 {
 		t.Fatalf("clock at %v s, want 0.001", got)
 	}
+}
+
+// TestRunRejectsLengthPastCycleRange pins Run's guard on its end cycle:
+// a length that takes the clock to 2^63 or past it, including one whose
+// end wraps below the clock, panics with the range named and moves no
+// counter, and the machine runs on normally afterwards. The last cycle
+// of the range is still reachable.
+func TestRunRejectsLengthPastCycleRange(t *testing.T) {
+	m := New(MicroVAXConfig(2))
+	m.AttachSyntheticLoad(stdLoad)
+	m.Run(101)
+	before := m.Registry().Snapshot()
+	for _, n := range []uint64{math.MaxUint64 - 50, 1<<63 - 101} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "2^63") {
+					t.Errorf("Run(%d) at cycle 101: recovered %v, want a panic naming the 2^63-cycle range", n, r)
+				}
+			}()
+			m.Run(n)
+		}()
+	}
+	if now := m.Clock().Now(); now != 101 {
+		t.Fatalf("rejected Runs moved the clock to %d", now)
+	}
+	m.Run(1_000)
+	for i, nv := range m.Registry().Snapshot() {
+		if nv.Value < before[i].Value {
+			t.Errorf("%s went backwards: %d, then %d", nv.Name, before[i].Value, nv.Value)
+		}
+	}
+
+	haltAll(m)
+	m.Clock().Advance(1<<63 - 10 - m.Clock().Now())
+	m.Run(9)
+	defer func() {
+		if recover() == nil {
+			t.Error("Run(1) at cycle 2^63-1 did not panic")
+		}
+	}()
+	m.Run(1)
 }
 
 func TestWarmupClearsStats(t *testing.T) {

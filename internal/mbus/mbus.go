@@ -426,6 +426,9 @@ func (b *Bus) InFlight() (op OpKind, addr Addr, active bool) {
 // temporarily invisible (retry backoff) report their own wake-up cycle
 // through their own NextEvent — the bus cannot see them and does not try
 // to.
+// Machine.Run tests Busy instead, since every initiator on a machine's
+// bus reports a raised request through its own NextEvent; only rigs that
+// drive a bus by hand (check's stress drain, FuzzBusOps) use this poll.
 func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
 	if b.active {
 		return now + 1
@@ -463,13 +466,14 @@ func (b *Bus) Interrupt(from, target int) {
 }
 
 // Step advances the bus by one cycle. The machine's run loop must call
-// Step exactly once per clock tick, after stepping the processors so that
-// requests raised this cycle are visible to arbitration.
-func (b *Bus) Step() {
+// Step exactly once per clock tick, before ticking the processors, so a
+// request they raise reaches arbitration on the next cycle. It returns
+// the port whose operation completed or faulted in this cycle, or -1.
+func (b *Bus) Step() (done int) {
 	if !b.active {
 		b.arbitrate()
 		if !b.active {
-			return
+			return -1
 		}
 		// Arbitration and address transmission share the first cycle.
 	}
@@ -482,15 +486,15 @@ func (b *Bus) Step() {
 		// the error.
 		if b.phase < OpCycles {
 			b.phase++
-			return
+			return -1
 		}
 		if b.holdLeft > 0 {
 			b.holdLeft--
-			return
+			return -1
 		}
 		b.completeFaulted()
 		b.active = false
-		return
+		return b.portNum
 	}
 	switch b.phase {
 	case 1:
@@ -502,9 +506,10 @@ func (b *Bus) Step() {
 	case 4:
 		b.complete()
 		b.active = false
-		return
+		return b.portNum
 	}
 	b.phase++
+	return -1
 }
 
 func (b *Bus) arbitrate() {
