@@ -428,21 +428,29 @@ func TestParkedRunDifferential(t *testing.T) {
 		MaxRetries:        2,
 		BackoffCycles:     8,
 	}
+	// Three-cycle ticks let a reference land in the cycle of a snoop's
+	// commit, after the probe's tag-store stall window, so its Submit is
+	// deferred (a cache Busy, not AwaitsBus, due the next cycle).
+	slowTicks := machine.MicroVAXConfig(8)
+	slowTicks.Variant.TickCycles = 3
+	sharedLoad := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.9, SharedReadFraction: 0.5}
 	for _, tc := range []struct {
 		name   string
 		cycles uint64
 		build  func() *machine.Machine
 		// covered reports what the stepped twin must have exercised.
 		covered func(m *machine.Machine) error
+		// deferral: the stepped twin must have deferred an access.
+		deferral bool
 	}{
-		{"table1-10cpu", 60_000, synthetic(machine.MicroVAXConfig(10)), nil},
+		{"table1-10cpu", 60_000, synthetic(machine.MicroVAXConfig(10)), nil, false},
 		{"multiword", 60_000, synthetic(multiword), func(m *machine.Machine) error {
 			if r := m.Registry(); r.MustValue("cache0.victim_writes") == 0 || r.MustValue("cache0.write_through_shared") == 0 {
 				return fmt.Errorf("cache0 made %d victim writes and %d shared write-throughs, want both > 0",
 					r.MustValue("cache0.victim_writes"), r.MustValue("cache0.write_through_shared"))
 			}
 			return nil
-		}},
+		}, false},
 		{"faults", 60_000, synthetic(faulty), func(m *machine.Machine) error {
 			var retries, abandoned uint64
 			for _, c := range m.Caches() {
@@ -453,23 +461,36 @@ func TestParkedRunDifferential(t *testing.T) {
 				return fmt.Errorf("%d retries, %d abandoned accesses, %d bus timeouts; want all > 0", retries, abandoned, timeouts)
 			}
 			return nil
-		}},
+		}, false},
 		{"topaz-exerciser", 100_000, func() *machine.Machine {
 			m := machine.New(machine.MicroVAXConfig(5))
 			k := topaz.NewKernel(m, topaz.Config{Quantum: 1500, Seed: 3})
 			workload.NewExerciser(k, workload.ExerciserConfig{Threads: 16, Rounds: 1_000_000, SharedFraction: 0.35, Seed: 3})
 			return m
-		}, nil},
+		}, nil, false},
+		{"tick3-deferred", 600_000, func() *machine.Machine {
+			m := machine.New(slowTicks)
+			m.AttachSyntheticLoad(sharedLoad)
+			return m
+		}, nil, true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			fast, slow := tc.build(), tc.build()
-			parkedEnds := 0
+			parkedEnds, deferrals := 0, 0
 			for i, done := 0, uint64(0); done < tc.cycles; i++ {
 				n := min(parkedChunks[i%len(parkedChunks)], tc.cycles-done)
 				fast.Run(n)
-				stepEach(slow)(n)
+				for j := uint64(0); j < n; j++ {
+					slow.Step()
+					now := slow.Clock().Now()
+					for _, c := range slow.Caches() {
+						if c.Busy() && !c.AwaitsBus() && c.NextEvent(now) == now+1 {
+							deferrals++
+						}
+					}
+				}
 				done += n
 				if d := diffSnapshots(fast.Registry().Snapshot(), slow.Registry().Snapshot()); d != "" {
 					t.Fatalf("cycle %d (Run(%d)): %s", done, n, d)
@@ -486,6 +507,12 @@ func TestParkedRunDifferential(t *testing.T) {
 			}
 			if parkedEnds == 0 {
 				t.Error("no Run call ended with a processor waiting on a bus operation")
+			}
+			if tc.deferral {
+				t.Logf("%d cache-cycles deferred behind a snoop", deferrals)
+				if deferrals == 0 {
+					t.Error("no access was deferred behind a snoop")
+				}
 			}
 			if tc.covered != nil {
 				if err := tc.covered(slow); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"firefly/internal/mbus"
 	"firefly/internal/obs"
@@ -129,15 +130,20 @@ type FaultPolicy struct {
 }
 
 // Cache is a direct-mapped snoopy cache attached to one MBus port. It is
-// an mbus.Initiator and mbus.Snooper. One CPU access may be outstanding at
-// a time, mirroring the MicroVAX's single memory interface.
+// an mbus.Initiator and mbus.TagSnooper. One CPU access may be
+// outstanding at a time, mirroring the MicroVAX's single memory interface.
 type Cache struct {
 	clock     *sim.Clock
 	proto     Protocol
 	lines     int
 	lineWords int // longwords per line (1 on the real Firefly)
 
-	tags   []mbus.Addr // line base address; meaningful when state != Invalid
+	// tags is the tag store the bus probes (mbus.TagStore): tags.Keys[i]
+	// is set i's line base address with mbus.KeyValid set exactly while
+	// states[i] is valid, so a lookup is one compare and every reader of
+	// an address masks the bit off (tagBase). The bus counts probes and
+	// latches their cycle in it.
+	tags   mbus.TagStore
 	states []State
 	data   []uint32 // lines*lineWords longwords
 
@@ -169,9 +175,8 @@ type Cache struct {
 	machineCheck bool      // latched uncorrectable fault, read by Topaz
 
 	// snoop in progress (between probe and commit)
-	snoopIdx   int
-	snoopLive  bool
-	lastProbed sim.Cycle
+	snoopIdx  int
+	snoopLive bool
 	// flushBuf backs SnoopVerdict.Flush without a per-snoop allocation;
 	// the bus consumes the verdict before this cache can be probed again,
 	// so one buffer per cache suffices.
@@ -220,7 +225,7 @@ func NewCacheGeometry(clock *sim.Clock, proto Protocol, lines, lineWords int) *C
 		proto:     proto,
 		lines:     lines,
 		lineWords: lineWords,
-		tags:      make([]mbus.Addr, lines),
+		tags:      mbus.TagStore{Keys: make([]mbus.Addr, lines), Shift: uint(bits.TrailingZeros(uint(lineWords * 4)))},
 		states:    make([]State, lines),
 		data:      make([]uint32, lines*lineWords),
 		fillBuf:   make([]uint32, lineWords),
@@ -251,7 +256,7 @@ func (c *Cache) setState(idx int, next State) {
 			Cycle: uint64(c.clock.Now()),
 			Kind:  obs.KindCacheState,
 			Unit:  c.unit,
-			Addr:  uint32(c.tags[idx]),
+			Addr:  uint32(c.tagBase(idx)),
 			A:     uint64(c.states[idx]),
 			B:     uint64(next),
 			Label: next.String(),
@@ -259,15 +264,22 @@ func (c *Cache) setState(idx int, next State) {
 	}
 	if c.states[idx] != next {
 		c.gen++
+		if c.states[idx].Valid() != next.Valid() {
+			c.tags.Keys[idx] ^= mbus.KeyValid
+		}
 	}
 	c.states[idx] = next
 }
 
-// putTag installs a line's tag, moving the line generation.
+// putTag installs a line's tag, keeping the set's valid bit and moving the
+// line generation.
 func (c *Cache) putTag(idx int, base mbus.Addr) {
-	c.tags[idx] = base
+	c.tags.Keys[idx] = base | c.tags.Keys[idx]&mbus.KeyValid
 	c.gen++
 }
+
+// tagBase returns the base address of the line in set idx.
+func (c *Cache) tagBase(idx int) mbus.Addr { return c.tags.Keys[idx] &^ mbus.KeyValid }
 
 // Generation returns a count that changes whenever any line's tag or
 // coherence state changes. A caller that has checked residency
@@ -304,11 +316,23 @@ func (c *Cache) Protocol() Protocol { return c.proto }
 // Lines returns the cache's line count.
 func (c *Cache) Lines() int { return c.lines }
 
-// Stats returns a snapshot of the cache's counters.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns a snapshot of the cache's counters. SnoopProbes is the
+// probe count the bus keeps in the tag store.
+func (c *Cache) Stats() Stats {
+	s := c.stats
+	s.SnoopProbes = c.tags.Probes
+	return s
+}
 
 // ResetStats clears the counters without disturbing cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+func (c *Cache) ResetStats() {
+	c.stats = Stats{}
+	c.tags.Probes = 0
+}
+
+// TagStore implements mbus.TagSnooper: the bus probes the cache's tag
+// store directly and calls SnoopProbe only when it may hold the line.
+func (c *Cache) TagStore() *mbus.TagStore { return &c.tags }
 
 // LineWords returns the line size in longwords.
 func (c *Cache) LineWords() int { return c.lineWords }
@@ -338,7 +362,7 @@ func (c *Cache) word(idx int, addr mbus.Addr) *uint32 {
 // lookup returns the set index and whether the line is present.
 func (c *Cache) lookup(addr mbus.Addr) (int, bool) {
 	idx := c.index(addr)
-	return idx, c.states[idx].Valid() && c.tags[idx] == c.lineBase(addr)
+	return idx, c.tags.Keys[idx] == c.tags.Key(addr)
 }
 
 // Contains reports whether addr's line is resident. It is a measurement
@@ -371,10 +395,10 @@ func (c *Cache) PeekWord(addr mbus.Addr) (uint32, bool) {
 // ResidentLine returns the line address stored in set idx, if valid.
 // Synthetic generators use it to construct guaranteed hits.
 func (c *Cache) ResidentLine(idx int) (mbus.Addr, bool) {
-	if idx < 0 || idx >= c.lines || !c.states[idx].Valid() {
+	if idx < 0 || idx >= c.lines || c.tags.Keys[idx]&mbus.KeyValid == 0 {
 		return 0, false
 	}
-	return c.tags[idx], true
+	return c.tagBase(idx), true
 }
 
 // DirtyFraction returns the fraction of valid lines that are dirty — the
@@ -458,9 +482,10 @@ func (c *Cache) HitsLocally(addrs []mbus.Addr) bool {
 
 // TagStoreBusyWithin reports whether a snoop probe used the tag store in
 // the half-open window (now-window, now] — the conflict test for a CPU
-// whose tick spans `window` bus cycles.
+// whose tick spans `window` bus cycles. The bus latches the probe cycle.
 func (c *Cache) TagStoreBusyWithin(now sim.Cycle, window int) bool {
-	return c.lastProbed != 0 && now-c.lastProbed < sim.Cycle(window)
+	last := c.tags.LastProbed
+	return last != 0 && now-last < sim.Cycle(window)
 }
 
 // Submit presents a CPU reference. It returns true if the access completed
@@ -546,7 +571,7 @@ func (c *Cache) begin() bool {
 	}
 	if c.states[idx].Valid() && c.proto.NeedsWriteBack(c.states[idx]) {
 		c.phase = seqVictim
-		c.victimBase = c.tags[idx]
+		c.victimBase = c.tagBase(idx)
 		c.xferWord = 0
 		c.raiseVictimWord()
 		return false
@@ -570,6 +595,11 @@ func (c *Cache) startMissOps() {
 	c.xferWord = 0
 	c.fillShared = false
 	c.fillPoisoned = false
+	if c.lineWords > 1 {
+		// Until the last word arrives the line is in no set, but the bus
+		// must still ask this cache about it (snoopFillConflict).
+		c.tags.FillKey = c.tags.Key(acc.Addr)
+	}
 	c.raiseFillWord()
 }
 
@@ -623,8 +653,8 @@ func (c *Cache) tagParityFault(idx int) (hit bool) {
 		c.stats.MachineChecks++
 		c.machineCheck = true
 		if c.tracer != nil {
-			c.emit(obs.KindFaultCacheTag, c.tags[idx], 0, 1)
-			c.emit(obs.KindMachineCheck, c.tags[idx], 2, 0)
+			c.emit(obs.KindFaultCacheTag, c.tagBase(idx), 0, 1)
+			c.emit(obs.KindMachineCheck, c.tagBase(idx), 2, 0)
 		}
 		return true
 	}
@@ -632,7 +662,7 @@ func (c *Cache) tagParityFault(idx int) (hit bool) {
 	// coherence checker's arc validator) can attribute the off-protocol
 	// transition to Invalid to fault recovery.
 	if c.tracer != nil {
-		c.emit(obs.KindFaultCacheTag, c.tags[idx], 0, 0)
+		c.emit(obs.KindFaultCacheTag, c.tagBase(idx), 0, 0)
 	}
 	c.setState(idx, Invalid)
 	return false
@@ -668,6 +698,7 @@ func (c *Cache) busFault(res mbus.Result) {
 		c.emit(obs.KindMachineCheck, c.req.Addr, 1, uint64(res.Fault))
 	}
 	c.reqValid = false
+	c.tags.FillKey = 0
 	c.finish()
 }
 
@@ -723,6 +754,7 @@ func (c *Cache) BusComplete(res mbus.Result) {
 			c.raiseFillWord()
 			return
 		}
+		c.tags.FillKey = 0
 		if c.fillPoisoned {
 			// A snooped operation claimed this line for exclusive ownership
 			// mid-fill; the buffered words are dead. Discard them and retry
@@ -835,10 +867,11 @@ func (c *Cache) finish() {
 	c.doneAt = c.clock.Now()
 }
 
-// SnoopProbe implements mbus.Snooper.
+// SnoopProbe implements mbus.Snooper. The bus has already counted and
+// latched the probe in the tag store, and calls this only when the cache
+// may hold the line (mbus.TagStore.MayHold): the line is valid in its set
+// or, with multi-word lines, being filled.
 func (c *Cache) SnoopProbe(op mbus.OpKind, addr mbus.Addr, data uint32) mbus.SnoopVerdict {
-	c.stats.SnoopProbes++
-	c.lastProbed = c.clock.Now()
 	idx, hit := c.lookup(addr)
 	if !hit {
 		if c.lineWords > 1 && c.phase == seqFill &&
@@ -862,7 +895,7 @@ func (c *Cache) SnoopProbe(op mbus.OpKind, addr mbus.Addr, data uint32) mbus.Sno
 	// one-longword lines that is the single reflected word the hardware
 	// put on the bus; with longer lines the flush covers every word.
 	if c.states[idx].IsDirty() && !action.Next.IsDirty() {
-		base := c.tags[idx]
+		base := c.tagBase(idx)
 		// The verdict borrows flushBuf: the bus consumes it when the
 		// operation completes, before this cache can be probed again.
 		c.flushBuf = c.flushBuf[:0]
@@ -961,6 +994,6 @@ func boolArg(b bool) uint64 {
 }
 
 var (
-	_ mbus.Initiator = (*Cache)(nil)
-	_ mbus.Snooper   = (*Cache)(nil)
+	_ mbus.Initiator  = (*Cache)(nil)
+	_ mbus.TagSnooper = (*Cache)(nil)
 )

@@ -626,7 +626,7 @@ func (m *machine) probeAtNextRef(t *testing.T) {
 			continue
 		}
 		if !p.waiting && p.qhead < len(p.queue) && p.queue[p.qhead].kind == stepRef {
-			p.cache.SnoopProbe(mbus.MRead, 0x300000, 0)
+			p.cache.TagStore().Probe(p.clock.Now())
 			p.Tick()
 			if !p.probeStalled {
 				t.Fatal("the probe did not stall the reference")

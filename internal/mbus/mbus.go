@@ -18,6 +18,12 @@
 // address-only MInv, occupies the full four cycles; this matches the
 // fixed-length MBus transaction framing and keeps protocol comparisons on
 // equal footing.
+//
+// The cycle-2 probe occupies every other cache's tag store, which is the
+// paper's SP slowdown, so every operation is counted and latched in each
+// such tag store (TagStore). Only the caches that hold the line drive
+// MShared or change state, and the bus calls SnoopProbe only on the
+// caches whose tag store may hold it.
 package mbus
 
 import (
@@ -167,7 +173,9 @@ type Initiator interface {
 	BusComplete(Result)
 }
 
-// SnoopVerdict is a snooper's response to an address probe.
+// SnoopVerdict is a snooper's response to an address probe. A snooper
+// that does not hold the line answers the zero verdict; the bus keeps only
+// the non-zero verdicts of an operation.
 type SnoopVerdict struct {
 	// HasLine reports whether the snooper holds the addressed line; it
 	// drives the MShared signal.
@@ -200,15 +208,73 @@ type WordFlush struct {
 // Snooper watches the bus and participates in coherence. Every cache is a
 // snooper; the probe in cycle 2 occupies the snooper's tag store for that
 // cycle, which is the source of the paper's "tag store probes by other
-// caches" (SP) slowdown term.
+// caches" (SP) slowdown term. Every operation probes the tag store of
+// every snooper but its initiator, yet only a snooper that holds the line
+// has anything to answer: one that exposes its tag store (TagSnooper) has
+// the probe counted and latched there by the bus, and is asked only when
+// it may hold the line.
 type Snooper interface {
-	// SnoopProbe is called in cycle 2 of every operation initiated by
-	// another agent.
+	// SnoopProbe is called in cycle 2 of an operation initiated by
+	// another agent: on every such operation for a plain Snooper, and
+	// only on the operations whose line a TagSnooper may hold (TagStore).
+	// It answers exactly, whether or not the snooper holds the line.
 	SnoopProbe(op OpKind, addr Addr, data uint32) SnoopVerdict
 	// SnoopCommit is called in cycle 3 with the resolved MShared value so
 	// the snooper can apply its protocol's state change (take update data,
 	// invalidate, change ownership).
 	SnoopCommit(op OpKind, addr Addr, data uint32, shared bool)
+}
+
+// TagSnooper is an optional Snooper extension for an agent whose tag
+// store the bus may read. The bus type-asserts for it at Attach, the same
+// way AttachMemory detects ECCMemory.
+type TagSnooper interface {
+	Snooper
+	// TagStore returns the snooper's tag store. The bus keeps the pointer
+	// for the life of the port.
+	TagStore() *TagStore
+}
+
+// KeyValid is the bit of a TagStore key that marks the line valid. Line
+// base addresses are longword-aligned, so bit 0 is free.
+const KeyValid Addr = 1
+
+// TagStore is a snooper's tag store as the bus sees it: one key per set,
+// plus the probe count and latch, which the bus keeps. The snooper's own
+// references read LastProbed to take the SP stall.
+type TagStore struct {
+	// Keys holds one key per set: the base address of the resident line,
+	// with KeyValid set while the line is valid. Its length is a power of
+	// two.
+	Keys []Addr
+	// Shift is log2 of the line size in bytes: a line's set is
+	// addr>>Shift modulo len(Keys).
+	Shift uint
+	// FillKey is the key of a line being filled word by word (0: none).
+	// Such a line is not yet in Keys, but an operation on it must reach
+	// the snooper's SnoopProbe.
+	FillKey Addr
+	// Probes counts the probes of this tag store; LastProbed is the cycle
+	// of the latest (0 before any).
+	Probes     uint64
+	LastProbed sim.Cycle
+}
+
+// Key returns the key of addr's line while it is valid.
+func (t *TagStore) Key(addr Addr) Addr { return addr>>t.Shift<<t.Shift | KeyValid }
+
+// Probe records a tag-store probe in cycle now.
+func (t *TagStore) Probe(now sim.Cycle) {
+	t.Probes++
+	t.LastProbed = now
+}
+
+// MayHold reports whether the snooper may hold addr's line: the line is
+// valid in its set or being filled. A snooper that holds the line always
+// passes; one that passes need not hold it (SnoopProbe answers exactly).
+func (t *TagStore) MayHold(addr Addr) bool {
+	key := t.Key(addr)
+	return t.Keys[uint32(addr>>t.Shift)&uint32(len(t.Keys)-1)] == key || t.FillKey == key
 }
 
 // Memory is the storage module array on the bus.
@@ -253,6 +319,13 @@ type port struct {
 	initiator Initiator
 	snooper   Snooper
 	sink      InterruptSink
+	tags      *TagStore // non-nil when snooper implements TagSnooper
+}
+
+// holder is one snooper's non-zero verdict on the in-flight operation.
+type holder struct {
+	port int
+	v    SnoopVerdict
 }
 
 // Stats aggregates bus activity for load and traffic reporting.
@@ -306,15 +379,17 @@ type Bus struct {
 	inj    FaultInjector
 
 	// in-flight operation
-	active   bool
-	phase    int // 1..4
-	op       OpKind
-	addr     Addr
-	data     uint32
-	victim   bool
-	portNum  int
-	verdicts []SnoopVerdict
-	shared   bool
+	active  bool
+	phase   int // 1..4
+	op      OpKind
+	addr    Addr
+	data    uint32
+	victim  bool
+	portNum int
+	// holders are the non-zero verdicts of the in-flight operation, in
+	// port order; reused across operations.
+	holders []holder
+	shared  bool
 	// fault of the in-flight operation (FaultNone normally); holdLeft is
 	// the remaining watchdog cycles of a timed-out operation.
 	fault    FaultKind
@@ -361,9 +436,14 @@ func (b *Bus) SetFaultInjector(inj FaultInjector) { b.inj = inj }
 // Attach adds an agent to the bus and returns its port number. Lower port
 // numbers have higher fixed priority. Any of the three roles may be nil
 // for agents that lack it (memory-side DMA engines do not snoop, pure
-// snoopers never initiate).
+// snoopers never initiate). A snooper implementing TagSnooper has its tag
+// store probed by the bus itself.
 func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
-	b.ports = append(b.ports, port{initiator: in, snooper: sn, sink: sink})
+	p := port{initiator: in, snooper: sn, sink: sink}
+	if ts, ok := sn.(TagSnooper); ok {
+		p.tags = ts.TagStore()
+	}
+	b.ports = append(b.ports, p)
 	b.stats.PerPort = append(b.stats.PerPort, 0)
 	b.stats.WaitPerPort = append(b.stats.WaitPerPort, 0)
 	return len(b.ports) - 1
@@ -469,6 +549,10 @@ func (b *Bus) Interrupt(from, target int) {
 // Step exactly once per clock tick, before ticking the processors, so a
 // request they raise reaches arbitration on the next cycle. It returns
 // the port whose operation completed or faulted in this cycle, or -1.
+// In cycle 2 of an operation every snooper but the initiator is probed:
+// a TagSnooper's probe is counted and latched in its tag store, and
+// SnoopProbe is called only on the snoopers that may hold the line. A
+// faulted operation probes no one.
 func (b *Bus) Step() (done int) {
 	if !b.active {
 		b.arbitrate()
@@ -585,13 +669,10 @@ func (b *Bus) begin(port int, req Request) {
 	if b.inj != nil {
 		b.fault, b.holdLeft = b.inj.OpFault(b.op, b.addr)
 	}
-	if cap(b.verdicts) < len(b.ports) {
-		b.verdicts = make([]SnoopVerdict, len(b.ports))
+	if cap(b.holders) < len(b.ports) {
+		b.holders = make([]holder, 0, len(b.ports))
 	}
-	b.verdicts = b.verdicts[:len(b.ports)]
-	for i := range b.verdicts {
-		b.verdicts[i] = SnoopVerdict{}
-	}
+	b.holders = b.holders[:0]
 	if b.tracer != nil {
 		b.tracer.Emit(obs.Event{
 			Cycle: uint64(b.clock.Now()),
@@ -605,26 +686,38 @@ func (b *Bus) begin(port int, req Request) {
 	b.ports[port].initiator.BusGrant()
 }
 
+// probeAll is cycle 2 (see Step). Non-zero verdicts are kept, in port
+// order, in holders.
 func (b *Bus) probeAll() {
 	var data uint32
 	if b.op.CarriesData() {
 		data = b.data
 	}
+	now := b.clock.Now()
 	for i := range b.ports {
 		if i == b.portNum {
 			continue
 		}
-		sn := b.ports[i].snooper
-		if sn == nil {
+		p := &b.ports[i]
+		if p.snooper == nil {
 			continue
 		}
-		b.verdicts[i] = sn.SnoopProbe(b.op, b.addr, data)
+		if t := p.tags; t != nil {
+			t.Probe(now)
+			if !t.MayHold(b.addr) {
+				continue
+			}
+		}
+		v := p.snooper.SnoopProbe(b.op, b.addr, data)
+		if v.HasLine || v.Supply || v.MemWrite || len(v.Flush) > 0 {
+			b.holders = append(b.holders, holder{port: i, v: v})
+		}
 	}
 }
 
 func (b *Bus) resolveShared() {
-	for i := range b.verdicts {
-		if i != b.portNum && b.verdicts[i].HasLine {
+	for i := range b.holders {
+		if b.holders[i].v.HasLine {
 			b.shared = true
 			break
 		}
@@ -646,15 +739,10 @@ func (b *Bus) resolveShared() {
 	if b.op.CarriesData() {
 		data = b.data
 	}
-	for i := range b.ports {
-		if i == b.portNum {
-			continue
+	for i := range b.holders {
+		if h := &b.holders[i]; h.v.HasLine {
+			b.ports[h.port].snooper.SnoopCommit(b.op, b.addr, data, b.shared)
 		}
-		sn := b.ports[i].snooper
-		if sn == nil || !b.verdicts[i].HasLine {
-			continue
-		}
-		sn.SnoopCommit(b.op, b.addr, data, b.shared)
 	}
 	if b.tracer != nil && b.op.CarriesData() {
 		// Cycle 3 is the serialization point of a data-carrying operation:
@@ -687,11 +775,8 @@ func (b *Bus) complete() {
 	// Snoop-side flushes land before the operation's own memory effect so
 	// the operation's data (the newest value) wins on overlap.
 	if b.mem != nil {
-		for i, v := range b.verdicts {
-			if i == b.portNum {
-				continue
-			}
-			for _, f := range v.Flush {
+		for i := range b.holders {
+			for _, f := range b.holders[i].v.Flush {
 				b.mem.WriteWord(f.Addr, f.Data)
 			}
 		}
@@ -700,8 +785,9 @@ func (b *Bus) complete() {
 		supplied := false
 		reflect := false
 		var word uint32
-		for i, v := range b.verdicts {
-			if i == b.portNum || !v.Supply {
+		for i := range b.holders {
+			v := &b.holders[i].v
+			if !v.Supply {
 				continue
 			}
 			if supplied && v.Data != word {

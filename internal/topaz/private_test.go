@@ -6,7 +6,6 @@ import (
 	"firefly/internal/core"
 	"firefly/internal/fault"
 	"firefly/internal/machine"
-	"firefly/internal/mbus"
 	"firefly/internal/sim"
 	"firefly/internal/trace"
 )
@@ -151,7 +150,7 @@ func TestPrivateHorizonRefuses(t *testing.T) {
 			// the boundary right after it.
 			c := k.m.Cache(0)
 			stepUntil(t, k.m, func() bool { return k.m.Clock().Now()%2 == 1 })
-			c.SnoopProbe(mbus.MRead, 0x300000, 0)
+			c.TagStore().Probe(k.m.Clock().Now())
 		}},
 		{name: "switchLeft == 1", perturb: func(t *testing.T, k *Kernel) { switching(k, 1) }},
 		{name: "drifting working set", perturb: func(t *testing.T, k *Kernel) {
