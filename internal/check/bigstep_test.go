@@ -10,6 +10,7 @@ import (
 	"firefly/internal/machine"
 	"firefly/internal/obs"
 	"firefly/internal/qbus"
+	"firefly/internal/sim"
 	"firefly/internal/stats"
 	"firefly/internal/topaz"
 	"firefly/internal/trace"
@@ -396,6 +397,9 @@ func TestChunkedRunDifferential(t *testing.T) {
 // enough to wake and park processors many times inside one call.
 var parkedChunks = []uint64{1, 3, 7, 1013}
 
+// parkedRound is the cycles of one pass through parkedChunks.
+const parkedRound = 1 + 3 + 7 + 1013
+
 // TestParkedRunDifferential pins Run's parking of processors whose access
 // waits on a bus operation: the processor has no due boundary until the
 // completion that leaves its cache idle, and its stall ticks are applied
@@ -407,10 +411,12 @@ var parkedChunks = []uint64{1, 3, 7, 1013}
 // lines in a small cache (victim writes chained to fills, write-throughs
 // after fills), a fault plan whose parity errors, timeouts and retry
 // exhaustion make a retried or abandoned operation the one a parked
-// processor waits on, and a Topaz kernel running the threads exerciser.
+// processor waits on, a Topaz kernel running the threads exerciser, and
+// ticks of three and four cycles, whose references stall a second time
+// on a probe in their boundary cycle (cpu.Processor.Tick).
 func TestParkedRunDifferential(t *testing.T) {
 	load := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05}
-	synthetic := func(cfg machine.Config) func() *machine.Machine {
+	synthetic := func(cfg machine.Config, load trace.SyntheticLoad) func() *machine.Machine {
 		return func() *machine.Machine {
 			m := machine.New(cfg)
 			m.AttachSyntheticLoad(load)
@@ -428,30 +434,42 @@ func TestParkedRunDifferential(t *testing.T) {
 		MaxRetries:        2,
 		BackoffCycles:     8,
 	}
-	// Three-cycle ticks let a reference land in the cycle of a snoop's
-	// commit, after the probe's tag-store stall window, so its Submit is
-	// deferred (a cache Busy, not AwaitsBus, due the next cycle).
+	// Three-cycle ticks let a reference that took its probe stall reach
+	// its next boundary in the cycle of another probe, so it stalls
+	// again.
 	slowTicks := machine.MicroVAXConfig(8)
 	slowTicks.Variant.TickCycles = 3
+	// With four-cycle ticks and processors alone on the bus every probe
+	// falls two cycles after a boundary. A timed-out operation holding
+	// the bus for 4+42 cycles shifts the bus's phase by two, so probes
+	// land on boundaries, and back-to-back operations keep them there
+	// until the bus idles. A miss rate of 0.8 keeps the bus as busy as
+	// the processors' own probe stalls let it be (about 77%).
+	tick4 := machine.MicroVAXConfig(8)
+	tick4.Variant.TickCycles = 4
+	tick4.Faults = &fault.Config{BusTimeoutRate: 0.005, TimeoutHoldCycles: 42, MaxRetries: 8, BackoffCycles: 4}
 	sharedLoad := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.9, SharedReadFraction: 0.5}
+	denseLoad := trace.SyntheticLoad{MissRate: 0.8, ShareFraction: 0.9, SharedReadFraction: 0.5}
 	for _, tc := range []struct {
 		name   string
 		cycles uint64
 		build  func() *machine.Machine
 		// covered reports what the stepped twin must have exercised.
 		covered func(m *machine.Machine) error
-		// deferral: the stepped twin must have deferred an access.
-		deferral bool
+		// secondStalls: the stepped twin must stall some reference again
+		// in a probe cycle; progress: every processor must also retire
+		// instructions in every round of parkedChunks.
+		secondStalls, progress bool
 	}{
-		{"table1-10cpu", 60_000, synthetic(machine.MicroVAXConfig(10)), nil, false},
-		{"multiword", 60_000, synthetic(multiword), func(m *machine.Machine) error {
+		{"table1-10cpu", 60_000, synthetic(machine.MicroVAXConfig(10), load), nil, false, false},
+		{"multiword", 60_000, synthetic(multiword, load), func(m *machine.Machine) error {
 			if r := m.Registry(); r.MustValue("cache0.victim_writes") == 0 || r.MustValue("cache0.write_through_shared") == 0 {
 				return fmt.Errorf("cache0 made %d victim writes and %d shared write-throughs, want both > 0",
 					r.MustValue("cache0.victim_writes"), r.MustValue("cache0.write_through_shared"))
 			}
 			return nil
-		}, false},
-		{"faults", 60_000, synthetic(faulty), func(m *machine.Machine) error {
+		}, false, false},
+		{"faults", 60_000, synthetic(faulty, load), func(m *machine.Machine) error {
 			var retries, abandoned uint64
 			for _, c := range m.Caches() {
 				retries += c.Stats().Retries
@@ -461,34 +479,50 @@ func TestParkedRunDifferential(t *testing.T) {
 				return fmt.Errorf("%d retries, %d abandoned accesses, %d bus timeouts; want all > 0", retries, abandoned, timeouts)
 			}
 			return nil
-		}, false},
+		}, false, false},
 		{"topaz-exerciser", 100_000, func() *machine.Machine {
 			m := machine.New(machine.MicroVAXConfig(5))
 			k := topaz.NewKernel(m, topaz.Config{Quantum: 1500, Seed: 3})
 			workload.NewExerciser(k, workload.ExerciserConfig{Threads: 16, Rounds: 1_000_000, SharedFraction: 0.35, Seed: 3})
 			return m
-		}, nil, false},
-		{"tick3-deferred", 600_000, func() *machine.Machine {
-			m := machine.New(slowTicks)
-			m.AttachSyntheticLoad(sharedLoad)
-			return m
-		}, nil, true},
+		}, nil, false, false},
+		{"tick3-second-stall", 600_000, synthetic(slowTicks, sharedLoad), nil, true, false},
+		{"tick4-second-stall", 600_000, synthetic(tick4, denseLoad), nil, true, true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			fast, slow := tc.build(), tc.build()
-			parkedEnds, deferrals := 0, 0
+			ticks := sim.Cycle(slow.Config().Variant.TickCycles)
+			ncpu := len(slow.Processors())
+			// Per processor: probe stalls at the last boundary, the current
+			// run of consecutive probe stalls, and instructions at the
+			// start of the round.
+			stalls, run, instrs := make([]uint64, ncpu), make([]int, ncpu), make([]uint64, ncpu)
+			parkedEnds, seconds, longest := 0, 0, 0
 			for i, done := 0, uint64(0); done < tc.cycles; i++ {
 				n := min(parkedChunks[i%len(parkedChunks)], tc.cycles-done)
 				fast.Run(n)
 				for j := uint64(0); j < n; j++ {
 					slow.Step()
 					now := slow.Clock().Now()
-					for _, c := range slow.Caches() {
-						if c.Busy() && !c.AwaitsBus() && c.NextEvent(now) == now+1 {
-							deferrals++
+					if now%ticks != 0 {
+						continue
+					}
+					for p, cp := range slow.Processors() {
+						k := cp.Stats().ProbeStalls
+						if k == stalls[p] {
+							run[p] = 0
+							continue
 						}
+						stalls[p] = k
+						if run[p]++; run[p] > 1 {
+							seconds++
+							if !slow.Cache(p).TagStoreBusyWithin(now, 1) {
+								t.Fatalf("cycle %d: cpu%d stalled again outside a probe cycle", now, p)
+							}
+						}
+						longest = max(longest, run[p])
 					}
 				}
 				done += n
@@ -501,6 +535,15 @@ func TestParkedRunDifferential(t *testing.T) {
 						break
 					}
 				}
+				if tc.progress && i%len(parkedChunks) == len(parkedChunks)-1 {
+					for p, cp := range slow.Processors() {
+						if k := cp.Stats().Instructions; k == instrs[p] {
+							t.Fatalf("cycle %d: cpu%d retired no instruction in %d cycles", done, p, parkedRound)
+						} else {
+							instrs[p] = k
+						}
+					}
+				}
 			}
 			if fr, sr := fmt.Sprint(fast.Report()), fmt.Sprint(slow.Report()); fr != sr {
 				t.Errorf("reports diverged\n--- Run ---\n%s\n--- Step ---\n%s", fr, sr)
@@ -508,10 +551,10 @@ func TestParkedRunDifferential(t *testing.T) {
 			if parkedEnds == 0 {
 				t.Error("no Run call ended with a processor waiting on a bus operation")
 			}
-			if tc.deferral {
-				t.Logf("%d cache-cycles deferred behind a snoop", deferrals)
-				if deferrals == 0 {
-					t.Error("no access was deferred behind a snoop")
+			if tc.secondStalls {
+				t.Logf("%d second probe stalls; longest run of stalls of one reference %d", seconds, longest)
+				if seconds == 0 {
+					t.Error("no reference stalled again in a probe cycle")
 				}
 			}
 			if tc.covered != nil {

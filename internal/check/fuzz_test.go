@@ -156,15 +156,16 @@ func FuzzBusOps(f *testing.F) {
 		heads := make([]int, nCaches)
 		for cyc := 0; cyc < 20000; cyc++ {
 			clock.Tick()
+			bus.Step()
+			// A cache submits only outside a probe cycle, as a processor
+			// does: a snoop probed this cycle commits in the next.
 			for i, c := range caches {
-				if !c.Busy() && heads[i] < len(queues[i]) {
+				if !c.Busy() && !c.TagStoreBusyWithin(clock.Now(), 1) && heads[i] < len(queues[i]) {
 					op := queues[i][heads[i]]
 					heads[i]++
 					c.Submit(core.Access{Write: op.write, Addr: op.addr, Data: op.data})
 				}
-				c.Step()
 			}
-			bus.Step()
 			done := pup.pos >= len(pup.reqs) && bus.NextEvent(clock.Now()) == sim.Never
 			for i, c := range caches {
 				done = done && !c.Busy() && heads[i] >= len(queues[i])

@@ -34,9 +34,6 @@ func newRig(t testing.TB, n int, proto core.Protocol, lines int) *rig {
 func (r *rig) run(n int) {
 	for i := 0; i < n; i++ {
 		r.clock.Tick()
-		for _, c := range r.caches {
-			c.Step()
-		}
 		r.bus.Step()
 	}
 }

@@ -102,8 +102,7 @@ type seqPhase uint8
 
 const (
 	seqIdle seqPhase = iota
-	seqDeferred
-	// The phases below wait on a bus operation (AwaitsBus).
+	// Every other phase waits on a bus operation (AwaitsBus).
 	seqVictim
 	seqFill
 	seqWriteThrough
@@ -151,7 +150,6 @@ type Cache struct {
 	phase    seqPhase
 	acc      Access
 	accIdx   int
-	deferred bool // waiting for a pending snoop on the same set to commit
 	lastRead uint32
 	// multi-word transfer progress
 	xferWord   int
@@ -436,26 +434,26 @@ func (c *Cache) Busy() bool {
 	return c.phase != seqIdle || (c.doneAt != 0 && c.clock.Now() <= c.doneAt)
 }
 
-// AwaitsBus reports whether the outstanding CPU access waits on a bus
-// operation (a victim write, fill, write-through or direct write), which
-// only BusComplete on the cache's port ends; Busy holds until then.
-func (c *Cache) AwaitsBus() bool { return c.phase > seqDeferred }
+// AwaitsBus reports whether a CPU access is outstanding. It always waits
+// on a bus operation (a victim write, fill, write-through or direct
+// write), which only BusComplete on the cache's port ends; Busy holds
+// until then, and through the completion cycle.
+func (c *Cache) AwaitsBus() bool { return c.phase != seqIdle }
 
 // LastRead returns the data produced by the most recent completed read.
 func (c *Cache) LastRead() uint32 { return c.lastRead }
 
-// NextEvent reports the earliest future cycle at which stepping the
-// cache (or granting its bus request) may change observable state. An
-// idle cache — no access in progress, no deferred work, no bus request
-// raised — reports sim.Never; unlike Busy this ignores the doneAt
-// completion latch, which only delays the owning processor and decays
-// with the clock. A cache backing off after a faulted bus
+// NextEvent reports the earliest future cycle at which the bus may act
+// for the cache (grant its request) and so change observable state. An
+// idle cache — no access in progress, no bus request raised — reports
+// sim.Never; unlike Busy this ignores the doneAt completion latch, which
+// only delays the owning processor and decays with the clock. A cache backing off after a faulted bus
 // operation reports the backoff expiry (its raised request is invisible
 // to the bus until then); anything else in flight reports the next
 // cycle. Pure function of cache state; never over-reports (see the
 // DESIGN.md big-step contract).
 func (c *Cache) NextEvent(now sim.Cycle) sim.Cycle {
-	if c.phase == seqIdle && !c.deferred && !c.reqValid {
+	if c.phase == seqIdle && !c.reqValid {
 		return sim.Never
 	}
 	if c.reqValid && c.retryAt > now {
@@ -490,11 +488,19 @@ func (c *Cache) TagStoreBusyWithin(now sim.Cycle, window int) bool {
 
 // Submit presents a CPU reference. It returns true if the access completed
 // immediately (a hit needing no bus work); otherwise the CPU must stall
-// until Busy() reports false. Submitting while Busy panics: the MicroVAX
-// memory interface has a single outstanding reference.
+// until Busy() reports false. Two preconditions, each enforced by a panic:
+// no access is in progress (AwaitsBus; the doneAt latch that keeps Busy
+// true through a completion cycle does not count), since the MicroVAX
+// memory interface has a single outstanding reference; and no snoop
+// holds the access's set between probe and commit, since the tag store
+// is committed to the bus transaction. The processor guarantees the
+// second by stalling while its tag store is probed (cpu.Processor).
 func (c *Cache) Submit(acc Access) (done bool) {
 	if c.phase != seqIdle {
 		panic("core: Submit while access in progress")
+	}
+	if c.snoopLive && c.snoopIdx == c.index(acc.Addr) {
+		panic("core: Submit to a set held by a snoop between probe and commit")
 	}
 	if acc.Write {
 		c.stats.Writes++
@@ -502,20 +508,6 @@ func (c *Cache) Submit(acc Access) (done bool) {
 		c.stats.Reads++
 	}
 	c.acc = acc
-	if c.snoopLive && c.snoopIdx == c.index(acc.Addr) {
-		// A snoop on this set is between probe and commit; the tag store
-		// is committed to the bus transaction. Defer one cycle.
-		c.phase = seqDeferred
-		c.deferred = true
-		return false
-	}
-	return c.begin()
-}
-
-// begin starts processing c.acc. Returns true if it completed.
-func (c *Cache) begin() bool {
-	c.deferred = false
-	acc := c.acc
 	idx, hit := c.lookup(acc.Addr)
 	c.accIdx = idx
 	if hit && c.faults.Tag != nil && c.faults.Tag.TagFault(acc.Addr) {
@@ -529,7 +521,6 @@ func (c *Cache) begin() bool {
 				c.emit(obs.KindCacheReadHit, acc.Addr, 0, 0)
 				c.emit(obs.KindCacheLoad, acc.Addr, uint64(c.lastRead), 1)
 			}
-			c.phase = seqIdle
 			return true
 		}
 		c.stats.WriteHits++
@@ -544,7 +535,6 @@ func (c *Cache) begin() bool {
 			if c.tracer != nil {
 				c.emit(obs.KindCacheStore, acc.Addr, uint64(acc.Data), 1)
 			}
-			c.phase = seqIdle
 			return true
 		}
 		// Conditional write-through (or invalidation) for a shared line.
@@ -624,14 +614,6 @@ func (c *Cache) raiseVictimWord() {
 		Addr:   addr.Line(),
 		Data:   c.data[idx*c.lineWords+c.xferWord],
 		Victim: true,
-	}
-}
-
-// Step processes deferred work; the machine calls it once per cycle before
-// stepping the bus.
-func (c *Cache) Step() {
-	if c.deferred && !c.snoopLive {
-		c.begin()
 	}
 }
 
@@ -958,7 +940,8 @@ func (c *Cache) SnoopCommit(op mbus.OpKind, addr mbus.Addr, data uint32, shared 
 	c.snoopLive = false
 	idx := c.snoopIdx
 	// The line cannot have changed between probe and commit: local writes
-	// that could change it either need the (busy) bus or were deferred.
+	// that could change it either need the (busy) bus or are kept out of
+	// the set by Submit's precondition.
 	action := c.proto.Snoop(c.states[idx], op)
 	if action.TakeData && op.CarriesData() {
 		*c.word(idx, addr) = data

@@ -38,9 +38,6 @@ func newRigArb(t testing.TB, n int, proto Protocol, lines int, arb mbus.Arbiter)
 func (r *rig) run(n int) {
 	for i := 0; i < n; i++ {
 		r.clock.Tick()
-		for _, c := range r.caches {
-			c.Step()
-		}
 		r.bus.Step()
 	}
 }
@@ -368,6 +365,7 @@ func TestSubmitWhileBusyPanics(t *testing.T) {
 func TestTagStoreBusyDuringSnoop(t *testing.T) {
 	r := newRig(t, 2, Firefly{}, 16)
 	r.read(t, 0, 0x100)
+	r.read(t, 0, 0x104) // resident in another set
 	// Start a read on cache 1 that will probe cache 0's tags in cycle 2.
 	r.caches[1].Submit(Access{Addr: 0x100})
 	r.run(1) // cycle: arbitration
@@ -378,10 +376,38 @@ func TestTagStoreBusyDuringSnoop(t *testing.T) {
 	if !r.caches[0].TagStoreBusyWithin(r.clock.Now(), 1) {
 		t.Fatal("tag store not busy during the probe cycle")
 	}
-	r.run(2)
+	// The snoop holds set 0x100 until it commits in the next cycle: a
+	// Submit to that set panics, one to another set proceeds.
+	write := Access{Write: true, Addr: 0x100, Data: 5}
+	if !submitPanics(r.caches[0], write) {
+		t.Fatal("Submit to the set of a live snoop did not panic")
+	}
+	if !r.caches[0].Submit(Access{Addr: 0x104}) {
+		t.Fatal("read hit in another set did not complete during the probe")
+	}
+	r.run(1) // cycle: MShared and commit; both copies are now Shared
 	if r.caches[0].TagStoreBusyWithin(r.clock.Now(), 1) {
 		t.Fatal("tag store still busy after transaction")
 	}
+	// The same write now meets the committed Shared line, so it writes
+	// through and updates cache 1, whose read completes first.
+	if r.caches[0].Submit(write) {
+		t.Fatal("write to the snooped line completed locally after the commit")
+	}
+	r.drain(t)
+	if got := r.caches[0].Stats().WriteThroughShared; got != 1 {
+		t.Errorf("%d shared write-throughs, want 1", got)
+	}
+	if got, ok := r.caches[1].PeekWord(0x100); !ok || got != 5 {
+		t.Errorf("cache 1 holds %d (resident=%v), want 5", got, ok)
+	}
+}
+
+// submitPanics reports whether c.Submit(acc) panics.
+func submitPanics(c *Cache, acc Access) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	c.Submit(acc)
+	return false
 }
 
 func TestStatsBusOpsMatchBusPerPort(t *testing.T) {

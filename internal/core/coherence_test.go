@@ -149,7 +149,9 @@ func TestOverlappedAccessProgress(t *testing.T) {
 	for cycles := 0; cycles < 2000; cycles++ {
 		r.run(1)
 		for ci, c := range r.caches {
-			if !c.Busy() {
+			// An idle cache submits once no snoop probe holds its tag
+			// store (Submit's precondition).
+			if !c.Busy() && !c.TagStoreBusyWithin(r.clock.Now(), 1) {
 				done[ci]++
 				if c.Submit(Access{Write: true, Addr: hot, Data: uint32(cycles)}) {
 					done[ci]++
@@ -178,7 +180,7 @@ func TestFixedPriorityStarvation(t *testing.T) {
 	for cycles := 0; cycles < 1000; cycles++ {
 		r.run(1)
 		for ci, c := range r.caches {
-			if !c.Busy() {
+			if !c.Busy() && !c.TagStoreBusyWithin(r.clock.Now(), 1) {
 				done[ci]++
 				c.Submit(Access{Write: true, Addr: 0x40, Data: uint32(cycles)})
 			}

@@ -61,7 +61,11 @@ func TestMultiWordFillSnoopsWrites(t *testing.T) {
 	// Let cache 1 fetch word 0 and word 1.
 	r.run(10)
 	// Cache 0 writes word 1 mid-fill; with higher priority its write-through
-	// interleaves between cache 1's remaining fill operations.
+	// interleaves between cache 1's remaining fill operations. It submits
+	// once the probe of cache 1's third fill operation has committed.
+	for r.caches[0].TagStoreBusyWithin(r.clock.Now(), 1) {
+		r.run(1)
+	}
 	r.caches[0].Submit(Access{Write: true, Addr: 0x204, Data: 4444})
 	r.drain(t)
 

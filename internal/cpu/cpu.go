@@ -12,7 +12,8 @@
 // cache misses and write-throughs stall the processor for the full MBus
 // operation (the model's N ticks plus queueing), and a tag-store probe by
 // another cache's bus operation in the same tick costs one extra tick (the
-// SP term).
+// SP term), plus one more for each later probe that lands in the
+// reference's tick boundary cycle, before that snoop commits.
 package cpu
 
 import (
@@ -235,12 +236,11 @@ func (p *Processor) TakeInterrupts() []int {
 
 // Tick runs the processor's action for the current tick boundary. It
 // does not test the clock, so the caller must call it only on a boundary
-// (a multiple of the variant's TickCycles), after the bus, the caches and
-// the devices have stepped that cycle. A halted processor
-// does nothing. Tick reports whether the tick stayed local: it left no
-// cache access outstanding (a miss, a write-through or a deferred access
-// raises work for the next bus cycle), and the instruction hook, if one
-// ran, reported local. Machine.Run calls Tick only at the boundaries
+// (a multiple of the variant's TickCycles), after the bus and the devices
+// have stepped that cycle. A halted processor does nothing. Tick reports
+// whether the tick stayed local: it left no cache access outstanding (a
+// miss or a write-through raises work for the next bus cycle), and the
+// instruction hook, if one ran, reported local. Machine.Run calls Tick only at the boundaries
 // where the processor is due (see ComputeAhead), on busy and quiet bus
 // cycles alike (not while parked on a bus operation, see RunPrivate),
 // and keeps a window of processor-only ticks open only while every tick
@@ -368,8 +368,14 @@ func (p *Processor) tick() (local bool) {
 	}
 
 	// A reference step. Check tag-store interference first: a snoop probe
-	// in this tick's window costs one tick (once per reference).
-	if !p.probeStalled && p.cache.TagStoreBusyWithin(p.clock.Now(), p.v.TickCycles) {
+	// in this tick's window costs one tick (the SP stall, once per
+	// reference), and one in this very cycle, whose commit is still to
+	// come, stalls the reference again (Cache.Submit's precondition).
+	window := p.v.TickCycles
+	if p.probeStalled {
+		window = 1
+	}
+	if p.cache.TagStoreBusyWithin(p.clock.Now(), window) {
 		p.probeStalled = true
 		p.stats.ProbeStalls++
 		return local

@@ -13,7 +13,7 @@ import (
 )
 
 // machine is a minimal CPU test bench: bus, memory, caches, processors,
-// stepped in the production order (bus, then caches, then processors).
+// stepped in the production order (bus, then processors).
 type machine struct {
 	clock *sim.Clock
 	bus   *mbus.Bus
@@ -37,17 +37,14 @@ func newMachine(n int, v Variant, mkSource func(i int, c *core.Cache) trace.Sour
 }
 
 // run advances m the way Machine.Step does: each cycle it steps the bus
-// and the caches and then, on a tick boundary, ticks every processor.
+// and then, on a tick boundary, ticks every processor.
 func (m *machine) run(cycles int) { m.tickRun(cycles) }
 
-// cycle moves m to the next cycle and steps the bus and the caches there.
+// cycle moves m to the next cycle and steps the bus there.
 // It reports whether that cycle is a tick boundary.
 func (m *machine) cycle() (boundary bool) {
 	m.clock.Tick()
 	m.bus.Step()
-	for _, p := range m.cpus {
-		p.Cache().Step()
-	}
 	return uint64(m.clock.Now())%uint64(m.cpus[0].v.TickCycles) == 0
 }
 
@@ -373,6 +370,120 @@ func TestProbeStallsUnderSnooping(t *testing.T) {
 	if perRef < want*0.5 || perRef > want*1.6 {
 		t.Fatalf("probe stalls/ref = %v, want ~%v (L/N with L=%v)", perRef, want, load)
 	}
+}
+
+// TestSecondProbeStall pins the processor's tag-store rule at
+// three-cycle ticks, driven by hand with faked probes: a reference that
+// took its SP stall stalls again, counted in ProbeStalls, while a probe
+// lands in its boundary cycle (whose snoop commits only in the next
+// cycle), and submits at the next boundary without one; a probe earlier
+// in the tick has committed and does not stall it again.
+func TestSecondProbeStall(t *testing.T) {
+	v := MicroVAX78032()
+	v.TickCycles = 3
+	for _, tc := range []struct {
+		name   string
+		second int  // cycle of the second probe, after the first stall's boundary
+		again  bool // whether it stalls the reference again
+	}{
+		{"probe in the boundary cycle", 3, true},
+		{"probe a cycle before the boundary", 2, false},
+	} {
+		m := newMachine(1, v, hitSource)
+		m.tickRun(3000)
+		p := m.cpus[0]
+		// Tick until the next tick is a reference, then probe two cycles
+		// before its boundary: inside its tick, and at least four cycles
+		// before the second probe, as two MBus operations are.
+		for i := 0; p.waiting || p.qhead == len(p.queue) || p.queue[p.qhead].kind != stepRef; i++ {
+			if i == 10_000 {
+				t.Fatal("CPU 0 never reached a reference step")
+			}
+			if m.cycle() {
+				p.Tick()
+			}
+		}
+		cycles := func(n int) {
+			for i := 0; i < n; i++ {
+				m.cycle()
+			}
+		}
+		probe := func() { p.cache.TagStore().Probe(p.clock.Now()) }
+		st := p.Stats()
+		cycles(1)
+		probe()
+		cycles(2)
+		p.Tick()
+		if got := p.Stats(); got.ProbeStalls != st.ProbeStalls+1 || got.Refs() != st.Refs() {
+			t.Fatalf("%s: first tick: %d probe stalls and %d refs, want %d and %d",
+				tc.name, got.ProbeStalls, got.Refs(), st.ProbeStalls+1, st.Refs())
+		}
+		cycles(tc.second)
+		probe()
+		cycles(3 - tc.second)
+		p.Tick()
+		stalls := st.ProbeStalls + 1
+		if tc.again {
+			stalls++
+			if got := p.Stats(); got.ProbeStalls != stalls || got.Refs() != st.Refs() {
+				t.Fatalf("%s: second tick: %d probe stalls and %d refs, want %d and %d",
+					tc.name, got.ProbeStalls, got.Refs(), stalls, st.Refs())
+			}
+			cycles(3)
+			p.Tick()
+		}
+		if got := p.Stats(); got.ProbeStalls != stalls || got.Refs() != st.Refs()+1 {
+			t.Fatalf("%s: at the first probe-free boundary: %d probe stalls and %d refs, want %d and %d",
+				tc.name, got.ProbeStalls, got.Refs(), stalls, st.Refs()+1)
+		}
+	}
+
+	// Probes every fourth cycle, the densest the MBus allows, at every
+	// phase: at one- and two-cycle ticks two boundaries in a row never
+	// both see a probe, so no reference stalls twice; at three-cycle
+	// ticks some do.
+	for _, ticks := range []int{1, 2, 3} {
+		for phase := 0; phase < 4; phase++ {
+			stalls, seconds := periodicProbeStalls(ticks, phase, 40_000)
+			if stalls == 0 {
+				t.Errorf("%d-cycle ticks, phase %d: no probe stalls", ticks, phase)
+			}
+			if ticks < 3 && seconds != 0 {
+				t.Errorf("%d-cycle ticks, phase %d: %d second stalls, want 0", ticks, phase, seconds)
+			}
+			if ticks == 3 && seconds == 0 {
+				t.Errorf("3-cycle ticks, phase %d: no second stall", phase)
+			}
+		}
+	}
+}
+
+// periodicProbeStalls runs one warm, all-hit processor at the given tick
+// length for n cycles while a faked snoop probe hits its tag store in
+// every cycle congruent to phase mod 4. It returns the probe stalls and
+// how many of them stalled a reference that had already stalled.
+func periodicProbeStalls(ticks, phase, n int) (stalls, seconds uint64) {
+	v := MicroVAX78032()
+	v.TickCycles = ticks
+	m := newMachine(1, v, hitSource)
+	m.tickRun(1000 * ticks)
+	p := m.cpus[0]
+	before := p.Stats().ProbeStalls
+	for i := 0; i < n; i++ {
+		boundary := m.cycle()
+		if now := p.clock.Now(); int(now%4) == phase {
+			p.cache.TagStore().Probe(now)
+		}
+		if !boundary {
+			continue
+		}
+		again, k := p.probeStalled, p.stats.ProbeStalls
+		p.Tick()
+		if again && p.stats.ProbeStalls > k {
+			seconds++
+		}
+	}
+	return p.Stats().ProbeStalls - before, seconds
 }
 
 func TestDeterminism(t *testing.T) {

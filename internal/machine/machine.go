@@ -439,10 +439,10 @@ func (m *Machine) AttachSyntheticLoad(load trace.SyntheticLoad) {
 	})
 }
 
-// Step advances the machine one bus cycle: bus, then caches (deferred
-// work), then devices, then, on a tick boundary, processors. Processor
-// requests raised in this cycle reach arbitration on the next, matching
-// the hardware's request/grant timing. Step is the lockstep reference Run
+// Step advances the machine one bus cycle: bus, then devices, then, on a
+// tick boundary, processors. Processor requests raised in this cycle
+// reach arbitration on the next, matching the hardware's request/grant
+// timing. Step is the lockstep reference Run
 // is checked against: it ticks every running processor at every tick
 // boundary.
 func (m *Machine) Step() {
@@ -456,14 +456,12 @@ func (m *Machine) Step() {
 }
 
 // stepShared advances the clock one cycle and steps everything but the
-// processors, in the order every cycle uses: bus, caches, devices. It
-// returns the port whose bus operation completed in the cycle, or -1.
+// processors, in the order every cycle uses: bus, then devices. The
+// caches act only through the bus. It returns the port whose bus
+// operation completed in the cycle, or -1.
 func (m *Machine) stepShared() (done int) {
 	m.clock.Tick()
 	done = m.bus.Step()
-	for _, c := range m.caches {
-		c.Step()
-	}
 	for _, d := range m.devices {
 		d.Step()
 	}
@@ -473,11 +471,10 @@ func (m *Machine) stepShared() (done int) {
 // Run advances the machine by n cycles, and panics if the clock would
 // reach 2^63. It gives each processor one horizon for the whole call
 // (armed on entry, settled on return) and ticks a processor only at the
-// boundaries where it is due: its references, its instruction
-// boundaries, its stall ticks on a deferred access, and the first
-// boundary after the bus completion that ends an access it is parked on
-// (Busy holds through that cycle). The compute and parked ticks between
-// are applied in bulk (cpu.Processor.RunPrivate) when the processor is
+// boundaries where it is due: its references (probe stalls included),
+// its instruction boundaries, and the first boundary after the bus
+// completion that ends an access it is parked on (Busy holds through
+// that cycle). The compute and parked ticks between are applied in bulk (cpu.Processor.RunPrivate) when the processor is
 // next due or when Run returns. Due processors tick in port order, so
 // each instruction hook and reference touches shared state (the Topaz
 // ready queue, the fault plan's tag-parity stream, the synthetic shared
@@ -488,9 +485,9 @@ func (m *Machine) stepShared() (done int) {
 // except the processors and the bus:
 //
 //   - While a bus operation is in flight, or something has an event at
-//     the next cycle, Run steps the bus, caches and devices one cycle,
-//     wakes the processor whose operation completed in it, and then
-//     ticks the processors due at that boundary.
+//     the next cycle, Run steps the bus and devices one cycle, wakes
+//     the processor whose operation completed in it, and then ticks the
+//     processors due at that boundary.
 //   - Otherwise they are quiet until the scanned horizon H, and runQuiet
 //     jumps the clock from one due boundary to the next, up to H-1. The
 //     window ends after any boundary with a tick that was not local
@@ -501,7 +498,7 @@ func (m *Machine) stepShared() (done int) {
 //     rigs and halted-CPU measurement harnesses.
 //
 // The result is cycle-exact and byte-identical to stepping. Inside a
-// window the bus, cache and device steps are provably no-ops, and every
+// window the bus and device steps are provably no-ops, and every
 // counter of elapsed time is derived from the clock. A compute tick
 // touches only its own processor, and nothing the bus, caches or devices
 // do reads or writes a processor's step queue or counters: a bus
@@ -547,8 +544,8 @@ func (m *Machine) Run(n uint64) {
 // with a non-local tick, advancing it straight from one due boundary to
 // the next; next is the earliest due boundary, and runQuiet returns the
 // one after it stops. Valid only when nothing but the processors has an
-// event in the window (nextEvent(now) > stop): the bus, cache and device
-// steps it leaves out would all have been no-ops.
+// event in the window (nextEvent(now) > stop): the bus and device steps
+// it leaves out would all have been no-ops.
 func (m *Machine) runQuiet(now, stop, next sim.Cycle) sim.Cycle {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
 	if m.sched != nil && next <= stop/tc {
