@@ -60,23 +60,26 @@ func FuzzCoherence(f *testing.F) {
 
 // puppet is a raw bus initiator: it issues an arbitrary MBus operation
 // sequence with no cache in front of it, modeling a DMA-style agent. Every
-// protocol must keep the caches coherent against it.
+// protocol must keep the caches coherent against it. It raises each
+// operation on its request line as the previous one completes.
 type puppet struct {
+	line mbus.Line
 	reqs []mbus.Request
 	pos  int
-	wait bool
 }
 
-func (p *puppet) BusRequest() (mbus.Request, bool) {
-	if p.wait || p.pos >= len(p.reqs) {
-		return mbus.Request{}, false
+func (p *puppet) BusAttach(l mbus.Line) { p.line = l }
+
+// raise puts the next scripted operation, if any, on the line.
+func (p *puppet) raise() {
+	if p.pos < len(p.reqs) {
+		p.line.Raise(p.reqs[p.pos], 0)
 	}
-	return p.reqs[p.pos], true
 }
-func (p *puppet) BusGrant() { p.wait = true }
+
 func (p *puppet) BusComplete(mbus.Result) {
-	p.wait = false
 	p.pos++
+	p.raise()
 }
 
 // FuzzBusOps interleaves raw MRead/MWrite bus operations (the QBus DMA
@@ -153,6 +156,7 @@ func FuzzBusOps(f *testing.F) {
 			}
 		}
 
+		pup.raise()
 		heads := make([]int, nCaches)
 		for cyc := 0; cyc < 20000; cyc++ {
 			clock.Tick()

@@ -162,15 +162,15 @@ type Cache struct {
 	fillPoisoned bool
 	victimBase   mbus.Addr
 
-	// pending bus request
-	reqValid bool
-	req      mbus.Request
+	// line is the cache's request line into the bus arbiter; req is the
+	// operation last raised on it.
+	line mbus.Line
+	req  mbus.Request
 
 	// fault recovery
 	faults       FaultPolicy
-	retries      int       // consecutive faulted attempts of the current op
-	retryAt      sim.Cycle // earliest re-arbitration cycle after backoff
-	machineCheck bool      // latched uncorrectable fault, read by Topaz
+	retries      int  // consecutive faulted attempts of the current op
+	machineCheck bool // latched uncorrectable fault, read by Topaz
 
 	// snoop in progress (between probe and commit)
 	snoopIdx  int
@@ -443,25 +443,6 @@ func (c *Cache) AwaitsBus() bool { return c.phase != seqIdle }
 // LastRead returns the data produced by the most recent completed read.
 func (c *Cache) LastRead() uint32 { return c.lastRead }
 
-// NextEvent reports the earliest future cycle at which the bus may act
-// for the cache (grant its request) and so change observable state. An
-// idle cache — no access in progress, no bus request raised — reports
-// sim.Never; unlike Busy this ignores the doneAt completion latch, which
-// only delays the owning processor and decays with the clock. A cache backing off after a faulted bus
-// operation reports the backoff expiry (its raised request is invisible
-// to the bus until then); anything else in flight reports the next
-// cycle. Pure function of cache state; never over-reports (see the
-// DESIGN.md big-step contract).
-func (c *Cache) NextEvent(now sim.Cycle) sim.Cycle {
-	if c.phase == seqIdle && !c.reqValid {
-		return sim.Never
-	}
-	if c.reqValid && c.retryAt > now {
-		return c.retryAt
-	}
-	return now + 1
-}
-
 // HitsLocally reports whether a CPU read or write of each address would
 // hit and complete with no bus operation: its line is resident and the
 // protocol lets a write hit proceed without one. It touches no counter.
@@ -594,8 +575,8 @@ func (c *Cache) startMissOps() {
 }
 
 func (c *Cache) raise(op mbus.OpKind, addr mbus.Addr, data uint32) {
-	c.reqValid = true
 	c.req = mbus.Request{Op: op, Addr: addr.Line(), Data: data}
+	c.line.Raise(c.req, 0)
 }
 
 // raiseFillWord requests the next word of the line being filled.
@@ -608,13 +589,13 @@ func (c *Cache) raiseFillWord() {
 func (c *Cache) raiseVictimWord() {
 	idx := c.accIdx
 	addr := c.victimBase + mbus.Addr(c.xferWord*4)
-	c.reqValid = true
 	c.req = mbus.Request{
 		Op:     mbus.MWrite,
 		Addr:   addr.Line(),
 		Data:   c.data[idx*c.lineWords+c.xferWord],
 		Victim: true,
 	}
+	c.line.Raise(c.req, 0)
 }
 
 // tagParityFault handles an injected tag-store parity error on a hit.
@@ -658,9 +639,9 @@ func (c *Cache) busFault(res mbus.Result) {
 		c.retries++
 		c.stats.Retries++
 		backoff := c.faults.BackoffCycles << (c.retries - 1)
-		c.retryAt = c.clock.Now() + sim.Cycle(backoff)
-		// The request is still latched in c.req; re-raise it.
-		c.reqValid = true
+		// The request is still latched in c.req; re-raise it, to
+		// arbitrate once the backoff has passed.
+		c.line.Raise(c.req, c.clock.Now()+sim.Cycle(backoff))
 		if c.tracer != nil {
 			c.emit(obs.KindFaultRetry, c.req.Addr, uint64(c.retries), backoff)
 		}
@@ -672,37 +653,18 @@ func (c *Cache) busFault(res mbus.Result) {
 	// cache state was installed; the machine stays coherent and the
 	// processor's fate is software's call (Topaz offlines it).
 	c.retries = 0
-	c.retryAt = 0
 	c.machineCheck = true
 	c.stats.MachineChecks++
 	c.stats.Abandoned++
 	if c.tracer != nil {
 		c.emit(obs.KindMachineCheck, c.req.Addr, 1, uint64(res.Fault))
 	}
-	c.reqValid = false
 	c.tags.FillKey = 0
 	c.finish()
 }
 
-// BusRequest implements mbus.Initiator.
-func (c *Cache) BusRequest() (mbus.Request, bool) {
-	if !c.reqValid {
-		return mbus.Request{}, false
-	}
-	if c.retryAt != 0 {
-		// Backing off after a faulted operation. The request stays raised
-		// (so the machine's idle skip-ahead sees pending work) but does
-		// not arbitrate until the backoff expires.
-		if c.clock.Now() < c.retryAt {
-			return mbus.Request{}, false
-		}
-		c.retryAt = 0
-	}
-	return c.req, true
-}
-
-// BusGrant implements mbus.Initiator.
-func (c *Cache) BusGrant() { c.reqValid = false }
+// BusAttach implements mbus.Initiator.
+func (c *Cache) BusAttach(l mbus.Line) { c.line = l }
 
 // BusComplete implements mbus.Initiator.
 func (c *Cache) BusComplete(res mbus.Result) {
@@ -960,9 +922,9 @@ func (c *Cache) SnoopCommit(op mbus.OpKind, addr mbus.Addr, data uint32, shared 
 		// clobber the new owner's copy. Abandon the remaining victim
 		// operations and start the miss proper. (Our own victim operation
 		// cannot be in flight here: a snoop only arrives during another
-		// agent's operation, so the pending request is merely waiting for
-		// grant and is safe to cancel.)
-		c.reqValid = false
+		// agent's operation, so the victim write is merely raised, not yet
+		// granted, and raising the miss's first operation replaces it on
+		// the line.)
 		c.setState(idx, Invalid)
 		c.startMissOps()
 	}

@@ -485,3 +485,62 @@ func TestResetStats(t *testing.T) {
 		t.Fatal("ResetStats flushed the cache contents")
 	}
 }
+
+// faultFirst faults the first n bus operations with a parity error.
+type faultFirst struct{ n int }
+
+func (f *faultFirst) OpFault(mbus.OpKind, mbus.Addr) (mbus.FaultKind, uint64) {
+	if f.n == 0 {
+		return mbus.FaultNone, 0
+	}
+	f.n--
+	return mbus.FaultParity, 0
+}
+
+// TestRetryRaisesLineForBackoffExpiry pins how a faulted access uses
+// its request line. A retry raises the line to arbitrate at the backoff's
+// expiry: the bus reports that cycle and grants the retry in it, not a
+// cycle later. An access abandoned after its last retry leaves the line
+// down, so the bus has nothing left to do.
+func TestRetryRaisesLineForBackoffExpiry(t *testing.T) {
+	r := newRig(t, 1, Firefly{}, 16)
+	c := r.caches[0]
+	r.bus.SetFaultInjector(&faultFirst{n: 1})
+	c.SetFaultPolicy(FaultPolicy{MaxRetries: 1, BackoffCycles: 5})
+	r.mem.Poke(0x40, 77)
+	c.Submit(Access{Addr: 0x40})
+	r.run(mbus.OpCycles) // the faulted operation completes in cycle 4
+	now := r.clock.Now()
+	if at, up := r.bus.Raised(0); !up || at != now+5 {
+		t.Fatalf("after the fault at cycle %d: line up %v, arbitrates from %d; want up from %d", now, up, at, now+5)
+	}
+	if ev := r.bus.NextEvent(now); ev != now+5 {
+		t.Fatalf("bus NextEvent during the backoff = %d, want %d", ev, now+5)
+	}
+	r.run(4)
+	if r.bus.Busy() {
+		t.Fatalf("retry granted at cycle %d, before its backoff expired", r.clock.Now())
+	}
+	r.run(1)
+	if !r.bus.Busy() {
+		t.Fatalf("retry not granted at its backoff expiry, cycle %d", r.clock.Now())
+	}
+	r.run(mbus.OpCycles)
+	if c.Busy() || c.LastRead() != 77 || c.MachineCheck() {
+		t.Fatalf("retried read: busy %v, read %d, machine check %v; want done, 77, none", c.Busy(), c.LastRead(), c.MachineCheck())
+	}
+
+	// Abandonment: the retry faults too and exhausts the budget.
+	r.bus.SetFaultInjector(&faultFirst{n: 2})
+	c.Submit(Access{Addr: 0x80})
+	r.run(mbus.OpCycles + 5 + mbus.OpCycles)
+	if c.Busy() || !c.MachineCheck() {
+		t.Fatalf("abandoned access: busy %v, machine check %v; want done with a machine check", c.Busy(), c.MachineCheck())
+	}
+	if _, up := r.bus.Raised(0); up {
+		t.Fatal("an abandoned access left its request line up")
+	}
+	if ev := r.bus.NextEvent(r.clock.Now()); ev != sim.Never {
+		t.Fatalf("bus NextEvent after the abandon = %d, want Never", ev)
+	}
+}

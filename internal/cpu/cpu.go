@@ -209,7 +209,7 @@ func (p *Processor) Source() trace.Source { return p.src }
 // SetInstrHook installs a callback invoked at every instruction boundary,
 // before the next instruction begins. The Topaz scheduler uses it for
 // quantum accounting and context switching. It reports local when it
-// wrote nothing the bus's, a cache's or a device's NextEvent reads.
+// wrote nothing the bus's or a device's NextEvent reads.
 func (p *Processor) SetInstrHook(fn func(*Processor) (local bool)) { p.instrHook = fn }
 
 // Halt stops the processor; Resume restarts it. A halted processor

@@ -150,9 +150,10 @@ type MDC struct {
 	keys        [4]uint32
 	depositPos  int
 
-	reqValid bool
-	req      mbus.Request
-	inFlight bool
+	// line is the controller's request line; onBus holds from raising
+	// an operation on it until its BusComplete.
+	line     mbus.Line
+	onBus    bool
 	lastRead uint32
 
 	stats Stats
@@ -222,7 +223,7 @@ func (m *MDC) setKey(code int, down bool) {
 
 // Step advances the microengine one cycle.
 func (m *MDC) Step() {
-	if m.inFlight || m.reqValid {
+	if m.onBus {
 		return
 	}
 	now := m.clock.Now()
@@ -271,14 +272,18 @@ func (m *MDC) Step() {
 	}
 }
 
-// NextEvent implements machine.Device: the next cycle while a bus
-// operation is raised or in flight, an input deposit is in progress, or
-// the microengine is in a bus-driven phase (poll-wait, memory I/O,
-// status); otherwise the earliest of the next doorbell poll (idle), the
-// end of the current command's fetch or paint time, and the next 60 Hz
-// deposit — never later than the first cycle Step would act.
+// NextEvent implements machine.Device: sim.Never while a bus operation
+// is raised or in flight (the bus's NextEvent covers it); the next cycle
+// while an input deposit is in progress or the microengine is in a
+// bus-driven phase (poll-wait, memory I/O, status); otherwise the
+// earliest of the next doorbell poll (idle), the end of the current
+// command's fetch or paint time, and the next 60 Hz deposit — never
+// later than the first cycle Step would act.
 func (m *MDC) NextEvent(now sim.Cycle) sim.Cycle {
-	if m.inFlight || m.reqValid || m.depositPos > 0 {
+	if m.onBus {
+		return sim.Never
+	}
+	if m.depositPos > 0 {
 		return now + 1
 	}
 	ev := m.nextDeposit
@@ -413,22 +418,20 @@ func (m *MDC) stepDeposit() {
 }
 
 func (m *MDC) raise(op mbus.OpKind, addr mbus.Addr, data uint32) {
-	m.req = mbus.Request{Op: op, Addr: addr, Data: data}
-	m.reqValid = true
+	m.onBus = true
+	m.line.Raise(mbus.Request{Op: op, Addr: addr, Data: data}, 0)
 }
 
-// BusRequest implements mbus.Initiator.
-func (m *MDC) BusRequest() (mbus.Request, bool) { return m.req, m.reqValid }
+// AwaitsBus reports whether an operation is on the controller's request
+// line or in flight.
+func (m *MDC) AwaitsBus() bool { return m.onBus }
 
-// BusGrant implements mbus.Initiator.
-func (m *MDC) BusGrant() {
-	m.reqValid = false
-	m.inFlight = true
-}
+// BusAttach implements mbus.Initiator.
+func (m *MDC) BusAttach(l mbus.Line) { m.line = l }
 
 // BusComplete implements mbus.Initiator.
 func (m *MDC) BusComplete(res mbus.Result) {
-	m.inFlight = false
+	m.onBus = false
 	if res.Op == mbus.MRead {
 		m.lastRead = res.Data
 		if m.phase == mdcMemIO {

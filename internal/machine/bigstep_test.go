@@ -5,7 +5,9 @@ import (
 
 	"firefly/internal/display"
 	"firefly/internal/fault"
+	"firefly/internal/obs"
 	"firefly/internal/qbus"
+	"firefly/internal/sim"
 	"firefly/internal/trace"
 )
 
@@ -86,14 +88,18 @@ func TestStepZeroAllocsEventScan(t *testing.T) {
 	}
 }
 
-// TestNextEventSeesBusRequests pins the event scan's reliance on the
-// initiators: nextEvent does not poll the bus ports, so every initiator
-// must report a raised request through its own NextEvent. A machine with
-// caches, a QBus DMA engine and disk, and the display controller steps
-// in lockstep under a fault plan whose parity errors and timeouts send
-// caches and DMA words into retry backoff. At every cycle the bus is
-// idle, a request the bus would arbitrate next cycle must also bring the
-// scan's event to the next cycle.
+// TestNextEventSeesBusRequests pins the request-line contract the event
+// scan rests on: nextEvent asks the bus, not the initiators, about
+// raised requests, so the bus's lines must be exactly the requests the
+// initiators hold. A machine with caches, a QBus DMA engine and disk, and
+// the display controller steps in lockstep under a fault plan whose
+// parity errors and timeouts send caches and DMA words into retry
+// backoff. In every cycle, each port's line is up exactly while its
+// initiator awaits the bus and its operation is not the one granted, and
+// its first arbitration cycle is the expiry of the backoff traced since
+// its last grant (0 without one). At every cycle the bus is idle, a
+// request the bus would arbitrate next cycle must also bring the scan's
+// event to the next cycle.
 func TestNextEventSeesBusRequests(t *testing.T) {
 	cfg := MicroVAXConfig(3)
 	cfg.CacheLines, cfg.LineWords = 256, 2
@@ -111,9 +117,35 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 	m.AddDevice(disk)
 	m.AddDevice(mdc)
 
+	// The initiators by port: the caches, then the engine and the MDC,
+	// attached in that order.
+	awaits := make([]func() bool, 0, len(m.Caches())+2)
+	for _, c := range m.Caches() {
+		awaits = append(awaits, c.AwaitsBus)
+	}
+	awaits = append(awaits, eng.AwaitsBus, mdc.AwaitsBus)
+	dmaPort, mdcPort := eng.Port(), eng.Port()+1
+
+	// The trace says which port's operation holds the bus and when each
+	// port's retry backoff, if any since its last grant, expires.
+	granted := -1
+	retryAt := make([]sim.Cycle, len(awaits))
+	m.Trace(obs.ObserverFunc(func(e obs.Event) {
+		switch e.Kind {
+		case obs.KindBusGrant:
+			granted, retryAt[e.Unit] = int(e.Unit), 0
+		case obs.KindBusOp, obs.KindFaultBusOp:
+			granted = -1
+		case obs.KindFaultRetry:
+			retryAt[e.Unit] = sim.Cycle(e.Cycle + e.B)
+		}
+	}))
+
 	// requesting counts the checked cycles at which each kind of
-	// initiator had a request up for arbitration.
+	// initiator had a request up for arbitration; backedOff the cycles at
+	// which a cache's or the engine's raised line waited out a backoff.
 	var requesting struct{ cache, dma, mdc int }
+	var backedOff struct{ cache, dma int }
 	for phase := 0; phase < 8; phase++ {
 		if phase == 4 {
 			haltAll(m) // devices alone: their requests are no longer hidden behind the caches'
@@ -125,28 +157,50 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 		for i := 0; i < 25_000; i++ {
 			m.Step()
 			now := m.Clock().Now()
+			for p, awaiting := range awaits {
+				at, up := m.Bus().Raised(p)
+				if want := awaiting() && p != granted; up != want {
+					t.Fatalf("cycle %d: port %d line up %v, its initiator holds a request %v (granted port %d)", now, p, up, want, granted)
+				}
+				if up && at != retryAt[p] {
+					t.Fatalf("cycle %d: port %d line arbitrates from cycle %d, its traced backoff ends at %d", now, p, at, retryAt[p])
+				}
+				if up && at > now {
+					if p == dmaPort {
+						backedOff.dma++
+					} else if p < dmaPort {
+						backedOff.cache++
+					}
+				}
+			}
 			if m.Bus().Busy() || m.Bus().NextEvent(now) > now+1 {
 				continue
 			}
 			if ev := m.nextEvent(now); ev > now+1 {
 				t.Fatalf("cycle %d: the bus has a request to arbitrate, but the event scan reports cycle %d", now, ev)
 			}
-			for _, c := range m.Caches() {
-				if _, ok := c.BusRequest(); ok {
-					requesting.cache++
-					break
+			for p := range awaits {
+				if at, up := m.Bus().Raised(p); !up || at > now+1 {
+					continue
 				}
-			}
-			if _, ok := eng.BusRequest(); ok {
-				requesting.dma++
-			}
-			if _, ok := mdc.BusRequest(); ok {
-				requesting.mdc++
+				switch {
+				case p < dmaPort:
+					requesting.cache++
+				case p == dmaPort:
+					requesting.dma++
+				case p == mdcPort:
+					requesting.mdc++
+				}
 			}
 		}
 	}
+	t.Logf("checked requests: cache %d, DMA %d, display %d; cycles backed off: cache %d, DMA %d",
+		requesting.cache, requesting.dma, requesting.mdc, backedOff.cache, backedOff.dma)
 	if requesting.cache == 0 || requesting.dma == 0 || requesting.mdc == 0 {
 		t.Fatalf("checked requests: cache %d, DMA %d, display %d; want all > 0", requesting.cache, requesting.dma, requesting.mdc)
+	}
+	if backedOff.cache == 0 || backedOff.dma == 0 {
+		t.Fatalf("cycles with a backed-off line: cache %d, DMA %d; want both > 0", backedOff.cache, backedOff.dma)
 	}
 	var retries uint64
 	for _, c := range m.Caches() {

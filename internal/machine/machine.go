@@ -151,8 +151,9 @@ func zeroOrPowerOfTwo(n int) bool { return n >= 0 && n&(n-1) == 0 }
 // outside the cycle loop. Run uses it to jump the clock over provably
 // dead windows in one bulk advance, so a Step before the reported cycle
 // must do nothing at all: a device that counts elapsed time derives the
-// count from the clock when it is read. Run does not poll the bus ports:
-// a device's raised bus request is one of its events.
+// count from the clock when it is read. A device's operation raised on
+// its bus request line is the bus's event, not the device's: Run asks the
+// bus's NextEvent, which reads the lines.
 type Device interface {
 	Step()
 	NextEvent(now sim.Cycle) sim.Cycle
@@ -481,8 +482,9 @@ func (m *Machine) stepShared() (done int) {
 // region) in exactly the order Step would.
 //
 // The rest of the machine runs in two regimes, chosen by Bus.Busy and one
-// event scan over the caches and the devices — everything that owns time
-// except the processors and the bus:
+// event scan over the bus, whose request lines carry every cache's
+// raised operation, and the devices — everything that owns time except
+// the processors:
 //
 //   - While a bus operation is in flight, or something has an event at
 //     the next cycle, Run steps the bus and devices one cycle, wakes
@@ -640,16 +642,12 @@ func (m *Machine) wake(port int, now, next sim.Cycle) sim.Cycle {
 	return min(next, h.due)
 }
 
-// nextEvent scans every time-owning component except the processors and
-// the bus for its earliest future event. Only called with the bus
-// inactive; an idle bus acts only on a raised request, and every
-// initiator on it reports its own (a cache, a QBus engine or the display
-// controller says the next cycle, or its retry backoff's expiry).
+// nextEvent returns the earliest future event of every time-owning
+// component except the processors: the bus, whose request lines carry
+// every cache's, QBus engine's and display controller's raised
+// operation and its retry backoff, and the devices.
 func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
-	ev := sim.Never
-	for _, c := range m.caches {
-		ev = sim.EarliestEvent(ev, c.NextEvent(now))
-	}
+	ev := m.bus.NextEvent(now)
 	for _, d := range m.devices {
 		ev = sim.EarliestEvent(ev, d.NextEvent(now))
 	}

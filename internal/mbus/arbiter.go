@@ -1,5 +1,7 @@
 package mbus
 
+import "math/bits"
+
 // The hardware MBus resolved contention with fixed priority wired into
 // the backplane ("the caches have fixed priority for access to the MBus",
 // §5.2). The simulator makes the discipline a pluggable policy so the
@@ -10,7 +12,7 @@ package mbus
 
 // Arbiter decides which requesting port wins the bus on an arbitration
 // cycle. It is the policy half of arbitration; the Bus owns the datapath
-// (request gathering, grant delivery, wait accounting).
+// (the request lines, grant delivery, wait accounting).
 //
 // Determinism contract: Grant must be a pure function of the arbiter's
 // own state and its arguments — no clocks, no randomness that is not
@@ -24,14 +26,15 @@ type Arbiter interface {
 	// "fcfs") used by flags, reports, and trace labels. It must be a
 	// constant string (event emission may not allocate).
 	Name() string
-	// Grant selects the winning port. requests[i] is true when port i
-	// wants the bus this cycle; at least one element is true. last is
-	// the most recently granted port, -1 before the first grant. The
-	// returned port must be requesting; the bus panics otherwise (a
+	// Grant selects the winning port. requests holds the request lines
+	// that may arbitrate this cycle (raised, and past any retry
+	// backoff); at least one is set. Grant must not keep or modify it.
+	// last is the most recently granted port, -1 before the first grant.
+	// The returned port must be requesting; the bus panics otherwise (a
 	// policy granting an idle port is a bug, not a runtime condition).
 	// Grant is called exactly once per arbitration cycle that has a
 	// requester, so stateful arbiters may update their bookkeeping here.
-	Grant(requests []bool, last int) int
+	Grant(requests Lines, last int) int
 	// Reset restores the arbiter's initial state. The bus calls it once
 	// at attachment, so an arbiter value reused for a new machine starts
 	// fresh.
@@ -50,14 +53,7 @@ func NewFixedPriority() Arbiter { return fixedPriority{} }
 
 func (fixedPriority) Name() string { return "fixed" }
 
-func (fixedPriority) Grant(requests []bool, _ int) int {
-	for i, r := range requests {
-		if r {
-			return i
-		}
-	}
-	return -1
-}
+func (fixedPriority) Grant(requests Lines, _ int) int { return requests.Next(0) }
 
 func (fixedPriority) Reset() {}
 
@@ -73,18 +69,11 @@ func NewRoundRobin() Arbiter { return roundRobin{} }
 
 func (roundRobin) Name() string { return "rr" }
 
-func (roundRobin) Grant(requests []bool, last int) int {
-	n := len(requests)
-	for i := 0; i < n; i++ {
-		p := (last + 1 + i) % n
-		if p < 0 {
-			p += n
-		}
-		if requests[p] {
-			return p
-		}
+func (roundRobin) Grant(requests Lines, last int) int {
+	if p := requests.Next(last + 1); p >= 0 {
+		return p
 	}
-	return -1
+	return requests.Next(0)
 }
 
 func (roundRobin) Reset() {}
@@ -93,12 +82,12 @@ func (roundRobin) Reset() {}
 // requester wins, regardless of port number — the first-come-first-served
 // service discipline the bus-contention literature compares against
 // priority service. Arrival is observed at arbitration cycles, so ports
-// that begin requesting while the bus is busy are all first seen at the
-// next arbitration and enqueue in port order (the deterministic
-// tie-break).
+// that raise their request lines while the bus is busy are all first
+// seen at the next arbitration and enqueue in port order (the
+// deterministic tie-break).
 type fcfsQueue struct {
-	queue  []int  // waiting ports, oldest first
-	queued []bool // queued[p]: port p is in queue
+	queue  []int // waiting ports, oldest first
+	queued Lines // the ports in queue
 }
 
 // NewFCFSQueue returns the first-come-first-served arbiter. Unlike fixed
@@ -109,30 +98,28 @@ func NewFCFSQueue() Arbiter { return &fcfsQueue{} }
 
 func (q *fcfsQueue) Name() string { return "fcfs" }
 
-func (q *fcfsQueue) Grant(requests []bool, _ int) int {
-	n := len(requests)
-	if len(q.queued) < n {
-		q.queued = append(q.queued, make([]bool, n-len(q.queued))...)
+func (q *fcfsQueue) Grant(requests Lines, _ int) int {
+	if len(q.queued) < len(requests) {
+		q.queued = append(q.queued, make(Lines, len(requests)-len(q.queued))...)
 	}
-	// Drop queued ports that stopped requesting (their operation was
-	// granted on a cycle this arbiter did not arbitrate, or the agent
-	// withdrew), keeping arrival order for the rest.
+	// Drop queued ports that are no longer requesting, keeping arrival
+	// order for the rest.
 	kept := q.queue[:0]
 	for _, p := range q.queue {
-		if p < n && requests[p] {
+		if requests.Has(p) {
 			kept = append(kept, p)
-		} else if p < len(q.queued) {
-			q.queued[p] = false
+		} else {
+			q.queued.clear(p)
 		}
 	}
 	q.queue = kept
 	// Enqueue new requesters; simultaneous arrivals tie-break in port
 	// order.
-	for p := 0; p < n; p++ {
-		if requests[p] && !q.queued[p] {
-			q.queued[p] = true
-			q.queue = append(q.queue, p)
+	for w, word := range requests {
+		for fresh := word &^ q.queued[w]; fresh != 0; fresh &= fresh - 1 {
+			q.queue = append(q.queue, w<<6+bits.TrailingZeros64(fresh))
 		}
+		q.queued[w] |= word
 	}
 	if len(q.queue) == 0 {
 		return -1
@@ -140,15 +127,13 @@ func (q *fcfsQueue) Grant(requests []bool, _ int) int {
 	granted := q.queue[0]
 	copy(q.queue, q.queue[1:])
 	q.queue = q.queue[:len(q.queue)-1]
-	q.queued[granted] = false
+	q.queued.clear(granted)
 	return granted
 }
 
 func (q *fcfsQueue) Reset() {
 	q.queue = q.queue[:0]
-	for i := range q.queued {
-		q.queued[i] = false
-	}
+	clear(q.queued)
 }
 
 // arbiterNames lists the known policies in presentation order.

@@ -1,32 +1,36 @@
 package mbus
 
 import (
+	"slices"
 	"testing"
 
+	"firefly/internal/obs"
 	"firefly/internal/sim"
 )
 
 // greedyInitiator always wants the bus: the saturating agent the
-// starvation tests need. BusRequest stays side-effect-free; a grant just
-// advances the address so back-to-back operations are distinct.
+// starvation tests need. It raises its line when attached and again as
+// each operation completes, at the next address so back-to-back
+// operations are distinct.
 type greedyInitiator struct {
+	line   Line
 	addr   Addr
-	grants int
+	served int
 }
 
-func (g *greedyInitiator) BusRequest() (Request, bool) {
-	return Request{Op: MRead, Addr: g.addr}, true
+func (g *greedyInitiator) BusAttach(l Line) {
+	g.line = l
+	g.line.Raise(Request{Op: MRead, Addr: g.addr}, 0)
 }
 
-func (g *greedyInitiator) BusGrant() {
-	g.grants++
+func (g *greedyInitiator) BusComplete(Result) {
+	g.served++
 	g.addr += 4
+	g.line.Raise(Request{Op: MRead, Addr: g.addr}, 0)
 }
-
-func (g *greedyInitiator) BusComplete(Result) {}
 
 // saturate builds a bus with n always-requesting ports under the given
-// arbiter, runs it, and returns per-port grant counts.
+// arbiter, runs it, and returns per-port completed operations.
 func saturate(t *testing.T, arb Arbiter, n, cycles int) []int {
 	t.Helper()
 	clock := &sim.Clock{}
@@ -40,7 +44,7 @@ func saturate(t *testing.T, arb Arbiter, n, cycles int) []int {
 	run(b, clock, cycles)
 	grants := make([]int, n)
 	for i, g := range inits {
-		grants[i] = g.grants
+		grants[i] = g.served
 	}
 	return grants
 }
@@ -136,7 +140,7 @@ func TestWaitPerPortAccounting(t *testing.T) {
 // TestArbiterGrantOrder pins each policy's decision on a fixed request
 // pattern.
 func TestArbiterGrantOrder(t *testing.T) {
-	reqs := []bool{false, true, false, true}
+	reqs := toLines([]bool{false, true, false, true})
 
 	if got := NewFixedPriority().Grant(reqs, 3); got != 1 {
 		t.Fatalf("fixed Grant = %d, want 1 (lowest requester)", got)
@@ -155,34 +159,34 @@ func TestArbiterGrantOrder(t *testing.T) {
 	// FCFS: ports 1 and 3 arrive together (port-order tie-break), then 0
 	// joins; 0 must wait behind both earlier arrivals.
 	q := NewFCFSQueue()
-	if got := q.Grant([]bool{false, true, false, true}, -1); got != 1 {
+	if got := q.Grant(toLines([]bool{false, true, false, true}), -1); got != 1 {
 		t.Fatalf("fcfs first Grant = %d, want 1 (tie-break in port order)", got)
 	}
-	if got := q.Grant([]bool{true, false, false, true}, 1); got != 3 {
+	if got := q.Grant(toLines([]bool{true, false, false, true}), 1); got != 3 {
 		t.Fatalf("fcfs second Grant = %d, want 3 (arrived before port 0)", got)
 	}
-	if got := q.Grant([]bool{true, false, false, false}, 3); got != 0 {
+	if got := q.Grant(toLines([]bool{true, false, false, false}), 3); got != 0 {
 		t.Fatalf("fcfs third Grant = %d, want 0", got)
 	}
 
 	// Reset must forget queued arrivals.
-	q.Grant([]bool{false, true, true, false}, -1) // grants 1, leaves 2 queued
+	q.Grant(toLines([]bool{false, true, true, false}), -1) // grants 1, leaves 2 queued
 	q.Reset()
-	if got := q.Grant([]bool{true, false, true, false}, -1); got != 0 {
+	if got := q.Grant(toLines([]bool{true, false, true, false}), -1); got != 0 {
 		t.Fatalf("fcfs Grant after Reset = %d, want 0 (queue cleared, port-order tie-break)", got)
 	}
 }
 
 // TestFCFSDropsWithdrawnRequester: a queued port that stops requesting
-// (its operation completed via another path, or the agent withdrew) must
-// leave the queue rather than be granted while idle.
+// (its line was re-raised to wait out a backoff) must leave the queue
+// rather than be granted while it may not arbitrate.
 func TestFCFSDropsWithdrawnRequester(t *testing.T) {
 	q := NewFCFSQueue()
-	if got := q.Grant([]bool{true, true, false}, -1); got != 0 {
+	if got := q.Grant(toLines([]bool{true, true, false}), -1); got != 0 {
 		t.Fatalf("Grant = %d, want 0", got)
 	}
 	// Port 1 (queued) withdraws; port 2 arrives.
-	if got := q.Grant([]bool{false, false, true}, 0); got != 2 {
+	if got := q.Grant(toLines([]bool{false, false, true}), 0); got != 2 {
 		t.Fatalf("Grant after withdrawal = %d, want 2", got)
 	}
 }
@@ -200,5 +204,59 @@ func TestArbiterRegistry(t *testing.T) {
 	}
 	if _, ok := NewArbiterByName("lottery"); ok {
 		t.Fatal("NewArbiterByName accepted an unknown name")
+	}
+}
+
+// TestBusBeyond64Ports runs a 130-port bus, whose request lines take
+// three words, under each arbiter. Ports on both sides of the word
+// boundaries raise their lines together; every one is granted once, and
+// each port at 64 or above waits and is charged for it. The KindBusArb
+// mask of the first, contended arbitration names only the waiting ports
+// below 64, while its requester count includes the rest.
+func TestBusBeyond64Ports(t *testing.T) {
+	raise := []int{3, 63, 64, 65, 100, 127, 128, 129}
+	for _, name := range ArbiterNames() {
+		arb, _ := NewArbiterByName(name)
+		clock := &sim.Clock{}
+		b := New(clock, arb)
+		b.AttachMemory(newFlatMemory())
+		var arbs []obs.Event
+		b.SetTracer(obs.NewTracer(obs.ObserverFunc(func(e obs.Event) {
+			if e.Kind == obs.KindBusArb {
+				arbs = append(arbs, e)
+			}
+		})))
+		inits := make([]*testInitiator, 130)
+		for i := range inits {
+			inits[i] = &testInitiator{}
+			b.Attach(inits[i], nil, nil)
+		}
+		for _, p := range raise {
+			inits[p].issue(MRead, Addr(p)<<4, 0)
+		}
+		run(b, clock, OpCycles*len(raise))
+		st := b.Stats()
+		var sum uint64
+		for p, w := range st.WaitPerPort {
+			sum += w
+			raised := slices.Contains(raise, p)
+			if n := len(inits[p].results); raised && n != 1 || !raised && n != 0 {
+				t.Fatalf("%s: port %d completed %d operations", name, p, n)
+			}
+			if p >= 64 && raised && w == 0 {
+				t.Fatalf("%s: port %d was granted without waiting: waits %v", name, p, st.WaitPerPort)
+			}
+		}
+		if sum != st.WaitCycles {
+			t.Fatalf("%s: WaitPerPort sums to %d, WaitCycles %d", name, sum, st.WaitCycles)
+		}
+		if len(arbs) == 0 {
+			t.Fatalf("%s: no contended arbitration traced", name)
+		}
+		first := arbs[0]
+		if first.Unit != 3 || first.A != uint64(len(raise)) || first.B != 1<<63 {
+			t.Fatalf("%s: first KindBusArb granted %d of %d requesters, mask %#x; want port 3 of %d, mask %#x",
+				name, first.Unit, first.A, first.B, len(raise), uint64(1)<<63)
+		}
 	}
 }

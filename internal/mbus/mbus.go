@@ -28,6 +28,7 @@ package mbus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"firefly/internal/obs"
 	"firefly/internal/sim"
@@ -161,17 +162,68 @@ type Result struct {
 }
 
 // Initiator is an agent that can request bus operations (a cache, or the
-// DMA path of the I/O system).
+// DMA path of the I/O system). As on the MBus, it has a request line into
+// the arbiter: it raises the line with the operation it wants, and the
+// bus drops the line when it grants the operation.
 type Initiator interface {
-	// BusRequest reports the operation the agent wants, if any. It is
-	// polled during arbitration cycles; the agent must keep returning the
-	// same request until granted.
-	BusRequest() (Request, bool)
-	// BusGrant tells the agent its request has won arbitration.
-	BusGrant()
+	// BusAttach hands the agent its request line; Attach calls it once.
+	BusAttach(Line)
 	// BusComplete delivers the result on the operation's final cycle.
 	BusComplete(Result)
 }
+
+// Line is an initiator's request line into the arbiter, handed out by
+// Attach.
+type Line struct {
+	bus  *Bus
+	port int
+}
+
+// Port returns the line's port number.
+func (l Line) Port() int { return l.port }
+
+// Raise raises the line with req, to arbitrate from cycle at on (at or
+// before the current cycle: from the next arbitration). The line stays up
+// until the bus grants req; raising it again before then replaces the
+// request and its cycle.
+func (l Line) Raise(req Request, at sim.Cycle) {
+	b, w, bit := l.bus, l.port>>6, uint64(1)<<(l.port&63)
+	p := &b.ports[l.port]
+	p.req, p.at = req, at
+	b.raised[w] |= bit
+	b.backoff[w] &^= bit
+	if at > b.clock.Now() {
+		b.backoff[w] |= bit
+	}
+}
+
+// Lines is a set of request lines, one bit per port: port p is bit p%64
+// of word p/64. A bus of up to 64 ports needs one word.
+type Lines []uint64
+
+// Has reports whether port p is in the set.
+func (s Lines) Has(p int) bool { return p >= 0 && p>>6 < len(s) && s[p>>6]&(1<<(p&63)) != 0 }
+
+// Next returns the lowest port in the set at or above from (from >= 0),
+// or -1.
+func (s Lines) Next(from int) int {
+	w := from >> 6
+	if w >= len(s) {
+		return -1
+	}
+	word := s[w] &^ (1<<(from&63) - 1)
+	for {
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+		if w++; w == len(s) {
+			return -1
+		}
+		word = s[w]
+	}
+}
+
+func (s Lines) clear(p int) { s[p>>6] &^= 1 << (p & 63) }
 
 // SnoopVerdict is a snooper's response to an address probe. A snooper
 // that does not hold the line answers the zero verdict; the bus keeps only
@@ -320,6 +372,10 @@ type port struct {
 	snooper   Snooper
 	sink      InterruptSink
 	tags      *TagStore // non-nil when snooper implements TagSnooper
+	// req is the operation on the port's request line and at the first
+	// cycle it may arbitrate (Line.Raise); valid while the line is up.
+	req Request
+	at  sim.Cycle
 }
 
 // holder is one snooper's non-zero verdict on the in-flight operation.
@@ -395,8 +451,15 @@ type Bus struct {
 	fault    FaultKind
 	holdLeft uint64
 
-	lastGrant int    // most recently granted port (-1 before any grant)
-	reqs      []bool // reused request buffer for arbitration
+	lastGrant int // most recently granted port (-1 before any grant)
+	// raised holds the request lines that are up. backoff marks those of
+	// them whose first arbitration cycle (port.at) had not come when they
+	// were raised; arbitration clears a mark once the cycle has come.
+	// ready is arbitrate's buffer for raised &^ backoff. Each starts as
+	// one word of words0, so a bus of up to 64 ports allocates nothing
+	// for its lines; Attach appends a word per further 64 ports.
+	raised, backoff, ready Lines
+	words0                 [3]uint64
 
 	stats Stats
 	since sim.Cycle // clock at New or the last ResetStats; Stats derives Cycles from it
@@ -413,7 +476,9 @@ func New(clock *sim.Clock, arb Arbiter) *Bus {
 		arb = NewFixedPriority()
 	}
 	arb.Reset()
-	return &Bus{clock: clock, arb: arb, lastGrant: -1, since: clock.Now()}
+	b := &Bus{clock: clock, arb: arb, lastGrant: -1, since: clock.Now()}
+	b.raised, b.backoff, b.ready = b.words0[0:1:1], b.words0[1:2:2], b.words0[2:3:3]
+	return b
 }
 
 // Arbiter returns the bus's arbitration policy.
@@ -436,17 +501,28 @@ func (b *Bus) SetFaultInjector(inj FaultInjector) { b.inj = inj }
 // Attach adds an agent to the bus and returns its port number. Lower port
 // numbers have higher fixed priority. Any of the three roles may be nil
 // for agents that lack it (memory-side DMA engines do not snoop, pure
-// snoopers never initiate). A snooper implementing TagSnooper has its tag
-// store probed by the bus itself.
+// snoopers never initiate). An initiator is handed its request line
+// (Initiator.BusAttach); the bus keeps the port's line state, as it keeps
+// its counters. A snooper implementing TagSnooper has its tag store
+// probed by the bus itself.
 func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 	p := port{initiator: in, snooper: sn, sink: sink}
 	if ts, ok := sn.(TagSnooper); ok {
 		p.tags = ts.TagStore()
 	}
+	n := len(b.ports)
 	b.ports = append(b.ports, p)
 	b.stats.PerPort = append(b.stats.PerPort, 0)
 	b.stats.WaitPerPort = append(b.stats.WaitPerPort, 0)
-	return len(b.ports) - 1
+	if n == 64*len(b.raised) {
+		b.raised = append(b.raised, 0)
+		b.backoff = append(b.backoff, 0)
+		b.ready = append(b.ready, 0)
+	}
+	if in != nil {
+		in.BusAttach(Line{bus: b, port: n})
+	}
+	return n
 }
 
 // Stats returns a snapshot of the accumulated bus statistics. Cycles is
@@ -499,30 +575,33 @@ func (b *Bus) InFlight() (op OpKind, addr Addr, active bool) {
 
 // NextEvent reports the earliest future cycle at which stepping the bus
 // may change observable state: the next cycle while an operation is in
-// flight or any port is requesting, sim.Never when the bus is provably
-// doing nothing. BusRequest polling is side-effect-free by contract
-// (agents must keep returning the same request until granted), so the
-// probe does not perturb arbitration. Initiators whose raised request is
-// temporarily invisible (retry backoff) report their own wake-up cycle
-// through their own NextEvent — the bus cannot see them and does not try
-// to.
-// Machine.Run tests Busy instead, since every initiator on a machine's
-// bus reports a raised request through its own NextEvent; only rigs that
-// drive a bus by hand (check's stress drain, FuzzBusOps) use this poll.
+// flight or a raised request line may arbitrate, the earliest retry
+// backoff expiry while every raised line waits one out, and sim.Never
+// when no line is up. It reads only the bus's own state: the lines are
+// the initiators' raised requests.
 func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
 	if b.active {
 		return now + 1
 	}
-	for i := range b.ports {
-		in := b.ports[i].initiator
-		if in == nil {
-			continue
-		}
-		if _, ok := in.BusRequest(); ok {
+	ev := sim.Never
+	for w, up := range b.raised {
+		if up&^b.backoff[w] != 0 {
 			return now + 1
 		}
+		for ; up != 0; up &= up - 1 {
+			ev = min(ev, b.ports[w<<6+bits.TrailingZeros64(up)].at)
+		}
 	}
-	return sim.Never
+	return max(ev, now+1)
+}
+
+// Raised reports whether port's request line is up and, if so, the first
+// cycle it may arbitrate at (Line.Raise).
+func (b *Bus) Raised(port int) (at sim.Cycle, up bool) {
+	if !b.raised.Has(port) {
+		return 0, false
+	}
+	return b.ports[port].at, true
 }
 
 // Interrupt delivers an MBus interprocessor interrupt to the agent on the
@@ -597,62 +676,65 @@ func (b *Bus) Step() (done int) {
 }
 
 func (b *Bus) arbitrate() {
-	n := len(b.ports)
-	if n == 0 {
-		return
-	}
-	// Gather the request lines into the reused buffer. BusRequest is
-	// side-effect-free by contract (agents keep returning the same
-	// request until granted), so polling here and re-reading the winner
-	// below observes one consistent request per port.
-	if cap(b.reqs) < n {
-		b.reqs = make([]bool, n)
-	}
-	b.reqs = b.reqs[:n]
-	nreq := 0
-	for i := 0; i < n; i++ {
-		ok := false
-		if in := b.ports[i].initiator; in != nil {
-			_, ok = in.BusRequest()
-		}
-		b.reqs[i] = ok
-		if ok {
-			nreq++
+	req := b.raised
+	for _, off := range b.backoff {
+		if off != 0 {
+			req = b.readyLines()
+			break
 		}
 	}
-	if nreq == 0 {
+	if req.Next(0) < 0 {
 		return
 	}
-	granted := b.arb.Grant(b.reqs, b.lastGrant)
-	if granted < 0 || granted >= n || !b.reqs[granted] {
+	granted := b.arb.Grant(req, b.lastGrant)
+	if !req.Has(granted) {
 		panic(fmt.Sprintf("mbus: arbiter %q granted port %d, which is not requesting", b.arb.Name(), granted))
 	}
-	if nreq > 1 {
-		var mask uint64
-		for i, r := range b.reqs {
-			if !r || i == granted {
+	// Every other requester waits this cycle.
+	waiting, mask := 0, uint64(0)
+	for w, word := range req {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if i == granted {
 				continue
 			}
+			waiting++
 			b.stats.WaitCycles++
 			b.stats.WaitPerPort[i]++
 			if i < 64 {
 				mask |= 1 << uint(i)
 			}
 		}
-		if b.tracer != nil {
-			b.tracer.Emit(obs.Event{
-				Cycle: uint64(b.clock.Now()),
-				Kind:  obs.KindBusArb,
-				Unit:  int32(granted),
-				A:     uint64(nreq),
-				B:     mask,
-				Label: b.arb.Name(),
-			})
-		}
 	}
-	req, _ := b.ports[granted].initiator.BusRequest()
+	if waiting > 0 && b.tracer != nil {
+		b.tracer.Emit(obs.Event{
+			Cycle: uint64(b.clock.Now()),
+			Kind:  obs.KindBusArb,
+			Unit:  int32(granted),
+			A:     uint64(waiting + 1),
+			B:     mask,
+			Label: b.arb.Name(),
+		})
+	}
+	b.raised.clear(granted)
 	b.lastGrant = granted
-	b.begin(granted, req)
+	b.begin(granted, b.ports[granted].req)
+}
+
+// readyLines returns the raised lines that may arbitrate in this cycle,
+// first clearing the backoff marks whose cycle has come.
+func (b *Bus) readyLines() Lines {
+	now := b.clock.Now()
+	for w, off := range b.backoff {
+		for m := off; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if b.ports[w<<6+i].at <= now {
+				b.backoff[w] &^= 1 << uint(i)
+			}
+		}
+		b.ready[w] = b.raised[w] &^ b.backoff[w]
+	}
+	return b.ready
 }
 
 func (b *Bus) begin(port int, req Request) {
@@ -683,7 +765,6 @@ func (b *Bus) begin(port int, req Request) {
 			Label: b.op.String(),
 		})
 	}
-	b.ports[port].initiator.BusGrant()
 }
 
 // probeAll is cycle 2 (see Step). Non-zero verdicts are kept, in port

@@ -9,27 +9,17 @@ import (
 
 // testInitiator is a scripted bus agent for driving transactions.
 type testInitiator struct {
-	pending *Request
-	granted int
+	line    Line
 	results []Result
 }
 
-func (ti *testInitiator) BusRequest() (Request, bool) {
-	if ti.pending == nil {
-		return Request{}, false
-	}
-	return *ti.pending, true
-}
-
-func (ti *testInitiator) BusGrant() {
-	ti.granted++
-	ti.pending = nil
-}
-
+func (ti *testInitiator) BusAttach(l Line)     { ti.line = l }
 func (ti *testInitiator) BusComplete(r Result) { ti.results = append(ti.results, r) }
 
+// issue raises the initiator's line with the operation; it must be
+// attached.
 func (ti *testInitiator) issue(op OpKind, addr Addr, data uint32) {
-	ti.pending = &Request{Op: op, Addr: addr, Data: data}
+	ti.line.Raise(Request{Op: op, Addr: addr, Data: data}, 0)
 }
 
 // testSnooper asserts MShared (and optionally supplies data) for a fixed

@@ -175,7 +175,8 @@ const (
 	// KindBusArb: a contended arbitration cycle resolved — at least two
 	// ports requested and the arbitration policy picked one. Unit is the
 	// granted port, A the number of requesters, B a bitmask of the ports
-	// left waiting (low 64 ports), Label the arbiter name. Uncontended
+	// left waiting that covers ports 0-63 only (a waiting port from 64 up
+	// counts in A but has no bit), Label the arbiter name. Uncontended
 	// grants emit only KindBusGrant; this event is the policy decision.
 	KindBusArb
 	// KindSchedSteal: the work-stealing dispatch policy gave an idle

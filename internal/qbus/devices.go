@@ -124,7 +124,8 @@ func (d *Disk) QueueLen() int { return len(d.queue) }
 // the controller's state: the end of the mechanical delay while seeking,
 // the next cycle while a command waits at the head of the queue, and
 // never otherwise — during the DMA phase the controller advances through
-// engine callbacks, and the engine's own NextEvent covers that activity.
+// engine callbacks, and the engine's and the bus's NextEvent cover that
+// activity.
 func (d *Disk) NextEvent(now sim.Cycle) sim.Cycle {
 	if d.cur != nil {
 		if d.seeking {

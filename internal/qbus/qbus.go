@@ -138,22 +138,22 @@ type Engine struct {
 	clock *sim.Clock
 	bus   *mbus.Bus
 	maps  *MapRegisters
-	port  int
+	line  mbus.Line
 
 	wordCycles uint64
 	queue      []*Transfer
 	cur        *Transfer
 	pos        int
 	nextIssue  sim.Cycle
-	reqValid   bool
-	req        mbus.Request
-	inFlight   bool
+	// req is the current word's operation; onBus holds from raising it
+	// on the line until its BusComplete.
+	req   mbus.Request
+	onBus bool
 
 	inj        DMAFaultInjector
 	maxRetries int
 	backoff    uint64
 	retries    int
-	retryAt    sim.Cycle
 	stallTill  sim.Cycle
 
 	stats EngineStats
@@ -171,7 +171,7 @@ func NewEngine(clock *sim.Clock, bus *mbus.Bus, maps *MapRegisters, wordCycles u
 		maps:       maps,
 		wordCycles: wordCycles,
 	}
-	e.port = bus.Attach(e, nil, nil)
+	bus.Attach(e, nil, nil)
 	return e
 }
 
@@ -186,7 +186,7 @@ func (e *Engine) emit(kind obs.Kind, addr mbus.Addr, a, b uint64, label string) 
 	tr.Emit(obs.Event{
 		Cycle: uint64(e.clock.Now()),
 		Kind:  kind,
-		Unit:  int32(e.port),
+		Unit:  int32(e.line.Port()),
 		Addr:  uint32(addr),
 		A:     a,
 		B:     b,
@@ -195,7 +195,7 @@ func (e *Engine) emit(kind obs.Kind, addr mbus.Addr, a, b uint64, label string) 
 }
 
 // Port returns the engine's MBus port number.
-func (e *Engine) Port() int { return e.port }
+func (e *Engine) Port() int { return e.line.Port() }
 
 // SetFaultPolicy installs a DMA fault injector (nil disables injection)
 // and the recovery policy for faulted bus operations: a faulted word is
@@ -218,20 +218,18 @@ func (e *Engine) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
 // QueueLen returns the number of pending transfers (excluding the current).
 func (e *Engine) QueueLen() int { return len(e.queue) }
 
+// AwaitsBus reports whether a word is on the engine's request line or in
+// flight: the bus's, not the engine's, events until its BusComplete.
+func (e *Engine) AwaitsBus() bool { return e.onBus }
+
 // NextEvent reports the earliest future cycle at which stepping the
 // engine may change observable state: sim.Never when idle (no queued or
-// current transfer, no bus request pending or in flight), the retry
-// backoff expiry while a faulted word waits it out, the pacing or
-// fault-stall expiry between words, and the next cycle otherwise.
+// current transfer) and while a word awaits the bus (whose NextEvent
+// covers it, retry backoff included), the pacing or fault-stall expiry
+// between words, and the next cycle otherwise.
 func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
-	if e.inFlight {
-		return now + 1
-	}
-	if e.reqValid {
-		if e.retryAt > now {
-			return e.retryAt
-		}
-		return now + 1
+	if e.onBus {
+		return sim.Never
 	}
 	if e.cur == nil {
 		if len(e.queue) == 0 {
@@ -266,7 +264,7 @@ func (e *Engine) Submit(t *Transfer) {
 // Step advances the engine one bus cycle; the machine must call it once
 // per cycle.
 func (e *Engine) Step() {
-	if e.inFlight || e.reqValid {
+	if e.onBus {
 		return
 	}
 	if e.cur == nil {
@@ -313,38 +311,19 @@ func (e *Engine) Step() {
 		e.req = mbus.Request{Op: mbus.MRead, Addr: phys}
 	}
 	e.emit(obs.KindDMAWord, phys, uint64(e.pos), boolArg(e.cur.ToMemory), e.cur.Device)
-	e.reqValid = true
+	e.onBus = true
+	e.line.Raise(e.req, 0)
 	// Pace issue-to-issue so a saturated engine sustains one word per
 	// wordCycles regardless of bus latency.
 	e.nextIssue = e.clock.Now() + sim.Cycle(e.wordCycles)
 }
 
-// BusRequest implements mbus.Initiator.
-func (e *Engine) BusRequest() (mbus.Request, bool) {
-	if !e.reqValid {
-		return mbus.Request{}, false
-	}
-	if e.retryAt != 0 {
-		// Backing off after a faulted word. The request stays raised so
-		// Idle() reports work pending, but arbitration waits out the
-		// backoff window.
-		if e.clock.Now() < e.retryAt {
-			return mbus.Request{}, false
-		}
-		e.retryAt = 0
-	}
-	return e.req, true
-}
-
-// BusGrant implements mbus.Initiator.
-func (e *Engine) BusGrant() {
-	e.reqValid = false
-	e.inFlight = true
-}
+// BusAttach implements mbus.Initiator.
+func (e *Engine) BusAttach(l mbus.Line) { e.line = l }
 
 // BusComplete implements mbus.Initiator.
 func (e *Engine) BusComplete(res mbus.Result) {
-	e.inFlight = false
+	e.onBus = false
 	if res.Fault != mbus.FaultNone {
 		e.busFault()
 		return
@@ -369,9 +348,10 @@ func (e *Engine) busFault() {
 		e.retries++
 		e.stats.Retries.Inc()
 		backoff := e.backoff << (e.retries - 1)
-		e.retryAt = e.clock.Now() + sim.Cycle(backoff)
-		// e.req still holds the faulted word's request; re-raise it.
-		e.reqValid = true
+		// e.req still holds the faulted word's request; re-raise it, to
+		// arbitrate once the backoff has passed.
+		e.onBus = true
+		e.line.Raise(e.req, e.clock.Now()+sim.Cycle(backoff))
 		e.emit(obs.KindFaultRetry, e.req.Addr, uint64(e.retries), backoff, e.cur.Device)
 		return
 	}
@@ -394,7 +374,6 @@ func (e *Engine) finishCurrent(fault bool) {
 	e.cur = nil
 	e.pos = 0
 	e.retries = 0
-	e.retryAt = 0
 	e.stallTill = 0
 	if done != nil {
 		done(fault)

@@ -31,8 +31,12 @@ func newBench(t testing.TB, nproc int, wordCycles uint64) *bench {
 
 func (b *bench) run(cycles uint64) { b.m.Run(cycles) }
 
-// idle reports that the engine has nothing left to do until a new Submit.
-func (b *bench) idle() bool { return b.engine.NextEvent(b.m.Clock().Now()) == sim.Never }
+// idle reports that the engine has nothing left to do until a new Submit:
+// neither it nor the bus, which carries its words, has an event.
+func (b *bench) idle() bool {
+	now := b.m.Clock().Now()
+	return b.engine.NextEvent(now) == sim.Never && b.m.Bus().NextEvent(now) == sim.Never
+}
 
 func TestMapRegisters(t *testing.T) {
 	var m MapRegisters
