@@ -5,6 +5,7 @@ import (
 
 	"firefly/internal/mbus"
 	"firefly/internal/memory"
+	"firefly/internal/obs"
 	"firefly/internal/sim"
 	"firefly/internal/stats"
 )
@@ -87,8 +88,14 @@ type Stats struct {
 	PixelsPainted stats.Counter
 	CharsPainted  stats.Counter
 	PollReads     stats.Counter
-	MemoryWords   stats.Counter
+	MemoryWords   stats.Counter // blit words read or written without a fault
 	Deposits      stats.Counter
+	BusFaults     stats.Counter // bus operations that completed faulted
+	Retries       stats.Counter // faulted operations raised again
+	// Errors counts operations abandoned after the retry budget ran
+	// out: the command, doorbell poll, status write or input deposit
+	// they belonged to is aborted.
+	Errors stats.Counter
 }
 
 // Config tunes the controller.
@@ -122,11 +129,12 @@ const (
 type MDC struct {
 	cfg   Config
 	clock *sim.Clock
+	bus   *mbus.Bus
 	mem   *memory.System
 	frame *Bitmap
 	font  *Font // the resident font cache: synthetic 8x12
 
-	queue     []Command
+	queue     sim.FIFO[Command]
 	submitted uint32
 	completed uint32
 
@@ -151,10 +159,17 @@ type MDC struct {
 	depositPos  int
 
 	// line is the controller's request line; onBus holds from raising
-	// an operation on it until its BusComplete.
+	// req on it until its BusComplete.
 	line     mbus.Line
+	req      mbus.Request
 	onBus    bool
 	lastRead uint32
+
+	// The fault recovery policy (SetFaultPolicy) and the retries spent
+	// on req.
+	maxRetries int
+	backoff    uint64
+	retries    int
 
 	stats Stats
 }
@@ -164,6 +179,7 @@ func New(clock *sim.Clock, bus *mbus.Bus, mem *memory.System, cfg Config) *MDC {
 	m := &MDC{
 		cfg:         cfg.withDefaults(),
 		clock:       clock,
+		bus:         bus,
 		mem:         mem,
 		frame:       NewBitmap(FrameWidth, FrameHeight),
 		font:        SyntheticFont(12, 8),
@@ -171,6 +187,18 @@ func New(clock *sim.Clock, bus *mbus.Bus, mem *memory.System, cfg Config) *MDC {
 	}
 	bus.Attach(m, nil, nil)
 	return m
+}
+
+// SetFaultPolicy sets the recovery from faulted bus operations, the
+// policy the QBus DMA engine follows: a faulted operation is raised
+// again, up to maxRetries times, with exponential backoff starting at
+// backoffCycles; then it is abandoned and counted in Stats.Errors. An
+// abandoned blit word aborts its command, an abandoned doorbell poll
+// waits for the next poll, and an abandoned status write or input
+// deposit is dropped. Without a policy every fault is abandoned at once.
+func (m *MDC) SetFaultPolicy(maxRetries int, backoffCycles uint64) {
+	m.maxRetries = maxRetries
+	m.backoff = backoffCycles
 }
 
 // Frame returns the frame buffer (visible rows 0..VisibleHeight-1).
@@ -186,7 +214,7 @@ func (m *MDC) Stats() Stats { return m.stats }
 func (m *MDC) Completed() uint32 { return m.completed }
 
 // Pending returns queued-but-unexecuted commands.
-func (m *MDC) Pending() int { return len(m.queue) }
+func (m *MDC) Pending() int { return m.queue.Len() }
 
 // Submit appends a command to the work queue and rings the doorbell word
 // in main memory with the cumulative submission count (the submitting
@@ -195,7 +223,7 @@ func (m *MDC) Submit(cmd Command) {
 	if cmd == nil {
 		panic("display: nil command")
 	}
-	m.queue = append(m.queue, cmd)
+	m.queue.Push(cmd)
 	m.submitted++
 	m.mem.Poke(doorbellAddr, m.submitted)
 }
@@ -246,9 +274,8 @@ func (m *MDC) Step() {
 		}
 	case mdcPollWait:
 		// Result arrived via BusComplete.
-		if m.lastRead > uint32(m.completed) && len(m.queue) > 0 {
-			m.cur = m.queue[0]
-			m.queue = m.queue[1:]
+		if m.lastRead > uint32(m.completed) && m.queue.Len() > 0 {
+			m.cur = m.queue.Pop()
 			m.busyUntil = now + fetchCycles
 			m.phase = mdcFetch
 		} else {
@@ -368,7 +395,6 @@ func (m *MDC) stepMemIO() {
 	} else {
 		m.raise(mbus.MRead, addr, 0)
 	}
-	m.stats.MemoryWords.Inc()
 }
 
 // applyMemWord stores a fetched word into the frame buffer.
@@ -419,7 +445,8 @@ func (m *MDC) stepDeposit() {
 
 func (m *MDC) raise(op mbus.OpKind, addr mbus.Addr, data uint32) {
 	m.onBus = true
-	m.line.Raise(mbus.Request{Op: op, Addr: addr, Data: data}, 0)
+	m.req = mbus.Request{Op: op, Addr: addr, Data: data}
+	m.line.Raise(m.req, 0)
 }
 
 // AwaitsBus reports whether an operation is on the controller's request
@@ -432,14 +459,55 @@ func (m *MDC) BusAttach(l mbus.Line) { m.line = l }
 // BusComplete implements mbus.Initiator.
 func (m *MDC) BusComplete(res mbus.Result) {
 	m.onBus = false
-	if res.Op == mbus.MRead {
-		m.lastRead = res.Data
-		if m.phase == mdcMemIO {
+	if res.Fault != mbus.FaultNone {
+		m.busFault()
+		return
+	}
+	m.retries = 0
+	if m.depositPos > 0 {
+		return // an input deposit word
+	}
+	if m.phase == mdcMemIO {
+		if res.Op == mbus.MRead {
 			m.applyMemWord(res.Data)
-			m.advanceMemIO()
 		}
-	} else if m.phase == mdcMemIO {
+		m.stats.MemoryWords.Inc()
 		m.advanceMemIO()
+	} else if res.Op == mbus.MRead {
+		m.lastRead = res.Data
+	}
+}
+
+// busFault recovers from a faulted operation: bounded retry with
+// exponential backoff, then abandon the operation and what it belonged
+// to. A faulted operation had no effect, so nothing of it is painted or
+// counted.
+func (m *MDC) busFault() {
+	m.stats.BusFaults.Inc()
+	now := m.clock.Now()
+	if m.retries < m.maxRetries {
+		m.retries++
+		m.stats.Retries.Inc()
+		backoff := m.backoff << (m.retries - 1)
+		m.onBus = true
+		m.line.Raise(m.req, now+sim.Cycle(backoff))
+		if tr := m.bus.Tracer(); tr != nil {
+			tr.Emit(obs.Event{Cycle: uint64(now), Kind: obs.KindFaultRetry, Unit: int32(m.line.Port()),
+				Addr: uint32(m.req.Addr), A: uint64(m.retries), B: backoff, Label: "mdc"})
+		}
+		return
+	}
+	m.retries = 0
+	m.stats.Errors.Inc()
+	switch {
+	case m.depositPos > 0:
+		m.depositPos = 0
+		m.nextDeposit += sim.Cycle(depositEvery)
+	case m.phase == mdcPollWait:
+		m.phase = mdcIdle
+		m.nextPoll = now + sim.Cycle(m.cfg.PollCycles)
+	case m.phase == mdcMemIO:
+		m.finishCommand()
 	}
 }
 

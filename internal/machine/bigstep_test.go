@@ -113,6 +113,7 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 	eng.SetFaultPolicy(pl, pl.MaxRetries(), pl.BackoffCycles())
 	disk := qbus.NewDisk(m.Clock(), m.Bus(), eng, qbus.DiskConfig{SeekCycles: 2_000})
 	mdc := display.New(m.Clock(), m.Bus(), m.Memory(), display.Config{})
+	mdc.SetFaultPolicy(pl.MaxRetries(), pl.BackoffCycles())
 	m.AddDevice(eng)
 	m.AddDevice(disk)
 	m.AddDevice(mdc)
@@ -143,9 +144,10 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 
 	// requesting counts the checked cycles at which each kind of
 	// initiator had a request up for arbitration; backedOff the cycles at
-	// which a cache's or the engine's raised line waited out a backoff.
+	// which a cache's, the engine's or the MDC's raised line waited out a
+	// backoff.
 	var requesting struct{ cache, dma, mdc int }
-	var backedOff struct{ cache, dma int }
+	var backedOff struct{ cache, dma, mdc int }
 	for phase := 0; phase < 8; phase++ {
 		if phase == 4 {
 			haltAll(m) // devices alone: their requests are no longer hidden behind the caches'
@@ -166,10 +168,13 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 					t.Fatalf("cycle %d: port %d line arbitrates from cycle %d, its traced backoff ends at %d", now, p, at, retryAt[p])
 				}
 				if up && at > now {
-					if p == dmaPort {
-						backedOff.dma++
-					} else if p < dmaPort {
+					switch {
+					case p < dmaPort:
 						backedOff.cache++
+					case p == dmaPort:
+						backedOff.dma++
+					case p == mdcPort:
+						backedOff.mdc++
 					}
 				}
 			}
@@ -194,19 +199,20 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("checked requests: cache %d, DMA %d, display %d; cycles backed off: cache %d, DMA %d",
-		requesting.cache, requesting.dma, requesting.mdc, backedOff.cache, backedOff.dma)
+	t.Logf("checked requests: cache %d, DMA %d, display %d; cycles backed off: cache %d, DMA %d, display %d",
+		requesting.cache, requesting.dma, requesting.mdc, backedOff.cache, backedOff.dma, backedOff.mdc)
 	if requesting.cache == 0 || requesting.dma == 0 || requesting.mdc == 0 {
 		t.Fatalf("checked requests: cache %d, DMA %d, display %d; want all > 0", requesting.cache, requesting.dma, requesting.mdc)
 	}
-	if backedOff.cache == 0 || backedOff.dma == 0 {
-		t.Fatalf("cycles with a backed-off line: cache %d, DMA %d; want both > 0", backedOff.cache, backedOff.dma)
+	if backedOff.cache == 0 || backedOff.dma == 0 || backedOff.mdc == 0 {
+		t.Fatalf("cycles with a backed-off line: cache %d, DMA %d, display %d; want all > 0", backedOff.cache, backedOff.dma, backedOff.mdc)
 	}
 	var retries uint64
 	for _, c := range m.Caches() {
 		retries += c.Stats().Retries
 	}
-	if retries == 0 || eng.Stats().Retries.Value() == 0 {
-		t.Fatalf("cache retries %d, DMA retries %d; want both > 0", retries, eng.Stats().Retries.Value())
+	if retries == 0 || eng.Stats().Retries.Value() == 0 || mdc.Stats().Retries.Value() == 0 {
+		t.Fatalf("cache retries %d, DMA retries %d, display retries %d; want all > 0",
+			retries, eng.Stats().Retries.Value(), mdc.Stats().Retries.Value())
 	}
 }

@@ -296,11 +296,11 @@ var opKinds = []mbus.OpKind{mbus.MRead, mbus.MWrite, mbus.MReadOwn, mbus.MUpdate
 func (m *Machine) buildRegistry() {
 	r := stats.NewRegistry()
 	bus := m.bus
-	r.Register("bus.cycles", func() uint64 { return bus.Stats().Cycles })
-	r.Register("bus.busy_cycles", func() uint64 { return bus.Stats().BusyCycles })
-	r.Register("bus.shared_hits", func() uint64 { return bus.Stats().SharedHits })
-	r.Register("bus.wait_cycles", func() uint64 { return bus.Stats().WaitCycles })
-	r.Register("bus.ops.total", func() uint64 { return bus.Stats().TotalOps() })
+	r.Register("bus.cycles", func() uint64 { return bus.Counters().Cycles })
+	r.Register("bus.busy_cycles", func() uint64 { return bus.Counters().BusyCycles })
+	r.Register("bus.shared_hits", func() uint64 { return bus.Counters().SharedHits })
+	r.Register("bus.wait_cycles", func() uint64 { return bus.Counters().WaitCycles })
+	r.Register("bus.ops.total", func() uint64 { return bus.Counters().TotalOps() })
 	// Per-port fairness counters for the processor ports (DMA engines
 	// attach after construction and are not registered; read Bus.Stats
 	// directly for those). These expose arbitration fairness through
@@ -308,16 +308,18 @@ func (m *Machine) buildRegistry() {
 	for i := 0; i < m.cfg.Processors; i++ {
 		i := i
 		r.Register(fmt.Sprintf("bus.port%d.wait_cycles", i), func() uint64 {
-			return bus.Stats().WaitPerPort[i]
+			_, wait := bus.PortCounters(i)
+			return wait
 		})
 		r.Register(fmt.Sprintf("bus.port%d.ops", i), func() uint64 {
-			return bus.Stats().PerPort[i]
+			ops, _ := bus.PortCounters(i)
+			return ops
 		})
 	}
 	for _, k := range opKinds {
 		k := k
 		r.Register("bus.ops."+strings.ToLower(k.String()), func() uint64 {
-			return bus.Stats().Ops[k]
+			return bus.Counters().Ops[k]
 		})
 	}
 	for i := range m.cpus {
@@ -361,8 +363,8 @@ func (m *Machine) buildRegistry() {
 		r.Register(pre+"machine_checks", func() uint64 { return c.Stats().MachineChecks })
 		r.Register(pre+"abandoned", func() uint64 { return c.Stats().Abandoned })
 	}
-	r.Register("bus.faulted_ops", func() uint64 { return m.bus.Stats().FaultedOps })
-	r.Register("bus.dropped_interrupts", func() uint64 { return m.bus.Stats().DroppedInterrupts })
+	r.Register("bus.faulted_ops", func() uint64 { return m.bus.Counters().FaultedOps })
+	r.Register("bus.dropped_interrupts", func() uint64 { return m.bus.Counters().DroppedInterrupts })
 	r.Register("mem.ecc_corrected", func() uint64 { return m.mem.ECCStats().Corrected })
 	r.Register("mem.ecc_uncorrectable", func() uint64 { return m.mem.ECCStats().Uncorrectable })
 	if m.plan != nil {

@@ -529,11 +529,26 @@ func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 // the time elapsed on the clock since New or ResetStats: skipped cycles
 // count without the bus doing anything for them.
 func (b *Bus) Stats() Stats {
-	s := b.stats
-	s.Cycles = uint64(b.clock.Now() - b.since)
+	s := b.Counters()
 	s.PerPort = append([]uint64(nil), b.stats.PerPort...)
 	s.WaitPerPort = append([]uint64(nil), b.stats.WaitPerPort...)
 	return s
+}
+
+// Counters returns the scalar counters of Stats, Cycles included, and
+// copies nothing: PerPort and WaitPerPort are nil. PortCounters reads
+// one port's entries.
+func (b *Bus) Counters() Stats {
+	s := b.stats
+	s.Cycles = uint64(b.clock.Now() - b.since)
+	s.PerPort, s.WaitPerPort = nil, nil
+	return s
+}
+
+// PortCounters returns port's entries of Stats.PerPort and
+// Stats.WaitPerPort.
+func (b *Bus) PortCounters(port int) (ops, wait uint64) {
+	return b.stats.PerPort[port], b.stats.WaitPerPort[port]
 }
 
 // ResetStats clears the accumulated statistics (the clock is unaffected).

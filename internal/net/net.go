@@ -71,7 +71,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Frame is one Ethernet frame in flight. Dst is a station number, or
-// Broadcast for delivery to every station except the sender.
+// Broadcast for delivery to every station except the sender. Words are
+// immutable from the sender's transmit DMA onward: the segment hands the
+// same slice to every receiver and to the bridge, and no one writes it.
 type Frame struct {
 	Src, Dst int
 	Words    []uint32
@@ -118,7 +120,7 @@ type Station struct {
 	seg          *Segment
 	id           int
 	handler      Handler
-	queue        []*txFrame
+	queue        sim.FIFO[txFrame]
 	backoffUntil sim.Cycle
 }
 
@@ -126,12 +128,12 @@ type Station struct {
 func (s *Station) ID() int { return s.id }
 
 // Pending returns the number of frames queued for transmission.
-func (s *Station) Pending() int { return len(s.queue) }
+func (s *Station) Pending() int { return s.queue.Len() }
 
 // Send queues a frame for transmission. done (optional) runs when the
 // frame has left the wire (ok) or was abandoned after MaxAttempts
-// collisions (!ok). The caller keeps ownership of nothing: the words
-// slice must not be mutated until done runs.
+// collisions (!ok). The station keeps the words slice, and so does every
+// receiver it reaches: the sender must never write it again.
 func (s *Station) Send(f Frame, done func(ok bool)) {
 	if len(f.Words) == 0 {
 		panic("net: empty frame")
@@ -144,7 +146,7 @@ func (s *Station) Send(f Frame, done func(ok bool)) {
 		panic(fmt.Sprintf("net: frame to unknown station %d", f.Dst))
 	}
 	f.Src = s.id
-	s.queue = append(s.queue, &txFrame{frame: f, done: done})
+	s.queue.Push(txFrame{frame: f, done: done})
 	s.seg.wake = 0
 }
 
@@ -155,7 +157,8 @@ type Segment struct {
 	rng   *sim.Rand
 
 	stations  []*Station
-	cur       *txFrame
+	cur       txFrame // the frame on the wire, while busy
+	busy      bool
 	curSrc    int
 	busySince sim.Cycle // when cur seized the wire
 	busyTill  sim.Cycle
@@ -208,7 +211,7 @@ func (s *Segment) Tracer() *obs.Tracer { return s.tracer }
 // it so far.
 func (s *Segment) Stats() Stats {
 	st := s.stats
-	if s.cur != nil {
+	if s.busy {
 		st.BusyCycles.Add(uint64(s.clock.Now() - s.busySince))
 	}
 	return st
@@ -256,7 +259,7 @@ func (s *Segment) emit(kind obs.Kind, unit int, a, b uint64) {
 // interframe gap and its backoff expiry). A segment with no frame on the
 // wire and no frame queued has no events until a new Send.
 func (s *Segment) NextEvent(now sim.Cycle) sim.Cycle {
-	if s.cur != nil {
+	if s.busy {
 		if s.busyTill > now {
 			return s.busyTill
 		}
@@ -264,7 +267,7 @@ func (s *Segment) NextEvent(now sim.Cycle) sim.Cycle {
 	}
 	ev := sim.Never
 	for _, st := range s.stations {
-		if len(st.queue) == 0 {
+		if st.queue.Len() == 0 {
 			continue
 		}
 		ev = sim.EarliestEvent(ev, s.contendAt(st, now))
@@ -296,7 +299,7 @@ func (s *Segment) contendAt(st *Station, now sim.Cycle) sim.Cycle {
 // after now are not covered; the caller bounds those with SendHorizon.
 func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 	h := sim.Never
-	if s.cur != nil {
+	if s.busy {
 		// Delivery plus done(true) fire at the end of serialization.
 		if s.busyTill > now {
 			h = s.busyTill
@@ -305,16 +308,16 @@ func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 		}
 	}
 	for _, st := range s.stations {
-		if len(st.queue) == 0 {
+		if st.queue.Len() == 0 {
 			continue
 		}
 		// The head frame cannot seize the wire before it may contend and
 		// the current frame has passed.
 		ready := s.contendAt(st, now)
-		if s.cur != nil && s.busyTill > ready {
+		if s.busy && s.busyTill > ready {
 			ready = s.busyTill
 		}
-		tx := st.queue[0]
+		tx := st.queue.Front()
 		// Earliest completion: seize at ready, serialize without collision.
 		ev := ready + sim.Cycle(uint64(len(tx.frame.Words))*s.cfg.WordCycles)
 		// Earliest abort: collide at ready and at every backoff expiry
@@ -343,12 +346,12 @@ func (s *Segment) SendHorizon() sim.Cycle {
 // Step advances the wire one cycle. The cluster must call it once per
 // cluster cycle, before stepping the machines.
 func (s *Segment) Step() {
-	if s.cur == nil && s.wake > s.clock.Now() {
+	if !s.busy && s.wake > s.clock.Now() {
 		return
 	}
 	s.wake = 0
 	s.step()
-	if s.cur == nil {
+	if !s.busy {
 		s.wake = s.NextEvent(s.clock.Now())
 	}
 }
@@ -356,12 +359,12 @@ func (s *Segment) Step() {
 // step is the slow path: the full carrier-sense/contention state machine.
 func (s *Segment) step() {
 	now := s.clock.Now()
-	if s.cur != nil {
+	if s.busy {
 		// Carrier sense: anyone with a frame ready is deferring to the
 		// transmission in progress.
 		for _, st := range s.stations {
-			if st.id != s.curSrc && len(st.queue) > 0 {
-				st.queue[0].deferred = true
+			if st.id != s.curSrc && st.queue.Len() > 0 {
+				st.queue.Front().deferred = true
 			}
 		}
 		if now >= s.busyTill {
@@ -377,7 +380,7 @@ func (s *Segment) step() {
 	var first *Station
 	n := 0
 	for _, st := range s.stations {
-		if len(st.queue) > 0 && now >= st.backoffUntil {
+		if st.queue.Len() > 0 && now >= st.backoffUntil {
 			if first == nil {
 				first = st
 			}
@@ -394,10 +397,10 @@ func (s *Segment) step() {
 	}
 	// A station that was ready while another held or seized the wire has
 	// deferred; mark the heads so the deferral is counted once per frame.
-	if s.cur != nil {
+	if s.busy {
 		for _, st := range s.stations {
-			if st != s.stations[s.curSrc] && len(st.queue) > 0 {
-				st.queue[0].deferred = true
+			if st != s.stations[s.curSrc] && st.queue.Len() > 0 {
+				st.queue.Front().deferred = true
 			}
 		}
 	}
@@ -405,10 +408,10 @@ func (s *Segment) step() {
 
 // begin seizes the wire for the station's head frame.
 func (s *Segment) begin(st *Station) {
-	tx := st.queue[0]
-	st.queue = st.queue[1:]
-	s.cur = tx
+	s.cur = st.queue.Pop()
+	s.busy = true
 	s.curSrc = st.id
+	tx := &s.cur
 	words := uint64(len(tx.frame.Words))
 	s.busySince = s.clock.Now()
 	s.busyTill = s.busySince + sim.Cycle(words*s.cfg.WordCycles)
@@ -429,17 +432,17 @@ const maxBackoffExp = 10
 func (s *Segment) collide(now sim.Cycle) {
 	s.stats.Collisions.Inc()
 	for _, st := range s.stations {
-		if len(st.queue) == 0 || now < st.backoffUntil {
+		if st.queue.Len() == 0 || now < st.backoffUntil {
 			continue
 		}
-		tx := st.queue[0]
+		tx := st.queue.Front()
 		tx.attempts++
 		if tx.attempts >= s.cfg.MaxAttempts {
-			st.queue = st.queue[1:]
+			attempts, done := tx.attempts, st.queue.Pop().done
 			s.stats.Aborted.Inc()
-			s.emit(obs.KindNetDrop, st.id, uint64(tx.attempts), dropAborted)
-			if tx.done != nil {
-				tx.done(false)
+			s.emit(obs.KindNetDrop, st.id, uint64(attempts), dropAborted)
+			if done != nil {
+				done(false)
 			}
 			continue
 		}
@@ -463,7 +466,7 @@ const (
 // finishFrame delivers the frame that just finished serializing.
 func (s *Segment) finishFrame() {
 	tx := s.cur
-	s.cur = nil
+	s.cur, s.busy = txFrame{}, false
 	now := s.clock.Now()
 	s.idleAt = now + sim.Cycle(s.cfg.GapCycles)
 	s.stats.BusyCycles.Add(uint64(now - s.busySince))

@@ -306,11 +306,11 @@ func (w *replayWire) jumpTarget(end sim.Cycle) sim.Cycle {
 // frame in flight, a queued station's collision backoff, the interframe
 // gap, or nothing at all.
 func wireState(seg *Segment, now sim.Cycle) string {
-	if seg.cur != nil {
+	if seg.busy {
 		return "busy"
 	}
 	for _, st := range seg.stations {
-		if len(st.queue) > 0 && st.backoffUntil > now+1 {
+		if st.queue.Len() > 0 && st.backoffUntil > now+1 {
 			return "backoff"
 		}
 	}
@@ -396,7 +396,7 @@ func TestBusyCyclesDerived(t *testing.T) {
 		clock.Tick()
 		seg.Step()
 		now := clock.Now()
-		if seg.cur != nil && begin == sim.Never {
+		if seg.busy && begin == sim.Never {
 			begin = now
 		}
 		want := uint64(0)
@@ -411,8 +411,8 @@ func TestBusyCyclesDerived(t *testing.T) {
 			t.Fatalf("cycle %d: utilization %v, want %v", now, u, wantU)
 		}
 	}
-	if begin == sim.Never || seg.cur != nil || seg.Stats().Frames.Value() != 1 {
+	if begin == sim.Never || seg.busy || seg.Stats().Frames.Value() != 1 {
 		t.Fatalf("frame began at %d, on wire %v, %d frames: want one finished frame",
-			begin, seg.cur != nil, seg.Stats().Frames.Value())
+			begin, seg.busy, seg.Stats().Frames.Value())
 	}
 }

@@ -169,7 +169,7 @@ const (
 	// KindRPCDuplicate: a duplicate was detected and absorbed. Unit is
 	// the station, A the call ID, B the case (0: duplicate call while the
 	// original is still in service, 1: duplicate call after completion —
-	// the cached reply is re-sent, 2: duplicate or stale reply at the
+	// the reply is written and sent again, 2: duplicate or stale reply at the
 	// client).
 	KindRPCDuplicate
 	// KindBusArb: a contended arbitration cycle resolved — at least two

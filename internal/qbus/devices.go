@@ -60,7 +60,7 @@ type Disk struct {
 
 	store map[uint32][]uint32 // lba -> sector words
 
-	queue    []diskOp
+	queue    sim.FIFO[diskOp]
 	busyTill sim.Cycle
 	seeking  bool
 	cur      *diskOp
@@ -106,7 +106,7 @@ func (d *Disk) Read(lba uint32, qaddr uint32, onDone func()) {
 	if lba >= d.cfg.Sectors {
 		panic(fmt.Sprintf("qbus: LBA %d beyond drive capacity", lba))
 	}
-	d.queue = append(d.queue, diskOp{write: false, lba: lba, qaddr: qaddr, onDone: onDone})
+	d.queue.Push(diskOp{write: false, lba: lba, qaddr: qaddr, onDone: onDone})
 }
 
 // Write queues a sector write: memory at QBus address qaddr -> disk.
@@ -114,11 +114,11 @@ func (d *Disk) Write(lba uint32, qaddr uint32, onDone func()) {
 	if lba >= d.cfg.Sectors {
 		panic(fmt.Sprintf("qbus: LBA %d beyond drive capacity", lba))
 	}
-	d.queue = append(d.queue, diskOp{write: true, lba: lba, qaddr: qaddr, onDone: onDone})
+	d.queue.Push(diskOp{write: true, lba: lba, qaddr: qaddr, onDone: onDone})
 }
 
 // QueueLen returns pending commands (excluding any in progress).
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return d.queue.Len() }
 
 // NextEvent reports the earliest future cycle at which Step may change
 // the controller's state: the end of the mechanical delay while seeking,
@@ -136,7 +136,7 @@ func (d *Disk) NextEvent(now sim.Cycle) sim.Cycle {
 		}
 		return sim.Never
 	}
-	if len(d.queue) > 0 {
+	if d.queue.Len() > 0 {
 		return now + 1
 	}
 	return sim.Never
@@ -151,11 +151,10 @@ func (d *Disk) Step() {
 		}
 		return
 	}
-	if len(d.queue) == 0 {
+	if d.queue.Len() == 0 {
 		return
 	}
-	op := d.queue[0]
-	d.queue = d.queue[1:]
+	op := d.queue.Pop()
 	d.cur = &op
 	d.seeking = true
 	d.busyTill = d.clock.Now() + sim.Cycle(d.cfg.SeekCycles)
@@ -219,7 +218,10 @@ type EthernetStats struct {
 	WordsOnWire stats.Counter
 }
 
-// Packet is an Ethernet frame payload in longwords.
+// Packet is an Ethernet frame payload in longwords. Its words are
+// immutable from the transmit DMA onward: the medium, a bridge and every
+// receiving controller share the one slice the transmit DMA filled, and
+// none of them writes it.
 type Packet struct {
 	Words []uint32
 }
@@ -228,14 +230,16 @@ type etherOp struct {
 	transmit bool
 	qaddr    uint32
 	words    int
-	payload  []uint32
+	payload  []uint32 // the frame: received, or filled by the transmit DMA
 	onDone   func(Packet)
 }
 
 // Medium is the shared wire the DEQNA transmits on; in a cluster it is
 // the cluster's send capture in front of an internal/net Segment. The
 // medium owns serialization, busy deferral and collision backoff, and it
-// carries every frame the controller later receives.
+// carries every frame the controller later receives. It may keep pkt's
+// words as long as it likes and hand them to any number of receivers,
+// but must not write them.
 type Medium interface {
 	// Transmit serializes pkt onto the wire. done runs when the frame has
 	// left the wire (ok) or the transmission was abandoned after repeated
@@ -244,17 +248,25 @@ type Medium interface {
 }
 
 // Ethernet is the DEQNA: a DMA Ethernet controller on a Medium. A
-// transmit fetches the frame from host memory by DMA and hands it to the
-// medium; a receive, whose frame the medium has already carried, is DMA'd
-// straight into host memory. Every completion interrupts the I/O
-// processor (MBus port 0).
+// transmit fetches the frame from host memory by DMA into a fresh word
+// buffer, the one allocation a transmitted frame costs, and hands it to
+// the medium; a receive, whose frame the medium has already carried, is
+// DMA'd straight from those words into host memory. Every completion
+// interrupts the I/O processor (MBus port 0).
+//
+// The controller runs one operation at a time, so that operation, its
+// DMA transfer and its completion callbacks are fields bound once in
+// NewEthernet.
 type Ethernet struct {
 	bus    *mbus.Bus
 	engine *Engine
 	medium Medium
 
-	queue []etherOp
-	cur   *etherOp
+	queue sim.FIFO[etherOp]
+	cur   etherOp
+	busy  bool // cur is in progress
+	xfer  Transfer
+	sent  func(ok bool) // the medium's completion of cur
 
 	stats EthernetStats
 }
@@ -262,14 +274,17 @@ type Ethernet struct {
 // NewEthernet creates a DEQNA that uses the given DMA engine and
 // transmits on medium.
 func NewEthernet(bus *mbus.Bus, engine *Engine, medium Medium) *Ethernet {
-	return &Ethernet{bus: bus, engine: engine, medium: medium}
+	e := &Ethernet{bus: bus, engine: engine, medium: medium}
+	e.xfer = Transfer{Device: "deqna", OnDone: e.dmaDone}
+	e.sent = e.wireDone
+	return e
 }
 
 // Stats returns a snapshot of the controller counters.
 func (e *Ethernet) Stats() EthernetStats { return e.stats }
 
 // Busy reports whether operations are queued or in progress.
-func (e *Ethernet) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
+func (e *Ethernet) Busy() bool { return e.busy || e.queue.Len() > 0 }
 
 // Transmit queues a packet send: words longwords DMA'd from QBus address
 // qaddr, then serialized onto the medium. onDone (optional) receives the
@@ -278,19 +293,18 @@ func (e *Ethernet) Transmit(qaddr uint32, words int, onDone func(Packet)) {
 	if words <= 0 || words > 379 { // 1516-byte maximum frame
 		panic(fmt.Sprintf("qbus: implausible frame of %d words", words))
 	}
-	e.queue = append(e.queue, etherOp{transmit: true, qaddr: qaddr, words: words, onDone: onDone})
+	e.queue.Push(etherOp{transmit: true, qaddr: qaddr, words: words, onDone: onDone})
 }
 
 // Receive queues an inbound packet, already carried by the medium, for
-// DMA to QBus address qaddr.
+// DMA to QBus address qaddr. The DMA reads pkt's words in place, without
+// a copy; onDone (optional) receives the same packet, or an empty one if
+// the DMA aborted.
 func (e *Ethernet) Receive(pkt Packet, qaddr uint32, onDone func(Packet)) {
 	if len(pkt.Words) == 0 {
 		panic("qbus: empty inbound packet")
 	}
-	e.queue = append(e.queue, etherOp{
-		transmit: false, qaddr: qaddr, words: len(pkt.Words),
-		payload: append([]uint32(nil), pkt.Words...), onDone: onDone,
-	})
+	e.queue.Push(etherOp{qaddr: qaddr, words: len(pkt.Words), payload: pkt.Words, onDone: onDone})
 }
 
 // NextEvent reports the earliest future cycle at which Step may change
@@ -299,84 +313,72 @@ func (e *Ethernet) Receive(pkt Packet, qaddr uint32, onDone func(Packet)) {
 // engine callbacks and transmits through the medium's completion
 // callback, both covered by their owners' NextEvent.
 func (e *Ethernet) NextEvent(now sim.Cycle) sim.Cycle {
-	if e.cur == nil && len(e.queue) > 0 {
+	if !e.busy && e.queue.Len() > 0 {
 		return now + 1
 	}
 	return sim.Never
 }
 
 // Step advances the controller one cycle: an idle controller starts the
-// DMA for the operation at the head of its queue.
+// DMA for the operation at the head of its queue — from host memory into
+// a fresh frame buffer for a transmit, from the carried frame into host
+// memory for a receive.
 func (e *Ethernet) Step() {
-	if e.cur != nil || len(e.queue) == 0 {
+	if e.busy || e.queue.Len() == 0 {
 		return
 	}
-	op := e.queue[0]
-	e.queue = e.queue[1:]
-	e.cur = &op
-	if op.transmit {
-		e.submitTransmitDMA(&op)
-	} else {
-		e.submitReceiveDMA(&op)
+	e.cur = e.queue.Pop()
+	e.busy = true
+	if e.cur.transmit {
+		e.cur.payload = make([]uint32, e.cur.words)
+	}
+	e.xfer.ToMemory = !e.cur.transmit
+	e.xfer.QAddr = e.cur.qaddr
+	e.xfer.Words = e.cur.words
+	e.xfer.Data = e.cur.payload
+	e.engine.Submit(&e.xfer)
+}
+
+// dmaDone is the DMA completion of cur.
+func (e *Ethernet) dmaDone(fault bool) {
+	e.xfer.Data = nil
+	switch {
+	case fault:
+		// Nothing goes on the wire, or the received packet is lost (a
+		// real DEQNA would flag a receive overrun); either way the
+		// interrupt fires with error status and software sees an empty
+		// packet.
+		e.stats.Faults.Inc()
+		e.complete(Packet{})
+	case e.cur.transmit:
+		e.medium.Transmit(Packet{Words: e.cur.payload}, e.sent)
+	default:
+		e.stats.Received.Inc()
+		e.complete(Packet{Words: e.cur.payload})
 	}
 }
 
-// submitTransmitDMA fetches a frame from host memory and hands it to the
-// medium.
-func (e *Ethernet) submitTransmitDMA(op *etherOp) {
-	buf := make([]uint32, op.words)
-	e.engine.Submit(&Transfer{
-		Device: "deqna", ToMemory: false,
-		QAddr: op.qaddr, Words: op.words, Data: buf,
-		OnDone: func(fault bool) {
-			if fault {
-				// Nothing goes on the wire; complete with an empty
-				// packet so software sees the transmit error.
-				e.stats.Faults.Inc()
-				e.complete(op, Packet{})
-				return
-			}
-			e.medium.Transmit(Packet{Words: buf}, func(ok bool) {
-				if !ok {
-					// Abandoned after repeated collisions; software
-					// sees the transmit error and may retry.
-					e.stats.Faults.Inc()
-					e.complete(op, Packet{})
-					return
-				}
-				e.stats.WordsOnWire.Add(uint64(op.words))
-				e.stats.Transmitted.Inc()
-				e.complete(op, Packet{Words: buf})
-			})
-		},
-	})
+// wireDone is the medium's completion of the transmit in cur.
+func (e *Ethernet) wireDone(ok bool) {
+	if !ok {
+		// Abandoned after repeated collisions; software sees the
+		// transmit error and may retry.
+		e.stats.Faults.Inc()
+		e.complete(Packet{})
+		return
+	}
+	e.stats.WordsOnWire.Add(uint64(e.cur.words))
+	e.stats.Transmitted.Inc()
+	e.complete(Packet{Words: e.cur.payload})
 }
 
-// submitReceiveDMA moves a received frame from the controller into host
-// memory.
-func (e *Ethernet) submitReceiveDMA(op *etherOp) {
-	e.engine.Submit(&Transfer{
-		Device: "deqna", ToMemory: true,
-		QAddr: op.qaddr, Words: op.words, Data: op.payload,
-		OnDone: func(fault bool) {
-			if fault {
-				// The packet is lost (a real DEQNA would flag a receive
-				// overrun); the interrupt still fires with error status.
-				e.stats.Faults.Inc()
-				e.complete(op, Packet{})
-				return
-			}
-			e.stats.Received.Inc()
-			e.complete(op, Packet{Words: op.payload})
-		},
-	})
-}
-
-func (e *Ethernet) complete(op *etherOp, pkt Packet) {
-	e.cur = nil
+func (e *Ethernet) complete(pkt Packet) {
+	done := e.cur.onDone
+	e.cur = etherOp{}
+	e.busy = false
 	e.stats.Interrupts.Inc()
 	e.bus.Interrupt(e.engine.Port(), 0)
-	if op.onDone != nil {
-		op.onDone(pkt)
+	if done != nil {
+		done(pkt)
 	}
 }

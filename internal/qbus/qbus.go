@@ -141,7 +141,7 @@ type Engine struct {
 	line  mbus.Line
 
 	wordCycles uint64
-	queue      []*Transfer
+	queue      sim.FIFO[*Transfer]
 	cur        *Transfer
 	pos        int
 	nextIssue  sim.Cycle
@@ -213,10 +213,10 @@ func (e *Engine) SetFaultPolicy(inj DMAFaultInjector, maxRetries int, backoffCyc
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Busy reports whether transfers are queued or in progress.
-func (e *Engine) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
+func (e *Engine) Busy() bool { return e.cur != nil || e.queue.Len() > 0 }
 
 // QueueLen returns the number of pending transfers (excluding the current).
-func (e *Engine) QueueLen() int { return len(e.queue) }
+func (e *Engine) QueueLen() int { return e.queue.Len() }
 
 // AwaitsBus reports whether a word is on the engine's request line or in
 // flight: the bus's, not the engine's, events until its BusComplete.
@@ -232,7 +232,7 @@ func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
 		return sim.Never
 	}
 	if e.cur == nil {
-		if len(e.queue) == 0 {
+		if e.queue.Len() == 0 {
 			return sim.Never
 		}
 		return now + 1
@@ -258,7 +258,7 @@ func (e *Engine) Submit(t *Transfer) {
 	if t.QAddr%4 != 0 {
 		panic("qbus: transfer must be longword aligned")
 	}
-	e.queue = append(e.queue, t)
+	e.queue.Push(t)
 }
 
 // Step advances the engine one bus cycle; the machine must call it once
@@ -268,11 +268,10 @@ func (e *Engine) Step() {
 		return
 	}
 	if e.cur == nil {
-		if len(e.queue) == 0 {
+		if e.queue.Len() == 0 {
 			return
 		}
-		e.cur = e.queue[0]
-		e.queue = e.queue[1:]
+		e.cur = e.queue.Pop()
 		e.pos = 0
 		e.stats.Transfers.Inc()
 		e.emit(obs.KindDMAStart, mbus.Addr(e.cur.QAddr), uint64(e.cur.Words),

@@ -11,28 +11,9 @@ import (
 // truncated headers, oversized length fields, and garbage kinds must
 // come back as errors — never a panic, never a silently wrong message.
 func FuzzMessage(f *testing.F) {
-	// Seed corpus: valid messages of both kinds, plus the interesting
-	// malformed shapes.
-	for _, m := range []*Message{
-		{Kind: Call, ID: 1, Proc: 7, Payload: []byte("hello")},
-		{Kind: Reply, ID: 0xffffffff, Proc: 0, Payload: nil},
-		{Kind: Call, ID: 42, Proc: 0xffff, Payload: make([]byte, 1480)},
-	} {
-		buf, err := m.Marshal()
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, buf := range messageSeeds(f) {
 		f.Add(buf)
 	}
-	f.Add([]byte{})                                  // empty
-	f.Add([]byte{byte(Call), 0, 0, 0, 1, 0, 7})      // truncated header
-	f.Add([]byte{3, 0, 0, 0, 1, 0, 7, 0, 0, 0, 0})   // bad kind
-	f.Add([]byte{byte(Call), 0, 0, 0, 1, 0, 7, 0xff, // oversized length field
-		0xff, 0xff, 0xff})
-	long := make([]byte, headerBytes+4)
-	long[0] = byte(Reply)
-	binary.BigEndian.PutUint32(long[7:], 2) // header says 2, carries 4
-	f.Add(long)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data) // must never panic
@@ -62,7 +43,7 @@ func FuzzMessage(f *testing.F) {
 		frames := PackFrames(1, 0, m.ID, m.Kind, data)
 		var rebuilt []byte
 		for i, w := range frames {
-			fr, err := parseFrag(w)
+			fr, frData, err := parseFrag(w)
 			if err != nil {
 				t.Fatalf("fragment %d failed to parse: %v", i, err)
 			}
@@ -70,7 +51,7 @@ func FuzzMessage(f *testing.F) {
 				t.Fatalf("fragment %d mislabeled: index %d count %d total %d",
 					i, fr.index, fr.count, fr.total)
 			}
-			rebuilt = append(rebuilt, fr.data...)
+			rebuilt = append(rebuilt, frData...)
 		}
 		if !bytes.Equal(rebuilt, data) {
 			t.Fatal("fragmentation round trip diverged")
@@ -82,31 +63,81 @@ func FuzzMessage(f *testing.F) {
 // outcome must be a parsed fragment or an error, never a panic, and the
 // data length must agree with the frame's own length field.
 func FuzzFrame(f *testing.F) {
-	add := func(words []uint32) {
+	for _, words := range frameSeeds(f) {
 		buf := make([]byte, 4*len(words))
 		for i, w := range words {
 			binary.BigEndian.PutUint32(buf[i*4:], w)
 		}
 		f.Add(buf)
 	}
-	add(PackFrames(1, 0, 7, Call, []byte("payload bytes"))[0])
-	add([]uint32{1, 2, 3})                               // short frame
-	add([]uint32{1, 7, 1 << 12, 0xffffffff, 0xffffffff}) // oversized lengths
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		words := make([]uint32, len(data)/4)
 		for i := range words {
 			words[i] = binary.BigEndian.Uint32(data[i*4:])
 		}
-		fr, err := parseFrag(words) // must never panic
+		fr, data, err := parseFrag(words) // must never panic
 		if err != nil {
 			return
 		}
-		if len(fr.data) > FragDataBytes {
-			t.Fatalf("parsed fragment of %d bytes above FragDataBytes", len(fr.data))
+		if len(data) > FragDataBytes {
+			t.Fatalf("parsed fragment of %d bytes above FragDataBytes", len(data))
 		}
 		if fr.index >= fr.count {
 			t.Fatalf("parsed fragment %d of %d", fr.index, fr.count)
 		}
 	})
+}
+
+// messageSeeds is FuzzMessage's seed corpus: valid messages of both
+// kinds, plus the interesting malformed shapes.
+func messageSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	for _, m := range []*Message{
+		{Kind: Call, ID: 1, Proc: 7, Payload: []byte("hello")},
+		{Kind: Reply, ID: 0xffffffff, Proc: 0, Payload: nil},
+		{Kind: Call, ID: 42, Proc: 0xffff, Payload: make([]byte, 1480)},
+	} {
+		buf, err := m.Marshal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, buf)
+	}
+	long := make([]byte, headerBytes+4)
+	long[0] = byte(Reply)
+	binary.BigEndian.PutUint32(long[7:], 2) // header says 2, carries 4
+	return append(seeds,
+		[]byte{},                                // empty
+		[]byte{byte(Call), 0, 0, 0, 1, 0, 7},    // truncated header
+		[]byte{3, 0, 0, 0, 1, 0, 7, 0, 0, 0, 0}, // bad kind
+		[]byte{byte(Call), 0, 0, 0, 1, 0, 7, 0xff, // oversized length field
+			0xff, 0xff, 0xff},
+		long,
+	)
+}
+
+// frameSeeds is FuzzFrame's seed corpus.
+func frameSeeds(testing.TB) [][]uint32 {
+	return [][]uint32{
+		PackFrames(1, 0, 7, Call, []byte("payload bytes"))[0],
+		{1, 2, 3},                               // short frame
+		{1, 7, 1 << 12, 0xffffffff, 0xffffffff}, // oversized lengths
+	}
+}
+
+// parseFrag parses a frame held in words with the node's header parser
+// and copies out its data bytes.
+func parseFrag(words []uint32) (fragHeader, []byte, error) {
+	var hw [frameHeaderWords]uint32
+	copy(hw[:], words)
+	f, err := parseHeader(&hw, len(words))
+	if err != nil {
+		return fragHeader{}, nil, err
+	}
+	data := make([]byte, f.bytes)
+	for i := range data {
+		data[i] = dataByte(words[frameHeaderWords+i/4], i)
+	}
+	return f, data, nil
 }

@@ -14,145 +14,13 @@ import (
 
 // This file is the runtime half of the package: where transport.go
 // computes the §6 pipeline analytically, Node actually carries calls
-// over a simulated machine — marshalled bytes are DMA'd out of host
-// memory by the DEQNA, serialized on the shared Ethernet segment
+// over a simulated machine — message words written into host memory
+// are DMA'd out by the DEQNA, serialized on the shared Ethernet segment
 // (internal/net), DMA'd into the server's memory, reassembled in
 // fragment order, dispatched onto Topaz worker threads, and answered
 // with ID-matched replies. The client retransmits unanswered calls with
 // exponential backoff and the server deduplicates by call ID, so the
 // transport delivers each call exactly once even over a lossy wire.
-
-// Wire format: each Ethernet frame is a 5-longword transport header
-// followed by a fragment of the marshalled Message, bytes packed
-// big-endian four to a longword.
-//
-//	w0  destination station (low 16) | source station (high 16)
-//	w1  call ID
-//	w2  message kind (high 8) | fragment count (bits 12-23) | index (low 12)
-//	w3  fragment byte length
-//	w4  total marshalled message bytes
-const (
-	frameHeaderWords = 5
-	// MinFrameWords is the smallest well-formed transport frame: the
-	// header alone. The cluster gives it to the Ethernet segments as
-	// net.Config.MinFrameWords, which bounds how soon a freshly sent
-	// frame can finish serializing and so sizes the windows over which
-	// member machines may run ahead of the wire.
-	MinFrameWords = frameHeaderWords
-	// FragDataBytes is the largest fragment of message bytes per frame:
-	// with the transport header it fills the DEQNA's 1516-byte frame.
-	FragDataBytes = 1480
-	maxFrags      = 1 << 12
-)
-
-// packWords packs bytes big-endian, four per longword, zero-padded.
-func packWords(b []byte) []uint32 {
-	words := make([]uint32, (len(b)+3)/4)
-	for i, c := range b {
-		words[i/4] |= uint32(c) << (24 - 8*uint(i%4))
-	}
-	return words
-}
-
-// unpackBytes reverses packWords for the first n bytes.
-func unpackBytes(words []uint32, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(words[i/4] >> (24 - 8*uint(i%4)))
-	}
-	return b
-}
-
-// PackFrames splits a marshalled message into wire frames.
-func PackFrames(dst, src int, id uint32, kind MsgKind, buf []byte) [][]uint32 {
-	count := (len(buf) + FragDataBytes - 1) / FragDataBytes
-	if count == 0 {
-		count = 1
-	}
-	if count >= maxFrags {
-		panic(fmt.Sprintf("rpc: message of %d bytes needs %d fragments", len(buf), count))
-	}
-	frames := make([][]uint32, 0, count)
-	for i := 0; i < count; i++ {
-		lo := i * FragDataBytes
-		hi := lo + FragDataBytes
-		if hi > len(buf) {
-			hi = len(buf)
-		}
-		chunk := buf[lo:hi]
-		frame := make([]uint32, 0, frameHeaderWords+(len(chunk)+3)/4)
-		frame = append(frame,
-			uint32(dst&0xffff)|uint32(src&0xffff)<<16,
-			id,
-			uint32(kind)<<24|uint32(count)<<12|uint32(i),
-			uint32(len(chunk)),
-			uint32(len(buf)),
-		)
-		frame = append(frame, packWords(chunk)...)
-		frames = append(frames, frame)
-	}
-	return frames
-}
-
-// FrameDst extracts the destination station from a frame (the cluster's
-// medium adapter routes on it, like a DEQNA matching the MAC address).
-func FrameDst(words []uint32) int {
-	if len(words) == 0 {
-		return -1
-	}
-	return int(words[0] & 0xffff)
-}
-
-// FrameSrc extracts the source station from a frame.
-func FrameSrc(words []uint32) int {
-	if len(words) == 0 {
-		return -1
-	}
-	return int(words[0] >> 16)
-}
-
-// frag is one parsed wire frame.
-type frag struct {
-	src, dst     int
-	id           uint32
-	kind         MsgKind
-	index, count int
-	total        int
-	data         []byte
-}
-
-// parseFrag validates and decodes a frame. Malformed frames error; they
-// must never panic (the wire is untrusted).
-func parseFrag(words []uint32) (frag, error) {
-	if len(words) < frameHeaderWords {
-		return frag{}, fmt.Errorf("rpc: short frame (%d words)", len(words))
-	}
-	f := frag{
-		dst:   int(words[0] & 0xffff),
-		src:   int(words[0] >> 16),
-		id:    words[1],
-		kind:  MsgKind(words[2] >> 24),
-		count: int(words[2] >> 12 & 0xfff),
-		index: int(words[2] & 0xfff),
-		total: int(words[4]),
-	}
-	n := int(words[3])
-	switch {
-	case f.count < 1:
-		return frag{}, fmt.Errorf("rpc: frame with zero fragment count")
-	case f.index >= f.count:
-		return frag{}, fmt.Errorf("rpc: fragment %d of %d", f.index, f.count)
-	case n > FragDataBytes:
-		return frag{}, fmt.Errorf("rpc: fragment of %d bytes exceeds %d", n, FragDataBytes)
-	case f.total > headerBytes+MaxPayload:
-		return frag{}, fmt.Errorf("rpc: message of %d bytes exceeds maximum", f.total)
-	case len(words) != frameHeaderWords+(n+3)/4:
-		return frag{}, fmt.Errorf("rpc: frame length %d does not match %d data bytes",
-			len(words), n)
-	}
-	f.data = unpackBytes(words[frameHeaderWords:], n)
-	return f, nil
-}
 
 // NodeConfig tunes one machine's RPC runtime.
 type NodeConfig struct {
@@ -253,12 +121,38 @@ type CallOutcome struct {
 	Failed  bool      // the retransmit budget ran out with no reply
 }
 
-// call is one outstanding client call.
+// desc describes a message the node sends. Its payload is always the
+// deterministic pattern of seed, so the description alone regenerates
+// the message's words: for its first transmission, a retransmit, or a
+// duplicate's re-sent reply.
+type desc struct {
+	kind  MsgKind
+	id    uint32
+	proc  uint16
+	seed  uint32
+	bytes int // payload bytes
+}
+
+// callDesc describes call id.
+func callDesc(id uint32, proc uint16, payloadBytes int) desc {
+	return desc{kind: Call, id: id, proc: proc, seed: id, bytes: payloadBytes}
+}
+
+// replyDesc describes the reply to call id: a rejection (Proc=ShedProc)
+// if the call was shed, the procedure's result otherwise.
+func replyDesc(id uint32, proc uint16, shed bool) desc {
+	if shed {
+		return desc{kind: Reply, id: id, proc: ShedProc, seed: id ^ 0xabcd, bytes: 4}
+	}
+	return desc{kind: Reply, id: id, proc: proc, seed: id ^ 0xabcd, bytes: replyBytes}
+}
+
+// call is one outstanding client call. Records recycle through the
+// node's free list: an Issue call's at its disposition, a caller
+// thread's once the thread has finished with it.
 type call struct {
-	id       uint32
+	msg      desc
 	dst      int
-	frames   [][]uint32
-	bytes    int // payload bytes
 	started  sim.Cycle
 	deadline sim.Cycle
 	attempts int
@@ -270,14 +164,25 @@ type call struct {
 	onDone   func(CallOutcome)
 }
 
-// svc is one server-side call record (also the dedup entry).
-type svc struct {
-	src         int
-	msg         *Message
-	replyFrames [][]uint32 // cached for duplicate re-send; nil while in service
+// job is one accepted call waiting for, or in, service.
+type job struct {
+	src   int
+	id    uint32
+	proc  uint16
+	bytes int // request payload bytes
 }
 
-// reasm accumulates in-order fragments of one message.
+// served is a server dedup entry: a call this node accepted, and whether
+// it has been answered. It holds no payload and no frames; a duplicate
+// of an answered call gets the reply regenerated from replyDesc.
+type served struct {
+	proc    uint16
+	replied bool
+	shed    bool
+}
+
+// reasm accumulates in-order fragments of one message. Buffers recycle
+// through the node's free list, emptied on release.
 type reasm struct {
 	data  []byte
 	next  int
@@ -305,16 +210,24 @@ type Node struct {
 	work   *topaz.CondVar // signalled by serverAccept for idle workers
 
 	nextID       uint32
-	calls        []*call
+	calls        []*call // outstanding, in issue order: the retransmit timer list
 	byID         map[uint32]*call
 	nextDeadline sim.Cycle
+	freeCalls    []*call
 
-	txSlot, rxSlot int
+	// txSlot and rxSlot are the next slots to fill; rxDoneSlot is the
+	// slot of the oldest receive still in the DEQNA, which completes
+	// receives in the order they were queued. rxDone is the receive
+	// completion, bound once.
+	txSlot, rxSlot, rxDoneSlot int
+	rxDone                     func(qbus.Packet)
+	hdr                        [headerBytes]byte // the header of the message being written
 
-	srvQueue  []*svc
-	dedup     map[uint64]*svc
-	reasms    map[uint64]*reasm
-	queuePeak int
+	srvQueue   sim.FIFO[job]
+	dedup      map[uint64]served
+	reasms     map[uint64]*reasm
+	freeReasms []*reasm
+	queuePeak  int
 
 	stats   NodeStats
 	latHist stats.LogHist
@@ -333,9 +246,10 @@ func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig
 		cfg:     cfg,
 		maps:    &qbus.MapRegisters{},
 		byID:    make(map[uint32]*call),
-		dedup:   make(map[uint64]*svc),
+		dedup:   make(map[uint64]served),
 		reasms:  make(map[uint64]*reasm),
 	}
+	n.rxDone = n.received
 	if uint64(bufferBase)+slots*slotBytes > m.Memory().Bytes() {
 		panic("rpc: NIC buffer region exceeds physical memory")
 	}
@@ -541,29 +455,21 @@ func (n *Node) nextRx() int {
 	return slots/2 + i
 }
 
-// transmitFrames pokes each frame into a transmit slot and queues the
-// DEQNA send. The DMA engine then fetches the bytes back out of memory
-// and the medium serializes them — the payload genuinely crosses the
-// machine boundary as words.
-func (n *Node) transmitFrames(frames [][]uint32) {
-	for _, words := range frames {
-		slot := n.nextTx()
-		phys, qaddr := n.slotAddr(slot)
-		for i, w := range words {
-			n.m.Memory().Poke(phys+mbus.Addr(i*4), w)
-		}
-		n.eth.Transmit(qaddr, len(words), nil)
+// transmit writes the message d describes, addressed to dst, straight
+// into transmit slots, one frame per slot, and queues the DEQNA send of
+// each. The DMA engine then fetches the words back out of memory and the
+// medium serializes them — the payload genuinely crosses the machine
+// boundary as words.
+func (n *Node) transmit(dst int, d desc) {
+	putHeader(n.hdr[:], d.kind, d.id, d.proc, d.bytes)
+	enc := frameEnc{dst: dst, src: n.station, id: d.id, kind: d.kind,
+		msg: msgBytes{stored: n.hdr[:], seed: d.seed, n: d.bytes}}
+	mem := n.m.Memory()
+	for i := range enc.count() {
+		phys, qaddr := n.slotAddr(n.nextTx())
+		enc.writeFrame(i, func(k int, w uint32) { mem.Poke(phys+mbus.Addr(k*4), w) })
+		n.eth.Transmit(qaddr, enc.frameWords(i), nil)
 	}
-}
-
-// callPayload builds the deterministic payload pattern for a call, which
-// the server verifies byte-for-byte after the wire crossing.
-func callPayload(id uint32, bytes int) []byte {
-	p := make([]byte, bytes)
-	for i := range p {
-		p[i] = byte((i + int(id)) * 31)
-	}
-	return p
 }
 
 // Issue submits one call directly, without a caller thread: the traffic
@@ -576,40 +482,67 @@ func (n *Node) Issue(dst, payloadBytes int, proc uint16, onDone func(CallOutcome
 	if payloadBytes == 0 {
 		payloadBytes = n.cfg.Costs.PayloadBytes
 	}
-	c := n.issue(dst, payloadBytes, proc, nil, onDone)
-	return c.id
+	return n.issue(dst, payloadBytes, proc, nil, onDone).msg.id
 }
 
-// issue marshals and transmits one call. Caller threads run it inside
-// the client station, passing the condition variable they wait on;
-// Issue runs it directly.
+// issue transmits one call. Caller threads run it inside the client
+// station, passing the condition variable they wait on; Issue runs it
+// directly.
 func (n *Node) issue(dst, payloadBytes int, proc uint16, caller *topaz.CondVar, onDone func(CallOutcome)) *call {
-	n.nextID++
-	id := n.nextID
-	msg := &Message{Kind: Call, ID: id, Proc: proc, Payload: callPayload(id, payloadBytes)}
-	buf, err := msg.Marshal()
-	if err != nil {
+	if err := checkMessage(Call, payloadBytes); err != nil {
 		panic(err)
 	}
-	c := &call{
-		id:       id,
+	n.nextID++
+	c := take(&n.freeCalls)
+	*c = call{
+		msg:      callDesc(n.nextID, proc, payloadBytes),
 		dst:      dst,
-		frames:   PackFrames(dst, n.station, id, Call, buf),
-		bytes:    payloadBytes,
 		started:  n.clock.Now(),
 		deadline: n.clock.Now() + sim.Cycle(n.cfg.RetransmitCycles),
 		caller:   caller,
 		onDone:   onDone,
 	}
 	n.calls = append(n.calls, c)
-	n.byID[id] = c
+	n.byID[c.msg.id] = c
 	if len(n.calls) == 1 || c.deadline < n.nextDeadline {
 		n.nextDeadline = c.deadline
 	}
 	n.stats.CallsIssued.Inc()
-	n.emit(obs.KindRPCCall, uint64(id), uint64(payloadBytes))
-	n.transmitFrames(c.frames)
+	n.emit(obs.KindRPCCall, uint64(c.msg.id), uint64(payloadBytes))
+	n.transmit(dst, c.msg)
 	return c
+}
+
+// take pops a record off a free list, or makes one.
+func take[T any](free *[]*T) *T {
+	k := len(*free)
+	if k == 0 {
+		return new(T)
+	}
+	x := (*free)[k-1]
+	(*free)[k-1] = nil
+	*free = (*free)[:k-1]
+	return x
+}
+
+// freeCall returns a record no one references any more to the free list.
+func (n *Node) freeCall(c *call) {
+	*c = call{}
+	n.freeCalls = append(n.freeCalls, c)
+}
+
+// settle delivers a call's disposition: it wakes the caller thread, or
+// runs onDone and frees the record of an Issue call.
+func (n *Node) settle(c *call, o CallOutcome) {
+	if c.caller != nil {
+		n.k.Notify(c.caller)
+	}
+	if c.onDone != nil {
+		c.onDone(o)
+	}
+	if c.caller == nil {
+		n.freeCall(c)
+	}
 }
 
 // Step implements machine.Device: the client's retransmission timer. A
@@ -622,38 +555,28 @@ func (n *Node) Step() {
 	kept := n.calls[:0]
 	var next sim.Cycle
 	for _, c := range n.calls {
-		if c.done || c.failed {
-			continue // reply arrived or given up; drop from the timer list
-		}
 		if now >= c.deadline {
 			if c.attempts >= maxRetransmits {
 				c.failed = true
-				delete(n.byID, c.id)
+				delete(n.byID, c.msg.id)
 				n.stats.CallsFailed.Inc()
-				if c.caller != nil {
-					n.k.Notify(c.caller)
-				}
-				if c.onDone != nil {
-					c.onDone(CallOutcome{
-						ID: c.id, Latency: now - c.started, Bytes: c.bytes, Failed: true,
-					})
-				}
+				n.settle(c, CallOutcome{
+					ID: c.msg.id, Latency: now - c.started, Bytes: c.msg.bytes, Failed: true,
+				})
 				continue
 			}
 			c.attempts++
 			c.deadline = now + sim.Cycle(n.cfg.RetransmitCycles<<uint(c.attempts))
 			n.stats.Retransmits.Inc()
-			n.emit(obs.KindRPCRetransmit, uint64(c.id), uint64(c.attempts))
-			n.transmitFrames(c.frames)
+			n.emit(obs.KindRPCRetransmit, uint64(c.msg.id), uint64(c.attempts))
+			n.transmit(c.dst, c.msg)
 		}
 		if len(kept) == 0 || c.deadline < next {
 			next = c.deadline
 		}
 		kept = append(kept, c)
 	}
-	for i := len(kept); i < len(n.calls); i++ {
-		n.calls[i] = nil
-	}
+	clear(n.calls[len(kept):])
 	n.calls = kept
 	n.nextDeadline = next
 }
@@ -674,186 +597,222 @@ func (n *Node) NextEvent(now sim.Cycle) sim.Cycle {
 	return n.nextDeadline
 }
 
-// Deliver accepts a frame from the shared medium: it lands in a receive
-// buffer by DMA, then the transport parses it out of machine memory.
-// The cluster wires it as the node's segment handler.
+// Deliver accepts a frame from the shared medium: the DEQNA DMAs it,
+// straight from the medium's words, into a receive slot, and the
+// transport then parses it out of machine memory. The cluster wires it
+// as the node's segment handler.
 func (n *Node) Deliver(words []uint32) {
 	if len(words) == 0 {
 		return
 	}
-	slot := n.nextRx()
-	phys, qaddr := n.slotAddr(slot)
-	nwords := len(words)
-	n.eth.Receive(qbus.Packet{Words: words}, qaddr, func(pkt qbus.Packet) {
-		if len(pkt.Words) == 0 {
-			// Receive DMA aborted: the frame is lost in the NIC; the
-			// client's retransmission recovers it.
-			n.stats.RxOverruns.Inc()
-			return
-		}
-		n.onFrame(phys, nwords)
-	})
+	_, qaddr := n.slotAddr(n.nextRx())
+	n.eth.Receive(qbus.Packet{Words: words}, qaddr, n.rxDone)
+}
+
+// received is the DEQNA's completion of the oldest receive, which landed
+// in slot rxDoneSlot.
+func (n *Node) received(pkt qbus.Packet) {
+	phys, _ := n.slotAddr(slots/2 + n.rxDoneSlot)
+	n.rxDoneSlot = (n.rxDoneSlot + 1) % (slots / 2)
+	if len(pkt.Words) == 0 {
+		// Receive DMA aborted: the frame is lost in the NIC; the
+		// client's retransmission recovers it.
+		n.stats.RxOverruns.Inc()
+		return
+	}
+	n.onFrame(phys, len(pkt.Words))
 }
 
 // onFrame reads a received frame back out of machine memory (proving
-// the DMA path carried it) and feeds reassembly.
+// the DMA path carried it), feeds reassembly, and dispatches a completed
+// message.
 func (n *Node) onFrame(phys mbus.Addr, nwords int) {
-	words := make([]uint32, nwords)
-	for i := range words {
-		words[i] = n.m.Memory().Peek(phys + mbus.Addr(i*4))
+	src, h, payload, r := n.assemble(phys, nwords)
+	if r == nil {
+		return
 	}
-	f, err := parseFrag(words)
+	switch h.kind {
+	case Call:
+		n.serverAccept(src, h, payload)
+	case Reply:
+		n.clientAccept(h)
+	}
+	n.freeReasm(r)
+}
+
+// assemble parses the frame of nwords words at phys straight from
+// machine memory and appends its data to the message's reassembly. When
+// that completes a valid message, it returns the sender, the message
+// header, the payload and the reassembly holding it, which the caller
+// frees once done with the payload; otherwise the reassembly is nil.
+// Every frame or message it rejects is counted.
+func (n *Node) assemble(phys mbus.Addr, nwords int) (int, header, []byte, *reasm) {
+	mem := n.m.Memory()
+	var hw [frameHeaderWords]uint32
+	if nwords >= frameHeaderWords {
+		for k := range hw {
+			hw[k] = mem.Peek(phys + mbus.Addr(k*4))
+		}
+	}
+	f, err := parseHeader(&hw, nwords)
 	if err != nil {
 		n.stats.BadFrames.Inc()
-		return
+		return 0, header{}, nil, nil
 	}
 	if f.dst != n.station {
 		// A frame for another station reached this NIC: a bridge
 		// misroute or a cluster wiring bug. A real DEQNA's address
 		// filter would have ignored it; count and drop.
 		n.stats.Misrouted.Inc()
-		return
+		return 0, header{}, nil, nil
 	}
 	key := uint64(f.src)<<48 | uint64(f.kind)<<32 | uint64(f.id)
 	r := n.reasms[key]
 	if f.index == 0 {
 		// First fragment (or a full retransmission): start fresh.
-		r = &reasm{count: f.count, total: f.total}
-		n.reasms[key] = r
+		if r == nil {
+			r = take(&n.freeReasms)
+			n.reasms[key] = r
+		}
+		r.data, r.next, r.count, r.total = r.data[:0], 0, f.count, f.total
 	} else if r == nil || f.index != r.next || f.count != r.count || f.total != r.total {
 		// Out-of-order or stale fragment: the transfer protocol delivers
 		// fragments in order, so discard and let retransmission restart.
 		n.stats.FragDrops.Inc()
 		if r != nil {
 			delete(n.reasms, key)
+			n.freeReasm(r)
 		}
-		return
+		return 0, header{}, nil, nil
 	}
-	r.data = append(r.data, f.data...)
+	data := phys + frameHeaderWords*4
+	var w uint32
+	for i := range f.bytes {
+		if i%4 == 0 {
+			w = mem.Peek(data + mbus.Addr(i))
+		}
+		r.data = append(r.data, dataByte(w, i))
+	}
 	r.next++
 	if r.next < r.count {
-		return
+		return 0, header{}, nil, nil
 	}
 	delete(n.reasms, key)
 	if len(r.data) != r.total {
 		n.stats.BadMessages.Inc()
-		return
+		n.freeReasm(r)
+		return 0, header{}, nil, nil
 	}
-	msg, err := Unmarshal(r.data)
+	h, payload, err := decode(r.data)
 	if err != nil {
 		n.stats.BadMessages.Inc()
-		return
+		n.freeReasm(r)
+		return 0, header{}, nil, nil
 	}
-	switch msg.Kind {
-	case Call:
-		n.serverAccept(f.src, msg)
-	case Reply:
-		n.clientAccept(msg)
-	}
+	return f.src, h, payload, r
+}
+
+// freeReasm empties a reassembly buffer and returns it to the free list.
+func (n *Node) freeReasm(r *reasm) {
+	*r = reasm{data: r.data[:0]}
+	n.freeReasms = append(n.freeReasms, r)
 }
 
 // serverAccept deduplicates and enqueues an inbound call, waking an idle
-// worker.
-func (n *Node) serverAccept(src int, msg *Message) {
-	key := uint64(src)<<32 | uint64(msg.ID)
+// worker. payload is checked against the call's pattern in place.
+func (n *Node) serverAccept(src int, h header, payload []byte) {
+	key := uint64(src)<<32 | uint64(h.id)
 	if e, ok := n.dedup[key]; ok {
 		n.stats.DupCalls.Inc()
-		if e.replyFrames != nil {
-			// Already served: the reply was lost; re-send the cached one.
-			n.emit(obs.KindRPCDuplicate, uint64(msg.ID), 1)
-			n.transmitFrames(e.replyFrames)
+		if e.replied {
+			// Already answered: the reply was lost; send it again.
+			n.emit(obs.KindRPCDuplicate, uint64(h.id), 1)
+			n.transmit(src, replyDesc(h.id, e.proc, e.shed))
 		} else {
 			// Still in service: absorb the duplicate.
-			n.emit(obs.KindRPCDuplicate, uint64(msg.ID), 0)
+			n.emit(obs.KindRPCDuplicate, uint64(h.id), 0)
 		}
 		return
 	}
-	want := callPayload(msg.ID, len(msg.Payload))
-	for i := range want {
-		if msg.Payload[i] != want[i] {
+	for i, b := range payload {
+		if b != patternByte(h.id, i) {
 			n.stats.BadPayload.Inc()
 			break
 		}
 	}
-	e := &svc{src: src, msg: msg}
-	n.dedup[key] = e
-	if n.cfg.MaxQueue > 0 && len(n.srvQueue) >= n.cfg.MaxQueue {
+	if n.cfg.MaxQueue > 0 && n.srvQueue.Len() >= n.cfg.MaxQueue {
 		// Admission control: the queue is at its bound. Answer from the
-		// receive path with a rejection reply — cached in the dedup entry
-		// like any served reply, so a retransmitted shed call re-sends
-		// the same rejection instead of sneaking into the queue.
+		// receive path with a rejection reply — recorded in the dedup
+		// entry like any served reply, so a retransmitted shed call gets
+		// the same rejection again instead of sneaking into the queue.
+		n.dedup[key] = served{proc: h.proc, replied: true, shed: true}
 		n.stats.CallsShed.Inc()
-		n.emit(obs.KindRPCShed, uint64(msg.ID), uint64(src))
-		reject := &Message{Kind: Reply, ID: msg.ID, Proc: ShedProc,
-			Payload: callPayload(msg.ID^0xabcd, 4)}
-		buf, err := reject.Marshal()
-		if err != nil {
-			panic(err)
-		}
-		e.replyFrames = PackFrames(src, n.station, msg.ID, Reply, buf)
-		n.transmitFrames(e.replyFrames)
+		n.emit(obs.KindRPCShed, uint64(h.id), uint64(src))
+		n.transmit(src, replyDesc(h.id, h.proc, true))
 		return
 	}
-	n.srvQueue = append(n.srvQueue, e)
-	if len(n.srvQueue) > n.queuePeak {
-		n.queuePeak = len(n.srvQueue)
+	n.dedup[key] = served{proc: h.proc}
+	n.srvQueue.Push(job{src: src, id: h.id, proc: h.proc, bytes: len(payload)})
+	if n.srvQueue.Len() > n.queuePeak {
+		n.queuePeak = n.srvQueue.Len()
 	}
 	n.stats.CallsReceived.Inc()
 	n.k.Notify(n.work)
 }
 
 // popServer hands the oldest queued call to a worker thread.
-func (n *Node) popServer() *svc {
-	if len(n.srvQueue) == 0 {
-		return nil
+func (n *Node) popServer() (job, bool) {
+	if n.srvQueue.Len() == 0 {
+		return job{}, false
 	}
-	e := n.srvQueue[0]
-	n.srvQueue = n.srvQueue[1:]
-	n.emit(obs.KindRPCServe, uint64(e.msg.ID), uint64(e.src))
-	return e
+	j := n.srvQueue.Pop()
+	n.emit(obs.KindRPCServe, uint64(j.id), uint64(j.src))
+	return j, true
 }
 
-// sendReply marshals, caches, and transmits the reply for a served call.
-func (n *Node) sendReply(e *svc) {
-	reply := &Message{
-		Kind: Reply, ID: e.msg.ID, Proc: e.msg.Proc,
-		Payload: callPayload(e.msg.ID^0xabcd, replyBytes),
-	}
-	buf, err := reply.Marshal()
-	if err != nil {
-		panic(err)
-	}
-	e.replyFrames = PackFrames(e.src, n.station, e.msg.ID, Reply, buf)
+// sendReply transmits the reply for a served call and marks its dedup
+// entry answered.
+func (n *Node) sendReply(j *job) {
+	n.dedup[uint64(j.src)<<32|uint64(j.id)] = served{proc: j.proc, replied: true}
 	n.stats.Served.Inc()
-	n.transmitFrames(e.replyFrames)
+	n.transmit(j.src, replyDesc(j.id, j.proc, false))
 }
 
-// clientAccept matches a reply to its outstanding call and wakes the
-// caller thread waiting for it.
-func (n *Node) clientAccept(msg *Message) {
-	c, ok := n.byID[msg.ID]
+// clientAccept matches a reply to its outstanding call and settles it.
+func (n *Node) clientAccept(h header) {
+	c, ok := n.byID[h.id]
 	if !ok || c.done {
 		n.stats.DupReplies.Inc()
-		n.emit(obs.KindRPCDuplicate, uint64(msg.ID), 2)
+		n.emit(obs.KindRPCDuplicate, uint64(h.id), 2)
 		return
 	}
 	c.done = true
-	c.shed = msg.Proc == ShedProc
+	c.shed = h.proc == ShedProc
 	c.latency = n.clock.Now() - c.started
-	delete(n.byID, msg.ID)
-	n.emit(obs.KindRPCReply, uint64(c.id), uint64(c.latency))
+	delete(n.byID, h.id)
+	n.dropTimer(c)
+	n.emit(obs.KindRPCReply, uint64(c.msg.id), uint64(c.latency))
 	if c.shed {
 		n.stats.ShedReplies.Inc()
 	} else if c.caller == nil {
 		n.recordCompleted(c)
 	}
-	if c.caller != nil {
-		n.k.Notify(c.caller)
-	}
-	if c.onDone != nil {
-		c.onDone(CallOutcome{
-			ID: c.id, Latency: c.latency, Bytes: c.bytes, Shed: c.shed,
-		})
+	n.settle(c, CallOutcome{
+		ID: c.msg.id, Latency: c.latency, Bytes: c.msg.bytes, Shed: c.shed,
+	})
+}
+
+// dropTimer removes an answered call from the timer list, keeping the
+// others in issue order. nextDeadline may now be early, which NextEvent
+// permits.
+func (n *Node) dropTimer(c *call) {
+	for i, x := range n.calls {
+		if x == c {
+			copy(n.calls[i:], n.calls[i+1:])
+			n.calls[len(n.calls)-1] = nil
+			n.calls = n.calls[:len(n.calls)-1]
+			return
+		}
 	}
 }
 
@@ -862,7 +821,7 @@ func (n *Node) clientAccept(msg *Message) {
 // the server actually served.
 func (n *Node) recordCompleted(c *call) {
 	n.stats.CallsCompleted.Inc()
-	n.stats.BytesMoved.Add(uint64(c.bytes))
+	n.stats.BytesMoved.Add(uint64(c.msg.bytes))
 	n.latHist.Observe(uint64(c.latency))
 }
 
@@ -895,7 +854,8 @@ func (n *Node) roomFor(nthreads int, what string) error {
 	return nil
 }
 
-// workerProgram is one server worker's state machine.
+// workerProgram is one server worker's state machine. Its actions are
+// boxed once, since boxing a value allocates.
 func (n *Node) workerProgram() topaz.Program {
 	const (
 		wWait = iota
@@ -906,36 +866,48 @@ func (n *Node) workerProgram() topaz.Program {
 		wUnlock
 	)
 	state := wWait
-	var cur *svc
-	wait := topaz.Action(topaz.Wait{CV: n.work}) // boxed once: boxing allocates
+	var (
+		cur      job
+		sleep    topaz.Action // boxed for sleepFor cycles
+		sleepFor uint64
+	)
+	wait := topaz.Action(topaz.Wait{CV: n.work})
+	lock := topaz.Action(topaz.Lock{M: n.connMu})
+	compute := topaz.Action(topaz.Compute{Instructions: n.cfg.DispatchInstr})
+	reply := topaz.Action(topaz.Call{Fn: func() { n.sendReply(&cur) }})
+	unlock := topaz.Action(topaz.Unlock{M: n.connMu})
 	return topaz.ProgramFunc(func(*topaz.Thread) topaz.Action {
 		switch state {
 		case wWait:
 			// Only serverAccept signals n.work, so this look at the queue
 			// and the Wait are one atomic step and need no mutex.
-			if cur = n.popServer(); cur == nil {
+			var ok bool
+			if cur, ok = n.popServer(); !ok {
 				return wait
 			}
 			state = wLock
-			return topaz.Lock{M: n.connMu}
+			return lock
 		case wLock:
 			state = wCompute
-			return topaz.Compute{Instructions: n.cfg.DispatchInstr}
+			return compute
 		case wCompute:
 			state = wSleep
-			svc := n.serverCycles(len(cur.msg.Payload)) + n.cfg.ProcService[cur.msg.Proc]
+			svc := n.serverCycles(cur.bytes) + n.cfg.ProcService[cur.proc]
 			// The station's busy time: the calibrated sleep plus the
 			// instruction slice that just ran, both under the connection
 			// mutex — the utilization numerator the queuing-model
 			// differential compares against the analytic rho.
 			n.stats.ServiceCycles.Add(svc + n.nominalInstrCycles())
-			return topaz.Sleep{Cycles: svc}
+			if sleep == nil || svc != sleepFor {
+				sleep, sleepFor = topaz.Sleep{Cycles: svc}, svc
+			}
+			return sleep
 		case wSleep:
 			state = wReply
-			return topaz.Call{Fn: func() { n.sendReply(cur) }}
+			return reply
 		case wReply:
 			state = wUnlock
-			return topaz.Unlock{M: n.connMu}
+			return unlock
 		default:
 			state = wWait
 			return topaz.Compute{Instructions: 1}
@@ -965,7 +937,8 @@ func (n *Node) StartCallers(nthreads, dst, payloadBytes int) error {
 
 // callerProgram is one closed-loop caller's state machine. It holds the
 // client station from marshal to finish, except while it waits: the
-// Wait releases cliMu and the wake-up reacquires it.
+// Wait releases cliMu and the wake-up reacquires it. Its actions are
+// boxed once, and it frees each call record when it is done with it.
 func (n *Node) callerProgram(dst, payloadBytes int) topaz.Program {
 	const (
 		cBegin = iota
@@ -979,43 +952,52 @@ func (n *Node) callerProgram(dst, payloadBytes int) topaz.Program {
 	state := cBegin
 	var cur *call
 	cv := n.k.NewCond("rpc-caller")
+	lock := topaz.Action(topaz.Lock{M: n.cliMu})
+	compute := topaz.Action(topaz.Compute{Instructions: n.cfg.DispatchInstr})
+	marshal := topaz.Action(topaz.Sleep{Cycles: n.clientCycles(payloadBytes)})
+	issue := topaz.Action(topaz.Call{Fn: func() { cur = n.issue(dst, payloadBytes, DefaultProc, cv, nil) }})
+	wait := topaz.Action(topaz.Wait{CV: cv, M: n.cliMu})
+	finSleep := topaz.Action(topaz.Sleep{Cycles: n.cfg.Costs.ClientFinishCycles})
+	finish := topaz.Action(topaz.Call{Fn: func() {
+		// Latency spans issue to finish, like transport.Run. A shed
+		// reply is not goodput; the caller just loops.
+		cur.latency = n.clock.Now() - cur.started
+		if !cur.shed {
+			n.recordCompleted(cur)
+		}
+	}})
+	unlock := topaz.Action(topaz.Unlock{M: n.cliMu})
 	return topaz.ProgramFunc(func(*topaz.Thread) topaz.Action {
 		switch state {
 		case cBegin:
 			state = cLock
-			return topaz.Lock{M: n.cliMu}
+			return lock
 		case cLock:
 			state = cCompute
-			return topaz.Compute{Instructions: n.cfg.DispatchInstr}
+			return compute
 		case cCompute:
 			state = cSleep
-			return topaz.Sleep{Cycles: n.clientCycles(payloadBytes)}
+			return marshal
 		case cSleep:
 			state = cWait
-			return topaz.Call{Fn: func() { cur = n.issue(dst, payloadBytes, DefaultProc, cv, nil) }}
+			return issue
 		case cWait:
 			if cur.done {
 				state = cFinSleep
-				return topaz.Sleep{Cycles: n.cfg.Costs.ClientFinishCycles}
+				return finSleep
 			}
 			if !cur.failed {
-				return topaz.Wait{CV: cv, M: n.cliMu}
+				return wait
 			}
 			// The retransmit budget ran out: release the station and
 			// issue the next call.
 		case cFinSleep:
 			state = cFinish
-			return topaz.Call{Fn: func() {
-				// Latency spans issue to finish, like transport.Run. A
-				// shed reply is not goodput; the caller just loops.
-				cur.latency = n.clock.Now() - cur.started
-				if !cur.shed {
-					n.recordCompleted(cur)
-				}
-			}}
+			return finish
 		}
 		state = cBegin
+		n.freeCall(cur)
 		cur = nil
-		return topaz.Unlock{M: n.cliMu}
+		return unlock
 	})
 }

@@ -84,7 +84,7 @@ func TestArrivalWakesIdleWorker(t *testing.T) {
 		before, instr = k.Stats(), threadInstructions(n)
 		m.Step()
 	}
-	for i := 0; len(n.srvQueue) > 0; i++ {
+	for i := 0; n.srvQueue.Len() > 0; i++ {
 		if i == 100_000 {
 			t.Fatal("call not popped within 100k cycles")
 		}

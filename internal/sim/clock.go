@@ -1,7 +1,8 @@
 // Package sim provides the simulation substrate shared by every Firefly
 // subsystem: a cycle clock in MBus cycles (100 ns), a deterministic
-// pseudo-random source, and the worker pool that runs independent
-// simulations (sweep points, cluster members) concurrently.
+// pseudo-random source, the FIFO ring that device and kernel queues use,
+// and the worker pool that runs independent simulations (sweep points,
+// cluster members) concurrently.
 package sim
 
 import (

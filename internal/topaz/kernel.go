@@ -633,7 +633,7 @@ func (k *Kernel) advance(proc int, t *Thread) {
 			return
 		}
 		act.M.Contended++
-		act.M.waiters = append(act.M.waiters, t)
+		act.M.waiters.Push(t)
 		k.block(proc, t)
 
 	case Unlock:
@@ -648,7 +648,7 @@ func (k *Kernel) advance(proc int, t *Thread) {
 		k.forceWrite(ps, act.CV.Addr())
 		act.CV.Waits++
 		t.wokenFor = act.M
-		act.CV.waiters = append(act.CV.waiters, t)
+		act.CV.waiters.Push(t)
 		if act.M != nil {
 			k.unlock(act.M, t)
 		}
@@ -661,7 +661,7 @@ func (k *Kernel) advance(proc int, t *Thread) {
 	case Broadcast:
 		k.forceWrite(ps, act.CV.Addr())
 		act.CV.Broadcasts++
-		for len(act.CV.waiters) > 0 {
+		for act.CV.waiters.Len() > 0 {
 			k.signalOne(act.CV)
 		}
 
@@ -715,9 +715,8 @@ func (k *Kernel) unlock(m *Mutex, t *Thread) {
 	if m.owner != t {
 		panic(fmt.Sprintf("topaz: thread %d unlocks %q held by another thread", t.id, m.name))
 	}
-	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	if m.waiters.Len() > 0 {
+		next := m.waiters.Pop()
 		m.owner = next
 		m.Acquires++
 		k.wake(next)
@@ -738,11 +737,10 @@ func (k *Kernel) Notify(cv *CondVar) {
 // signalOne moves one condition waiter toward reacquiring its mutex, if
 // it waited with one.
 func (k *Kernel) signalOne(cv *CondVar) {
-	if len(cv.waiters) == 0 {
+	if cv.waiters.Len() == 0 {
 		return
 	}
-	w := cv.waiters[0]
-	cv.waiters = cv.waiters[1:]
+	w := cv.waiters.Pop()
 	m := w.wokenFor
 	w.wokenFor = nil
 	if m == nil {
@@ -755,7 +753,7 @@ func (k *Kernel) signalOne(cv *CondVar) {
 		k.wake(w)
 		return
 	}
-	m.waiters = append(m.waiters, w)
+	m.waiters.Push(w)
 }
 
 // wakeSleepers readies every sleeper whose time has come and recomputes

@@ -1,6 +1,9 @@
 package topaz
 
-import "firefly/internal/mbus"
+import (
+	"firefly/internal/mbus"
+	"firefly/internal/sim"
+)
 
 // Mutex is a Topaz mutual-exclusion variable (the object behind the
 // Modula-2+ LOCK statement). Its lock word lives in shared memory, so
@@ -11,7 +14,7 @@ type Mutex struct {
 	addr mbus.Addr
 
 	owner   *Thread
-	waiters []*Thread
+	waiters sim.FIFO[*Thread]
 
 	// Acquires counts successful lock acquisitions; Contended counts
 	// acquisitions that had to block.
@@ -29,7 +32,7 @@ func (m *Mutex) Addr() mbus.Addr { return m.addr }
 func (m *Mutex) Owner() *Thread { return m.owner }
 
 // QueueLen returns the number of blocked waiters.
-func (m *Mutex) QueueLen() int { return len(m.waiters) }
+func (m *Mutex) QueueLen() int { return m.waiters.Len() }
 
 // CondVar is a Topaz condition variable (Wait/Signal/Broadcast in the
 // Threads module), with Mesa semantics: Wait atomically releases the
@@ -38,7 +41,7 @@ type CondVar struct {
 	name string
 	addr mbus.Addr
 
-	waiters []*Thread
+	waiters sim.FIFO[*Thread]
 
 	// Waits and Signals count operations.
 	Waits      uint64
@@ -53,4 +56,4 @@ func (c *CondVar) Name() string { return c.name }
 func (c *CondVar) Addr() mbus.Addr { return c.addr }
 
 // QueueLen returns the number of blocked waiters.
-func (c *CondVar) QueueLen() int { return len(c.waiters) }
+func (c *CondVar) QueueLen() int { return c.waiters.Len() }

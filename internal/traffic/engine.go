@@ -16,12 +16,16 @@ import (
 // run of sequential calls separated by think time. Sessions are a few
 // dozen bytes and live on a heap keyed by next-issue cycle, so the
 // population scales to millions without per-user goroutines or threads.
+// A finished session's record is recycled for a later arrival, keeping
+// its completion callback, bound once when the record was made.
 type session struct {
 	seq       uint64 // creation order; tie-break for equal due cycles
 	class     Class
 	home      int // home segment (affine routing)
 	remaining int // calls left to issue
 	due       sim.Cycle
+	dst       int                   // the machine serving the call in flight
+	done      func(rpc.CallOutcome) // the call's completion: onOutcome of this session
 }
 
 // sessionHeap orders sessions by (due, seq): earliest next issue first,
@@ -86,6 +90,7 @@ type Engine struct {
 	mixTotal      int
 
 	ready   sessionHeap // sessions whose next issue is scheduled
+	free    []*session  // finished sessions' records
 	seq     uint64
 	started sim.Cycle // attach cycle; elapsed and rates measure from here
 
@@ -209,11 +214,21 @@ func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
 // segment, then issue its first call immediately.
 func (e *Engine) startSession() {
 	c := e.drawClass()
-	s := &session{
+	var s *session
+	if k := len(e.free); k > 0 {
+		s = e.free[k-1]
+		e.free[k-1] = nil
+		e.free = e.free[:k-1]
+	} else {
+		s = &session{}
+		s.done = func(o rpc.CallOutcome) { e.onOutcome(s, o) }
+	}
+	*s = session{
 		seq:       e.seq,
 		class:     c,
 		home:      e.homeRand.Intn(e.cl.NumSegments()),
 		remaining: e.profiles[c].CallsPerSession,
+		done:      s.done,
 	}
 	e.seq++
 	e.sessionsStarted++
@@ -234,15 +249,14 @@ func (e *Engine) issueCall(s *session) {
 		e.outstandingPeak[dst] = e.fleet.Outstanding[dst]
 	}
 	e.class[s.class].issued++
-	e.lb.Issue(dst, prof.PayloadBytes, prof.Proc, func(o rpc.CallOutcome) {
-		e.onOutcome(s, dst, o)
-	})
+	s.dst = dst
+	e.lb.Issue(dst, prof.PayloadBytes, prof.Proc, s.done)
 }
 
 // onOutcome accounts one call disposition and schedules the session's
-// next call (or retires the session).
-func (e *Engine) onOutcome(s *session, dst int, o rpc.CallOutcome) {
-	e.fleet.Outstanding[dst]--
+// next call (or retires the session, freeing its record).
+func (e *Engine) onOutcome(s *session, o rpc.CallOutcome) {
+	e.fleet.Outstanding[s.dst]--
 	acc := &e.class[s.class]
 	switch {
 	case o.Failed:
@@ -260,6 +274,7 @@ func (e *Engine) onOutcome(s *session, dst int, o rpc.CallOutcome) {
 		return
 	}
 	e.sessionsFinished++
+	e.free = append(e.free, s)
 }
 
 // ProcService prices every class's procedure number for the server
