@@ -146,7 +146,8 @@ type Cache struct {
 	states []State
 	data   []uint32 // lines*lineWords longwords
 
-	// outstanding CPU access
+	// outstanding CPU access (acc and accIdx are read only while the
+	// phase is not idle; a hit does not store them)
 	phase    seqPhase
 	acc      Access
 	accIdx   int
@@ -343,8 +344,9 @@ func (c *Cache) lineBase(addr mbus.Addr) mbus.Addr {
 	return addr &^ mbus.Addr(c.lineWords*4-1)
 }
 
+// index returns addr's set: its line number modulo the set count.
 func (c *Cache) index(addr mbus.Addr) int {
-	return (int(uint32(addr)>>2) / c.lineWords) & (c.lines - 1)
+	return int(uint32(addr)>>c.tags.Shift) & (c.lines - 1)
 }
 
 // wordOff returns addr's longword offset within its line.
@@ -488,9 +490,7 @@ func (c *Cache) Submit(acc Access) (done bool) {
 	} else {
 		c.stats.Reads++
 	}
-	c.acc = acc
 	idx, hit := c.lookup(acc.Addr)
-	c.accIdx = idx
 	if hit && c.faults.Tag != nil && c.faults.Tag.TagFault(acc.Addr) {
 		hit = c.tagParityFault(idx)
 	}
@@ -524,11 +524,13 @@ func (c *Cache) Submit(acc Access) (done bool) {
 		// hold the old value and this cache must supply the same old value
 		// if snooped.
 		c.phase = seqWriteThrough
+		c.acc, c.accIdx = acc, idx
 		c.raise(op, acc.Addr, acc.Data)
 		return false
 	}
 
 	// Miss.
+	c.acc, c.accIdx = acc, idx
 	if acc.Write {
 		c.stats.WriteMisses++
 		if c.tracer != nil {

@@ -18,6 +18,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"firefly/internal/core"
 	"firefly/internal/sim"
@@ -86,8 +87,8 @@ func (v Variant) Validate() error {
 	switch {
 	case v.TickCycles < 1:
 		return fmt.Errorf("cpu: TickCycles %d must be >= 1", v.TickCycles)
-	case v.BaseTPI < 1:
-		return fmt.Errorf("cpu: BaseTPI %v must be >= 1", v.BaseTPI)
+	case !(v.BaseTPI >= 1) || math.IsInf(v.BaseTPI, 1):
+		return fmt.Errorf("cpu: BaseTPI %v must be finite and >= 1", v.BaseTPI)
 	case v.IR < 0 || v.DR < 0 || v.DW < 0:
 		return fmt.Errorf("cpu: negative reference probabilities")
 	case v.IR > 1 || v.DR > 1 || v.DW > 1:
@@ -126,18 +127,35 @@ func (s Stats) TPI() float64 {
 	return float64(s.Ticks) / float64(s.Instructions)
 }
 
-// instruction step kinds.
-type stepKind uint8
+// instr is the instruction in progress. Its compute ticks are split into
+// nr+1 slots, one before each reference and the last after them: slot s
+// holds chunk ticks, plus one when s < extra. The processor has issued
+// done references and has left ticks of slot done to compute; it is at
+// an instruction boundary when done == nr and left == 0.
+type instr struct {
+	kinds        [3]trace.Kind // the drawn references, in issue order
+	nr           int
+	chunk, extra int
+	done, left   int
+}
 
-const (
-	stepCompute stepKind = iota
-	stepRef
-)
+// slot returns the compute ticks of slot s.
+func (in *instr) slot(s int) int {
+	if s < in.extra {
+		return in.chunk + 1
+	}
+	return in.chunk
+}
 
-type step struct {
-	kind    stepKind
-	refKind trace.Kind
-	compute int
+// boundary reports whether the instruction has retired.
+func (in *instr) boundary() bool { return in.done == in.nr && in.left == 0 }
+
+// start splits the drawn instruction's compute ticks into its slots
+// (instruction decode, execute, result store around the references) and
+// moves to the first slot.
+func (in *instr) start(compute int) {
+	in.chunk, in.extra = compute/(in.nr+1), compute%(in.nr+1)
+	in.done, in.left = 0, in.slot(0)
 }
 
 // Processor is one Firefly CPU. The machine calls Tick on its tick
@@ -150,9 +168,11 @@ type Processor struct {
 	src   trace.Source
 	rng   *sim.Rand
 
+	// v's probabilities, prepared for rng.Hit.
+	ir, dr, dw, onChip, partial sim.Chance
+
 	tpiCarry     float64
-	queue        []step
-	qhead        int // queue[qhead:] is the unconsumed tail; indexing instead of re-slicing keeps the buffer's capacity reusable
+	in           instr
 	waiting      bool
 	probeStalled bool
 	halted       bool
@@ -179,6 +199,12 @@ func New(id int, clock *sim.Clock, v Variant, cache *core.Cache, src trace.Sourc
 		cache: cache,
 		src:   src,
 		rng:   sim.NewRand(seed ^ uint64(id)*0x9e3779b9),
+
+		ir:      sim.NewChance(v.IR),
+		dr:      sim.NewChance(v.DR),
+		dw:      sim.NewChance(v.DW),
+		onChip:  sim.NewChance(v.OnChipHitRate),
+		partial: sim.NewChance(v.PartialWriteFraction),
 	}
 }
 
@@ -253,25 +279,26 @@ func (p *Processor) Tick() (local bool) {
 }
 
 // ComputeAhead returns how many of the processor's next ticks are pure
-// compute: ticks that only count down the current compute step and read
+// compute: ticks that only count down the current compute slot and read
 // nothing outside the processor (no clock, cache, source or hook). It is 0
-// while halted, while waiting on the cache, at a reference step and at an
+// while halted, while waiting on the cache, at a reference and at an
 // instruction boundary.
 //
 // Machine.Run elides these ticks for the whole call and applies them
 // with RunPrivate when the processor is next due or when Run returns.
 // That is exact because a compute tick commutes with everything else
 // that happens during Run: nothing outside the processor reads or writes
-// its step queue, its waiting flag or its tick and instruction counters.
+// its instruction record, its waiting flag or its tick and instruction
+// counters.
 // Interrupt only queues and counts, for the processor's own hook to drain
 // at a real tick; SetSource changes only what the next reference reads;
 // Halt comes only from the processor's own hook or from outside Run; and
 // only a waiting processor, which has no compute ahead, reads Busy.
 func (p *Processor) ComputeAhead() int {
-	if p.halted || p.waiting || p.qhead == len(p.queue) || p.queue[p.qhead].kind != stepCompute {
+	if p.halted || p.waiting {
 		return 0
 	}
-	return p.queue[p.qhead].compute
+	return p.in.left
 }
 
 // Waiting reports whether the processor is stalled on an outstanding
@@ -286,8 +313,10 @@ func (p *Processor) Waiting() bool { return p.waiting }
 // reads before the caller hands the count back); every reference its
 // source gives hits in its cache with no bus operation; and no snoop
 // probe touches its tag store in those ticks. It returns the instruction
-// boundaries crossed, where Tick would have called the hook. Compute
-// steps are applied in bulk.
+// boundaries crossed, where Tick would have called the hook. An
+// instruction whose ticks all fit in the run issues its references back
+// to back and retires; compute ticks are applied in bulk, and a run that
+// ends inside an instruction leaves its record where the ticks would.
 //
 // With n <= ComputeAhead() the conditions hold trivially: the ticks are
 // one compute stretch, crossing no boundary and making no reference, so
@@ -303,37 +332,60 @@ func (p *Processor) RunPrivate(n int) (boundaries uint64) {
 		p.stats.StallTicks += uint64(n)
 		return 0
 	}
+	in := &p.in
 	for n > 0 {
-		if p.qhead == len(p.queue) {
+		if in.boundary() {
 			boundaries++
-			p.buildInstruction()
+			compute := p.draw()
+			if ticks := compute + in.nr; ticks <= n {
+				n -= ticks
+				for _, k := range in.kinds[:in.nr] {
+					p.private(k)
+				}
+				in.done = in.nr
+				p.retire()
+				continue
+			}
+			in.start(compute)
 		}
-		st := &p.queue[p.qhead]
-		if st.kind == stepCompute {
-			k := min(n, st.compute)
+		if in.left > 0 {
+			k := min(n, in.left)
 			n -= k
 			p.compute(k)
 			continue
 		}
 		n--
 		p.probeStalled = false
-		if !p.reference(st.refKind) {
-			panic("cpu: private reference missed its cache")
-		}
+		p.private(in.kinds[in.done])
+		p.advance()
 	}
 	return boundaries
 }
 
-// compute counts n ticks, at most what remains, off the compute step at
-// the head of the queue, retiring the instruction when that empties it.
+// private issues a reference of a private run, which must hit.
+func (p *Processor) private(kind trace.Kind) {
+	if !p.access(kind) {
+		panic("cpu: private reference missed its cache")
+	}
+}
+
+// compute counts n ticks, at most what remains, off the current compute
+// slot, retiring the instruction when that was its last slot.
 func (p *Processor) compute(n int) {
-	st := &p.queue[p.qhead]
-	st.compute -= n
-	if st.compute == 0 {
-		p.qhead++
-		if p.qhead == len(p.queue) {
-			p.retire()
-		}
+	p.in.left -= n
+	if p.in.boundary() {
+		p.retire()
+	}
+}
+
+// advance moves past the reference just issued, to the next slot,
+// retiring the instruction when that slot is the empty last one.
+func (p *Processor) advance() {
+	in := &p.in
+	in.done++
+	in.left = in.slot(in.done)
+	if in.boundary() {
+		p.retire()
 	}
 }
 
@@ -351,24 +403,23 @@ func (p *Processor) tick() (local bool) {
 	}
 
 	local = true
-	if p.qhead == len(p.queue) {
+	if p.in.boundary() {
 		if p.instrHook != nil {
 			local = p.instrHook(p)
 			if p.halted {
 				return local
 			}
 		}
-		p.buildInstruction()
+		p.in.start(p.draw())
 	}
 
-	st := &p.queue[p.qhead]
-	if st.kind == stepCompute {
+	if p.in.left > 0 {
 		p.compute(1)
 		return local
 	}
 
-	// A reference step. Check tag-store interference first: a snoop probe
-	// in this tick's window costs one tick (the SP stall, once per
+	// A reference. Check tag-store interference first: a snoop probe in
+	// this tick's window costs one tick (the SP stall, once per
 	// reference), and one in this very cycle, whose commit is still to
 	// come, stalls the reference again (Cache.Submit's precondition).
 	window := p.v.TickCycles
@@ -381,30 +432,28 @@ func (p *Processor) tick() (local bool) {
 		return local
 	}
 	p.probeStalled = false
-	return p.reference(st.refKind) && local
+	done := p.access(p.in.kinds[p.in.done])
+	p.advance()
+	return done && local
 }
 
-// reference runs the reference step at the head of the queue: it draws
-// the address from the source, lets the on-chip cache absorb an eligible
-// read, and submits the rest to the board cache. It reports whether the
-// access completed; when it did not, the processor waits on the cache.
-func (p *Processor) reference(kind trace.Kind) (done bool) {
+// access runs one reference: it draws the address from the source, lets
+// the on-chip cache absorb an eligible read, and submits the rest to the
+// board cache. It reports whether the access completed; when it did not,
+// the processor waits on the cache.
+func (p *Processor) access(kind trace.Kind) (done bool) {
 	ref := p.src.Next(kind)
-	p.qhead++
 
 	onChipEligible := p.v.OnChipICache &&
 		(kind == trace.InstrRead || (p.v.OnChipDCache && kind == trace.DataRead))
-	if onChipEligible && p.rng.Bool(p.v.OnChipHitRate) {
+	if onChipEligible && p.rng.Hit(p.onChip) {
 		p.stats.OnChipHits++
-		if p.qhead == len(p.queue) {
-			p.retire()
-		}
 		return true
 	}
 
 	acc := core.Access{
 		Write:   kind.IsWrite(),
-		Partial: ref.Partial || (kind.IsWrite() && p.rng.Bool(p.v.PartialWriteFraction)),
+		Partial: ref.Partial || (kind.IsWrite() && p.rng.Hit(p.partial)),
 		Addr:    ref.Addr,
 		Data:    ref.Data,
 	}
@@ -415,9 +464,6 @@ func (p *Processor) reference(kind trace.Kind) (done bool) {
 	}
 	done = p.cache.Submit(acc)
 	p.waiting = !done
-	if p.qhead == len(p.queue) {
-		p.retire()
-	}
 	return done
 }
 
@@ -425,66 +471,32 @@ func (p *Processor) retire() {
 	p.stats.Instructions++
 }
 
-// buildInstruction assembles the step queue for one instruction: the
-// drawn references interleaved with compute ticks. A fractional
-// accumulator keeps the long-run base ticks per instruction equal to
-// BaseTPI without per-instruction rounding loss.
-func (p *Processor) buildInstruction() {
-	// refs is a fixed-size buffer: at most one reference per kind. (An
-	// appended slice here allocated once per instruction — the dominant
-	// allocation of the whole cycle loop.)
-	var refs [3]trace.Kind
+// draw draws the next instruction's references into the record and
+// returns its compute ticks. A fractional accumulator keeps the long-run
+// base ticks per instruction equal to BaseTPI without per-instruction
+// rounding loss. Validate's finite BaseTPI >= 1 gives every instruction
+// at least one tick.
+func (p *Processor) draw() (compute int) {
+	in := &p.in
+	// Each kind is stored at the next free place and kept by counting it,
+	// so no branch turns on a draw (a 40% write draw predicts badly).
 	nr := 0
-	if p.rng.Bool(p.v.IR) {
-		refs[nr] = trace.InstrRead
+	in.kinds[nr] = trace.InstrRead
+	if p.rng.Hit(p.ir) {
 		nr++
 	}
-	if p.rng.Bool(p.v.DR) {
-		refs[nr] = trace.DataRead
+	in.kinds[nr] = trace.DataRead
+	if p.rng.Hit(p.dr) {
 		nr++
 	}
-	if p.rng.Bool(p.v.DW) {
-		refs[nr] = trace.DataWrite
+	in.kinds[nr] = trace.DataWrite
+	if p.rng.Hit(p.dw) {
 		nr++
 	}
+	in.nr = nr
 
 	p.tpiCarry += p.v.BaseTPI
 	baseTicks := int(p.tpiCarry)
 	p.tpiCarry -= float64(baseTicks)
-
-	compute := baseTicks - nr
-	if compute < 0 {
-		compute = 0
-	}
-
-	// Interleave: a compute chunk before each reference and the remainder
-	// after the last (instruction decode, execute, result store).
-	slots := nr + 1
-	chunk := compute / slots
-	extra := compute % slots
-	p.queue = p.queue[:0]
-	p.qhead = 0
-	push := func(n int) {
-		if n > 0 {
-			p.queue = append(p.queue, step{kind: stepCompute, compute: n})
-		}
-	}
-	for i, k := range refs[:nr] {
-		n := chunk
-		if i < extra {
-			n++
-		}
-		push(n)
-		p.queue = append(p.queue, step{kind: stepRef, refKind: k})
-	}
-	n := chunk
-	if nr < extra {
-		n++
-	}
-	push(n)
-	if len(p.queue) == 0 {
-		// Zero-reference instruction with zero compute (possible only with
-		// degenerate BaseTPI): retire immediately next tick.
-		p.queue = append(p.queue, step{kind: stepCompute, compute: 1})
-	}
+	return max(baseTicks-nr, 0)
 }

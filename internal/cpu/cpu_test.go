@@ -71,6 +71,8 @@ func TestVariantValidate(t *testing.T) {
 	bad := []Variant{
 		{TickCycles: 0, BaseTPI: 10},
 		{TickCycles: 1, BaseTPI: 0.5},
+		{TickCycles: 1, BaseTPI: math.NaN()},
+		{TickCycles: 1, BaseTPI: math.Inf(1)},
 		{TickCycles: 1, BaseTPI: 10, IR: -1},
 		{TickCycles: 1, BaseTPI: 10, IR: 2},
 		{TickCycles: 1, BaseTPI: 10, OnChipHitRate: 1.5},
@@ -395,7 +397,7 @@ func TestSecondProbeStall(t *testing.T) {
 		// Tick until the next tick is a reference, then probe two cycles
 		// before its boundary: inside its tick, and at least four cycles
 		// before the second probe, as two MBus operations are.
-		for i := 0; p.waiting || p.qhead == len(p.queue) || p.queue[p.qhead].kind != stepRef; i++ {
+		for i := 0; !p.atReference(); i++ {
 			if i == 10_000 {
 				t.Fatal("CPU 0 never reached a reference step")
 			}
@@ -536,6 +538,11 @@ func (r *refLog) Next(k trace.Kind) trace.Ref {
 	return ref
 }
 
+// atReference reports whether p's next tick issues a reference.
+func (p *Processor) atReference() bool {
+	return !p.waiting && !p.in.boundary() && p.in.left == 0
+}
+
 // idle advances m like run without stepping the processors: the cycles a
 // caller has applied to them by RunPrivate.
 func (m *machine) idle(cycles int) {
@@ -674,9 +681,9 @@ func TestComputeAhead(t *testing.T) {
 			switch {
 			case p.waiting:
 				return "waiting"
-			case p.qhead == len(p.queue):
+			case p.in.boundary():
 				return "boundary"
-			case p.queue[p.qhead].kind == stepRef:
+			case p.in.left == 0:
 				return "reference"
 			}
 			return "compute"
@@ -692,8 +699,8 @@ func TestComputeAhead(t *testing.T) {
 				}
 				continue
 			}
-			if ahead < 1 || ahead != p.queue[p.qhead].compute {
-				t.Fatalf("%s: ComputeAhead %d in a compute step of %d ticks", v.Name, ahead, p.queue[p.qhead].compute)
+			if ahead < 1 || ahead != p.in.left {
+				t.Fatalf("%s: ComputeAhead %d in a compute slot of %d ticks left", v.Name, ahead, p.in.left)
 			}
 			refs, calls := len(logs[0].refs), hooks
 			m.tickRun(ahead * v.TickCycles)
@@ -736,7 +743,7 @@ func (m *machine) probeAtNextRef(t *testing.T) {
 		if !m.cycle() {
 			continue
 		}
-		if !p.waiting && p.qhead < len(p.queue) && p.queue[p.qhead].kind == stepRef {
+		if p.atReference() {
 			p.cache.TagStore().Probe(p.clock.Now())
 			p.Tick()
 			if !p.probeStalled {
@@ -751,54 +758,122 @@ func (m *machine) probeAtNextRef(t *testing.T) {
 // TestRunPrivateMatchesTicks: on a warm cache where every reference of a
 // static working set hits locally, RunPrivate(n) leaves the processor
 // and its cache exactly where n ticks leave them, and returns the
-// boundaries the hook would have seen. Each run starts with a probe
-// stall latched, which the first private reference must clear: the next
-// probed reference after the run must stall again.
+// boundaries the hook would have seen. n ends the run at every tick
+// offset of the first few instructions (whole instructions and partial
+// ones) and far beyond, on the MicroVAX, on the CVAX (on-chip draws),
+// with partial-write draws, and with instructions so short that a
+// reference retires them. Each run starts at a reference that took a
+// probe stall, whose latch only an issued reference may clear
+// (RunPrivate(0) keeps it), or some boundaries later. The two copies
+// must agree on the counters, the instruction record, the latch, the
+// next draws of the processor's generator, the cache's counters and line
+// states, and on every reference the source gives afterwards. Neither
+// RunPrivate nor a tick allocates.
 func TestRunPrivateMatchesTicks(t *testing.T) {
-	for _, v := range []Variant{MicroVAX78032(), CVAX78034()} {
+	partial := MicroVAX78032()
+	partial.Name, partial.PartialWriteFraction = "MicroVAX, partial writes", 0.3
+	short := MicroVAX78032()
+	short.Name, short.BaseTPI = "MicroVAX, 2.5 TPI", 2.5 // instructions that end on a reference
+	var ns []int
+	for n := 0; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 1000)
+	for _, v := range []Variant{MicroVAX78032(), CVAX78034(), partial, short} {
 		tc := v.TickCycles
-		for _, n := range []int{1, 2, 5, 13, 40, 1000} {
-			mk := func() (*machine, *int) {
-				m := newMachine(1, v, func(int, *core.Cache) trace.Source {
-					return trace.NewWorkingSet(trace.WorkingSetConfig{Base: 0x10000, Bytes: 0x400, SetLines: 8, Seed: 9})
-				})
-				hooks := new(int)
-				m.cpus[0].SetInstrHook(func(*Processor) bool { *hooks++; return true })
-				m.tickRun(4000 * tc)
-				m.probeAtNextRef(t)
-				return m, hooks
-			}
-			priv, privHooks := mk()
-			tick, tickHooks := mk()
-			pp, tp := priv.cpus[0], tick.cpus[0]
-			if !pp.cache.HitsLocally(pp.src.(*trace.WorkingSet).Lines()) {
-				t.Fatalf("%s: working set not resident after warm-up", v.Name)
-			}
-			privBefore, tickBefore := *privHooks, *tickHooks
-			boundaries := pp.RunPrivate(n)
-			if *privHooks != privBefore {
-				t.Fatalf("%s n=%d: RunPrivate ran the hook", v.Name, n)
-			}
-			*privHooks += int(boundaries) // as the scheduler is handed them
-			priv.idle(n * tc)
-			tick.tickRun(n * tc)
-			if got, want := boundaries, uint64(*tickHooks-tickBefore); got != want {
-				t.Fatalf("%s n=%d: RunPrivate crossed %d boundaries, ticks ran the hook %d times", v.Name, n, got, want)
-			}
-			for round := 0; round < 3; round++ {
-				ps := fmt.Sprintf("%+v %+v", pp.Stats(), pp.cache.Stats())
-				ts := fmt.Sprintf("%+v %+v", tp.Stats(), tp.cache.Stats())
-				if ps != ts {
-					t.Fatalf("%s n=%d round %d: diverged\nprivate %s\nticked  %s", v.Name, n, round, ps, ts)
+		for _, after := range []int{0, 3, 7} {
+			for _, n := range ns {
+				name := fmt.Sprintf("%s, %d boundaries after the stall, n=%d", v.Name, after, n)
+				mk := func() (*machine, *int, *refLog, *trace.WorkingSet) {
+					ws := trace.NewWorkingSet(trace.WorkingSetConfig{Base: 0x10000, Bytes: 0x400, SetLines: 8, Seed: 9})
+					log := &refLog{src: ws}
+					m := newMachine(1, v, func(int, *core.Cache) trace.Source { return log })
+					log.clock = m.clock
+					hooks := new(int)
+					m.cpus[0].SetInstrHook(func(*Processor) bool { *hooks++; return true })
+					m.tickRun(4000 * tc)
+					m.probeAtNextRef(t)
+					m.tickRun(after * tc)
+					return m, hooks, log, ws
 				}
-				priv.probeAtNextRef(t)
-				tick.probeAtNextRef(t)
-				priv.tickRun(50 * tc)
-				tick.tickRun(50 * tc)
-			}
-			if *privHooks != *tickHooks {
-				t.Fatalf("%s n=%d: hook ran %d times after RunPrivate, %d after ticks", v.Name, n, *privHooks, *tickHooks)
+				priv, privHooks, privLog, ws := mk()
+				tick, tickHooks, tickLog, _ := mk()
+				pp, tp := priv.cpus[0], tick.cpus[0]
+				if !pp.cache.HitsLocally(ws.Lines()) {
+					t.Fatalf("%s: working set not resident after warm-up", name)
+				}
+				privBefore, tickBefore := *privHooks, *tickHooks
+				boundaries := pp.RunPrivate(n)
+				if *privHooks != privBefore {
+					t.Fatalf("%s: RunPrivate ran the hook", name)
+				}
+				*privHooks += int(boundaries) // as the scheduler is handed them
+				priv.idle(n * tc)
+				tick.tickRun(n * tc)
+				if got, want := boundaries, uint64(*tickHooks-tickBefore); got != want {
+					t.Fatalf("%s: RunPrivate crossed %d boundaries, ticks ran the hook %d times", name, got, want)
+				}
+				if ps, ts := processorState(pp, ws), processorState(tp, ws); ps != ts {
+					t.Fatalf("%s: diverged\nprivate %s\nticked  %s", name, ps, ts)
+				}
+				// RunPrivate reads no clock, so only the references after
+				// it carry comparable cycles.
+				base := len(privLog.refs)
+				for round := 0; round < 3; round++ {
+					priv.probeAtNextRef(t)
+					tick.probeAtNextRef(t)
+					priv.tickRun(50 * tc)
+					tick.tickRun(50 * tc)
+					if ps, ts := processorState(pp, ws), processorState(tp, ws); ps != ts {
+						t.Fatalf("%s round %d: diverged\nprivate %s\nticked  %s", name, round, ps, ts)
+					}
+				}
+				if *privHooks != *tickHooks {
+					t.Fatalf("%s: hook ran %d times after RunPrivate, %d after ticks", name, *privHooks, *tickHooks)
+				}
+				if len(privLog.refs) != len(tickLog.refs) {
+					t.Fatalf("%s: %d references after RunPrivate, %d after ticks", name, len(privLog.refs), len(tickLog.refs))
+				}
+				for i := range privLog.refs {
+					pr, tr := privLog.refs[i], tickLog.refs[i]
+					if i < base {
+						pr.at, tr.at = 0, 0
+					}
+					if pr != tr {
+						t.Fatalf("%s: reference %d diverged: private %+v, ticked %+v", name, i, pr, tr)
+					}
+				}
 			}
 		}
+		m := newMachine(1, v, func(int, *core.Cache) trace.Source {
+			return trace.NewWorkingSet(trace.WorkingSetConfig{Base: 0x10000, Bytes: 0x400, SetLines: 8, Seed: 9})
+		})
+		m.tickRun(4000 * tc)
+		p := m.cpus[0]
+		if a := testing.AllocsPerRun(100, func() { p.RunPrivate(1000) }); a != 0 {
+			t.Errorf("%s: RunPrivate(1000) allocates %v times", v.Name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { m.tickRun(100 * tc) }); a != 0 {
+			t.Errorf("%s: 100 ticks allocate %v times", v.Name, a)
+		}
 	}
+}
+
+// processorState renders what a private run and ticks must leave alike:
+// the counters, the instruction's position (its split too, unless it has
+// retired), the carry, the flags, the next draws of the processor's
+// generator, and the cache's counters and the states of ws's lines.
+func processorState(p *Processor, ws *trace.WorkingSet) string {
+	in := p.in
+	if in.boundary() {
+		in.chunk, in.extra = 0, 0 // a retired instruction's split is dead
+	}
+	rng := *p.rng
+	draws := [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	var states []core.State
+	for _, a := range ws.Lines() {
+		states = append(states, p.cache.LineState(a))
+	}
+	return fmt.Sprintf("%+v %+v carry %v waiting %v latched %v draws %x cache %+v %v",
+		p.Stats(), in, p.tpiCarry, p.waiting, p.probeStalled, draws, p.cache.Stats(), states)
 }

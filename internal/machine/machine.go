@@ -505,7 +505,7 @@ func (m *Machine) stepShared() (done int) {
 // window the bus and device steps are provably no-ops, and every
 // counter of elapsed time is derived from the clock. A compute tick
 // touches only its own processor, and nothing the bus, caches or devices
-// do reads or writes a processor's step queue or counters: a bus
+// do reads or writes a processor's instruction record or counters: a bus
 // interrupt only queues on the processor, a processor is halted only by
 // its own hook or from outside Run, and a cache's Busy is read only by a
 // waiting processor, which has no compute ahead.

@@ -214,6 +214,7 @@ type Node struct {
 	byID         map[uint32]*call
 	nextDeadline sim.Cycle
 	freeCalls    []*call
+	expired      []*call // calls Step fails, settled after it compacts calls
 
 	// txSlot and rxSlot are the next slots to fill; rxDoneSlot is the
 	// slot of the oldest receive still in the DEQNA, which completes
@@ -547,6 +548,8 @@ func (n *Node) settle(c *call, o CallOutcome) {
 
 // Step implements machine.Device: the client's retransmission timer. A
 // call whose retransmit budget runs out fails, which wakes its caller.
+// Failed calls settle after the timer list is compacted, so a call that
+// an onDone issues joins the list.
 func (n *Node) Step() {
 	if len(n.calls) == 0 || n.clock.Now() < n.nextDeadline {
 		return
@@ -557,12 +560,7 @@ func (n *Node) Step() {
 	for _, c := range n.calls {
 		if now >= c.deadline {
 			if c.attempts >= maxRetransmits {
-				c.failed = true
-				delete(n.byID, c.msg.id)
-				n.stats.CallsFailed.Inc()
-				n.settle(c, CallOutcome{
-					ID: c.msg.id, Latency: now - c.started, Bytes: c.msg.bytes, Failed: true,
-				})
+				n.expired = append(n.expired, c)
 				continue
 			}
 			c.attempts++
@@ -579,6 +577,16 @@ func (n *Node) Step() {
 	clear(n.calls[len(kept):])
 	n.calls = kept
 	n.nextDeadline = next
+	for i, c := range n.expired {
+		n.expired[i] = nil
+		c.failed = true
+		delete(n.byID, c.msg.id)
+		n.stats.CallsFailed.Inc()
+		n.settle(c, CallOutcome{
+			ID: c.msg.id, Latency: now - c.started, Bytes: c.msg.bytes, Failed: true,
+		})
+	}
+	n.expired = n.expired[:0]
 }
 
 // NextEvent implements machine.Device: between retransmission

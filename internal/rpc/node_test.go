@@ -99,3 +99,37 @@ func TestShedDuplicateGetsSameRejection(t *testing.T) {
 		t.Fatalf("dup %d shed %d received %d, want 2, 1, 1", st.DupCalls.Value(), st.CallsShed.Value(), st.CallsReceived.Value())
 	}
 }
+
+// TestIssueFromOnDoneIsTracked: a call issued from a failed call's onDone
+// joins the retransmit timer list. On a wire that drops everything it is
+// retransmitted and fails on its own budget, after which no call is
+// outstanding and no timer is left.
+func TestIssueFromOnDoneIsTracked(t *testing.T) {
+	m := machine.New(machine.MicroVAXConfig(2))
+	n := NewNode(m, 0, dropMedium{}, NodeConfig{RetransmitCycles: 1000})
+	var outcomes []CallOutcome
+	var second uint32
+	first := n.Issue(1, 64, DefaultProc, func(o CallOutcome) {
+		outcomes = append(outcomes, o)
+		second = n.Issue(1, 64, DefaultProc, func(o CallOutcome) { outcomes = append(outcomes, o) })
+	})
+	// Each call's budget is 1000·(2^(maxRetransmits+1) − 1) cycles.
+	runUntil(t, m, 5_000_000, "both calls settled", func() bool { return len(outcomes) == 2 })
+	for i, id := range []uint32{first, second} {
+		if o := outcomes[i]; o.ID != id || !o.Failed {
+			t.Errorf("outcome %d: %+v, want call %d failed", i, o, id)
+		}
+	}
+	if lat := outcomes[1].Latency; lat < 1000*(1<<(maxRetransmits+1)-1) {
+		t.Errorf("the second call failed after %d cycles, before its own budget", lat)
+	}
+	if r := n.stats.Retransmits.Value(); r != 2*maxRetransmits {
+		t.Errorf("%d retransmits, want %d", r, 2*maxRetransmits)
+	}
+	if f := n.stats.CallsFailed.Value(); f != 2 {
+		t.Errorf("%d calls failed, want 2", f)
+	}
+	if o, timers := n.Outstanding(), len(n.calls); o != 0 || timers != 0 {
+		t.Errorf("%d calls outstanding and %d timers left, want none", o, timers)
+	}
+}

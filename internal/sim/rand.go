@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Rand is a small, fast, deterministic pseudo-random source
 // (xorshift64*). The simulator cannot use math/rand's global functions:
 // reproducibility across runs and across Go releases is part of the
@@ -27,10 +29,14 @@ func (r *Rand) Uint64() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
+// Intn returns a pseudo-random int in [0, n). It panics if n <= 0. For
+// a power of two it masks, which is the same remainder without a divide.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
+	}
+	if n&(n-1) == 0 {
+		return int(r.Uint64() & uint64(n-1))
 	}
 	return int(r.Uint64() % uint64(n))
 }
@@ -49,6 +55,43 @@ func (r *Rand) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Chance is a probability prepared once for Rand.Hit, which then draws
+// and answers exactly as Bool does with no floating-point work.
+//
+// Bool(p) for p in (0, 1) draws m = x>>11, an integer below 2^53, and
+// tests float64(m)/2^53 < p. Both sides are exact: m converts without
+// rounding and dividing by a power of two is exact, and so is p·2^53,
+// which stays below 2^53. For an integer m, m < p·2^53 holds exactly
+// when m < ceil(p·2^53), so Hit compares m with that threshold. Bool
+// draws nothing for p <= 0 (false) and p >= 1 (true), and draws for a
+// NaN, which compares false; Chance keeps all three cases.
+type Chance struct {
+	t    uint64 // a draw m hits when m < t; with no draw, t != 0 means certain
+	draw bool
+}
+
+// NewChance prepares probability p.
+func NewChance(p float64) Chance {
+	switch {
+	case p <= 0:
+		return Chance{}
+	case p >= 1:
+		return Chance{t: 1}
+	case p != p: // NaN
+		return Chance{draw: true}
+	}
+	return Chance{t: uint64(math.Ceil(p * (1 << 53))), draw: true}
+}
+
+// Hit returns true with c's probability: the same value, from the same
+// draws, as Bool with the probability c was prepared from.
+func (r *Rand) Hit(c Chance) bool {
+	if !c.draw {
+		return c.t != 0
+	}
+	return r.Uint64()>>11 < c.t
 }
 
 // Uint64AsWord narrows a draw to a 32-bit word (payload values).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -128,6 +129,52 @@ func TestRandBoolFrequency(t *testing.T) {
 	got := float64(hits) / float64(n)
 	if got < 0.24 || got > 0.26 {
 		t.Fatalf("Bool(0.25) frequency = %v", got)
+	}
+}
+
+// TestIntnPowerOfTwo: Intn, which masks for a power of two, returns
+// Uint64() % n for every n up to 2^20, from the same draw.
+func TestIntnPowerOfTwo(t *testing.T) {
+	a, b := NewRand(11), NewRand(11)
+	for n := 1; n <= 1<<20; n++ {
+		if got, want := a.Intn(n), int(b.Uint64()%uint64(n)); got != want {
+			t.Fatalf("Intn(%d) = %d, Uint64() %% n = %d", n, got, want)
+		}
+	}
+}
+
+// TestChanceMatchesBool: Hit(NewChance(p)) returns what Bool(p) returns,
+// from the same draws, leaving the generator in the same state: at the
+// edge cases of Bool's short cuts, at random p, and at the p around the
+// very draw each generator is about to make, where a threshold one off
+// (a floor for the ceiling) would answer differently.
+func TestChanceMatchesBool(t *testing.T) {
+	check := func(seed uint64, p float64) {
+		t.Helper()
+		a, b := NewRand(seed), NewRand(seed)
+		c := NewChance(p)
+		for i := 0; i < 4; i++ {
+			got, want := a.Hit(c), b.Bool(p)
+			if got != want || a.state != b.state {
+				t.Fatalf("seed %d p %v (%x) draw %d: Hit %v state %x, Bool %v state %x",
+					seed, p, math.Float64bits(p), i, got, a.state, want, b.state)
+			}
+		}
+	}
+	edges := []float64{-1, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64,
+		0x1p-53, 0.5, math.Nextafter(1, 0), 1, math.Inf(1), math.NaN()}
+	src := NewRand(2024)
+	for i := 0; i < 20_000; i++ {
+		seed := src.Uint64()
+		for _, p := range edges {
+			check(seed, p)
+		}
+		check(seed, src.Float64())
+		m := float64(NewRand(seed).Uint64() >> 11) // the next draw's 53 bits
+		at := m / (1 << 53)
+		for _, p := range []float64{at, math.Nextafter(at, 0), math.Nextafter(at, 1), (m + 0.5) / (1 << 53)} {
+			check(seed, p)
+		}
 	}
 }
 

@@ -114,6 +114,9 @@ type Synthetic struct {
 	rng    *sim.Rand
 	cursor uint32 // next fresh private address offset
 	seq    uint32 // write payload generator
+
+	// cfg's probabilities, prepared for rng.Hit.
+	miss, share, sharedRead, partial sim.Chance
 }
 
 // NewSynthetic returns a generator. cache may be nil.
@@ -125,10 +128,14 @@ func NewSynthetic(cfg SyntheticConfig, shared *SharedRegion, cache Residency) *S
 		panic("trace: Synthetic needs a shared region")
 	}
 	return &Synthetic{
-		cfg:    cfg,
-		shared: shared,
-		cache:  cache,
-		rng:    sim.NewRand(cfg.Seed),
+		cfg:        cfg,
+		shared:     shared,
+		cache:      cache,
+		rng:        sim.NewRand(cfg.Seed),
+		miss:       sim.NewChance(cfg.MissRate),
+		share:      sim.NewChance(cfg.ShareFraction),
+		sharedRead: sim.NewChance(cfg.SharedReadFraction),
+		partial:    sim.NewChance(cfg.PartialWriteFraction),
 	}
 }
 
@@ -139,18 +146,18 @@ func (g *Synthetic) Next(kind Kind) Ref {
 	case DataWrite:
 		g.seq++
 		ref.Data = g.seq
-		ref.Partial = g.rng.Bool(g.cfg.PartialWriteFraction)
-		if g.rng.Bool(g.cfg.ShareFraction) {
+		ref.Partial = g.rng.Hit(g.partial)
+		if g.rng.Hit(g.share) {
 			ref.Addr = g.shared.Slot(g.rng.Intn(g.shared.Slots))
 			return ref
 		}
 	case DataRead:
-		if g.rng.Bool(g.cfg.SharedReadFraction) {
+		if g.rng.Hit(g.sharedRead) {
 			ref.Addr = g.shared.Slot(g.rng.Intn(g.shared.Slots))
 			return ref
 		}
 	}
-	if g.rng.Bool(g.cfg.MissRate) {
+	if g.rng.Hit(g.miss) {
 		ref.Addr = g.freshMiss()
 	} else {
 		ref.Addr = g.residentHit()
@@ -219,6 +226,9 @@ type WorkingSet struct {
 	set  []mbus.Addr
 	next uint32
 	seq  uint32
+
+	// cfg's probabilities, prepared for rng.Hit.
+	jump, drift, partial sim.Chance
 }
 
 // NewWorkingSet returns a generator with a freshly populated working set.
@@ -229,7 +239,13 @@ func NewWorkingSet(cfg WorkingSetConfig) *WorkingSet {
 	if cfg.Bytes < uint32(cfg.SetLines*4) {
 		panic("trace: region smaller than working set")
 	}
-	w := &WorkingSet{cfg: cfg, rng: sim.NewRand(cfg.Seed)}
+	w := &WorkingSet{
+		cfg:     cfg,
+		rng:     sim.NewRand(cfg.Seed),
+		jump:    sim.NewChance(cfg.JumpProb),
+		drift:   sim.NewChance(cfg.DriftProb),
+		partial: sim.NewChance(cfg.PartialWriteFraction),
+	}
 	w.set = make([]mbus.Addr, cfg.SetLines)
 	w.repopulate()
 	return w
@@ -249,16 +265,16 @@ func (w *WorkingSet) repopulate() {
 
 // Next implements Source.
 func (w *WorkingSet) Next(kind Kind) Ref {
-	if w.rng.Bool(w.cfg.JumpProb) {
+	if w.rng.Hit(w.jump) {
 		w.repopulate()
-	} else if w.rng.Bool(w.cfg.DriftProb) {
+	} else if w.rng.Hit(w.drift) {
 		w.set[w.rng.Intn(len(w.set))] = w.fresh()
 	}
 	ref := Ref{Kind: kind, Addr: w.set[w.rng.Intn(len(w.set))]}
 	if kind == DataWrite {
 		w.seq++
 		ref.Data = w.seq
-		ref.Partial = w.rng.Bool(w.cfg.PartialWriteFraction)
+		ref.Partial = w.rng.Hit(w.partial)
 	}
 	return ref
 }
