@@ -108,8 +108,7 @@ func attachRig(t *testing.T, m *machine.Machine, seekCycles uint64) *bigstepRig 
 	maps := &qbus.MapRegisters{}
 	maps.MapRange(0, 0x40000, 1<<15)
 	rig.engine = qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
-	pl := m.Faults()
-	rig.engine.SetFaultPolicy(pl, pl.MaxRetries(), pl.BackoffCycles())
+	rig.engine.SetFaultInjector(m.Faults())
 	rig.disk = qbus.NewDisk(m.Clock(), m.Bus(), rig.engine, qbus.DiskConfig{SeekCycles: seekCycles})
 	m.AddDevice(rig.engine)
 	m.AddDevice(rig.disk)
@@ -169,8 +168,9 @@ func TestBigStepDifferential(t *testing.T) {
 					label := fmt.Sprintf("seed %d", seed)
 					diffRigs(t, label, fast, slow)
 					var retries uint64
-					for _, c := range slow.m.Caches() {
-						retries += c.Stats().Retries
+					for i := range slow.m.Caches() {
+						_, r := slow.m.Bus().PortFaults(i)
+						retries += r
 					}
 					if plan.prefix != "" && retries == 0 {
 						t.Errorf("%s: no cache retried a faulted bus operation", label)
@@ -471,8 +471,9 @@ func TestParkedRunDifferential(t *testing.T) {
 		}, false, false},
 		{"faults", 60_000, synthetic(faulty, load), func(m *machine.Machine) error {
 			var retries, abandoned uint64
-			for _, c := range m.Caches() {
-				retries += c.Stats().Retries
+			for i, c := range m.Caches() {
+				_, r := m.Bus().PortFaults(i)
+				retries += r
 				abandoned += c.Stats().Abandoned
 			}
 			if timeouts := m.Faults().Stats().BusTimeouts.Value(); retries == 0 || abandoned == 0 || timeouts == 0 {

@@ -47,7 +47,7 @@ func TestOracleGreenUnderCorrectableFaults(t *testing.T) {
 			m.AddDevice(engine)
 			maps.MapRange(0, 0x300000, 1<<20)
 			plan := m.Faults()
-			engine.SetFaultPolicy(plan, plan.MaxRetries(), plan.BackoffCycles())
+			engine.SetFaultInjector(plan)
 			words := 64
 			var refill func(bool)
 			refill = func(bool) {

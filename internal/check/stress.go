@@ -129,12 +129,13 @@ func GenSchedule(cfg StressConfig) Schedule {
 	rng := sim.NewRand(cfg.Seed*0x9e3779b9 + 0x7f4a7c15)
 	words := cfg.PoolLines * cfg.LineWords
 	sched := make(Schedule, cfg.Ops)
+	partial := sim.NewChance(0.1)
 	for i := range sched {
 		sched[i] = Op{
 			CPU:     uint8(rng.Intn(cfg.CPUs)),
 			AddrIdx: uint16(rng.Intn(words)),
 			Data:    rng.Uint64AsWord(),
-			Partial: rng.Bool(0.1),
+			Partial: rng.Hit(partial),
 		}
 	}
 	return sched

@@ -128,10 +128,10 @@ func TestProtocolLinearizability(t *testing.T) {
 			for step := 0; step < 3000; step++ {
 				ci := rng.Intn(nCaches)
 				a := addrs[rng.Intn(len(addrs))]
-				if rng.Bool(0.4) {
+				if rng.Hit(sim.NewChance(0.4)) {
 					v := uint32(step + 1)
 					r.complete(t, ci, core.Access{
-						Write: true, Partial: rng.Bool(0.2), Addr: a, Data: v,
+						Write: true, Partial: rng.Hit(sim.NewChance(0.2)), Addr: a, Data: v,
 					})
 					ref[a] = v
 				} else {
@@ -164,7 +164,7 @@ func TestProtocolConcurrentInvariants(t *testing.T) {
 			for round := 0; round < 150; round++ {
 				for ci := 0; ci < nCaches; ci++ {
 					a := addrs[rng.Intn(len(addrs))]
-					if rng.Bool(0.5) {
+					if rng.Hit(sim.NewChance(0.5)) {
 						r.caches[ci].Submit(core.Access{Write: true, Addr: a, Data: uint32(rng.Uint64())})
 					} else {
 						r.caches[ci].Submit(core.Access{Addr: a})
@@ -216,7 +216,7 @@ func TestProtocolMultiWordLinearizability(t *testing.T) {
 			for step := 0; step < 2000; step++ {
 				ci := rng.Intn(nCaches)
 				a := addrs[rng.Intn(len(addrs))]
-				if rng.Bool(0.4) {
+				if rng.Hit(sim.NewChance(0.4)) {
 					v := uint32(step + 1)
 					r.complete(t, ci, core.Access{Write: true, Addr: a, Data: v})
 					ref[a] = v

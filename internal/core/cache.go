@@ -71,9 +71,9 @@ type Stats struct {
 	SnoopTakes    uint64 // update data absorbed from the bus
 	SnoopInvals   uint64 // lines invalidated by snooped ops
 
-	// Fault recovery accounting (all zero on a fault-free machine).
-	BusFaults     uint64 // faulted bus operations delivered to this cache
-	Retries       uint64 // faulted operations retried after backoff
+	// Fault recovery accounting (all zero on a fault-free machine). The
+	// bus counts the faults and retries of this cache's operations
+	// (mbus.Bus.PortFaults).
 	TagFaults     uint64 // injected tag-store parity errors
 	MachineChecks uint64 // uncorrectable faults latched
 	Abandoned     uint64 // CPU accesses abandoned after retry exhaustion
@@ -117,17 +117,6 @@ type TagFaultInjector interface {
 	TagFault(addr mbus.Addr) bool
 }
 
-// FaultPolicy configures fault injection and recovery on a cache.
-type FaultPolicy struct {
-	// Tag injects tag-store parity errors (nil: none).
-	Tag TagFaultInjector
-	// MaxRetries bounds retries of a faulted bus operation before the
-	// access is abandoned with a machine check.
-	MaxRetries int
-	// BackoffCycles is the base retry backoff, doubling per attempt.
-	BackoffCycles uint64
-}
-
 // Cache is a direct-mapped snoopy cache attached to one MBus port. It is
 // an mbus.Initiator and mbus.TagSnooper. One CPU access may be
 // outstanding at a time, mirroring the MicroVAX's single memory interface.
@@ -163,15 +152,12 @@ type Cache struct {
 	fillPoisoned bool
 	victimBase   mbus.Addr
 
-	// line is the cache's request line into the bus arbiter; req is the
-	// operation last raised on it.
+	// line is the cache's request line into the bus arbiter.
 	line mbus.Line
-	req  mbus.Request
 
 	// fault recovery
-	faults       FaultPolicy
-	retries      int  // consecutive faulted attempts of the current op
-	machineCheck bool // latched uncorrectable fault, read by Topaz
+	tagFaults    TagFaultInjector // nil: no tag-store parity errors
+	machineCheck bool             // latched uncorrectable fault, read by Topaz
 
 	// snoop in progress (between probe and commit)
 	snoopIdx  int
@@ -297,9 +283,11 @@ func (c *Cache) emit(kind obs.Kind, addr mbus.Addr, a, b uint64) {
 	})
 }
 
-// SetFaultPolicy installs fault injection and recovery parameters. The
-// zero policy (the default) restores the fault-free cache.
-func (c *Cache) SetFaultPolicy(p FaultPolicy) { c.faults = p }
+// SetTagFaultInjector installs (or, with nil, removes) the injector of
+// tag-store parity errors on hits. Faulted bus operations are the bus's
+// to retry (mbus.Bus.SetFaultPolicy); the cache sees only the fault that
+// spends the budget.
+func (c *Cache) SetTagFaultInjector(inj TagFaultInjector) { c.tagFaults = inj }
 
 // MachineCheck reports whether an uncorrectable fault has been latched:
 // a bus operation that exhausted its retry budget, or a tag parity error
@@ -491,7 +479,7 @@ func (c *Cache) Submit(acc Access) (done bool) {
 		c.stats.Reads++
 	}
 	idx, hit := c.lookup(acc.Addr)
-	if hit && c.faults.Tag != nil && c.faults.Tag.TagFault(acc.Addr) {
+	if hit && c.tagFaults != nil && c.tagFaults.TagFault(acc.Addr) {
 		hit = c.tagParityFault(idx)
 	}
 	if hit {
@@ -577,8 +565,7 @@ func (c *Cache) startMissOps() {
 }
 
 func (c *Cache) raise(op mbus.OpKind, addr mbus.Addr, data uint32) {
-	c.req = mbus.Request{Op: op, Addr: addr.Line(), Data: data}
-	c.line.Raise(c.req, 0)
+	c.line.Raise(mbus.Request{Op: op, Addr: addr.Line(), Data: data}, 0)
 }
 
 // raiseFillWord requests the next word of the line being filled.
@@ -591,13 +578,12 @@ func (c *Cache) raiseFillWord() {
 func (c *Cache) raiseVictimWord() {
 	idx := c.accIdx
 	addr := c.victimBase + mbus.Addr(c.xferWord*4)
-	c.req = mbus.Request{
+	c.line.Raise(mbus.Request{
 		Op:     mbus.MWrite,
 		Addr:   addr.Line(),
 		Data:   c.data[idx*c.lineWords+c.xferWord],
 		Victim: true,
-	}
-	c.line.Raise(c.req, 0)
+	}, 0)
 }
 
 // tagParityFault handles an injected tag-store parity error on a hit.
@@ -633,33 +619,18 @@ func (c *Cache) tagParityFault(idx int) (hit bool) {
 	return false
 }
 
-// busFault handles a faulted bus operation: bounded retry with
-// exponential backoff, then machine check and abandonment.
+// busFault abandons the CPU access whose bus operation faulted after the
+// bus spent its retry budget, and latches a machine check. Nothing was
+// serialized — a faulted operation has no architectural effect — so no
+// load or store event is emitted and no cache state was installed; the
+// machine stays coherent and the processor's fate is software's call
+// (Topaz offlines it).
 func (c *Cache) busFault(res mbus.Result) {
-	c.stats.BusFaults++
-	if c.retries < c.faults.MaxRetries {
-		c.retries++
-		c.stats.Retries++
-		backoff := c.faults.BackoffCycles << (c.retries - 1)
-		// The request is still latched in c.req; re-raise it, to
-		// arbitrate once the backoff has passed.
-		c.line.Raise(c.req, c.clock.Now()+sim.Cycle(backoff))
-		if c.tracer != nil {
-			c.emit(obs.KindFaultRetry, c.req.Addr, uint64(c.retries), backoff)
-		}
-		return
-	}
-	// Retry budget exhausted: latch a machine check and abandon the CPU
-	// access. Nothing was serialized — a faulted operation has no
-	// architectural effect — so no load or store event is emitted and no
-	// cache state was installed; the machine stays coherent and the
-	// processor's fate is software's call (Topaz offlines it).
-	c.retries = 0
 	c.machineCheck = true
 	c.stats.MachineChecks++
 	c.stats.Abandoned++
 	if c.tracer != nil {
-		c.emit(obs.KindMachineCheck, c.req.Addr, 1, uint64(res.Fault))
+		c.emit(obs.KindMachineCheck, res.Addr, 1, uint64(res.Fault))
 	}
 	c.tags.FillKey = 0
 	c.finish()
@@ -674,7 +645,6 @@ func (c *Cache) BusComplete(res mbus.Result) {
 		c.busFault(res)
 		return
 	}
-	c.retries = 0
 	switch c.phase {
 	case seqVictim:
 		c.stats.VictimOps++

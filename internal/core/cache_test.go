@@ -505,8 +505,7 @@ func (f *faultFirst) OpFault(mbus.OpKind, mbus.Addr) (mbus.FaultKind, uint64) {
 func TestRetryRaisesLineForBackoffExpiry(t *testing.T) {
 	r := newRig(t, 1, Firefly{}, 16)
 	c := r.caches[0]
-	r.bus.SetFaultInjector(&faultFirst{n: 1})
-	c.SetFaultPolicy(FaultPolicy{MaxRetries: 1, BackoffCycles: 5})
+	r.bus.SetFaultPolicy(&faultFirst{n: 1}, 1, 5)
 	r.mem.Poke(0x40, 77)
 	c.Submit(Access{Addr: 0x40})
 	r.run(mbus.OpCycles) // the faulted operation completes in cycle 4
@@ -531,7 +530,7 @@ func TestRetryRaisesLineForBackoffExpiry(t *testing.T) {
 	}
 
 	// Abandonment: the retry faults too and exhausts the budget.
-	r.bus.SetFaultInjector(&faultFirst{n: 2})
+	r.bus.SetFaultPolicy(&faultFirst{n: 2}, 1, 5)
 	c.Submit(Access{Addr: 0x80})
 	r.run(mbus.OpCycles + 5 + mbus.OpCycles)
 	if c.Busy() || !c.MachineCheck() {

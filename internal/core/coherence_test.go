@@ -71,9 +71,9 @@ func TestSequentialLinearizability(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		ci := rng.Intn(nCaches)
 		a := addrs[rng.Intn(len(addrs))]
-		if rng.Bool(0.4) {
+		if rng.Hit(sim.NewChance(0.4)) {
 			v := uint32(step + 1)
-			partial := rng.Bool(0.2)
+			partial := rng.Hit(sim.NewChance(0.2))
 			r.complete(t, ci, Access{Write: true, Partial: partial, Addr: a, Data: v})
 			ref[a] = v
 		} else {
@@ -100,8 +100,8 @@ func TestConcurrentCoherence(t *testing.T) {
 
 	submit := func(ci int) {
 		a := addrs[rng.Intn(len(addrs))]
-		if rng.Bool(0.5) {
-			r.caches[ci].Submit(Access{Write: true, Partial: rng.Bool(0.2), Addr: a, Data: uint32(rng.Uint64())})
+		if rng.Hit(sim.NewChance(0.5)) {
+			r.caches[ci].Submit(Access{Write: true, Partial: rng.Hit(sim.NewChance(0.2)), Addr: a, Data: uint32(rng.Uint64())})
 		} else {
 			r.caches[ci].Submit(Access{Addr: a})
 		}

@@ -167,7 +167,7 @@ func TestMultiWordLinearizability(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		ci := rng.Intn(nCaches)
 		a := addrs[rng.Intn(len(addrs))]
-		if rng.Bool(0.4) {
+		if rng.Hit(sim.NewChance(0.4)) {
 			v := uint32(step + 1)
 			r.complete(t, ci, Access{Write: true, Addr: a, Data: v})
 			ref[a] = v

@@ -8,12 +8,14 @@ import (
 	"firefly/internal/mbus"
 )
 
-// TestMDCBusFaults loads 20 rectangles from memory over a bus that
-// faults 2% of its operations. No faulted word may reach the frame
-// buffer or the word count. With the fault plan's retry policy every
-// command paints its whole rectangle; with no retries, a faulted blit
-// word aborts its command, which then stops at that word, and the
-// abort is counted.
+// TestMDCBusFaults loads 20 rectangles from memory over a faulting bus,
+// with no fault policy set on the controller: the bus retries its faulted
+// operations. No faulted word may reach the frame buffer or the word
+// count. When 2% of operations fault, the retries carry every command
+// through its whole rectangle. When every blit read faults (a rate-1
+// plan over the source rectangles), each command's first word is
+// abandoned once the bus has spent its retry budget, so every command
+// aborts at that word, paints nothing, and the abort is counted.
 func TestMDCBusFaults(t *testing.T) {
 	const (
 		cmds     = 20
@@ -24,16 +26,19 @@ func TestMDCBusFaults(t *testing.T) {
 	// Every memory word is nonzero, so a word the frame buffer shows as
 	// zero was never painted.
 	memWord := func(cmd, k int) uint32 { return 0x9e3779b9*uint32(cmd*rowWords*rows+k+1) | 1 }
-	run := func(retry bool) (*MDC, []int) {
+	type outcome struct {
+		st              Stats
+		painted         []int
+		faults, retries uint64
+		maxRetries      int
+	}
+	run := func(name string, plan fault.Config) outcome {
 		cfg := machine.MicroVAXConfig(2)
-		cfg.Faults = &fault.Config{BusParityRate: 0.02}
+		cfg.Faults = &plan
 		m := machine.New(cfg)
 		m.CPU(0).Halt()
 		m.CPU(1).Halt()
 		mdc := New(m.Clock(), m.Bus(), m.Memory(), Config{})
-		if retry {
-			mdc.SetFaultPolicy(m.Faults().MaxRetries(), m.Faults().BackoffCycles())
-		}
 		m.AddDevice(mdc)
 		for c := 0; c < cmds; c++ {
 			for k := 0; k < rowWords*rows; k++ {
@@ -46,7 +51,7 @@ func TestMDCBusFaults(t *testing.T) {
 		}
 		m.Run(2_000_000)
 		if mdc.Completed() != cmds {
-			t.Fatalf("retry %v: %d of %d commands completed", retry, mdc.Completed(), cmds)
+			t.Fatalf("%s: %d of %d commands completed", name, mdc.Completed(), cmds)
 		}
 		// painted[c] is the number of leading words of command c the frame
 		// shows; every word after them must be blank.
@@ -65,8 +70,8 @@ func TestMDCBusFaults(t *testing.T) {
 				case got == 0 && painted[c] < 0:
 					painted[c] = k
 				case got != 0:
-					t.Fatalf("retry %v: command %d word %d reads %#x, want %#x or a blank after an abort",
-						retry, c, k, got, memWord(c, k))
+					t.Fatalf("%s: command %d word %d reads %#x, want %#x or a blank after an abort",
+						name, c, k, got, memWord(c, k))
 				}
 			}
 			if painted[c] < 0 {
@@ -75,35 +80,38 @@ func TestMDCBusFaults(t *testing.T) {
 		}
 		st := mdc.Stats()
 		if st.MemoryWords.Value() != words {
-			t.Errorf("retry %v: %d blit words counted, %d painted", retry, st.MemoryWords.Value(), words)
+			t.Errorf("%s: %d blit words counted, %d painted", name, st.MemoryWords.Value(), words)
 		}
-		if st.BusFaults.Value() == 0 {
-			t.Fatalf("retry %v: no MDC operation faulted; the test covers nothing", retry)
+		// The controller attaches after the two caches.
+		faults, retries := m.Bus().PortFaults(len(m.Caches()))
+		if faults == 0 {
+			t.Fatalf("%s: no MDC operation faulted; the test covers nothing", name)
 		}
-		return mdc, painted
+		return outcome{st, painted, faults, retries, m.Faults().Config().MaxRetries}
 	}
 
-	mdc, painted := run(true)
-	for c, p := range painted {
+	o := run("2% parity", fault.Config{BusParityRate: 0.02})
+	for c, p := range o.painted {
 		if p != rowWords*rows {
 			t.Errorf("with retries, command %d painted %d of %d words", c, p, rowWords*rows)
 		}
 	}
-	if st := mdc.Stats(); st.Retries.Value() != st.BusFaults.Value() || st.Errors.Value() != 0 {
-		t.Errorf("with retries: %d faults, %d retries, %d errors; want every fault retried, no errors",
-			st.BusFaults.Value(), st.Retries.Value(), st.Errors.Value())
+	if o.retries != o.faults || o.st.Errors.Value() != 0 {
+		t.Errorf("2%% parity: %d faults, %d retries, %d errors; want every fault retried, no errors",
+			o.faults, o.retries, o.st.Errors.Value())
 	}
 
-	mdc, painted = run(false)
-	aborted := 0
-	for _, p := range painted {
-		if p < rowWords*rows {
-			aborted++
+	o = run("every blit read", fault.Config{
+		BusParityRate: 1, AddrMin: base, AddrMax: base + mbus.Addr(4*cmds*rowWords*rows-1),
+	})
+	for c, p := range o.painted {
+		if p != 0 {
+			t.Errorf("every blit read faulted, yet command %d painted %d words", c, p)
 		}
 	}
-	st := mdc.Stats()
-	if aborted == 0 || st.Retries.Value() != 0 || st.Errors.Value() != st.BusFaults.Value() || uint64(aborted) > st.Errors.Value() {
-		t.Errorf("without retries: %d commands aborted, %d faults, %d retries, %d errors; want aborts, every fault an error",
-			aborted, st.BusFaults.Value(), st.Retries.Value(), st.Errors.Value())
+	attempts := uint64(o.maxRetries + 1)
+	if o.st.Errors.Value() != cmds || o.faults != cmds*attempts || o.retries != cmds*(attempts-1) {
+		t.Errorf("every blit read: %d errors, %d faults, %d retries; want %d, %d, %d (each command abandoned at its first word)",
+			o.st.Errors.Value(), o.faults, o.retries, cmds, cmds*attempts, cmds*(attempts-1))
 	}
 }

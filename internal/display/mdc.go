@@ -5,7 +5,6 @@ import (
 
 	"firefly/internal/mbus"
 	"firefly/internal/memory"
-	"firefly/internal/obs"
 	"firefly/internal/sim"
 	"firefly/internal/stats"
 )
@@ -90,11 +89,9 @@ type Stats struct {
 	PollReads     stats.Counter
 	MemoryWords   stats.Counter // blit words read or written without a fault
 	Deposits      stats.Counter
-	BusFaults     stats.Counter // bus operations that completed faulted
-	Retries       stats.Counter // faulted operations raised again
-	// Errors counts operations abandoned after the retry budget ran
-	// out: the command, doorbell poll, status write or input deposit
-	// they belonged to is aborted.
+	// Errors counts operations that faulted after the bus spent its
+	// retry budget (mbus.Bus.SetFaultPolicy): the command, doorbell
+	// poll, status write or input deposit they belonged to is aborted.
 	Errors stats.Counter
 }
 
@@ -129,7 +126,6 @@ const (
 type MDC struct {
 	cfg   Config
 	clock *sim.Clock
-	bus   *mbus.Bus
 	mem   *memory.System
 	frame *Bitmap
 	font  *Font // the resident font cache: synthetic 8x12
@@ -159,17 +155,10 @@ type MDC struct {
 	depositPos  int
 
 	// line is the controller's request line; onBus holds from raising
-	// req on it until its BusComplete.
+	// an operation on it until its BusComplete.
 	line     mbus.Line
-	req      mbus.Request
 	onBus    bool
 	lastRead uint32
-
-	// The fault recovery policy (SetFaultPolicy) and the retries spent
-	// on req.
-	maxRetries int
-	backoff    uint64
-	retries    int
 
 	stats Stats
 }
@@ -179,7 +168,6 @@ func New(clock *sim.Clock, bus *mbus.Bus, mem *memory.System, cfg Config) *MDC {
 	m := &MDC{
 		cfg:         cfg.withDefaults(),
 		clock:       clock,
-		bus:         bus,
 		mem:         mem,
 		frame:       NewBitmap(FrameWidth, FrameHeight),
 		font:        SyntheticFont(12, 8),
@@ -187,18 +175,6 @@ func New(clock *sim.Clock, bus *mbus.Bus, mem *memory.System, cfg Config) *MDC {
 	}
 	bus.Attach(m, nil, nil)
 	return m
-}
-
-// SetFaultPolicy sets the recovery from faulted bus operations, the
-// policy the QBus DMA engine follows: a faulted operation is raised
-// again, up to maxRetries times, with exponential backoff starting at
-// backoffCycles; then it is abandoned and counted in Stats.Errors. An
-// abandoned blit word aborts its command, an abandoned doorbell poll
-// waits for the next poll, and an abandoned status write or input
-// deposit is dropped. Without a policy every fault is abandoned at once.
-func (m *MDC) SetFaultPolicy(maxRetries int, backoffCycles uint64) {
-	m.maxRetries = maxRetries
-	m.backoff = backoffCycles
 }
 
 // Frame returns the frame buffer (visible rows 0..VisibleHeight-1).
@@ -445,8 +421,7 @@ func (m *MDC) stepDeposit() {
 
 func (m *MDC) raise(op mbus.OpKind, addr mbus.Addr, data uint32) {
 	m.onBus = true
-	m.req = mbus.Request{Op: op, Addr: addr, Data: data}
-	m.line.Raise(m.req, 0)
+	m.line.Raise(mbus.Request{Op: op, Addr: addr, Data: data}, 0)
 }
 
 // AwaitsBus reports whether an operation is on the controller's request
@@ -463,7 +438,6 @@ func (m *MDC) BusComplete(res mbus.Result) {
 		m.busFault()
 		return
 	}
-	m.retries = 0
 	if m.depositPos > 0 {
 		return // an input deposit word
 	}
@@ -478,26 +452,13 @@ func (m *MDC) BusComplete(res mbus.Result) {
 	}
 }
 
-// busFault recovers from a faulted operation: bounded retry with
-// exponential backoff, then abandon the operation and what it belonged
-// to. A faulted operation had no effect, so nothing of it is painted or
-// counted.
+// busFault abandons an operation that faulted after the bus spent its
+// retry budget, and what it belonged to: a blit word aborts its command,
+// a doorbell poll waits for the next poll, and a status write or input
+// deposit is dropped. A faulted operation had no effect, so nothing of
+// it is painted or counted.
 func (m *MDC) busFault() {
-	m.stats.BusFaults.Inc()
 	now := m.clock.Now()
-	if m.retries < m.maxRetries {
-		m.retries++
-		m.stats.Retries.Inc()
-		backoff := m.backoff << (m.retries - 1)
-		m.onBus = true
-		m.line.Raise(m.req, now+sim.Cycle(backoff))
-		if tr := m.bus.Tracer(); tr != nil {
-			tr.Emit(obs.Event{Cycle: uint64(now), Kind: obs.KindFaultRetry, Unit: int32(m.line.Port()),
-				Addr: uint32(m.req.Addr), A: uint64(m.retries), B: backoff, Label: "mdc"})
-		}
-		return
-	}
-	m.retries = 0
 	m.stats.Errors.Inc()
 	switch {
 	case m.depositPos > 0:

@@ -59,7 +59,7 @@ func FaultSweep(o Options) Outcome {
 		m.AddDevice(engine)
 		maps.MapRange(0, 0x300000, 1<<20)
 		plan := m.Faults()
-		engine.SetFaultPolicy(plan, plan.MaxRetries(), plan.BackoffCycles())
+		engine.SetFaultInjector(plan)
 		words := 128
 		var refill func(bool)
 		refill = func(bool) {
@@ -76,12 +76,12 @@ func FaultSweep(o Options) Outcome {
 		p.injected = plan.Stats().Total()
 		for i := 0; i < cfg.Processors; i++ {
 			p.instr += m.CPU(i).Stats().Instructions
-			cs := m.Cache(i).Stats()
-			p.retries += cs.Retries
-			p.mchecks += cs.MachineChecks
+			p.mchecks += m.Cache(i).Stats().MachineChecks
+		}
+		for _, r := range m.Bus().Stats().RetriesPerPort {
+			p.retries += r
 		}
 		es := engine.Stats()
-		p.retries += es.Retries.Value()
 		p.dmaAborts = es.NXMFaults.Value() + es.Aborted.Value() + es.MapFaults.Value()
 		p.checked = ck.Checked()
 		p.viol = len(ck.Violations())

@@ -11,14 +11,17 @@
 // given plan + machine seed reproduces the exact same fault storm —
 // injections, recoveries, event stream, and final report are
 // byte-identical across runs. A plan whose rates are all zero draws no
-// random numbers at all (sim.Rand.Bool(0) short-circuits) and is
+// random numbers at all (a zero sim.Chance consumes no state) and is
 // behaviourally indistinguishable from no plan.
 //
 // The package deliberately imports only mbus, sim, and stats. The
 // component-side injection points are small interfaces declared by each
 // component (mbus.FaultInjector, memory.ECCModel, core.TagFaultInjector,
 // qbus.DMAFaultInjector, net.FaultInjector); Plan satisfies all of them
-// structurally, so no component depends on this package.
+// structurally, so no component depends on this package. Recovery from
+// a faulted bus operation is the bus's: machine.New hands the plan and
+// its retry policy to mbus.Bus.SetFaultPolicy, so every initiator on
+// the bus sees only the fault that spends the retry budget.
 package fault
 
 import (
@@ -37,7 +40,7 @@ import (
 type Config struct {
 	// BusParityRate is the per-MBus-operation probability of an address
 	// or data parity error. The operation aborts with no architectural
-	// effect and the initiator retries.
+	// effect and the bus retries it.
 	BusParityRate float64
 	// BusTimeoutRate is the per-operation probability of a bus timeout:
 	// like a parity error, but the operation additionally holds the bus
@@ -73,8 +76,8 @@ type Config struct {
 	// damage). The RPC transport recovers by retransmission.
 	NetDropRate float64
 
-	// MaxRetries bounds the retries an initiator spends on a faulted bus
-	// operation or DMA word before giving up (default 4).
+	// MaxRetries bounds the retries the bus spends on a faulted
+	// operation before handing the fault to its initiator (default 4).
 	MaxRetries int
 	// BackoffCycles is the base retry backoff; it doubles per attempt
 	// (default 16).
@@ -155,7 +158,7 @@ func (c Config) Validate() error {
 }
 
 // Stats counts the plan's injections (recovery accounting lives with the
-// recovering components).
+// bus, which counts retries per port, and the recovering components).
 type Stats struct {
 	BusParity    stats.Counter
 	BusTimeouts  stats.Counter
@@ -175,8 +178,8 @@ func (s Stats) Total() uint64 {
 }
 
 // Plan is a live injector built from a Config: one per machine, wired by
-// machine.New into the bus, the storage array, every cache, and (by the
-// caller) any DMA engines. Each subsystem draws from its own derived
+// machine.New into the bus (with the retry policy), the storage array and
+// every cache, and by the caller into any DMA engines. Each subsystem draws from its own derived
 // stream, so enabling one fault class does not perturb another's draws.
 // The plan owns no time: every injection is drawn when an acting
 // component consults it, so skipping cycles in which nothing acts cannot
@@ -190,6 +193,10 @@ type Plan struct {
 	dmaRand *sim.Rand
 	tagRand *sim.Rand
 	netRand *sim.Rand
+
+	// The per-event rates, prepared once (sim.Chance).
+	busParity, busTimeout, memSoft, memUncorrect sim.Chance
+	dmaNXM, dmaStall, tagParity, netDrop         sim.Chance
 
 	stats Stats
 }
@@ -211,17 +218,20 @@ func NewPlan(cfg Config, clock *sim.Clock) *Plan {
 		dmaRand: root.Split(),
 		tagRand: root.Split(),
 		netRand: root.Split(),
+
+		busParity:    sim.NewChance(cfg.BusParityRate),
+		busTimeout:   sim.NewChance(cfg.BusTimeoutRate),
+		memSoft:      sim.NewChance(cfg.MemSoftErrorRate),
+		memUncorrect: sim.NewChance(cfg.MemUncorrectableFraction),
+		dmaNXM:       sim.NewChance(cfg.DMANXMRate),
+		dmaStall:     sim.NewChance(cfg.DMAStallRate),
+		tagParity:    sim.NewChance(cfg.TagParityRate),
+		netDrop:      sim.NewChance(cfg.NetDropRate),
 	}
 }
 
 // Config returns the plan's (defaulted) configuration.
 func (p *Plan) Config() Config { return p.cfg }
-
-// MaxRetries returns the retry bound recovering initiators should use.
-func (p *Plan) MaxRetries() int { return p.cfg.MaxRetries }
-
-// BackoffCycles returns the base retry backoff.
-func (p *Plan) BackoffCycles() uint64 { return p.cfg.BackoffCycles }
 
 // Stats returns a snapshot of the injection counters.
 func (p *Plan) Stats() Stats { return p.stats }
@@ -247,11 +257,11 @@ func (p *Plan) OpFault(op mbus.OpKind, addr mbus.Addr) (mbus.FaultKind, uint64) 
 	if !p.active(addr) {
 		return mbus.FaultNone, 0
 	}
-	if p.busRand.Bool(p.cfg.BusParityRate) {
+	if p.busRand.Hit(p.busParity) {
 		p.stats.BusParity.Inc()
 		return mbus.FaultParity, 0
 	}
-	if p.busRand.Bool(p.cfg.BusTimeoutRate) {
+	if p.busRand.Hit(p.busTimeout) {
 		p.stats.BusTimeouts.Inc()
 		return mbus.FaultTimeout, p.cfg.TimeoutHoldCycles
 	}
@@ -260,11 +270,11 @@ func (p *Plan) OpFault(op mbus.OpKind, addr mbus.Addr) (mbus.FaultKind, uint64) 
 
 // ReadFault implements memory.ECCModel.
 func (p *Plan) ReadFault(addr mbus.Addr) (bool, bool) {
-	if !p.active(addr) || !p.memRand.Bool(p.cfg.MemSoftErrorRate) {
+	if !p.active(addr) || !p.memRand.Hit(p.memSoft) {
 		return false, false
 	}
 	p.stats.MemSoft.Inc()
-	if p.memRand.Bool(p.cfg.MemUncorrectableFraction) {
+	if p.memRand.Hit(p.memUncorrect) {
 		p.stats.MemUncorrect.Inc()
 		return true, true
 	}
@@ -276,11 +286,11 @@ func (p *Plan) DMAWordFault(addr mbus.Addr) (nxm bool, stallCycles uint64) {
 	if !p.active(addr) {
 		return false, 0
 	}
-	if p.dmaRand.Bool(p.cfg.DMANXMRate) {
+	if p.dmaRand.Hit(p.dmaNXM) {
 		p.stats.DMANXM.Inc()
 		return true, 0
 	}
-	if p.dmaRand.Bool(p.cfg.DMAStallRate) {
+	if p.dmaRand.Hit(p.dmaStall) {
 		p.stats.DMAStalls.Inc()
 		return false, p.cfg.DMAStallCycles
 	}
@@ -289,7 +299,7 @@ func (p *Plan) DMAWordFault(addr mbus.Addr) (nxm bool, stallCycles uint64) {
 
 // TagFault implements core.TagFaultInjector.
 func (p *Plan) TagFault(addr mbus.Addr) bool {
-	if !p.active(addr) || !p.tagRand.Bool(p.cfg.TagParityRate) {
+	if !p.active(addr) || !p.tagRand.Hit(p.tagParity) {
 		return false
 	}
 	p.stats.TagParity.Inc()
@@ -304,7 +314,7 @@ func (p *Plan) FrameDrop() bool {
 	if now < p.cfg.StartCycle || (p.cfg.EndCycle != 0 && now > p.cfg.EndCycle) {
 		return false
 	}
-	if !p.netRand.Bool(p.cfg.NetDropRate) {
+	if !p.netRand.Hit(p.netDrop) {
 		return false
 	}
 	p.stats.NetDrops.Inc()

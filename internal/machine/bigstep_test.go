@@ -22,8 +22,7 @@ func snapDeviceRig() (*Machine, *qbus.Engine, *qbus.Disk) {
 	maps := &qbus.MapRegisters{}
 	maps.MapRange(0, 0x40000, 1<<15)
 	eng := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
-	pl := m.Faults()
-	eng.SetFaultPolicy(pl, pl.MaxRetries(), pl.BackoffCycles())
+	eng.SetFaultInjector(m.Faults())
 	disk := qbus.NewDisk(m.Clock(), m.Bus(), eng, qbus.DiskConfig{SeekCycles: 5_000})
 	sector := make([]uint32, qbus.SectorBytes/4)
 	for i := range sector {
@@ -109,11 +108,9 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 	maps := &qbus.MapRegisters{}
 	maps.MapRange(0, 0x40000, 1<<15)
 	eng := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
-	pl := m.Faults()
-	eng.SetFaultPolicy(pl, pl.MaxRetries(), pl.BackoffCycles())
+	eng.SetFaultInjector(m.Faults())
 	disk := qbus.NewDisk(m.Clock(), m.Bus(), eng, qbus.DiskConfig{SeekCycles: 2_000})
 	mdc := display.New(m.Clock(), m.Bus(), m.Memory(), display.Config{})
-	mdc.SetFaultPolicy(pl.MaxRetries(), pl.BackoffCycles())
 	m.AddDevice(eng)
 	m.AddDevice(disk)
 	m.AddDevice(mdc)
@@ -208,11 +205,13 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 		t.Fatalf("cycles with a backed-off line: cache %d, DMA %d, display %d; want all > 0", backedOff.cache, backedOff.dma, backedOff.mdc)
 	}
 	var retries uint64
-	for _, c := range m.Caches() {
-		retries += c.Stats().Retries
+	for i := range m.Caches() {
+		_, r := m.Bus().PortFaults(i)
+		retries += r
 	}
-	if retries == 0 || eng.Stats().Retries.Value() == 0 || mdc.Stats().Retries.Value() == 0 {
-		t.Fatalf("cache retries %d, DMA retries %d, display retries %d; want all > 0",
-			retries, eng.Stats().Retries.Value(), mdc.Stats().Retries.Value())
+	_, dmaRetries := m.Bus().PortFaults(dmaPort)
+	_, mdcRetries := m.Bus().PortFaults(mdcPort)
+	if retries == 0 || dmaRetries == 0 || mdcRetries == 0 {
+		t.Fatalf("cache retries %d, DMA retries %d, display retries %d; want all > 0", retries, dmaRetries, mdcRetries)
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"firefly/internal/display"
 	"firefly/internal/fault"
+	"firefly/internal/mbus"
 	"firefly/internal/obs"
+	"firefly/internal/qbus"
 )
 
 // faultRun executes a traced machine and returns (report text, trace
@@ -34,7 +37,7 @@ func faultRun(t *testing.T, fcfg *fault.Config, cycles uint64) (string, []byte, 
 // TestZeroRatePlanByteIdentical is the differential contract: a fault
 // plan whose rates are all zero must be behaviourally indistinguishable
 // from no plan at all — same report text, byte-identical trace stream.
-// This pins the no-draw property (sim.Rand.Bool(0) consumes nothing) and
+// This pins the no-draw property (a zero sim.Chance consumes nothing) and
 // guarantees the injector hooks have zero architectural footprint.
 func TestZeroRatePlanByteIdentical(t *testing.T) {
 	repNone, traceNone, _ := faultRun(t, nil, 30_000)
@@ -105,7 +108,8 @@ func TestFaultedRunsRecover(t *testing.T) {
 	}
 	var retries, instr uint64
 	for i := 0; i < 4; i++ {
-		retries += m.Cache(i).Stats().Retries
+		_, r := m.Bus().PortFaults(i)
+		retries += r
 		instr += m.CPU(i).Stats().Instructions
 	}
 	if retries == 0 {
@@ -141,5 +145,66 @@ func TestStepZeroAllocsWithoutPlan(t *testing.T) {
 	avg := testing.AllocsPerRun(2000, func() { m.Step() })
 	if avg != 0 {
 		t.Fatalf("machine.Step allocates %.2f times per cycle, want 0", avg)
+	}
+}
+
+// TestUnwiredInitiatorsRetry builds a QBus DMA engine and a display
+// controller on a machine whose fault plan faults 5% of bus operations,
+// and sets no fault policy on either: the bus's retries carry both
+// through. Every DMA word lands in memory, every blit word reaches the
+// frame buffer, and neither device abandons anything.
+func TestUnwiredInitiatorsRetry(t *testing.T) {
+	const words = 256
+	cfg := MicroVAXConfig(2)
+	cfg.Faults = &fault.Config{BusParityRate: 0.05}
+	m := New(cfg)
+	haltAll(m)
+	maps := &qbus.MapRegisters{}
+	maps.MapRange(0, 0x100000, words*4)
+	eng := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
+	mdc := display.New(m.Clock(), m.Bus(), m.Memory(), display.Config{})
+	m.AddDevice(eng)
+	m.AddDevice(mdc)
+
+	data := make([]uint32, words)
+	for i := range data {
+		data[i] = 0x5a000000 + uint32(i)
+	}
+	dmaDone, dmaFault := false, false
+	eng.Submit(&qbus.Transfer{
+		Device: "test", ToMemory: true, QAddr: 0, Words: words, Data: data,
+		OnDone: func(f bool) { dmaDone, dmaFault = true, f },
+	})
+	// A 128x16 rectangle of all-ones words: 64 blit reads.
+	const blitBase = 0x200000
+	for k := 0; k < 64; k++ {
+		m.Memory().Poke(blitBase+mbus.Addr(4*k), ^uint32(0))
+	}
+	mdc.Submit(display.CmdBltFromMemory{R: display.Rect{X: 0, Y: 0, W: 128, H: 16}, Addr: blitBase})
+	m.Run(2_000_000)
+
+	if !dmaDone || dmaFault {
+		t.Fatalf("DMA transfer done %v, aborted %v; want done without a fault", dmaDone, dmaFault)
+	}
+	for i, want := range data {
+		if got := m.Memory().Peek(mbus.Addr(0x100000 + 4*i)); got != want {
+			t.Fatalf("DMA word %d reads %#x, want %#x", i, got, want)
+		}
+	}
+	if mdc.Completed() != 1 || mdc.Stats().Errors.Value() != 0 || mdc.Stats().MemoryWords.Value() != 64 {
+		t.Fatalf("display: %d commands completed, %d errors, %d blit words; want 1, 0, 64",
+			mdc.Completed(), mdc.Stats().Errors.Value(), mdc.Stats().MemoryWords.Value())
+	}
+	for y := 0; y < 16; y++ {
+		for x := 0; x < 128; x++ {
+			if mdc.Frame().Get(x, y) != 1 {
+				t.Fatalf("display pixel (%d,%d) blank: a blit word was lost", x, y)
+			}
+		}
+	}
+	for port, name := range map[int]string{eng.Port(): "DMA", eng.Port() + 1: "display"} {
+		if _, retries := m.Bus().PortFaults(port); retries == 0 {
+			t.Fatalf("no %s operation was retried; the test covers nothing", name)
+		}
 	}
 }

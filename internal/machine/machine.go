@@ -238,14 +238,11 @@ func New(cfg Config) *Machine {
 			fcfg.Seed = cfg.Seed
 		}
 		m.plan = fault.NewPlan(fcfg, m.clock)
-		m.bus.SetFaultInjector(m.plan)
+		pc := m.plan.Config()
+		m.bus.SetFaultPolicy(m.plan, pc.MaxRetries, pc.BackoffCycles)
 		m.mem.SetECC(m.plan)
 		for _, c := range m.caches {
-			c.SetFaultPolicy(core.FaultPolicy{
-				Tag:           m.plan,
-				MaxRetries:    m.plan.MaxRetries(),
-				BackoffCycles: m.plan.BackoffCycles(),
-			})
+			c.SetTagFaultInjector(m.plan)
 		}
 	}
 	if cfg.Tracer != nil {
@@ -357,8 +354,14 @@ func (m *Machine) buildRegistry() {
 		r.Register(pre+"snoop_supplies", func() uint64 { return c.Stats().SnoopSupplies })
 		r.Register(pre+"snoop_takes", func() uint64 { return c.Stats().SnoopTakes })
 		r.Register(pre+"snoop_invals", func() uint64 { return c.Stats().SnoopInvals })
-		r.Register(pre+"bus_faults", func() uint64 { return c.Stats().BusFaults })
-		r.Register(pre+"retries", func() uint64 { return c.Stats().Retries })
+		r.Register(pre+"bus_faults", func() uint64 {
+			faults, _ := bus.PortFaults(i)
+			return faults
+		})
+		r.Register(pre+"retries", func() uint64 {
+			_, retries := bus.PortFaults(i)
+			return retries
+		})
 		r.Register(pre+"tag_faults", func() uint64 { return c.Stats().TagFaults })
 		r.Register(pre+"machine_checks", func() uint64 { return c.Stats().MachineChecks })
 		r.Register(pre+"abandoned", func() uint64 { return c.Stats().Abandoned })
@@ -383,8 +386,10 @@ func (m *Machine) Clock() *sim.Clock { return m.clock }
 func (m *Machine) Bus() *mbus.Bus { return m.bus }
 
 // Faults returns the installed fault plan, or nil when the machine runs
-// fault-free. Callers wiring QBus DMA engines pass it (with its retry
-// policy) to Engine.SetFaultPolicy so injection covers the I/O path too.
+// fault-free. The bus already retries every initiator's faulted
+// operations under the plan's policy; callers wiring QBus DMA engines
+// pass the plan to Engine.SetFaultInjector so QBus-side NXM and stall
+// faults are injected too.
 func (m *Machine) Faults() *fault.Plan { return m.plan }
 
 // Memory returns the storage system.

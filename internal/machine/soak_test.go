@@ -37,7 +37,7 @@ func TestDMACoherenceSoak(t *testing.T) {
 			pump = func(bool) {
 				words := 16
 				data := make([]uint32, words)
-				toMem := rng.Bool(0.5)
+				toMem := rng.Hit(sim.NewChance(0.5))
 				if toMem {
 					for i := range data {
 						data[i] = rng.Uint64AsWord()

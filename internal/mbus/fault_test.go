@@ -31,7 +31,7 @@ func TestParityFaultAbortsWithoutEffect(t *testing.T) {
 	b.Attach(a, nil, nil)
 	sn := newTestSnooper(false)
 	b.Attach(nil, sn, nil)
-	b.SetFaultInjector(&scriptedInjector{faults: []FaultKind{FaultParity}})
+	b.SetFaultPolicy(&scriptedInjector{faults: []FaultKind{FaultParity}}, 0, 0)
 
 	a.issue(MWrite, 0x100, 42)
 	run(b, clock, 8)
@@ -73,7 +73,7 @@ func TestTimeoutHoldsBus(t *testing.T) {
 	b, clock, _ := newTestBus()
 	a := &testInitiator{}
 	b.Attach(a, nil, nil)
-	b.SetFaultInjector(&scriptedInjector{faults: []FaultKind{FaultTimeout}, hold: hold})
+	b.SetFaultPolicy(&scriptedInjector{faults: []FaultKind{FaultTimeout}, hold: hold}, 0, 0)
 
 	a.issue(MRead, 0x200, 0)
 	run(b, clock, 1) // grant

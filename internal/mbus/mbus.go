@@ -156,7 +156,8 @@ type Result struct {
 	CacheSupplied bool   // a cache, not memory, supplied the read data
 	// Fault, when not FaultNone, marks the operation as failed: Data is
 	// invalid and (for FaultParity/FaultTimeout) the operation had no
-	// architectural effect. The initiator decides whether to retry.
+	// architectural effect. The bus has already spent the operation's
+	// retry budget (Bus.SetFaultPolicy), so the initiator abandons it.
 	Fault FaultKind
 	Done  sim.Cycle
 }
@@ -168,7 +169,10 @@ type Result struct {
 type Initiator interface {
 	// BusAttach hands the agent its request line; Attach calls it once.
 	BusAttach(Line)
-	// BusComplete delivers the result on the operation's final cycle.
+	// BusComplete delivers the result on the operation's final cycle:
+	// once per raised operation, clean or, after the bus has retried it
+	// up to its budget (Bus.SetFaultPolicy), with its last fault. A
+	// retried attempt delivers nothing.
 	BusComplete(Result)
 }
 
@@ -373,9 +377,15 @@ type port struct {
 	sink      InterruptSink
 	tags      *TagStore // non-nil when snooper implements TagSnooper
 	// req is the operation on the port's request line and at the first
-	// cycle it may arbitrate (Line.Raise); valid while the line is up.
-	req Request
-	at  sim.Cycle
+	// cycle it may arbitrate (Line.Raise); valid while the line is up
+	// and, once granted, until its result is delivered. retried counts
+	// the faulted attempts at req the bus has raised again.
+	req     Request
+	at      sim.Cycle
+	retried int
+	// faults and retries are the port's entries of Stats.FaultsPerPort
+	// and Stats.RetriesPerPort.
+	faults, retries uint64
 }
 
 // holder is one snooper's non-zero verdict on the in-flight operation.
@@ -398,6 +408,10 @@ type Stats struct {
 	// requester passed over while another port was granted), not cycles
 	// spent behind a bus already busy.
 	WaitPerPort []uint64
+	// FaultsPerPort counts each initiating port's faulted operations
+	// (parity, timeout or uncorrectable ECC), retried or delivered;
+	// RetriesPerPort the ones the bus raised again after a backoff.
+	FaultsPerPort, RetriesPerPort []uint64
 	// FaultedOps counts operations aborted by an injected parity error or
 	// timeout; they occupy the bus but are not counted in Ops.
 	FaultedOps uint64
@@ -433,6 +447,9 @@ type Bus struct {
 	mem    Memory
 	eccMem ECCMemory // non-nil when mem implements ECCMemory
 	inj    FaultInjector
+	// The retry policy for faulted operations (SetFaultPolicy).
+	maxRetries    int
+	backoffCycles uint64
 
 	// in-flight operation
 	active  bool
@@ -494,9 +511,15 @@ func (b *Bus) AttachMemory(m Memory) {
 	b.eccMem, _ = m.(ECCMemory)
 }
 
-// SetFaultInjector installs (or, with nil, removes) the per-operation
-// fault injector.
-func (b *Bus) SetFaultInjector(inj FaultInjector) { b.inj = inj }
+// SetFaultPolicy installs (or, with nil, removes) the per-operation
+// fault injector, and sets the retry policy for every initiator's faulted
+// operations: a parity error, a timeout or an uncorrectable ECC read is
+// raised again on the initiator's line, to arbitrate backoffCycles<<(r-1)
+// cycles after its r-th fault, up to maxRetries times. Only the fault
+// that spends the budget reaches the initiator (BusComplete).
+func (b *Bus) SetFaultPolicy(inj FaultInjector, maxRetries int, backoffCycles uint64) {
+	b.inj, b.maxRetries, b.backoffCycles = inj, maxRetries, backoffCycles
+}
 
 // Attach adds an agent to the bus and returns its port number. Lower port
 // numbers have higher fixed priority. Any of the three roles may be nil
@@ -532,12 +555,17 @@ func (b *Bus) Stats() Stats {
 	s := b.Counters()
 	s.PerPort = append([]uint64(nil), b.stats.PerPort...)
 	s.WaitPerPort = append([]uint64(nil), b.stats.WaitPerPort...)
+	s.FaultsPerPort = make([]uint64, len(b.ports))
+	s.RetriesPerPort = make([]uint64, len(b.ports))
+	for i := range b.ports {
+		s.FaultsPerPort[i], s.RetriesPerPort[i] = b.PortFaults(i)
+	}
 	return s
 }
 
 // Counters returns the scalar counters of Stats, Cycles included, and
-// copies nothing: PerPort and WaitPerPort are nil. PortCounters reads
-// one port's entries.
+// copies nothing: the per-port slices are nil. PortCounters and
+// PortFaults read one port's entries.
 func (b *Bus) Counters() Stats {
 	s := b.stats
 	s.Cycles = uint64(b.clock.Now() - b.since)
@@ -551,16 +579,21 @@ func (b *Bus) PortCounters(port int) (ops, wait uint64) {
 	return b.stats.PerPort[port], b.stats.WaitPerPort[port]
 }
 
+// PortFaults returns port's entries of Stats.FaultsPerPort and
+// Stats.RetriesPerPort.
+func (b *Bus) PortFaults(port int) (faults, retries uint64) {
+	return b.ports[port].faults, b.ports[port].retries
+}
+
 // ResetStats clears the accumulated statistics (the clock is unaffected).
 func (b *Bus) ResetStats() {
 	per, wait := b.stats.PerPort, b.stats.WaitPerPort
-	for i := range per {
-		per[i] = 0
-	}
-	for i := range wait {
-		wait[i] = 0
-	}
+	clear(per)
+	clear(wait)
 	b.stats = Stats{PerPort: per, WaitPerPort: wait}
+	for i := range b.ports {
+		b.ports[i].faults, b.ports[i].retries = 0, 0
+	}
 	b.since = b.clock.Now()
 }
 
@@ -642,11 +675,12 @@ func (b *Bus) Interrupt(from, target int) {
 // Step advances the bus by one cycle. The machine's run loop must call
 // Step exactly once per clock tick, before ticking the processors, so a
 // request they raise reaches arbitration on the next cycle. It returns
-// the port whose operation completed or faulted in this cycle, or -1.
-// In cycle 2 of an operation every snooper but the initiator is probed:
-// a TagSnooper's probe is counted and latched in its tag store, and
-// SnoopProbe is called only on the snoopers that may hold the line. A
-// faulted operation probes no one.
+// the port whose initiator was handed its result (BusComplete) in this
+// cycle, or -1; an operation that faulted and is retried (SetFaultPolicy)
+// hands over nothing. In cycle 2 of an operation every snooper but the
+// initiator is probed: a TagSnooper's probe is counted and latched in its
+// tag store, and SnoopProbe is called only on the snoopers that may hold
+// the line. A faulted operation probes no one.
 func (b *Bus) Step() (done int) {
 	if !b.active {
 		b.arbitrate()
@@ -670,9 +704,9 @@ func (b *Bus) Step() (done int) {
 			b.holdLeft--
 			return -1
 		}
-		b.completeFaulted()
+		done = b.completeFaulted()
 		b.active = false
-		return b.portNum
+		return done
 	}
 	switch b.phase {
 	case 1:
@@ -682,9 +716,9 @@ func (b *Bus) Step() (done int) {
 	case 3:
 		b.resolveShared()
 	case 4:
-		b.complete()
+		done = b.complete()
 		b.active = false
-		return b.portNum
+		return done
 	}
 	b.phase++
 	return -1
@@ -861,7 +895,8 @@ func (b *Bus) resolveShared() {
 	}
 }
 
-func (b *Bus) complete() {
+// complete is cycle 4 (see Step); it returns deliver's result.
+func (b *Bus) complete() int {
 	res := Result{
 		Op:     b.op,
 		Addr:   b.addr,
@@ -909,7 +944,7 @@ func (b *Bus) complete() {
 				if bad {
 					// An uncorrectable storage error: the operation ran
 					// normally on the bus, but the data is unusable. The
-					// error is transient, so the initiator's retry re-reads
+					// error is transient, so the retry (deliver) re-reads
 					// a clean word.
 					res.Fault = FaultECC
 				} else {
@@ -942,12 +977,13 @@ func (b *Bus) complete() {
 			Label: b.op.String(),
 		})
 	}
-	b.ports[b.portNum].initiator.BusComplete(res)
+	return b.deliver(res)
 }
 
-// completeFaulted delivers an injected-fault result. The operation is not
-// counted in Ops (it never completed) but its bus occupancy was charged.
-func (b *Bus) completeFaulted() {
+// completeFaulted delivers an injected-fault result (deliver). The
+// operation is not counted in Ops (it never completed) but its bus
+// occupancy was charged.
+func (b *Bus) completeFaulted() int {
 	b.stats.FaultedOps++
 	if b.tracer != nil {
 		b.tracer.Emit(obs.Event{
@@ -967,5 +1003,38 @@ func (b *Bus) completeFaulted() {
 		Done:  b.clock.Now(),
 	}
 	b.fault = FaultNone
-	b.ports[b.portNum].initiator.BusComplete(res)
+	return b.deliver(res)
+}
+
+// deliver hands the in-flight operation's result to its initiator and
+// returns the port, unless the operation faulted with retries left: then
+// it raises the port's line again with the same request, to arbitrate
+// after the backoff, and returns -1. A delivered result, clean or with
+// the fault that spent the budget, starts the port's count afresh.
+func (b *Bus) deliver(res Result) int {
+	p := &b.ports[b.portNum]
+	if res.Fault != FaultNone {
+		p.faults++
+		if p.retried < b.maxRetries {
+			p.retried++
+			p.retries++
+			backoff := b.backoffCycles << (p.retried - 1)
+			now := b.clock.Now()
+			Line{bus: b, port: b.portNum}.Raise(p.req, now+sim.Cycle(backoff))
+			if b.tracer != nil {
+				b.tracer.Emit(obs.Event{
+					Cycle: uint64(now),
+					Kind:  obs.KindFaultRetry,
+					Unit:  int32(b.portNum),
+					Addr:  uint32(p.req.Addr),
+					A:     uint64(p.retried),
+					B:     backoff,
+				})
+			}
+			return -1
+		}
+	}
+	p.retried = 0
+	p.initiator.BusComplete(res)
+	return b.portNum
 }

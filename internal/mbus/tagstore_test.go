@@ -94,7 +94,7 @@ func TestTagStoreFilter(t *testing.T) {
 	op("fill key cleared", 0x300, false, false)
 
 	// A faulted operation probes no one and is counted nowhere.
-	b.SetFaultInjector(&scriptedInjector{faults: []FaultKind{FaultParity}})
+	b.SetFaultPolicy(&scriptedInjector{faults: []FaultKind{FaultParity}}, 0, 0)
 	np, last := len(plain.probes), one.tags.LastProbed
 	init.issue(MRead, 0x100, 0)
 	run(b, clock, OpCycles)

@@ -284,13 +284,13 @@ func TestRandomMutationInvariants(t *testing.T) {
 		var held []int
 		for op := 0; op < 400; op++ {
 			switch {
-			case len(held) == 0 || (len(held) < 12 && rng.Bool(0.4)):
+			case len(held) == 0 || (len(held) < 12 && rng.Hit(sim.NewChance(0.4))):
 				if s := h.Alloc(); s >= 0 {
 					held = append(held, s)
 				}
-			case rng.Bool(0.4):
+			case rng.Hit(sim.NewChance(0.4)):
 				h.Link(held[rng.Intn(len(held))], held[rng.Intn(len(held))])
-			case rng.Bool(0.4):
+			case rng.Hit(sim.NewChance(0.4)):
 				o := h.Object(held[rng.Intn(len(held))])
 				if targets := o.Refs(); len(targets) > 0 {
 					h.Unlink(o.Slot(), targets[rng.Intn(len(targets))])

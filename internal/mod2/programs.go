@@ -49,13 +49,14 @@ const (
 func MutatorProgram(h *Heap, cfg MutatorConfig) topaz.Program {
 	cfg = cfg.withDefaults()
 	rng := sim.NewRand(cfg.Seed)
+	alloc, even := sim.NewChance(0.45), sim.NewChance(0.5)
 	var held []int
 	var assignsThisOp uint64
 
 	mutate := func() {
 		assignsThisOp = 0
 		switch {
-		case len(held) < 2 || (len(held) < maxRoots && rng.Bool(0.45)):
+		case len(held) < 2 || (len(held) < maxRoots && rng.Hit(alloc)):
 			// Allocate; every few allocations, build a cyclic pair and
 			// drop it — garbage only the tracer can reclaim.
 			if int(h.stats.Allocs)%cycleEvery == cycleEvery-1 {
@@ -80,13 +81,13 @@ func MutatorProgram(h *Heap, cfg MutatorConfig) topaz.Program {
 			if s := h.Alloc(); s >= 0 {
 				held = append(held, s)
 			}
-		case rng.Bool(0.5):
+		case rng.Hit(even):
 			// Counted assignment: link one held object to another.
 			from := held[rng.Intn(len(held))]
 			to := held[rng.Intn(len(held))]
 			h.Link(from, to)
 			assignsThisOp++
-		case rng.Bool(0.5):
+		case rng.Hit(even):
 			// Remove an edge if the chosen object has one.
 			from := h.Object(held[rng.Intn(len(held))])
 			if targets := from.Refs(); len(targets) > 0 {

@@ -124,9 +124,11 @@ const (
 	// KindFaultDMAStall: the QBus DMA engine stalled on an injected
 	// device fault. A is the stall length in cycles.
 	KindFaultDMAStall
-	// KindFaultRetry: an initiator is retrying a faulted bus operation
-	// after backoff. Unit is the initiator, Addr the operation address,
-	// A the attempt number (1-based), B the backoff in cycles.
+	// KindFaultRetry: the bus raised a faulted operation again on its
+	// initiator's request line, to arbitrate after a backoff; the
+	// initiator sees nothing of it. Unit is the initiator's port, Addr
+	// the operation address, A the attempt number (1-based), B the
+	// backoff in cycles. The label is empty.
 	KindFaultRetry
 	// KindMachineCheck: an uncorrectable fault was latched. Unit is the
 	// processor or port, Addr the faulting address, A the cause (1: bus

@@ -37,7 +37,7 @@ func TestInjectedNXMAbortsTransfer(t *testing.T) {
 	b := newBench(t, 1, 4)
 	b.maps.MapRange(0, 0x100000, 4096)
 	inj := &scriptedDMAInjector{nxmAt: map[int]bool{2: true}}
-	b.engine.SetFaultPolicy(inj, 4, 8)
+	b.engine.SetFaultInjector(inj)
 
 	done, faulted := false, false
 	b.engine.Submit(&Transfer{
@@ -71,7 +71,7 @@ func TestInjectedStallDelaysTransfer(t *testing.T) {
 		b := newBench(t, 1, 4)
 		b.maps.MapRange(0, 0x100000, 4096)
 		if withStall {
-			b.engine.SetFaultPolicy(&scriptedDMAInjector{stalls: map[int]uint64{1: stall}}, 4, 8)
+			b.engine.SetFaultInjector(&scriptedDMAInjector{stalls: map[int]uint64{1: stall}})
 		}
 		b.engine.Submit(&Transfer{
 			Device: "test", ToMemory: true, QAddr: 0, Words: 4,
@@ -100,8 +100,7 @@ func TestInjectedStallDelaysTransfer(t *testing.T) {
 func TestDMABusFaultRetrySucceeds(t *testing.T) {
 	b := newBench(t, 1, 4)
 	b.maps.MapRange(0, 0x100000, 4096)
-	b.m.Bus().SetFaultInjector(&alwaysFaultBus{n: 1})
-	b.engine.SetFaultPolicy(nil, 2, 8)
+	b.m.Bus().SetFaultPolicy(&alwaysFaultBus{n: 1}, 2, 8)
 
 	done, faulted := false, false
 	b.engine.Submit(&Transfer{
@@ -113,10 +112,9 @@ func TestDMABusFaultRetrySucceeds(t *testing.T) {
 	if !done || faulted {
 		t.Fatalf("done=%v faulted=%v, want clean retry recovery", done, faulted)
 	}
-	st := b.engine.Stats()
-	if st.BusFaults.Value() != 1 || st.Retries.Value() != 1 || st.Aborted.Value() != 0 {
-		t.Fatalf("busfaults/retries/aborted = %d/%d/%d, want 1/1/0",
-			st.BusFaults.Value(), st.Retries.Value(), st.Aborted.Value())
+	faults, retries := b.m.Bus().PortFaults(b.engine.Port())
+	if aborted := b.engine.Stats().Aborted.Value(); faults != 1 || retries != 1 || aborted != 0 {
+		t.Fatalf("busfaults/retries/aborted = %d/%d/%d, want 1/1/0", faults, retries, aborted)
 	}
 	if got := b.m.Memory().Peek(0x100000); got != 7 {
 		t.Fatalf("retried word lost: %d", got)
@@ -126,8 +124,7 @@ func TestDMABusFaultRetrySucceeds(t *testing.T) {
 func TestDMABusFaultExhaustionAborts(t *testing.T) {
 	b := newBench(t, 1, 4)
 	b.maps.MapRange(0, 0x100000, 4096)
-	b.m.Bus().SetFaultInjector(&alwaysFaultBus{n: 100})
-	b.engine.SetFaultPolicy(nil, 2, 4)
+	b.m.Bus().SetFaultPolicy(&alwaysFaultBus{n: 100}, 2, 4)
 
 	done, faulted := false, false
 	b.engine.Submit(&Transfer{
@@ -144,9 +141,8 @@ func TestDMABusFaultExhaustionAborts(t *testing.T) {
 		t.Fatalf("Aborted = %d, want 1", st.Aborted.Value())
 	}
 	// Initial attempt + 2 retries, all faulted.
-	if st.BusFaults.Value() != 3 || st.Retries.Value() != 2 {
-		t.Fatalf("busfaults/retries = %d/%d, want 3/2",
-			st.BusFaults.Value(), st.Retries.Value())
+	if faults, retries := b.m.Bus().PortFaults(b.engine.Port()); faults != 3 || retries != 2 {
+		t.Fatalf("busfaults/retries = %d/%d, want 3/2", faults, retries)
 	}
 	if st.WordsMoved.Value() != 0 {
 		t.Fatalf("faulted transfer moved %d words", st.WordsMoved.Value())
@@ -165,7 +161,7 @@ func TestBackToBackFaultedTransfers(t *testing.T) {
 	// First transfer NXMs at word 1, second at word 0 (calls 0,1 are
 	// transfer 1's words; call 2 is transfer 2's first word).
 	inj := &scriptedDMAInjector{nxmAt: map[int]bool{1: true, 2: true}}
-	b.engine.SetFaultPolicy(inj, 4, 8)
+	b.engine.SetFaultInjector(inj)
 
 	var results []bool
 	submit := func(qaddr uint32, words int) {
@@ -224,7 +220,7 @@ func TestDiskWriteNXMDoesNotCommit(t *testing.T) {
 	disk.LoadSector(5, golden)
 
 	// Fault the DMA read partway through the sector.
-	b.engine.SetFaultPolicy(&scriptedDMAInjector{nxmAt: map[int]bool{40: true}}, 4, 8)
+	b.engine.SetFaultInjector(&scriptedDMAInjector{nxmAt: map[int]bool{40: true}})
 	done := false
 	disk.Write(5, 0, func() { done = true })
 	b.run(20_000)
@@ -246,7 +242,7 @@ func TestDiskWriteNXMDoesNotCommit(t *testing.T) {
 	}
 
 	// The same write with no injection commits normally.
-	b.engine.SetFaultPolicy(nil, 0, 0)
+	b.engine.SetFaultInjector(nil)
 	for i := 0; i < sectorWords; i++ {
 		b.m.Memory().Poke(mbus.Addr(0x100000+i*4), uint32(2000+i))
 	}

@@ -106,7 +106,8 @@ type Transfer struct {
 	// OnDone runs when the transfer leaves the engine. fault is false
 	// when every word completed, true when the transfer aborted early —
 	// a mapping fault (NXM on the real bus), an injected device NXM, or
-	// bus-fault retry exhaustion. An aborted ToMemory transfer may have
+	// a word whose MBus operation faulted after the bus spent its retry
+	// budget. An aborted ToMemory transfer may have
 	// written a prefix of Data to memory; an aborted read leaves the tail
 	// of Data untouched. Devices must check fault before consuming Data.
 	OnDone func(fault bool)
@@ -127,9 +128,7 @@ type EngineStats struct {
 	WordsMoved stats.Counter
 	MapFaults  stats.Counter
 	NXMFaults  stats.Counter // injected device NXM aborts
-	BusFaults  stats.Counter // MBus operations that completed faulted
-	Retries    stats.Counter // bus-fault retries issued
-	Aborted    stats.Counter // transfers abandoned after retry exhaustion
+	Aborted    stats.Counter // transfers abandoned after the bus's retries ran out
 }
 
 // Engine is the QBus DMA engine: a paced MBus initiator that executes
@@ -145,16 +144,12 @@ type Engine struct {
 	cur        *Transfer
 	pos        int
 	nextIssue  sim.Cycle
-	// req is the current word's operation; onBus holds from raising it
-	// on the line until its BusComplete.
-	req   mbus.Request
+	// onBus holds from raising the current word's operation on the line
+	// until its BusComplete.
 	onBus bool
 
-	inj        DMAFaultInjector
-	maxRetries int
-	backoff    uint64
-	retries    int
-	stallTill  sim.Cycle
+	inj       DMAFaultInjector
+	stallTill sim.Cycle
 
 	stats EngineStats
 }
@@ -197,17 +192,12 @@ func (e *Engine) emit(kind obs.Kind, addr mbus.Addr, a, b uint64, label string) 
 // Port returns the engine's MBus port number.
 func (e *Engine) Port() int { return e.line.Port() }
 
-// SetFaultPolicy installs a DMA fault injector (nil disables injection)
-// and the recovery policy for faulted bus operations: a faulted word is
-// retried up to maxRetries times with exponential backoff starting at
-// backoffCycles, then the transfer aborts with OnDone(true). The policy
-// also governs recovery from MBus-side injected faults, which reach the
-// engine through Result.Fault even with no QBus injector installed.
-func (e *Engine) SetFaultPolicy(inj DMAFaultInjector, maxRetries int, backoffCycles uint64) {
-	e.inj = inj
-	e.maxRetries = maxRetries
-	e.backoff = backoffCycles
-}
+// SetFaultInjector installs (or, with nil, removes) the injector of
+// QBus-side DMA faults: NXM aborts and stalls. A faulted MBus operation
+// is the bus's to retry (mbus.Bus.SetFaultPolicy); the engine sees only
+// the fault that spends the budget, and aborts the transfer with
+// OnDone(true).
+func (e *Engine) SetFaultInjector(inj DMAFaultInjector) { e.inj = inj }
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
@@ -304,14 +294,13 @@ func (e *Engine) Step() {
 			return
 		}
 	}
+	req := mbus.Request{Op: mbus.MRead, Addr: phys}
 	if e.cur.ToMemory {
-		e.req = mbus.Request{Op: mbus.MWrite, Addr: phys, Data: e.cur.Data[e.pos]}
-	} else {
-		e.req = mbus.Request{Op: mbus.MRead, Addr: phys}
+		req = mbus.Request{Op: mbus.MWrite, Addr: phys, Data: e.cur.Data[e.pos]}
 	}
 	e.emit(obs.KindDMAWord, phys, uint64(e.pos), boolArg(e.cur.ToMemory), e.cur.Device)
 	e.onBus = true
-	e.line.Raise(e.req, 0)
+	e.line.Raise(req, 0)
 	// Pace issue-to-issue so a saturated engine sustains one word per
 	// wordCycles regardless of bus latency.
 	e.nextIssue = e.clock.Now() + sim.Cycle(e.wordCycles)
@@ -324,10 +313,12 @@ func (e *Engine) BusAttach(l mbus.Line) { e.line = l }
 func (e *Engine) BusComplete(res mbus.Result) {
 	e.onBus = false
 	if res.Fault != mbus.FaultNone {
-		e.busFault()
+		// The bus spent its retries on the word: abort the transfer.
+		e.stats.Aborted.Inc()
+		e.emit(obs.KindDMAFault, mbus.Addr(e.cur.QAddr+uint32(e.pos*4)), uint64(e.pos), 2, e.cur.Device)
+		e.finishCurrent(true)
 		return
 	}
-	e.retries = 0
 	if !e.cur.ToMemory {
 		e.cur.Data[e.pos] = res.Data
 	}
@@ -337,27 +328,6 @@ func (e *Engine) BusComplete(res mbus.Result) {
 		e.emit(obs.KindDMADone, mbus.Addr(e.cur.QAddr), uint64(e.pos), 0, e.cur.Device)
 		e.finishCurrent(false)
 	}
-}
-
-// busFault recovers from a faulted MBus operation: bounded retry with
-// exponential backoff, then abort the transfer.
-func (e *Engine) busFault() {
-	e.stats.BusFaults.Inc()
-	if e.retries < e.maxRetries {
-		e.retries++
-		e.stats.Retries.Inc()
-		backoff := e.backoff << (e.retries - 1)
-		// e.req still holds the faulted word's request; re-raise it, to
-		// arbitrate once the backoff has passed.
-		e.onBus = true
-		e.line.Raise(e.req, e.clock.Now()+sim.Cycle(backoff))
-		e.emit(obs.KindFaultRetry, e.req.Addr, uint64(e.retries), backoff, e.cur.Device)
-		return
-	}
-	qaddr := e.cur.QAddr + uint32(e.pos*4)
-	e.stats.Aborted.Inc()
-	e.emit(obs.KindDMAFault, mbus.Addr(qaddr), uint64(e.pos), 2, e.cur.Device)
-	e.finishCurrent(true)
 }
 
 // boolArg converts a flag to an event argument.
@@ -372,7 +342,6 @@ func (e *Engine) finishCurrent(fault bool) {
 	done := e.cur.OnDone
 	e.cur = nil
 	e.pos = 0
-	e.retries = 0
 	e.stallTill = 0
 	if done != nil {
 		done(fault)

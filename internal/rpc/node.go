@@ -266,7 +266,7 @@ func NewNode(m *machine.Machine, station int, medium qbus.Medium, cfg NodeConfig
 	n.connMu = n.k.NewMutex("rpc-conn")
 	n.work = n.k.NewCond("rpc-work")
 	if plan := m.Faults(); plan != nil {
-		n.engine.SetFaultPolicy(plan, plan.MaxRetries(), plan.BackoffCycles())
+		n.engine.SetFaultInjector(plan)
 	}
 	n.registerStats()
 	return n

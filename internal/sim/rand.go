@@ -46,27 +46,16 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
-// Chance is a probability prepared once for Rand.Hit, which then draws
-// and answers exactly as Bool does with no floating-point work.
+// Chance is a probability p prepared once for Rand.Hit, the simulator's
+// one Bernoulli draw. Hit draws and answers exactly as the float test
+// Float64() < p, with no floating-point work, and draws nothing for
+// p <= 0 (false) or p >= 1 (true); a NaN draws and answers false.
 //
-// Bool(p) for p in (0, 1) draws m = x>>11, an integer below 2^53, and
-// tests float64(m)/2^53 < p. Both sides are exact: m converts without
+// Float64() < p draws m = x>>11, an integer below 2^53, and tests
+// float64(m)/2^53 < p. Both sides are exact: m converts without
 // rounding and dividing by a power of two is exact, and so is p·2^53,
 // which stays below 2^53. For an integer m, m < p·2^53 holds exactly
-// when m < ceil(p·2^53), so Hit compares m with that threshold. Bool
-// draws nothing for p <= 0 (false) and p >= 1 (true), and draws for a
-// NaN, which compares false; Chance keeps all three cases.
+// when m < ceil(p·2^53), so Hit compares m with that threshold.
 type Chance struct {
 	t    uint64 // a draw m hits when m < t; with no draw, t != 0 means certain
 	draw bool
@@ -85,8 +74,7 @@ func NewChance(p float64) Chance {
 	return Chance{t: uint64(math.Ceil(p * (1 << 53))), draw: true}
 }
 
-// Hit returns true with c's probability: the same value, from the same
-// draws, as Bool with the probability c was prepared from.
+// Hit returns true with c's probability (see Chance).
 func (r *Rand) Hit(c Chance) bool {
 	if !c.draw {
 		return c.t != 0

@@ -106,6 +106,18 @@ func TestRandIntnPanicsOnNonPositive(t *testing.T) {
 	NewRand(1).Intn(0)
 }
 
+// Bool is the float reference for Hit: true with probability p, drawing
+// nothing for p <= 0 or p >= 1. TestChanceMatchesBool holds Hit to it.
+func (r *Rand) Bool(p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
 func TestRandBoolExtremes(t *testing.T) {
 	r := NewRand(1)
 	for i := 0; i < 100; i++ {

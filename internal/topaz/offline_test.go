@@ -3,7 +3,6 @@ package topaz
 import (
 	"testing"
 
-	"firefly/internal/core"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
 	"firefly/internal/obs"
@@ -40,9 +39,7 @@ func TestMachineCheckOfflinesProcessor(t *testing.T) {
 	log := &offlineLog{}
 	m.Trace(log)
 	// Only processor 1's tag store is failing.
-	m.Cache(1).SetFaultPolicy(core.FaultPolicy{
-		Tag: &periodicTagFault{period: 25}, MaxRetries: 4, BackoffCycles: 16,
-	})
+	m.Cache(1).SetTagFaultInjector(&periodicTagFault{period: 25})
 	k := NewKernel(m, Config{})
 	k.Fork(Seq(Compute{100_000}), ThreadSpec{Name: "a"}, nil)
 	k.Fork(Seq(Compute{100_000}), ThreadSpec{Name: "b"}, nil)

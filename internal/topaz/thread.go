@@ -157,7 +157,7 @@ func (a *AddressSpace) carve(bytes uint32) (mbus.Addr, error) {
 type threadSource struct {
 	ws         *trace.WorkingSet
 	shared     *trace.SharedRegion
-	sharedFrac float64
+	sharedFrac sim.Chance
 	rng        *sim.Rand
 	seq        uint32
 }
@@ -172,14 +172,14 @@ func newThreadSource(base mbus.Addr, bytes uint32, spec ThreadSpec, shared *trac
 			Seed:      seed,
 		}),
 		shared:     shared,
-		sharedFrac: spec.SharedFraction,
+		sharedFrac: sim.NewChance(spec.SharedFraction),
 		rng:        sim.NewRand(seed ^ 0xabcdef),
 	}
 }
 
 // Next implements trace.Source.
 func (s *threadSource) Next(kind trace.Kind) trace.Ref {
-	if kind != trace.InstrRead && s.sharedFrac > 0 && s.rng.Bool(s.sharedFrac) {
+	if kind != trace.InstrRead && s.rng.Hit(s.sharedFrac) {
 		ref := trace.Ref{Kind: kind, Addr: s.shared.Slot(s.rng.Intn(s.shared.Slots))}
 		if kind == trace.DataWrite {
 			s.seq++
