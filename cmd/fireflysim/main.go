@@ -4,15 +4,8 @@
 //
 // The first of -verify, -replay, -traffic and -cluster that is set picks
 // the mode; with none set, one machine runs. Every mode checks -seconds
-// and -warmup, and otherwise reads only the flags listed with it:
-//
-//	-verify P      -verify-out
-//	-replay F      (no others)
-//	-traffic SPEC  -cluster -segments -workers -seconds -seed -faults
-//	-cluster N     -segments -workers -callers -seconds -seed -faults
-//	one machine    -cpus -variant -protocol -arb -sched -linewords -cachelines
-//	               -seed -faults -workload -miss -share -check -trace
-//	               -trace-format -travel
+// and -warmup, and otherwise reads only the flags listed with it in the
+// table modes; setting any other flag is bad input.
 //
 // Exit status 2 means bad input; 1 means a finding (a coherence
 // violation, an unsafe -verify, a replay that trips the oracle) or an
@@ -33,6 +26,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"firefly"
@@ -69,6 +63,38 @@ type options struct {
 	seconds, warmup, miss, share                                      float64
 	seed, travel                                                      uint64
 	check                                                             bool
+}
+
+// modes is the table of modes, in the order that picks one: the first
+// whose flag is set to other than its default runs, else one machine.
+// Each lists the flags it reads besides -seconds and -warmup.
+var modes = []struct{ name, reads string }{
+	{"-verify", "-verify-out"},
+	{"-replay", ""},
+	{"-traffic", "-cluster -segments -workers -seed -faults"},
+	{"-cluster", "-segments -workers -callers -seed -faults"},
+	{"one-machine", "-cpus -variant -protocol -arb -sched -linewords -cachelines -seed -faults " +
+		"-workload -miss -share -check -trace -trace-format -travel"},
+}
+
+// pickMode returns the name of the mode the parsed flags select, or bad
+// input naming a flag set on the command line that the mode does not read.
+func pickMode(fs *flag.FlagSet) (string, error) {
+	md := modes[len(modes)-1]
+	for _, m := range modes {
+		if f := fs.Lookup(strings.TrimPrefix(m.name, "-")); f != nil && f.Value.String() != f.DefValue {
+			md = m
+			break
+		}
+	}
+	reads := strings.Fields(md.name + " " + md.reads + " -seconds -warmup")
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(reads, "-"+f.Name) {
+			err = badf("-%s is not read in %s mode", f.Name, md.name)
+		}
+	})
+	return md.name, err
 }
 
 // run executes one invocation, writing the report to stdout and any
@@ -109,7 +135,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	err := o.execute(stdout)
+	mode, err := pickMode(fs)
+	if err == nil {
+		err = o.execute(stdout, mode)
+	}
 	if err == nil {
 		return 0
 	}
@@ -120,8 +149,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// execute dispatches to the mode the flags select.
-func (o *options) execute(w io.Writer) error {
+// execute runs the named mode.
+func (o *options) execute(w io.Writer, mode string) error {
 	// A negative or NaN duration would wrap to an effectively endless
 	// cycle count, and so would one whose cycles, warmup included, reach
 	// 2^63: the float-to-integer conversion is then undefined, and the
@@ -142,10 +171,10 @@ func (o *options) execute(w io.Writer) error {
 	if o.workers < 0 {
 		return badf("-workers %d: need 0 (one per CPU) or more", o.workers)
 	}
-	switch {
-	case o.verify != "":
+	switch mode {
+	case "-verify":
 		return runVerify(w, o.verify, o.verifyOut)
-	case o.replay != "":
+	case "-replay":
 		return runReplay(w, o.replay)
 	}
 
@@ -157,7 +186,7 @@ func (o *options) execute(w io.Writer) error {
 		}
 		faults = &fcfg
 	}
-	if o.traffic != "" || o.clusterN != 0 {
+	if mode != "one-machine" {
 		return o.runFleet(w, faults)
 	}
 	return o.runMachine(w, faults)

@@ -166,6 +166,13 @@ func TestBadInput(t *testing.T) {
 		{"-faults", "all=1e-3,start=5,end=1"},
 		{"-faults", "all=1e-3,addrmin=0x200,addrmax=0x100"},
 		{"-experiment", "table1"},
+		{"-cluster", "2", "-callers", "1", "-seconds", "0.001", "-trace", filepath.Join(tmp, "fleet.jsonl")},
+		{"-cluster", "2", "-check"},
+		{"-traffic", "rate=100", "-travel", "5"},
+		{"-traffic", "rate=100", "-callers", "2"},
+		{"-cluster", "2", "-cpus", "3"},
+		{"-verify", "all", "-seed", "2"},
+		{"-verify-out", filepath.Join(tmp, "x.replay")},
 	} {
 		name := strings.ReplaceAll(strings.Join(args, " "), tmp+string(filepath.Separator), "")
 		t.Run(name, func(t *testing.T) {
@@ -181,6 +188,30 @@ func TestBadInput(t *testing.T) {
 				t.Errorf("stderr should carry an error message and no panic, got:\n%s", msg)
 			}
 		})
+	}
+	for _, f := range []string{"fleet.jsonl", "x.replay"} {
+		if _, err := os.Stat(filepath.Join(tmp, f)); err == nil {
+			t.Errorf("a rejected run wrote %s", f)
+		}
+	}
+}
+
+// TestUnreadFlagNamed: a flag the selected mode does not read is bad
+// input, and the message names the flag and the mode.
+func TestUnreadFlagNamed(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cluster", "2", "-callers", "1", "-seconds", "0.001", "-check"}, "-check is not read in -cluster mode"},
+		{[]string{"-traffic", "rate=100", "-travel", "5"}, "-travel is not read in -traffic mode"},
+		{[]string{"-verify", "all", "-seed", "2"}, "-seed is not read in -verify mode"},
+		{[]string{"-cpus", "2", "-callers", "2"}, "-callers is not read in one-machine mode"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr.String(), tc.want)
+		}
 	}
 }
 

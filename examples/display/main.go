@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"strings"
 
 	"firefly"
@@ -19,8 +20,8 @@ func main() {
 	m.AddDevice(mdc)
 
 	run := func(want uint32) {
-		for mdc.Completed() < want {
-			m.Run(10_000)
+		if !m.RunUntil(func() bool { return m.Memory().Peek(display.StatusAddr) >= want }, 100_000_000) {
+			log.Fatalf("display: %d commands not done within the budget", want)
 		}
 	}
 

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"strings"
 
 	"firefly"
@@ -61,8 +62,8 @@ func main() {
 	res := workload.RunMake(k, graph, 800_000_000)
 
 	// Let the file scan finish if the build beat it.
-	for i := 0; i < 10_000 && !scan.Done; i++ {
-		m.Run(20_000)
+	if !m.RunUntil(func() bool { return scan.Done }, 200_000_000) {
+		log.Fatal("workstation: the file scan did not finish")
 	}
 	wm.SetText(buildWin, []string{
 		fmt.Sprintf("%d targets built", len(res.Finished)),
@@ -76,8 +77,9 @@ func main() {
 	wm.RouteMouseClick(300, 200)
 
 	// Let the MDC drain its queue (and keep depositing input records).
-	for mdc.Pending() > 0 {
-		m.Run(20_000)
+	mem := m.Memory()
+	if !m.RunUntil(func() bool { return mem.Peek(display.StatusAddr) == mem.Peek(display.DoorbellAddr) }, 200_000_000) {
+		log.Fatal("workstation: the display queue did not drain")
 	}
 
 	// --- report ---

@@ -31,10 +31,12 @@ const (
 	depositEvery     = 166667 // 60 Hz keyboard/mouse deposit
 )
 
-// The controller's words in main memory.
+// The controller's words in main memory. DoorbellAddr counts commands
+// submitted and StatusAddr those completed, written after each command:
+// the host sees the queue drained when the two are equal.
 const (
-	doorbellAddr mbus.Addr = 0x7000 // work-queue doorbell
-	statusAddr   mbus.Addr = 0x7004 // completion count
+	DoorbellAddr mbus.Addr = 0x7000
+	StatusAddr   mbus.Addr = 0x7004
 	depositAddr  mbus.Addr = 0x7100 // 60 Hz mouse/keyboard deposit (6 words)
 )
 
@@ -186,7 +188,9 @@ func (m *MDC) Font() *Font { return m.font }
 // Stats returns a snapshot of the controller counters.
 func (m *MDC) Stats() Stats { return m.stats }
 
-// Completed returns the number of commands executed.
+// Completed returns the number of commands executed. It counts a command
+// when execution ends, before the status write carries the new count to
+// StatusAddr in memory; wait on that word to see what a host sees.
 func (m *MDC) Completed() uint32 { return m.completed }
 
 // Pending returns queued-but-unexecuted commands.
@@ -201,7 +205,7 @@ func (m *MDC) Submit(cmd Command) {
 	}
 	m.queue.Push(cmd)
 	m.submitted++
-	m.mem.Poke(doorbellAddr, m.submitted)
+	m.mem.Poke(DoorbellAddr, m.submitted)
 }
 
 // SetMouse updates the mouse position reported at the next deposit.
@@ -244,7 +248,7 @@ func (m *MDC) Step() {
 	switch m.phase {
 	case mdcIdle:
 		if now >= m.nextPoll {
-			m.raise(mbus.MRead, doorbellAddr, 0)
+			m.raise(mbus.MRead, DoorbellAddr, 0)
 			m.stats.PollReads.Inc()
 			m.phase = mdcPollWait
 		}
@@ -397,7 +401,7 @@ func (m *MDC) finishCommand() {
 	m.completed++
 	m.stats.Commands.Inc()
 	m.cur = nil
-	m.raise(mbus.MWrite, statusAddr, m.completed)
+	m.raise(mbus.MWrite, StatusAddr, m.completed)
 	m.phase = mdcStatus
 }
 

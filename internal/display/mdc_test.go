@@ -16,15 +16,12 @@ func newMDCBench(t testing.TB, cfg Config) (*machine.Machine, *MDC) {
 	return m, mdc
 }
 
+// runUntil runs m until the MDC's status word counts want commands.
 func runUntil(t testing.TB, m *machine.Machine, mdc *MDC, want uint32, budget uint64) {
 	t.Helper()
-	for i := uint64(0); i < budget; i += 1000 {
-		m.Run(1000)
-		if mdc.Completed() >= want {
-			return
-		}
+	if !m.RunUntil(func() bool { return m.Memory().Peek(StatusAddr) >= want }, budget) {
+		t.Fatalf("MDC completed %d commands, want %d", mdc.Completed(), want)
 	}
-	t.Fatalf("MDC completed %d commands, want %d", mdc.Completed(), want)
 }
 
 func TestMDCFillCommand(t *testing.T) {

@@ -39,9 +39,7 @@ func FileIO(o Options) Outcome {
 		k.Fork(fs.ReadSequentialProgram(f, 0, blocks, 200, &res),
 			topaz.ThreadSpec{Name: "scanner"}, nil)
 		start := m.Clock().Now()
-		for used := uint64(0); used < maxCycles && !res.Done; used += 50_000 {
-			m.Run(50_000)
-		}
+		m.RunUntil(func() bool { return res.Done }, maxCycles)
 		return uint64(m.Clock().Now() - start), f.Stats()
 	}
 
@@ -59,9 +57,7 @@ func FileIO(o Options) Outcome {
 		k.Fork(fs.WriteSequentialProgram(f, 0, blocks/3, 100, &res),
 			topaz.ThreadSpec{Name: "writer"}, nil)
 		start := m.Clock().Now()
-		for used := uint64(0); used < maxCycles && !res.Done; used += 50_000 {
-			m.Run(50_000)
-		}
+		m.RunUntil(func() bool { return res.Done }, maxCycles)
 		return uint64(m.Clock().Now() - start)
 	}
 

@@ -31,20 +31,13 @@ func GCOffload(o Options) Outcome {
 			Stop: func() bool { return mutatorDone && !h.Collecting() },
 		}), topaz.ThreadSpec{Name: "collector"}, nil)
 
-		const chunk = 100_000
-		for used := uint64(0); used < maxCycles; used += chunk {
-			m.Run(chunk)
-			if mutator.State() == topaz.Done {
-				if !mutatorDone {
-					mutatorDone = true
-					elapsed = uint64(m.Clock().Now())
-				}
-				if k.Done() {
-					return elapsed, h.Stats(), true
-				}
-			}
+		if !m.RunUntil(func() bool { return mutator.State() == topaz.Done }, maxCycles) {
+			return 0, h.Stats(), false
 		}
-		return 0, h.Stats(), false
+		mutatorDone = true
+		elapsed = uint64(m.Clock().Now())
+		ok = m.RunUntil(k.Done, maxCycles-elapsed)
+		return elapsed, h.Stats(), ok
 	}
 
 	one, stOne, ok1 := run(1)

@@ -24,14 +24,9 @@ func MDCThroughput(o Options) Outcome {
 	mdc := display.New(m.Clock(), m.Bus(), m.Memory(), display.Config{})
 	m.AddDevice(mdc)
 
+	// A command is done when the host sees its status word (10 s budget).
 	runUntil := func(want uint32) bool {
-		for i := 0; i < 10_000; i++ {
-			m.Run(10_000)
-			if mdc.Completed() >= want {
-				return true
-			}
-		}
-		return false
+		return m.RunUntil(func() bool { return m.Memory().Peek(display.StatusAddr) >= want }, 100_000_000)
 	}
 
 	// Area painting: full-visible-screen fills.
@@ -66,6 +61,8 @@ func MDCThroughput(o Options) Outcome {
 	fmt.Fprintf(&b, "Input deposits:  %d (60 Hz mouse/keyboard records written to memory)\n",
 		mdc.Stats().Deposits.Value())
 	fmt.Fprintf(&b, "Queue polls:     %d DMA reads of the work queue\n", mdc.Stats().PollReads.Value())
+	fmt.Fprintf(&b, "Status word:     %d of %d commands written back to memory\n",
+		m.Memory().Peek(display.StatusAddr), fills+lines)
 	if !okFill || !okText {
 		b.WriteString("WARNING: workload did not drain within the cycle budget\n")
 	}

@@ -43,13 +43,9 @@ func (b *bench) loadDisk(start, count uint32) {
 
 func (b *bench) runUntil(t testing.TB, pred func() bool, budget uint64) {
 	t.Helper()
-	for used := uint64(0); used < budget; used += 50_000 {
-		b.m.Run(50_000)
-		if pred() {
-			return
-		}
+	if !b.m.RunUntil(pred, budget) {
+		t.Fatalf("condition not reached in %d cycles", budget)
 	}
-	t.Fatalf("condition not reached in %d cycles", budget)
 }
 
 func TestSequentialReadCorrect(t *testing.T) {

@@ -476,16 +476,26 @@ func (m *Machine) stepShared() (done int) {
 	return done
 }
 
-// Run advances the machine by n cycles, and panics if the clock would
-// reach 2^63. It gives each processor one horizon for the whole call
-// (armed on entry, settled on return) and ticks a processor only at the
-// boundaries where it is due: its references (probe stalls included),
-// its instruction boundaries, and the first boundary after the bus
-// completion that ends an access it is parked on (Busy holds through
-// that cycle). The compute and parked ticks between are applied in bulk (cpu.Processor.RunPrivate) when the processor is
-// next due or when Run returns. Due processors tick in port order, so
-// each instruction hook and reference touches shared state (the Topaz
-// ready queue, the fault plan's tag-parity stream, the synthetic shared
+// Run advances the machine by n cycles: RunUntil with no condition.
+func (m *Machine) Run(n uint64) { m.RunUntil(nil, n) }
+
+// RunUntil advances the machine until the first cycle at which until
+// reads true, or by n cycles, and reports whether until held; a nil
+// until never holds, and one true on entry runs no cycle. It panics if
+// the clock would reach 2^63. until is checked before each stepped cycle
+// and after each quiet window, so it may read only state that changes
+// there: not processor counters (DESIGN.md "Running until a condition").
+//
+// RunUntil gives each processor one horizon for the whole call (armed
+// on entry, settled at the cycle where it stops) and ticks a processor
+// only at the boundaries where it is due: its references (probe stalls
+// included), its instruction boundaries, and the first boundary after
+// the bus completion that ends an access it is parked on (Busy holds
+// through that cycle). The compute and parked ticks between are applied
+// in bulk (cpu.Processor.RunPrivate) when the processor is next due or
+// when RunUntil returns. Due processors tick in port order, so each
+// instruction hook and reference touches shared state (the Topaz ready
+// queue, the fault plan's tag-parity stream, the synthetic shared
 // region) in exactly the order Step would.
 //
 // The rest of the machine runs in two regimes, chosen by Bus.Busy and one
@@ -494,17 +504,17 @@ func (m *Machine) stepShared() (done int) {
 // the processors:
 //
 //   - While a bus operation is in flight, or something has an event at
-//     the next cycle, Run steps the bus and devices one cycle, wakes
+//     the next cycle, RunUntil steps the bus and devices one cycle, wakes
 //     the processor whose operation completed in it, and then ticks the
 //     processors due at that boundary.
 //   - Otherwise they are quiet until the scanned horizon H, and runQuiet
 //     jumps the clock from one due boundary to the next, up to H-1. The
 //     window ends after any boundary with a tick that was not local
 //     (cpu.Processor.Tick): a cache access was left outstanding, or an
-//     instruction hook reported non-local. Run then scans again. With
-//     every processor halted no processor is ever due, and the window is
-//     one clock jump: the fast path for DMA drains, seek waits, scripted
-//     rigs and halted-CPU measurement harnesses.
+//     instruction hook reported non-local. RunUntil then checks until and
+//     scans again. With every processor halted no processor is ever due,
+//     and the window is one clock jump: the fast path for DMA drains,
+//     seek waits, scripted rigs and halted-CPU measurement harnesses.
 //
 // The result is cycle-exact and byte-identical to stepping. Inside a
 // window the bus and device steps are provably no-ops, and every
@@ -512,20 +522,20 @@ func (m *Machine) stepShared() (done int) {
 // touches only its own processor, and nothing the bus, caches or devices
 // do reads or writes a processor's instruction record or counters: a bus
 // interrupt only queues on the processor, a processor is halted only by
-// its own hook or from outside Run, and a cache's Busy is read only by a
-// waiting processor, which has no compute ahead.
-func (m *Machine) Run(n uint64) {
+// its own hook or from outside RunUntil, and a cache's Busy is read only
+// by a waiting processor, which has no compute ahead.
+func (m *Machine) RunUntil(until func() bool, n uint64) bool {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
 	now := m.clock.Now()
 	if n >= 1<<63-uint64(now) {
-		panic(fmt.Sprintf("machine: Run(%d) at cycle %d passes the simulator's 2^63-cycle range", n, now))
+		panic(fmt.Sprintf("machine: running %d cycles at cycle %d passes the simulator's 2^63-cycle range", n, now))
 	}
 	end := now + sim.Cycle(n)
 	next := sim.Never // the earliest boundary any processor is due at
 	for i := range m.cpus {
 		next = min(next, m.rearm(i, now/tc))
 	}
-	for now < end {
+	for now < end && (until == nil || !until()) {
 		if !m.bus.Busy() {
 			if h := m.nextEvent(now); h > now+1 {
 				next = m.runQuiet(now, min(h-1, end), next)
@@ -544,9 +554,10 @@ func (m *Machine) Run(n uint64) {
 	}
 	for i, p := range m.cpus {
 		if h := &m.hz[i]; h.due != sim.Never || h.parked {
-			p.RunPrivate(int(end/tc - h.last))
+			p.RunPrivate(int(now/tc - h.last))
 		}
 	}
+	return until != nil && until()
 }
 
 // runQuiet moves the clock from now to stop, or to the first tick boundary

@@ -332,28 +332,13 @@ func TestConcurrentMutatorCollector(t *testing.T) {
 	k := topaz.NewKernel(m, topaz.Config{Quantum: 1200})
 	h := NewHeap(k, 256)
 	mutatorDone := false
-	k.Fork(MutatorProgram(h, MutatorConfig{Ops: 300, Seed: 9}), topaz.ThreadSpec{Name: "mutator"}, nil)
-	// Wrap: mark mutator completion via a joiner thread is overkill; poll
-	// thread states instead.
-	collectorStopped := false
+	mutator := k.Fork(MutatorProgram(h, MutatorConfig{Ops: 300, Seed: 9}), topaz.ThreadSpec{Name: "mutator"}, nil)
 	k.Fork(CollectorProgram(h, CollectorConfig{Stop: func() bool {
 		return mutatorDone && !h.Collecting()
 	}}), topaz.ThreadSpec{Name: "collector"}, nil)
 
-	for i := 0; i < 4000 && !collectorStopped; i++ {
-		m.Run(50_000)
-		mutDone := true
-		for _, th := range k.Threads() {
-			if th.Name() == "mutator" && th.State() != topaz.Done {
-				mutDone = false
-			}
-		}
-		mutatorDone = mutDone
-		if k.Done() {
-			collectorStopped = true
-		}
-	}
-	if !collectorStopped {
+	mutatorDone = m.RunUntil(func() bool { return mutator.State() == topaz.Done }, 200_000_000)
+	if !mutatorDone || !m.RunUntil(k.Done, 200_000_000) {
 		t.Fatalf("mutator/collector did not finish; stuck=%v", k.Stuck())
 	}
 	if err := h.CheckInvariants(); err != nil {

@@ -6,15 +6,12 @@ import (
 	"firefly/internal/machine"
 )
 
-// runUntil runs m in short chunks until cond holds, failing the test if
-// it does not within limit cycles.
+// runUntil runs m until cond holds, failing the test if it does not
+// within limit cycles.
 func runUntil(t *testing.T, m *machine.Machine, limit uint64, what string, cond func() bool) {
 	t.Helper()
-	for used := uint64(0); !cond(); used += 1000 {
-		if used >= limit {
-			t.Fatalf("%s: not within %d cycles", what, limit)
-		}
-		m.Run(1000)
+	if !m.RunUntil(cond, limit) {
+		t.Fatalf("%s: not within %d cycles", what, limit)
 	}
 }
 

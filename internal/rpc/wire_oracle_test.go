@@ -314,6 +314,11 @@ func TestWriterMatchesPackFrames(t *testing.T) {
 	for len(sizes) < 60 {
 		sizes = append(sizes, r.Intn(MaxPayload+1))
 	}
+	idle := func(i int) {
+		if !n.m.RunUntil(func() bool { return !n.eth.Busy() }, 100_000_000) {
+			t.Fatalf("message %d: the DEQNA did not go idle", i)
+		}
+	}
 	for i, size := range sizes {
 		d := desc{kind: MsgKind(1 + r.Intn(2)), id: uint32(r.Uint64()), proc: uint16(r.Uint64()), seed: uint32(r.Uint64()), bytes: size}
 		dst := r.Intn(1 << 16)
@@ -339,15 +344,11 @@ func TestWriterMatchesPackFrames(t *testing.T) {
 		if len(want) > slots/2 {
 			// The ring has wrapped; the DEQNA would carry overwritten
 			// frames. Start the next message on an idle controller.
-			for n.eth.Busy() {
-				n.m.Run(10_000)
-			}
+			idle(i)
 			med.sent = nil
 			continue
 		}
-		for n.eth.Busy() {
-			n.m.Run(10_000)
-		}
+		idle(i)
 		if len(med.sent) != len(want) {
 			t.Fatalf("message %d (%d bytes): DEQNA sent %d frames, want %d", i, size, len(med.sent), len(want))
 		}

@@ -333,37 +333,24 @@ func (k *Kernel) Stuck() bool {
 	if len(k.sleepers) > 0 {
 		return false
 	}
-	live, runnable := 0, 0
+	live := false
 	for _, t := range k.threads {
 		switch t.state {
 		case Done:
 		case Ready, Running:
-			runnable++
-			live++
+			return false
 		default:
-			live++
+			live = true
 		}
 	}
-	return live > 0 && runnable == 0
+	return live
 }
 
-// RunUntilDone steps the machine until all threads exit, a deadlock is
-// detected, or maxCycles elapse. It reports whether all threads finished.
-// It runs in chunks of 2048 cycles and checks between them, so it may
-// stop up to a chunk after the threads finish, but never past maxCycles.
+// RunUntilDone runs the machine until all threads exit, a deadlock is
+// detected, or maxCycles elapse (machine.Machine.RunUntil), stopping at
+// the first cycle either holds. It reports whether all threads finished.
 func (k *Kernel) RunUntilDone(maxCycles uint64) bool {
-	const chunk = 2048
-	for left := maxCycles; left > 0; {
-		n := min(left, chunk)
-		k.m.Run(n)
-		left -= n
-		if k.Done() {
-			return true
-		}
-		if k.Stuck() {
-			return false
-		}
-	}
+	k.m.RunUntil(func() bool { return k.Done() || k.Stuck() }, maxCycles)
 	return k.Done()
 }
 

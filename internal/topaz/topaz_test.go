@@ -281,8 +281,7 @@ func TestRunUntilDoneBudget(t *testing.T) {
 }
 
 // TestRunUntilDoneStopsAtBudget: with a thread that never finishes,
-// RunUntilDone advances the clock by exactly maxCycles, also when that
-// is not a multiple of the 2048-cycle chunk it checks between.
+// RunUntilDone advances the clock by exactly maxCycles.
 func TestRunUntilDoneStopsAtBudget(t *testing.T) {
 	for _, max := range []uint64{100, 2048, 5_000, 1_000_000} {
 		k := newKernel(1, Config{})

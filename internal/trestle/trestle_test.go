@@ -24,16 +24,14 @@ func newBench(t testing.TB) *bench {
 	return &bench{m: m, mdc: mdc, wm: New(mdc)}
 }
 
-// drain runs the machine until the MDC queue empties.
+// drain runs the machine until the MDC has written the status of every
+// submitted command.
 func (b *bench) drain(t testing.TB) {
 	t.Helper()
-	for i := 0; i < 100_000; i++ {
-		b.m.Run(10_000)
-		if b.mdc.Pending() == 0 && b.mdc.Completed() > 0 {
-			return
-		}
+	mem := b.m.Memory()
+	if !b.m.RunUntil(func() bool { return mem.Peek(display.StatusAddr) == mem.Peek(display.DoorbellAddr) }, 1_000_000_000) {
+		t.Fatalf("MDC did not drain: %d pending", b.mdc.Pending())
 	}
-	t.Fatalf("MDC did not drain: %d pending", b.mdc.Pending())
 }
 
 func TestCreateDrawsWindow(t *testing.T) {

@@ -187,24 +187,13 @@ func (e *Exerciser) workerProgram(rng *sim.Rand) topaz.Program {
 	})
 }
 
-// Step runs the machine for the given cycles, in chunks, stopping early
-// once every thread has finished; it never runs past cycles. It reports
-// whether every thread finished. Rendezvous waiters are woken by the
-// daemon thread, not by Step. Measurement harnesses use Step to pump the
-// exerciser for a fixed interval regardless of completion.
+// Step runs the machine for the given cycles, stopping at the first
+// cycle at which every thread has finished (machine.Machine.RunUntil).
+// It reports whether every thread finished. Rendezvous waiters are woken
+// by the daemon thread, not by Step. Measurement harnesses use Step to
+// pump the exerciser for a fixed interval regardless of completion.
 func (e *Exerciser) Step(cycles uint64) bool {
-	const chunk = uint64(50_000)
-	for used := uint64(0); used < cycles; used += chunk {
-		n := chunk
-		if cycles-used < chunk {
-			n = cycles - used
-		}
-		e.kernel.Machine().Run(n)
-		if e.kernel.Done() {
-			return true
-		}
-	}
-	return e.kernel.Done()
+	return e.kernel.Machine().RunUntil(e.kernel.Done, cycles)
 }
 
 // Run drives the kernel until the workers finish, then verifies the

@@ -196,25 +196,17 @@ func RunMake(k *topaz.Kernel, g *MakeGraph, maxCycles uint64) MakeResult {
 
 	// Run until every build target's thread exits (service daemons — the
 	// file system, a garbage collector — may keep running; they are not
-	// part of the build).
-	const chunk = uint64(20_000)
-	for used := uint64(0); used < maxCycles; used += chunk {
-		k.Machine().Run(chunk)
-		done := true
-		for _, n := range names {
-			if handles[n].T.State() != topaz.Done {
-				done = false
-				break
-			}
+	// part of the build). Exit is final, so the scan resumes at the first
+	// target still running.
+	built := 0
+	allBuilt := func() bool {
+		for built < len(names) && handles[names[built]].T.State() == topaz.Done {
+			built++
 		}
-		if done {
-			res.OK = true
-			break
-		}
-		if k.Stuck() {
-			break
-		}
+		return built == len(names)
 	}
+	k.Machine().RunUntil(func() bool { return allBuilt() || k.Stuck() }, maxCycles)
+	res.OK = allBuilt()
 	res.Cycles = uint64(k.Machine().Clock().Now() - start)
 	return res
 }

@@ -162,17 +162,9 @@ func RunSyscalls(k *topaz.Kernel, cfg SyscallConfig, maxCycles uint64) SyscallRe
 	return res
 }
 
-// runThreadToDone pumps the machine until the thread exits.
+// runThreadToDone runs the machine until the thread exits, the kernel is
+// stuck, or maxCycles elapse, and reports whether the thread exited.
 func runThreadToDone(k *topaz.Kernel, t *topaz.Thread, maxCycles uint64) bool {
-	const chunk = uint64(10_000)
-	for used := uint64(0); used < maxCycles; used += chunk {
-		k.Machine().Run(chunk)
-		if t.State() == topaz.Done {
-			return true
-		}
-		if k.Stuck() {
-			return false
-		}
-	}
-	return false
+	k.Machine().RunUntil(func() bool { return t.State() == topaz.Done || k.Stuck() }, maxCycles)
+	return t.State() == topaz.Done
 }

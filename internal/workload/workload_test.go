@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"firefly/internal/machine"
@@ -114,6 +115,39 @@ func TestRunMakeRespectsDependencies(t *testing.T) {
 	}
 	if pos["link"] != len(res.Finished)-1 {
 		t.Fatal("link did not finish last")
+	}
+}
+
+// TestRunMakeCyclesAreExact: RunMake reports the cycle at which the last
+// build target's thread exited, found here by stepping a twin that forks
+// the same build (RunMake with no budget) one cycle at a time. A wait
+// loop that checked only every few thousand cycles would round it up.
+func TestRunMakeCyclesAreExact(t *testing.T) {
+	for _, nproc := range []int{1, 3} {
+		g := StandardBuild(5, 15_000)
+		res := RunMake(newKernel(nproc), g, 400_000_000)
+		if !res.OK {
+			t.Fatalf("%d CPUs: build did not finish", nproc)
+		}
+		twin := newKernel(nproc)
+		if RunMake(twin, g, 0).OK {
+			t.Fatal("a build finished in zero cycles")
+		}
+		built := func() bool {
+			for _, th := range twin.Threads() {
+				if strings.HasPrefix(th.Name(), "make:") && th.State() != topaz.Done {
+					return false
+				}
+			}
+			return true
+		}
+		var cycles uint64
+		for ; !built(); cycles++ {
+			twin.Machine().Step()
+		}
+		if res.Cycles != cycles {
+			t.Errorf("%d CPUs: RunMake reports %d cycles, the last target exited at %d", nproc, res.Cycles, cycles)
+		}
 	}
 }
 
