@@ -21,6 +21,7 @@ import (
 	"firefly/internal/experiments"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
+	"firefly/internal/memory"
 	"firefly/internal/model"
 	"firefly/internal/qbus"
 	"firefly/internal/rpc"
@@ -205,7 +206,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 // BenchmarkCacheHit measures the cache controller's hit path.
 func BenchmarkCacheHit(b *testing.B) {
 	clock := &sim.Clock{}
-	bus := mbus.New(clock, nil)
+	bus := mbus.New(clock, nil, memory.NewMicroVAXSystem(1))
 	c := core.NewMicroVAXCache(clock, core.Firefly{})
 	bus.Attach(c, c, nil)
 	// Fill one line via the bus.
@@ -223,7 +224,7 @@ func BenchmarkCacheHit(b *testing.B) {
 // BenchmarkBusTransaction measures a full four-cycle MBus operation.
 func BenchmarkBusTransaction(b *testing.B) {
 	clock := &sim.Clock{}
-	bus := mbus.New(clock, nil)
+	bus := mbus.New(clock, nil, memory.NewMicroVAXSystem(1))
 	c := core.NewMicroVAXCache(clock, core.Firefly{})
 	bus.Attach(c, c, nil)
 	b.ResetTimer()

@@ -1,50 +1,26 @@
-// Command mbustrace prints the cycle-by-cycle MBus schedule for a short
-// scripted run — the paper's Figure 4 in text form: arbitration and
-// address in cycle 1, write data and tag probes in cycle 2, MShared in
-// cycle 3, data in cycle 4. The table is rendered from the machine's
-// observability event stream; -raw dumps the underlying events instead.
+// Command mbustrace prints the cycle-by-cycle MBus schedule of the
+// Figure 4 run (experiments.Figure4Events) — the paper's Figure 4 in text
+// form: arbitration and address in cycle 1, write data and tag probes in
+// cycle 2, MShared in cycle 3, data in cycle 4. The table is rendered
+// from the machine's observability event stream; -raw dumps the
+// underlying events instead.
 package main
 
 import (
 	"flag"
 	"fmt"
 
-	"firefly/internal/core"
 	"firefly/internal/experiments"
-	"firefly/internal/machine"
 	"firefly/internal/mbus"
-	"firefly/internal/obs"
 )
 
 func main() {
 	raw := flag.Bool("raw", false, "dump raw trace events instead of the timing table")
 	flag.Parse()
 
-	m := machine.New(machine.MicroVAXConfig(2))
-	for _, p := range m.Processors() {
-		p.Halt()
-	}
-	drive := func(i int, acc core.Access) {
-		c := m.Cache(i)
-		if c.Submit(acc) {
-			return
-		}
-		for c.Busy() {
-			m.Run(1)
-		}
-	}
-	// Seed: cache 1 holds the line Dirty, so the traced MRead is answered
-	// by a cache with memory inhibited — the interesting Figure 4 case.
-	drive(1, core.Access{Write: true, Addr: 0x200, Data: 1})
-	drive(1, core.Access{Write: true, Addr: 0x200, Data: 42})
-
-	ring := obs.NewRing(256)
-	m.Trace(ring)
-	drive(0, core.Access{Addr: 0x200})                       // MRead, MShared, cache-supplied
-	drive(0, core.Access{Write: true, Addr: 0x200, Data: 7}) // conditional write-through
-
+	events := experiments.Figure4Events()
 	if *raw {
-		for _, e := range ring.Events() {
+		for _, e := range events {
 			fmt.Printf("cycle %-6d %-22s unit %-2d addr %-10s a=%d b=%d %s\n",
 				e.Cycle, e.Kind, e.Unit, mbus.Addr(e.Addr), e.A, e.B, e.Label)
 		}
@@ -52,5 +28,5 @@ func main() {
 	}
 	fmt.Println("MBus timing (100 ns cycles; one operation = 4 cycles):")
 	fmt.Println()
-	fmt.Print(experiments.RenderBusTiming(ring.Events()))
+	fmt.Print(experiments.RenderBusTiming(events))
 }

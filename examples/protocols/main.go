@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"firefly"
 	"firefly/internal/core"
@@ -50,9 +51,11 @@ func main() {
 			if c.Submit(acc) {
 				return
 			}
-			for c.Busy() {
-				m.Run(1)
+			// Run to the cycle after the bus completion that ends it.
+			if !m.RunUntil(func() bool { return !c.AwaitsBus() }, 10_000) {
+				log.Fatalf("cache %d access %+v did not complete", ci, acc)
 			}
+			m.Run(1)
 		}
 		drive(0, core.Access{Addr: 0x40})
 		drive(1, core.Access{Addr: 0x40})

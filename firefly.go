@@ -153,16 +153,13 @@ type TraceEvent = obs.Event
 // buffer and the JSONL and Chrome exporters.
 type TraceObserver = obs.Observer
 
-// Tracer fans events out to attached observers; install one with
-// MachineConfig.Tracer or Machine.Trace.
+// Tracer fans events out to attached observers; Machine.Trace installs
+// one on a machine and attaches sinks to it.
 type Tracer = obs.Tracer
 
 // TraceRing is a bounded in-memory event buffer that overwrites its
 // oldest events when full.
 type TraceRing = obs.Ring
-
-// NewTracer returns a tracer with the given sinks attached.
-func NewTracer(sinks ...TraceObserver) *Tracer { return obs.NewTracer(sinks...) }
 
 // NewTraceRing returns a ring buffer holding the last capacity events.
 func NewTraceRing(capacity int) *TraceRing { return obs.NewRing(capacity) }

@@ -169,8 +169,7 @@ func TestBigStepDifferential(t *testing.T) {
 					diffRigs(t, label, fast, slow)
 					var retries uint64
 					for i := range slow.m.Caches() {
-						_, r := slow.m.Bus().PortFaults(i)
-						retries += r
+						retries += slow.m.Bus().PortStats(i).Retries
 					}
 					if plan.prefix != "" && retries == 0 {
 						t.Errorf("%s: no cache retried a faulted bus operation", label)
@@ -472,8 +471,7 @@ func TestParkedRunDifferential(t *testing.T) {
 		{"faults", 60_000, synthetic(faulty, load), func(m *machine.Machine) error {
 			var retries, abandoned uint64
 			for i, c := range m.Caches() {
-				_, r := m.Bus().PortFaults(i)
-				retries += r
+				retries += m.Bus().PortStats(i).Retries
 				abandoned += c.Stats().Abandoned
 			}
 			if timeouts := m.Faults().Stats().BusTimeouts.Value(); retries == 0 || abandoned == 0 || timeouts == 0 {

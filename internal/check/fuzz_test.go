@@ -102,9 +102,8 @@ func FuzzBusOps(f *testing.F) {
 		}
 
 		clock := &sim.Clock{}
-		bus := mbus.New(clock, nil)
 		mem := memory.NewMicroVAXSystem(4)
-		bus.AttachMemory(mem)
+		bus := mbus.New(clock, nil, mem)
 		const nCaches = 3
 		caches := make([]*core.Cache, nCaches)
 		for i := range caches {

@@ -433,7 +433,7 @@ func (c *Cluster) round(w uint64) {
 	for now := c.clock.Now(); now < end; now = c.clock.Now() {
 		ev := c.wireEvent(now)
 		if stamp != sim.Never {
-			ev = sim.EarliestEvent(ev, stamp+1)
+			ev = min(ev, stamp+1)
 		}
 		if ev > now+1 {
 			target := ev - 1
@@ -467,7 +467,7 @@ func (c *Cluster) nextStamp() sim.Cycle {
 	stamp := sim.Never
 	for _, mb := range c.members {
 		if mb.cursor < len(mb.sends) {
-			stamp = sim.EarliestEvent(stamp, mb.sends[mb.cursor].stamp)
+			stamp = min(stamp, mb.sends[mb.cursor].stamp)
 		}
 	}
 	return stamp
@@ -478,10 +478,10 @@ func (c *Cluster) nextStamp() sim.Cycle {
 func (c *Cluster) wireEvent(now sim.Cycle) sim.Cycle {
 	ev := sim.Never
 	for _, s := range c.segs {
-		ev = sim.EarliestEvent(ev, s.NextEvent(now))
+		ev = min(ev, s.NextEvent(now))
 	}
 	if c.bridge != nil {
-		ev = sim.EarliestEvent(ev, c.bridge.NextEvent(now))
+		ev = min(ev, c.bridge.NextEvent(now))
 	}
 	return ev
 }
@@ -498,10 +498,10 @@ func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 		h = now + 1 + c.minVisible
 	}
 	for _, s := range c.segs {
-		h = sim.EarliestEvent(h, s.EventHorizon(now))
+		h = min(h, s.EventHorizon(now))
 	}
 	if c.bridge != nil {
-		h = sim.EarliestEvent(h, c.bridge.NextEvent(now))
+		h = min(h, c.bridge.NextEvent(now))
 	}
 	return h
 }

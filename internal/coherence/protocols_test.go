@@ -20,9 +20,8 @@ type rig struct {
 func newRig(t testing.TB, n int, proto core.Protocol, lines int) *rig {
 	t.Helper()
 	r := &rig{clock: &sim.Clock{}}
-	r.bus = mbus.New(r.clock, nil)
 	r.mem = memory.NewMicroVAXSystem(4)
-	r.bus.AttachMemory(r.mem)
+	r.bus = mbus.New(r.clock, nil, r.mem)
 	for i := 0; i < n; i++ {
 		c := core.NewCache(r.clock, proto, lines)
 		r.bus.Attach(c, c, nil)
@@ -199,9 +198,8 @@ func TestProtocolMultiWordLinearizability(t *testing.T) {
 		t.Run(proto.Name(), func(t *testing.T) {
 			const nCaches = 3
 			r := &rig{clock: &sim.Clock{}}
-			r.bus = mbus.New(r.clock, nil)
 			r.mem = memory.NewMicroVAXSystem(4)
-			r.bus.AttachMemory(r.mem)
+			r.bus = mbus.New(r.clock, nil, r.mem)
 			for i := 0; i < nCaches; i++ {
 				c := core.NewCacheGeometry(r.clock, proto, 16, 4)
 				r.bus.Attach(c, c, nil)

@@ -73,7 +73,7 @@ type Stats struct {
 
 	// Fault recovery accounting (all zero on a fault-free machine). The
 	// bus counts the faults and retries of this cache's operations
-	// (mbus.Bus.PortFaults).
+	// (mbus.Bus.PortStats).
 	TagFaults     uint64 // injected tag-store parity errors
 	MachineChecks uint64 // uncorrectable faults latched
 	Abandoned     uint64 // CPU accesses abandoned after retry exhaustion

@@ -23,9 +23,8 @@ func newRig(t testing.TB, n int, proto Protocol, lines int) *rig {
 func newRigArb(t testing.TB, n int, proto Protocol, lines int, arb mbus.Arbiter) *rig {
 	t.Helper()
 	r := &rig{clock: &sim.Clock{}}
-	r.bus = mbus.New(r.clock, arb)
 	r.mem = memory.NewMicroVAXSystem(4)
-	r.bus.AttachMemory(r.mem)
+	r.bus = mbus.New(r.clock, arb, r.mem)
 	for i := 0; i < n; i++ {
 		c := NewCache(r.clock, proto, lines)
 		r.bus.Attach(c, c, nil)

@@ -12,9 +12,8 @@ import (
 func newRigGeometry(t testing.TB, n int, proto Protocol, lines, lineWords int) *rig {
 	t.Helper()
 	r := &rig{clock: &sim.Clock{}}
-	r.bus = mbus.New(r.clock, nil)
 	r.mem = memory.NewMicroVAXSystem(4)
-	r.bus.AttachMemory(r.mem)
+	r.bus = mbus.New(r.clock, nil, r.mem)
 	for i := 0; i < n; i++ {
 		c := NewCacheGeometry(r.clock, proto, lines, lineWords)
 		r.bus.Attach(c, c, nil)

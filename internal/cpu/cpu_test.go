@@ -23,9 +23,8 @@ type machine struct {
 
 func newMachine(n int, v Variant, mkSource func(i int, c *core.Cache) trace.Source) *machine {
 	m := &machine{clock: &sim.Clock{}}
-	m.bus = mbus.New(m.clock, nil)
 	m.mem = memory.NewMicroVAXSystem(4)
-	m.bus.AttachMemory(m.mem)
+	m.bus = mbus.New(m.clock, nil, m.mem)
 	for i := 0; i < n; i++ {
 		cache := core.NewCache(m.clock, core.Firefly{}, 256)
 		p := New(i, m.clock, v, cache, nil, 1000+uint64(i))

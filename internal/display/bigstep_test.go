@@ -9,7 +9,6 @@ import (
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
 	"firefly/internal/obs"
-	"firefly/internal/sim"
 )
 
 // mdcImage is everything observable about an MDC machine: the clock,
@@ -96,7 +95,7 @@ func TestMDCBigStepDifferential(t *testing.T) {
 	// The idle controller must actually open a skip window, or Run never
 	// exercised the big-step path this test claims to cover.
 	now := bm.Clock().Now()
-	if ev := sim.EarliestEvent(bm.Bus().NextEvent(now), bmdc.NextEvent(now)); ev <= now+1 {
+	if ev := min(bm.Bus().NextEvent(now), bmdc.NextEvent(now)); ev <= now+1 {
 		t.Fatalf("idle MDC machine's bus and controller report next event %d at cycle %d: no skip window", ev, now)
 	}
 }

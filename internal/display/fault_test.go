@@ -83,7 +83,8 @@ func TestMDCBusFaults(t *testing.T) {
 			t.Errorf("%s: %d blit words counted, %d painted", name, st.MemoryWords.Value(), words)
 		}
 		// The controller attaches after the two caches.
-		faults, retries := m.Bus().PortFaults(len(m.Caches()))
+		p := m.Bus().PortStats(len(m.Caches()))
+		faults, retries := p.Faults, p.Retries
 		if faults == 0 {
 			t.Fatalf("%s: no MDC operation faulted; the test covers nothing", name)
 		}

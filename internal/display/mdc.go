@@ -296,9 +296,9 @@ func (m *MDC) NextEvent(now sim.Cycle) sim.Cycle {
 	ev := m.nextDeposit
 	switch m.phase {
 	case mdcIdle:
-		ev = sim.EarliestEvent(ev, m.nextPoll)
+		ev = min(ev, m.nextPoll)
 	case mdcFetch, mdcExec:
-		ev = sim.EarliestEvent(ev, m.busyUntil)
+		ev = min(ev, m.busyUntil)
 	default:
 		return now + 1
 	}

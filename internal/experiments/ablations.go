@@ -44,11 +44,7 @@ func ProtocolComparison(o Options) Outcome {
 		proto, s := protos[i/len(shares)], shares[i%len(shares)]
 		cfg := machine.MicroVAXConfig(nproc)
 		cfg.Protocol = proto
-		m := machine.New(cfg)
-		m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.15, ShareFraction: s, SharedReadFraction: s})
-		m.Warmup(cycles / 5)
-		m.Run(cycles)
-		rep := m.Report()
+		rep := warmRun(cfg, cycles, synthetic(trace.SyntheticLoad{MissRate: 0.15, ShareFraction: s, SharedReadFraction: s}))
 		return fmt.Sprintf("%.0f@%.2f", rep.MeanCPU().Total/1000, rep.BusLoad)
 	})
 	for pi, proto := range protos {
@@ -73,40 +69,18 @@ func MigrationAblation(o Options) Outcome {
 	warmup := o.Budget.cycles(100_000, 400_000)
 	measure := o.Budget.cycles(800_000, 8_000_000)
 
-	// Threads with purely private, write-heavy working sets: the only
-	// source of write-through traffic is a migrated thread whose data is
-	// resident in two caches. Yields invite rescheduling every ~400
-	// instructions.
+	// The only source of write-through traffic is a migrated thread whose
+	// data is resident in two caches.
 	run := func(dispatch topaz.DispatchPolicy) (migrations uint64, wtPerKInstr float64, kRefs float64) {
-		m := machine.New(machine.MicroVAXConfig(4))
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 600, Dispatch: dispatch, Seed: 5})
-		for i := 0; i < 8; i++ {
-			rng := sim.NewRand(uint64(i)*131 + 17)
-			k.Fork(topaz.LoopProgram(1<<30, func(int) []topaz.Action {
-				// Jittered compute lengths break the lockstep that a
-				// perfectly symmetric yield pattern would fall into.
-				return []topaz.Action{
-					topaz.Compute{Instructions: 250 + uint64(rng.Intn(300))},
-					topaz.Yield{},
-				}
-			}), topaz.ThreadSpec{
-				Name:            fmt.Sprintf("job%d", i),
-				WorkingSetLines: 256,
-				DriftProb:       0.01,
-			}, nil)
-		}
+		m, k := yieldJobs(machine.MicroVAXConfig(4), dispatch, 256)
 		m.Run(warmup)
 		m.ResetStats()
 		before := k.Stats().Migrations
 		m.Run(measure)
 		rep := m.Report()
 		mean := rep.MeanCPU()
-		var instr uint64
-		for _, c := range rep.PerCPU {
-			instr += c.Instructions
-		}
 		wt := (mean.MBusWritesShared + mean.MBusWritesClean) * rep.Seconds * float64(rep.Processors)
-		return k.Stats().Migrations - before, wt / float64(instr) * 1000, mean.Total / 1000
+		return k.Stats().Migrations - before, wt / float64(instructions(rep)) * 1000, mean.Total / 1000
 	}
 
 	type migResult struct {
@@ -131,15 +105,33 @@ Affinity cut migrations %dx. "If processes are allowed to move freely
 between processors, the number of unnecessary writes could be
 significant, since most of the writeable data for a process will be in
 both the old and the new cache until the data is displaced" (§5.1).
-`, max64(1, migOff/max64(1, migOn)))
+`, max(1, migOff/max(1, migOn)))
 	return Outcome{ID: "migration", Title: "Migration ablation", Text: text}
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
+// yieldJobs builds a machine from cfg with a Topaz kernel dispatching by
+// dispatch, and forks the eight jobs of the migration and policy sweeps:
+// threads with private, write-heavy working sets of wsLines lines that
+// yield every ~400 instructions, inviting rescheduling.
+func yieldJobs(cfg machine.Config, dispatch topaz.DispatchPolicy, wsLines int) (*machine.Machine, *topaz.Kernel) {
+	m := machine.New(cfg)
+	k := topaz.NewKernel(m, topaz.Config{Quantum: 600, Dispatch: dispatch, Seed: 5})
+	for i := 0; i < 8; i++ {
+		rng := sim.NewRand(uint64(i)*131 + 17)
+		k.Fork(topaz.LoopProgram(1<<30, func(int) []topaz.Action {
+			// Jittered compute lengths break the lockstep that a
+			// perfectly symmetric yield pattern would fall into.
+			return []topaz.Action{
+				topaz.Compute{Instructions: 250 + uint64(rng.Intn(300))},
+				topaz.Yield{},
+			}
+		}), topaz.ThreadSpec{
+			Name:            fmt.Sprintf("job%d", i),
+			WorkingSetLines: wsLines,
+			DriftProb:       0.01,
+		}, nil)
 	}
-	return b
+	return m, k
 }
 
 // CVAXSpeedup compares the second-version Firefly against the original on
@@ -147,20 +139,6 @@ func max64(a, b uint64) uint64 {
 // speeds by factors of 2.0 to 2.5."
 func CVAXSpeedup(o Options) Outcome {
 	cycles := o.Budget.cycles(600_000, 6_000_000)
-
-	measure := func(cfg machine.Config, miss float64) (instrPerSec float64, loadPerCPU float64) {
-		m := machine.New(cfg)
-		m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: miss, ShareFraction: 0.1, SharedReadFraction: 0.05})
-		m.Warmup(cycles / 5)
-		m.Run(cycles)
-		rep := m.Report()
-		var instr uint64
-		for _, c := range rep.PerCPU {
-			instr += c.Instructions
-		}
-		return float64(instr) / rep.Seconds / float64(rep.Processors),
-			rep.BusLoad / float64(rep.Processors)
-	}
 
 	// The CVAX's four-times-larger cache quarters the miss rate (the
 	// design assumption of §5.2). The two systems are independent sweep
@@ -174,8 +152,9 @@ func CVAXSpeedup(o Options) Outcome {
 		{machine.MicroVAXConfig(4), 0.20},
 		{machine.CVAXConfig(4), 0.05},
 	}, func(p sysPoint) sysResult {
-		rate, load := measure(p.cfg, p.miss)
-		return sysResult{rate, load}
+		rep := warmRun(p.cfg, cycles, synthetic(trace.SyntheticLoad{MissRate: p.miss, ShareFraction: 0.1, SharedReadFraction: 0.05}))
+		n := float64(rep.Processors)
+		return sysResult{float64(instructions(rep)) / rep.Seconds / n, rep.BusLoad / n}
 	})
 	mvRate, mvLoad := res[0].rate, res[0].load
 	cvRate, cvLoad := res[1].rate, res[1].load
@@ -227,34 +206,27 @@ server stage saturates at ~4.6 Mbit/s of payload (§6).
 func QBusLoad(o Options) Outcome {
 	cycles := o.Budget.cycles(500_000, 5_000_000)
 
-	run := func(flood bool) (load float64, cpuRate float64) {
-		m := machine.New(machine.MicroVAXConfig(1))
-		m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0, SharedReadFraction: 0})
-		maps := &qbus.MapRegisters{}
-		engine := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
-		m.AddDevice(engine)
-		maps.MapRange(0, 0x300000, 1<<20)
-		if flood {
-			words := 256
-			var refill func(bool)
-			refill = func(bool) {
-				engine.Submit(&qbus.Transfer{
-					Device: "flood", ToMemory: true, QAddr: 0, Words: words,
-					Data: make([]uint32, words), OnDone: refill,
-				})
-			}
-			refill(false)
-		}
-		m.Warmup(cycles / 5)
-		m.Run(cycles)
-		rep := m.Report()
-		return rep.BusLoad, rep.MeanCPU().Total / 1000
-	}
-
 	type qbusResult struct{ load, rate float64 }
 	res := SweepItems(o, []bool{false, true}, func(flood bool) qbusResult {
-		load, rate := run(flood)
-		return qbusResult{load, rate}
+		rep := warmRun(machine.MicroVAXConfig(1), cycles, func(m *machine.Machine) {
+			m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0, SharedReadFraction: 0})
+			maps := &qbus.MapRegisters{}
+			engine := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
+			m.AddDevice(engine)
+			maps.MapRange(0, 0x300000, 1<<20)
+			if flood {
+				words := 256
+				var refill func(bool)
+				refill = func(bool) {
+					engine.Submit(&qbus.Transfer{
+						Device: "flood", ToMemory: true, QAddr: 0, Words: words,
+						Data: make([]uint32, words), OnDone: refill,
+					})
+				}
+				refill(false)
+			}
+		})
+		return qbusResult{rep.BusLoad, rep.MeanCPU().Total / 1000}
 	})
 	quietLoad, quietRate := res[0].load, res[0].rate
 	floodLoad, floodRate := res[1].load, res[1].rate
@@ -350,17 +322,15 @@ func LineSizeAblation(o Options) Outcome {
 	simmed := SweepItems(o, lws, func(lw int) lineResult {
 		cfg := machine.MicroVAXConfig(5)
 		cfg.LineWords = lw
-		m := machine.New(cfg)
-		m.AttachSources(func(i int, c *core.Cache) trace.Source {
-			return trace.NewWorkingSet(trace.WorkingSetConfig{
-				Base:  mbus.Addr(0x100000 + uint32(i)*0x80000),
-				Bytes: 0x80000, SetLines: 400, DriftProb: 0.05,
-				Seed: uint64(i) + 9,
+		rep := warmRun(cfg, cycles, func(m *machine.Machine) {
+			m.AttachSources(func(i int, c *core.Cache) trace.Source {
+				return trace.NewWorkingSet(trace.WorkingSetConfig{
+					Base:  mbus.Addr(0x100000 + uint32(i)*0x80000),
+					Bytes: 0x80000, SetLines: 400, DriftProb: 0.05,
+					Seed: uint64(i) + 9,
+				})
 			})
 		})
-		m.Warmup(cycles / 5)
-		m.Run(cycles)
-		rep := m.Report()
 		mean := rep.MeanCPU()
 		return lineResult{mean.MissRate, rep.BusLoad, mean.Total / 1000}
 	})
@@ -393,16 +363,8 @@ func OnChipDataAblation(o Options) Outcome {
 		v := cpu.CVAX78034()
 		v.OnChipDCache = dcache
 		cfg.Variant = v
-		m := machine.New(cfg)
-		m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.05, ShareFraction: 0.1, SharedReadFraction: 0.05})
-		m.Warmup(cycles / 5)
-		m.Run(cycles)
-		rep := m.Report()
-		var instr uint64
-		for _, c := range rep.PerCPU {
-			instr += c.Instructions
-		}
-		return float64(instr) / rep.Seconds
+		rep := warmRun(cfg, cycles, synthetic(trace.SyntheticLoad{MissRate: 0.05, ShareFraction: 0.1, SharedReadFraction: 0.05}))
+		return float64(instructions(rep)) / rep.Seconds
 	}
 
 	res := SweepItems(o, []bool{false, true}, measure)

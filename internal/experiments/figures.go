@@ -50,7 +50,8 @@ func Figure3(Options) Outcome {
 	return Outcome{ID: "figure3", Title: "Cache Line States", Text: b.String()}
 }
 
-// figure3Rig drives caches directly on a small machine.
+// figure3Rig drives caches directly on a two-CPU machine whose
+// processors are halted.
 type figure3Rig struct {
 	m *machine.Machine
 }
@@ -63,14 +64,17 @@ func newFigure3Rig() *figure3Rig {
 	return &figure3Rig{m: m}
 }
 
+// drive submits acc to cache i and, if it misses, runs the machine to
+// the cycle after the bus completion that ends it.
 func (r *figure3Rig) drive(i int, acc core.Access) {
 	c := r.m.Cache(i)
 	if c.Submit(acc) {
 		return
 	}
-	for c.Busy() {
-		r.m.Run(1)
+	if !r.m.RunUntil(func() bool { return !c.AwaitsBus() }, 10_000) {
+		panic(fmt.Sprintf("experiments: cache %d access %+v did not complete", i, acc))
 	}
+	r.m.Run(1)
 }
 
 func (r *figure3Rig) read(i int, addr mbus.Addr) { r.drive(i, core.Access{Addr: addr}) }
@@ -78,28 +82,28 @@ func (r *figure3Rig) write(i int, addr mbus.Addr, data uint32) {
 	r.drive(i, core.Access{Write: true, Addr: addr, Data: data})
 }
 
-// Figure4 traces the MBus through an MRead that finds the line in
-// another cache and an MWrite (conditional write-through), rendering the
-// four-phase timing of the paper's Figure 4 from the observability
-// event stream.
-func Figure4(Options) Outcome {
-	m := machine.New(machine.MicroVAXConfig(2))
-	for _, p := range m.Processors() {
-		p.Halt()
-	}
-	r := &figure3Rig{m: m}
+// Figure4Events traces the MBus through an MRead that finds the line in
+// another cache and an MWrite (conditional write-through), and returns
+// the observability events of the two operations.
+func Figure4Events() []obs.Event {
+	r := newFigure3Rig()
 	// Seed: cache 1 holds the line Dirty (so the MRead is cache-supplied).
 	r.write(1, 0x200, 1)
 	r.write(1, 0x200, 42)
 
 	ring := obs.NewRing(64)
-	m.Trace(ring)
+	r.m.Trace(ring)
 	r.read(0, 0x200)     // MRead: MShared asserted, cache 1 supplies
 	r.write(0, 0x200, 7) // MWrite: conditional write-through, update
+	return ring.Events()
+}
 
+// Figure4 renders the four-phase timing of the paper's Figure 4 from
+// Figure4Events.
+func Figure4(Options) Outcome {
 	var b strings.Builder
 	b.WriteString("MBus timing (100 ns cycles; one operation = 4 cycles):\n\n")
-	b.WriteString(RenderBusTiming(ring.Events()))
+	b.WriteString(RenderBusTiming(Figure4Events()))
 	b.WriteString(`
 Phase 1: arbitration, address and operation driven by the winner.
 Phase 2: write data (MWrite); all other caches probe their tag stores.

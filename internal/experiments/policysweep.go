@@ -8,7 +8,6 @@ import (
 	"firefly/internal/core"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
-	"firefly/internal/sim"
 	"firefly/internal/stats"
 	"firefly/internal/topaz"
 )
@@ -77,21 +76,7 @@ func PolicySweep(o Options) Outcome {
 		cfg := machine.MicroVAXConfig(nproc)
 		cfg.Protocol = pt.proto
 		cfg.Arbiter = arb
-		m := machine.New(cfg)
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 600, Dispatch: pol, Seed: 5})
-		for i := 0; i < 8; i++ {
-			rng := sim.NewRand(uint64(i)*131 + 17)
-			k.Fork(topaz.LoopProgram(1<<30, func(int) []topaz.Action {
-				return []topaz.Action{
-					topaz.Compute{Instructions: 250 + uint64(rng.Intn(300))},
-					topaz.Yield{},
-				}
-			}), topaz.ThreadSpec{
-				Name:            fmt.Sprintf("job%d", i),
-				WorkingSetLines: pt.wsLines,
-				DriftProb:       0.01,
-			}, nil)
-		}
+		m, k := yieldJobs(cfg, pol, pt.wsLines)
 		m.Run(warmup)
 		// Kernel service counters accumulate over the kernel's lifetime
 		// (ResetStats leaves them alone); measure the interval as deltas.

@@ -37,11 +37,8 @@ type Table1SimPoint struct {
 // SimulateTable1Point runs one machine configuration with the model's
 // parameters (M=0.2, S=0.1) and measures the Table 1 quantities.
 func SimulateTable1Point(np int, cycles uint64) Table1SimPoint {
-	m := machine.New(machine.MicroVAXConfig(np))
-	m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05})
-	m.Warmup(cycles / 5)
-	m.Run(cycles)
-	rep := m.Report()
+	rep := warmRun(machine.MicroVAXConfig(np), cycles,
+		synthetic(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05}))
 	mean := rep.MeanCPU()
 	rp := 11.9 / mean.TPI
 	return Table1SimPoint{
@@ -52,6 +49,31 @@ func SimulateTable1Point(np int, cycles uint64) Table1SimPoint {
 		TP:       rp * float64(np),
 		MissRate: mean.MissRate,
 	}
+}
+
+// warmRun is the sweeps' warm-then-measure recipe: it builds a machine
+// from cfg, gives it its load with attach, runs a fifth of cycles as
+// warmup, then cycles measured, and returns the measured report.
+func warmRun(cfg machine.Config, cycles uint64, attach func(*machine.Machine)) machine.Report {
+	m := machine.New(cfg)
+	attach(m)
+	m.Warmup(cycles / 5)
+	m.Run(cycles)
+	return m.Report()
+}
+
+// synthetic is warmRun's attach step for a synthetic load.
+func synthetic(load trace.SyntheticLoad) func(*machine.Machine) {
+	return func(m *machine.Machine) { m.AttachSyntheticLoad(load) }
+}
+
+// instructions returns the instructions the report's processors executed.
+func instructions(rep machine.Report) uint64 {
+	var n uint64
+	for _, c := range rep.PerCPU {
+		n += c.Instructions
+	}
+	return n
 }
 
 // Table1Sim cross-checks the analytic Table 1 against the cycle

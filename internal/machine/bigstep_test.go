@@ -206,11 +206,10 @@ func TestNextEventSeesBusRequests(t *testing.T) {
 	}
 	var retries uint64
 	for i := range m.Caches() {
-		_, r := m.Bus().PortFaults(i)
-		retries += r
+		retries += m.Bus().PortStats(i).Retries
 	}
-	_, dmaRetries := m.Bus().PortFaults(dmaPort)
-	_, mdcRetries := m.Bus().PortFaults(mdcPort)
+	dmaRetries := m.Bus().PortStats(dmaPort).Retries
+	mdcRetries := m.Bus().PortStats(mdcPort).Retries
 	if retries == 0 || dmaRetries == 0 || mdcRetries == 0 {
 		t.Fatalf("cache retries %d, DMA retries %d, display retries %d; want all > 0", retries, dmaRetries, mdcRetries)
 	}

@@ -49,11 +49,6 @@ type Config struct {
 	Arbiter mbus.Arbiter
 	// Seed drives every random stream in the machine.
 	Seed uint64
-	// Tracer, when non-nil, receives observability events from the bus,
-	// the caches, the scheduler, and DMA engines. Nil (the default) keeps
-	// every emission site on a single pointer test. Tracing can also be
-	// enabled after construction with Machine.Trace.
-	Tracer *obs.Tracer
 	// Faults, when non-nil, installs a deterministic fault-injection plan
 	// across the MBus, storage ECC, and cache tag stores. A zero-valued
 	// plan seed defaults to the machine seed, so fault runs stay
@@ -218,9 +213,8 @@ func New(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{cfg: cfg, clock: &sim.Clock{}}
-	m.bus = mbus.New(m.clock, cfg.Arbiter)
 	m.mem = memory.NewSystem(cfg.MemoryModules, cfg.ModuleBytes)
-	m.bus.AttachMemory(m.mem)
+	m.bus = mbus.New(m.clock, cfg.Arbiter, m.mem)
 	for i := 0; i < cfg.Processors; i++ {
 		cache := core.NewCacheGeometry(m.clock, cfg.Protocol, cfg.CacheLines, cfg.LineWords)
 		p := cpu.New(i, m.clock, cfg.Variant, cache, nil, cfg.Seed+uint64(i)*7919)
@@ -245,34 +239,30 @@ func New(cfg Config) *Machine {
 			c.SetTagFaultInjector(m.plan)
 		}
 	}
-	if cfg.Tracer != nil {
-		m.installTracer(cfg.Tracer)
-	}
 	m.buildRegistry()
 	return m
-}
-
-// installTracer points every emission site at tr.
-func (m *Machine) installTracer(tr *obs.Tracer) {
-	m.tracer = tr
-	m.bus.SetTracer(tr)
-	m.mem.SetTracer(tr, m.clock)
-	for i, c := range m.caches {
-		c.SetTracer(tr, i)
-	}
-	// Scheduler and DMA engines read the tracer lazily through
-	// Machine.Tracer / Bus.Tracer, so nothing more to wire.
 }
 
 // Tracer returns the installed tracer, or nil when tracing is off.
 func (m *Machine) Tracer() *obs.Tracer { return m.tracer }
 
-// Trace enables tracing on a running machine, creating the tracer on
-// first use and attaching the given sinks. It returns the tracer so
-// callers can attach more sinks or read the event count.
+// Trace enables tracing, creating the machine's tracer on first use and
+// attaching the given sinks. The tracer receives observability events
+// from the bus, the storage, the caches, the scheduler and DMA engines;
+// without one (the default) every emission site is a single pointer test.
+// It returns the tracer so callers can attach more sinks or read the
+// event count.
 func (m *Machine) Trace(sinks ...obs.Observer) *obs.Tracer {
 	if m.tracer == nil {
-		m.installTracer(obs.NewTracer())
+		tr := obs.NewTracer()
+		m.tracer = tr
+		m.bus.SetTracer(tr)
+		m.mem.SetTracer(tr, m.clock)
+		for i, c := range m.caches {
+			c.SetTracer(tr, i)
+		}
+		// Scheduler and DMA engines read the tracer lazily through
+		// Machine.Tracer / Bus.Tracer, so nothing more to wire.
 	}
 	for _, s := range sinks {
 		m.tracer.Attach(s)
@@ -304,14 +294,8 @@ func (m *Machine) buildRegistry() {
 	// Report without tracing enabled.
 	for i := 0; i < m.cfg.Processors; i++ {
 		i := i
-		r.Register(fmt.Sprintf("bus.port%d.wait_cycles", i), func() uint64 {
-			_, wait := bus.PortCounters(i)
-			return wait
-		})
-		r.Register(fmt.Sprintf("bus.port%d.ops", i), func() uint64 {
-			ops, _ := bus.PortCounters(i)
-			return ops
-		})
+		r.Register(fmt.Sprintf("bus.port%d.wait_cycles", i), func() uint64 { return bus.PortStats(i).WaitCycles })
+		r.Register(fmt.Sprintf("bus.port%d.ops", i), func() uint64 { return bus.PortStats(i).Ops })
 	}
 	for _, k := range opKinds {
 		k := k
@@ -354,14 +338,8 @@ func (m *Machine) buildRegistry() {
 		r.Register(pre+"snoop_supplies", func() uint64 { return c.Stats().SnoopSupplies })
 		r.Register(pre+"snoop_takes", func() uint64 { return c.Stats().SnoopTakes })
 		r.Register(pre+"snoop_invals", func() uint64 { return c.Stats().SnoopInvals })
-		r.Register(pre+"bus_faults", func() uint64 {
-			faults, _ := bus.PortFaults(i)
-			return faults
-		})
-		r.Register(pre+"retries", func() uint64 {
-			_, retries := bus.PortFaults(i)
-			return retries
-		})
+		r.Register(pre+"bus_faults", func() uint64 { return bus.PortStats(i).Faults })
+		r.Register(pre+"retries", func() uint64 { return bus.PortStats(i).Retries })
 		r.Register(pre+"tag_faults", func() uint64 { return c.Stats().TagFaults })
 		r.Register(pre+"machine_checks", func() uint64 { return c.Stats().MachineChecks })
 		r.Register(pre+"abandoned", func() uint64 { return c.Stats().Abandoned })
@@ -667,7 +645,7 @@ func (m *Machine) wake(port int, now, next sim.Cycle) sim.Cycle {
 func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 	ev := m.bus.NextEvent(now)
 	for _, d := range m.devices {
-		ev = sim.EarliestEvent(ev, d.NextEvent(now))
+		ev = min(ev, d.NextEvent(now))
 	}
 	return ev
 }

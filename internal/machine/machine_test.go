@@ -9,7 +9,6 @@ import (
 	"firefly/internal/coherence"
 	"firefly/internal/core"
 	"firefly/internal/cpu"
-	"firefly/internal/mbus"
 	"firefly/internal/memory"
 	"firefly/internal/model"
 	"firefly/internal/sim"
@@ -331,17 +330,19 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestBusOpsByKind(t *testing.T) {
+// TestBusOpKindCounters reads the registry's per-kind bus operation
+// counters on a MESI machine.
+func TestBusOpKindCounters(t *testing.T) {
 	cfg := MicroVAXConfig(2)
 	cfg.Protocol = coherence.MESI{}
 	m := New(cfg)
 	m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.3, SharedReadFraction: 0.3})
 	m.Run(100_000)
-	ops := m.BusOpsByKind()
-	if ops[mbus.MRead] == 0 {
+	reg := m.Registry()
+	if reg.MustValue("bus.ops.mread") == 0 {
 		t.Fatal("no reads recorded")
 	}
-	if ops[mbus.MReadOwn] == 0 {
+	if reg.MustValue("bus.ops.mreadown") == 0 {
 		t.Fatal("MESI machine issued no ownership reads")
 	}
 }

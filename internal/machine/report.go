@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"firefly/internal/mbus"
 	"firefly/internal/stats"
 )
 
@@ -168,17 +167,4 @@ func (r Report) String() string {
 			r.CPUService, r.ServiceFairness)
 	}
 	return b.String()
-}
-
-// BusOpsByKind returns the machine's completed bus operations by kind,
-// for traffic-mix assertions in tests and the protocol comparison.
-func (m *Machine) BusOpsByKind() map[mbus.OpKind]uint64 {
-	st := m.bus.Stats()
-	out := make(map[mbus.OpKind]uint64)
-	for k, n := range st.Ops {
-		if n > 0 {
-			out[mbus.OpKind(k)] = n
-		}
-	}
-	return out
 }

@@ -25,13 +25,11 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestConfigTracerReceivesEvents(t *testing.T) {
+func TestTraceReceivesEvents(t *testing.T) {
 	ring := obs.NewRing(1 << 16)
-	cfg := MicroVAXConfig(2)
-	cfg.Tracer = obs.NewTracer(ring)
-	m := New(cfg)
-	if m.Tracer() == nil {
-		t.Fatal("Config.Tracer not installed")
+	m := New(MicroVAXConfig(2))
+	if m.Trace(ring) == nil || m.Tracer() == nil {
+		t.Fatal("Trace did not install a tracer")
 	}
 	m.AttachSyntheticLoad(stdLoad)
 	m.Run(20_000)
@@ -123,8 +121,8 @@ func TestTraceDeterministic(t *testing.T) {
 		sink := obs.NewJSONL(&buf)
 		cfg := MicroVAXConfig(3)
 		cfg.Seed = 7
-		cfg.Tracer = obs.NewTracer(sink)
 		m := New(cfg)
+		m.Trace(sink)
 		m.AttachSyntheticLoad(stdLoad)
 		m.Run(30_000)
 		if err := sink.Close(); err != nil {
@@ -145,8 +143,8 @@ func TestTraceDeterministic(t *testing.T) {
 	sink := obs.NewJSONL(&buf)
 	cfg := MicroVAXConfig(3)
 	cfg.Seed = 8
-	cfg.Tracer = obs.NewTracer(sink)
 	m := New(cfg)
+	m.Trace(sink)
 	m.AttachSyntheticLoad(stdLoad)
 	m.Run(30_000)
 	if err := sink.Close(); err != nil {
@@ -200,6 +198,25 @@ func TestRegistryMatchesComponentStats(t *testing.T) {
 				t.Fatalf("cache%d.%s = %d, want %d", i, name, got, want)
 			}
 		}
+		// The per-port counters: the registry reads Bus.PortStats, Stats
+		// builds its slices from the same records.
+		portChecks := map[string]uint64{
+			fmtName("bus.port", i, "ops"):         bst.PerPort[i],
+			fmtName("bus.port", i, "wait_cycles"): bst.WaitPerPort[i],
+			fmtName("cache", i, "bus_faults"):     bst.FaultsPerPort[i],
+			fmtName("cache", i, "retries"):        bst.RetriesPerPort[i],
+		}
+		for name, want := range portChecks {
+			if got := reg.MustValue(name); got != want {
+				t.Fatalf("%s = %d, bus stats say %d", name, got, want)
+			}
+		}
+		if bst.PerPort[i] == 0 {
+			t.Fatalf("port %d completed no operations; the check covers nothing", i)
+		}
+	}
+	if bst.WaitPerPort[1] == 0 {
+		t.Fatal("port 1 never waited; the check covers nothing")
 	}
 	// The registry must be live: after more cycles the values move.
 	before := reg.MustValue("bus.cycles")

@@ -188,7 +188,7 @@ func TestBusArbitrationMatchesReference(t *testing.T) {
 			arb, _ := NewArbiterByName(name)
 			ref := refArbiter(name)
 			clock := &sim.Clock{}
-			b := New(clock, arb)
+			b := New(clock, arb, newFlatMemory())
 			granted := -1
 			b.SetTracer(obs.NewTracer(obs.ObserverFunc(func(e obs.Event) {
 				if e.Kind == obs.KindBusGrant {

@@ -34,8 +34,7 @@ func (g *greedyInitiator) BusComplete(Result) {
 func saturate(t *testing.T, arb Arbiter, n, cycles int) []int {
 	t.Helper()
 	clock := &sim.Clock{}
-	b := New(clock, arb)
-	b.AttachMemory(newFlatMemory())
+	b := New(clock, arb, newFlatMemory())
 	inits := make([]*greedyInitiator, n)
 	for i := range inits {
 		inits[i] = &greedyInitiator{addr: Addr(i) << 20}
@@ -99,8 +98,7 @@ func TestFCFSBoundsStarvation(t *testing.T) {
 // priority port 0 never waits.
 func TestWaitPerPortAccounting(t *testing.T) {
 	clock := &sim.Clock{}
-	b := New(clock, NewFixedPriority())
-	b.AttachMemory(newFlatMemory())
+	b := New(clock, NewFixedPriority(), newFlatMemory())
 	inits := make([]*greedyInitiator, 3)
 	for i := range inits {
 		inits[i] = &greedyInitiator{addr: Addr(i) << 20}
@@ -218,8 +216,7 @@ func TestBusBeyond64Ports(t *testing.T) {
 	for _, name := range ArbiterNames() {
 		arb, _ := NewArbiterByName(name)
 		clock := &sim.Clock{}
-		b := New(clock, arb)
-		b.AttachMemory(newFlatMemory())
+		b := New(clock, arb, newFlatMemory())
 		var arbs []obs.Event
 		b.SetTracer(obs.NewTracer(obs.ObserverFunc(func(e obs.Event) {
 			if e.Kind == obs.KindBusArb {

@@ -105,27 +105,11 @@ func TestTimeoutHoldsBus(t *testing.T) {
 	}
 }
 
-// eccTestMemory wraps flatMemory with a scripted uncorrectable read.
-type eccTestMemory struct {
-	*flatMemory
-	badReads int // fault the next n ECC reads
-}
-
-func (m *eccTestMemory) ReadWordECC(a Addr) (uint32, bool, bool) {
-	w, ok := m.ReadWord(a)
-	if m.badReads > 0 {
-		m.badReads--
-		return 0, ok, true
-	}
-	return w, ok, false
-}
-
 func TestECCFaultSurfacesOnRead(t *testing.T) {
 	clock := &sim.Clock{}
-	b := New(clock, nil)
-	mem := &eccTestMemory{flatMemory: newFlatMemory(), badReads: 1}
-	mem.words[Addr(0x300)] = 99
-	b.AttachMemory(mem)
+	mem := newFlatMemory()
+	mem.words[Addr(0x300)], mem.badReads = 99, 1
+	b := New(clock, nil, mem)
 	a := &testInitiator{}
 	b.Attach(a, nil, nil)
 

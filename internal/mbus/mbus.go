@@ -24,6 +24,10 @@
 // such tag store (TagStore). Only the caches that hold the line drive
 // MShared or change state, and the bus calls SnoopProbe only on the
 // caches whose tag store may hold it.
+//
+// As on the hardware, the storage modules are always behind the bus: New
+// takes them, and every read the caches do not supply goes through the
+// one Memory.ReadWord, which carries the storage's ECC verdict.
 package mbus
 
 import (
@@ -282,8 +286,7 @@ type Snooper interface {
 }
 
 // TagSnooper is an optional Snooper extension for an agent whose tag
-// store the bus may read. The bus type-asserts for it at Attach, the same
-// way AttachMemory detects ECCMemory.
+// store the bus may read. The bus type-asserts for it at Attach.
 type TagSnooper interface {
 	Snooper
 	// TagStore returns the snooper's tag store. The bus keeps the pointer
@@ -336,23 +339,14 @@ func (t *TagStore) MayHold(addr Addr) bool {
 // Memory is the storage module array on the bus.
 type Memory interface {
 	// ReadWord returns the word at addr; ok is false for unpopulated
-	// addresses.
-	ReadWord(addr Addr) (data uint32, ok bool)
+	// addresses. uncorrectable reports an error the storage's ECC detected
+	// but could not fix: the data must not be used, and the bus delivers
+	// FaultECC. Correctable errors are fixed in the storage and never
+	// surface here.
+	ReadWord(addr Addr) (data uint32, ok, uncorrectable bool)
 	// WriteWord stores the word at addr; ok is false for unpopulated
 	// addresses.
 	WriteWord(addr Addr, data uint32) (ok bool)
-}
-
-// ECCMemory is an optional Memory extension for storage with an
-// error-detection model. The bus type-asserts for it at AttachMemory and,
-// when present, routes operation reads through ReadWordECC so an
-// uncorrectable storage error reaches the initiator as FaultECC.
-type ECCMemory interface {
-	Memory
-	// ReadWordECC reads like ReadWord but additionally reports whether an
-	// uncorrectable error corrupted the data (correctable errors are fixed
-	// internally and never surface here).
-	ReadWordECC(addr Addr) (data uint32, ok bool, uncorrectable bool)
 }
 
 // FaultInjector decides, per bus operation, whether an injected fault
@@ -383,9 +377,20 @@ type port struct {
 	req     Request
 	at      sim.Cycle
 	retried int
-	// faults and retries are the port's entries of Stats.FaultsPerPort
-	// and Stats.RetriesPerPort.
-	faults, retries uint64
+	stats   PortStats
+}
+
+// PortStats is one port's counters, its entries of the per-port slices
+// of Stats.
+type PortStats struct {
+	Ops uint64 // completed operations the port initiated
+	// WaitCycles counts the cycles the port was passed over while
+	// another port was granted: its share of Stats.WaitCycles.
+	WaitCycles uint64
+	// Faults counts the port's faulted operations (parity, timeout or
+	// uncorrectable ECC), retried or delivered; Retries the ones the bus
+	// raised again after a backoff.
+	Faults, Retries uint64
 }
 
 // holder is one snooper's non-zero verdict on the in-flight operation.
@@ -400,18 +405,15 @@ type Stats struct {
 	BusyCycles uint64             // cycles occupied by operations
 	Cycles     uint64             // cycles elapsed since New or ResetStats
 	SharedHits uint64             // ops during which MShared was asserted
-	WaitCycles uint64             // requester-cycles spent waiting for grant
-	PerPort    []uint64           // completed operations per initiating port
-	// WaitPerPort splits WaitCycles by the waiting port: the per-port
-	// arbitration losses that the fairness sweeps turn into wait-cycle
-	// tails. Like WaitCycles it counts arbitration-conflict cycles (a
+	// WaitCycles counts requester-cycles of arbitration conflict (a
 	// requester passed over while another port was granted), not cycles
 	// spent behind a bus already busy.
-	WaitPerPort []uint64
-	// FaultsPerPort counts each initiating port's faulted operations
-	// (parity, timeout or uncorrectable ECC), retried or delivered;
-	// RetriesPerPort the ones the bus raised again after a backoff.
-	FaultsPerPort, RetriesPerPort []uint64
+	WaitCycles uint64
+	// PerPort, WaitPerPort, FaultsPerPort and RetriesPerPort hold each
+	// port's PortStats fields (Ops, WaitCycles, Faults, Retries) in port
+	// order. WaitPerPort is what the fairness sweeps turn into wait-cycle
+	// tails.
+	PerPort, WaitPerPort, FaultsPerPort, RetriesPerPort []uint64
 	// FaultedOps counts operations aborted by an injected parity error or
 	// timeout; they occupy the bus but are not counted in Ops.
 	FaultedOps uint64
@@ -441,12 +443,11 @@ func (s Stats) Load() float64 {
 // Bus is the MBus. It is stepped once per 100 ns cycle by the machine's
 // run loop; it is not safe for concurrent use (the hardware wasn't either).
 type Bus struct {
-	clock  *sim.Clock
-	arb    Arbiter
-	ports  []port
-	mem    Memory
-	eccMem ECCMemory // non-nil when mem implements ECCMemory
-	inj    FaultInjector
+	clock *sim.Clock
+	arb   Arbiter
+	ports []port
+	mem   Memory
+	inj   FaultInjector
 	// The retry policy for faulted operations (SetFaultPolicy).
 	maxRetries    int
 	backoffCycles uint64
@@ -478,22 +479,22 @@ type Bus struct {
 	raised, backoff, ready Lines
 	words0                 [3]uint64
 
-	stats Stats
+	stats Stats     // the scalar counters; the per-port ones are in ports
 	since sim.Cycle // clock at New or the last ResetStats; Stats derives Cycles from it
 
 	tracer *obs.Tracer
 }
 
-// New returns an empty bus on the given clock with the given arbitration
-// policy (nil: the hardware's fixed priority). The bus adopts the arbiter
-// — Reset is called here, and stateful arbiters must not be shared
-// between buses.
-func New(clock *sim.Clock, arb Arbiter) *Bus {
+// New returns a bus with no agents on the given clock, with the given
+// arbitration policy (nil: the hardware's fixed priority) and the storage
+// modules mem behind it. The bus adopts the arbiter — Reset is called
+// here, and stateful arbiters must not be shared between buses.
+func New(clock *sim.Clock, arb Arbiter, mem Memory) *Bus {
 	if arb == nil {
 		arb = NewFixedPriority()
 	}
 	arb.Reset()
-	b := &Bus{clock: clock, arb: arb, lastGrant: -1, since: clock.Now()}
+	b := &Bus{clock: clock, arb: arb, mem: mem, lastGrant: -1, since: clock.Now()}
 	b.raised, b.backoff, b.ready = b.words0[0:1:1], b.words0[1:2:2], b.words0[2:3:3]
 	return b
 }
@@ -503,13 +504,6 @@ func (b *Bus) Arbiter() Arbiter { return b.arb }
 
 // Clock returns the bus clock.
 func (b *Bus) Clock() *sim.Clock { return b.clock }
-
-// AttachMemory connects the storage module array. Storage implementing
-// ECCMemory gets its error model consulted on every operation read.
-func (b *Bus) AttachMemory(m Memory) {
-	b.mem = m
-	b.eccMem, _ = m.(ECCMemory)
-}
 
 // SetFaultPolicy installs (or, with nil, removes) the per-operation
 // fault injector, and sets the retry policy for every initiator's faulted
@@ -526,8 +520,8 @@ func (b *Bus) SetFaultPolicy(inj FaultInjector, maxRetries int, backoffCycles ui
 // for agents that lack it (memory-side DMA engines do not snoop, pure
 // snoopers never initiate). An initiator is handed its request line
 // (Initiator.BusAttach); the bus keeps the port's line state, as it keeps
-// its counters. A snooper implementing TagSnooper has its tag store
-// probed by the bus itself.
+// its counters (PortStats). A snooper implementing TagSnooper has its tag
+// store probed by the bus itself.
 func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 	p := port{initiator: in, snooper: sn, sink: sink}
 	if ts, ok := sn.(TagSnooper); ok {
@@ -535,8 +529,6 @@ func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 	}
 	n := len(b.ports)
 	b.ports = append(b.ports, p)
-	b.stats.PerPort = append(b.stats.PerPort, 0)
-	b.stats.WaitPerPort = append(b.stats.WaitPerPort, 0)
 	if n == 64*len(b.raised) {
 		b.raised = append(b.raised, 0)
 		b.backoff = append(b.backoff, 0)
@@ -553,46 +545,32 @@ func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 // count without the bus doing anything for them.
 func (b *Bus) Stats() Stats {
 	s := b.Counters()
-	s.PerPort = append([]uint64(nil), b.stats.PerPort...)
-	s.WaitPerPort = append([]uint64(nil), b.stats.WaitPerPort...)
-	s.FaultsPerPort = make([]uint64, len(b.ports))
-	s.RetriesPerPort = make([]uint64, len(b.ports))
+	n := len(b.ports)
+	s.PerPort, s.WaitPerPort = make([]uint64, n), make([]uint64, n)
+	s.FaultsPerPort, s.RetriesPerPort = make([]uint64, n), make([]uint64, n)
 	for i := range b.ports {
-		s.FaultsPerPort[i], s.RetriesPerPort[i] = b.PortFaults(i)
+		p := &b.ports[i].stats
+		s.PerPort[i], s.WaitPerPort[i], s.FaultsPerPort[i], s.RetriesPerPort[i] = p.Ops, p.WaitCycles, p.Faults, p.Retries
 	}
 	return s
 }
 
 // Counters returns the scalar counters of Stats, Cycles included, and
-// copies nothing: the per-port slices are nil. PortCounters and
-// PortFaults read one port's entries.
+// copies nothing: the per-port slices are nil. PortStats reads one port.
 func (b *Bus) Counters() Stats {
 	s := b.stats
 	s.Cycles = uint64(b.clock.Now() - b.since)
-	s.PerPort, s.WaitPerPort = nil, nil
 	return s
 }
 
-// PortCounters returns port's entries of Stats.PerPort and
-// Stats.WaitPerPort.
-func (b *Bus) PortCounters(port int) (ops, wait uint64) {
-	return b.stats.PerPort[port], b.stats.WaitPerPort[port]
-}
-
-// PortFaults returns port's entries of Stats.FaultsPerPort and
-// Stats.RetriesPerPort.
-func (b *Bus) PortFaults(port int) (faults, retries uint64) {
-	return b.ports[port].faults, b.ports[port].retries
-}
+// PortStats returns port's counters.
+func (b *Bus) PortStats(port int) PortStats { return b.ports[port].stats }
 
 // ResetStats clears the accumulated statistics (the clock is unaffected).
 func (b *Bus) ResetStats() {
-	per, wait := b.stats.PerPort, b.stats.WaitPerPort
-	clear(per)
-	clear(wait)
-	b.stats = Stats{PerPort: per, WaitPerPort: wait}
+	b.stats = Stats{}
 	for i := range b.ports {
-		b.ports[i].faults, b.ports[i].retries = 0, 0
+		b.ports[i].stats = PortStats{}
 	}
 	b.since = b.clock.Now()
 }
@@ -749,7 +727,7 @@ func (b *Bus) arbitrate() {
 			}
 			waiting++
 			b.stats.WaitCycles++
-			b.stats.WaitPerPort[i]++
+			b.ports[i].stats.WaitCycles++
 			if i < 64 {
 				mask |= 1 << uint(i)
 			}
@@ -905,11 +883,9 @@ func (b *Bus) complete() int {
 	}
 	// Snoop-side flushes land before the operation's own memory effect so
 	// the operation's data (the newest value) wins on overlap.
-	if b.mem != nil {
-		for i := range b.holders {
-			for _, f := range b.holders[i].v.Flush {
-				b.mem.WriteWord(f.Addr, f.Data)
-			}
+	for i := range b.holders {
+		for _, f := range b.holders[i].v.Flush {
+			b.mem.WriteWord(f.Addr, f.Data)
 		}
 	}
 	if b.op.IsRead() {
@@ -936,32 +912,26 @@ func (b *Bus) complete() int {
 		if supplied {
 			res.Data = word
 			res.CacheSupplied = true
-			if reflect && b.mem != nil {
+			if reflect {
 				b.mem.WriteWord(b.addr, word)
 			}
-		} else if b.eccMem != nil {
-			if w, ok, bad := b.eccMem.ReadWordECC(b.addr); ok {
-				if bad {
-					// An uncorrectable storage error: the operation ran
-					// normally on the bus, but the data is unusable. The
-					// error is transient, so the retry (deliver) re-reads
-					// a clean word.
-					res.Fault = FaultECC
-				} else {
-					res.Data = w
-				}
-			}
-		} else if b.mem != nil {
-			if w, ok := b.mem.ReadWord(b.addr); ok {
+		} else if w, ok, bad := b.mem.ReadWord(b.addr); ok {
+			if bad {
+				// An uncorrectable storage error: the operation ran
+				// normally on the bus, but the data is unusable. The
+				// error is transient, so the retry (deliver) re-reads a
+				// clean word.
+				res.Fault = FaultECC
+			} else {
 				res.Data = w
 			}
 		}
 	}
-	if b.op.WritesMemory() && b.mem != nil {
+	if b.op.WritesMemory() {
 		b.mem.WriteWord(b.addr, b.data)
 	}
 	b.stats.Ops[b.op]++
-	b.stats.PerPort[b.portNum]++
+	b.ports[b.portNum].stats.Ops++
 	if b.tracer != nil {
 		var shared uint64
 		if b.shared {
@@ -1014,10 +984,10 @@ func (b *Bus) completeFaulted() int {
 func (b *Bus) deliver(res Result) int {
 	p := &b.ports[b.portNum]
 	if res.Fault != FaultNone {
-		p.faults++
+		p.stats.Faults++
 		if p.retried < b.maxRetries {
 			p.retried++
-			p.retries++
+			p.stats.Retries++
 			backoff := b.backoffCycles << (p.retried - 1)
 			now := b.clock.Now()
 			Line{bus: b, port: b.portNum}.Raise(p.req, now+sim.Cycle(backoff))

@@ -57,18 +57,24 @@ func (ts *testSnooper) SnoopCommit(op OpKind, addr Addr, data uint32, shared boo
 	}
 }
 
-// flatMemory is a trivial mbus.Memory for tests.
+// flatMemory is a trivial mbus.Memory for tests. Its next badReads reads
+// are uncorrectable.
 type flatMemory struct {
-	words  map[Addr]uint32
-	reads  int
-	writes int
+	words    map[Addr]uint32
+	reads    int
+	writes   int
+	badReads int
 }
 
 func newFlatMemory() *flatMemory { return &flatMemory{words: make(map[Addr]uint32)} }
 
-func (m *flatMemory) ReadWord(a Addr) (uint32, bool) {
+func (m *flatMemory) ReadWord(a Addr) (uint32, bool, bool) {
 	m.reads++
-	return m.words[a.Line()], true
+	if m.badReads > 0 {
+		m.badReads--
+		return 0, true, true
+	}
+	return m.words[a.Line()], true, false
 }
 
 func (m *flatMemory) WriteWord(a Addr, d uint32) bool {
@@ -79,10 +85,8 @@ func (m *flatMemory) WriteWord(a Addr, d uint32) bool {
 
 func newTestBus() (*Bus, *sim.Clock, *flatMemory) {
 	clock := &sim.Clock{}
-	b := New(clock, nil)
 	mem := newFlatMemory()
-	b.AttachMemory(mem)
-	return b, clock, mem
+	return New(clock, nil, mem), clock, mem
 }
 
 func run(b *Bus, clock *sim.Clock, cycles int) {
@@ -352,8 +356,7 @@ func TestFixedPriorityArbitration(t *testing.T) {
 
 func TestRoundRobinArbitration(t *testing.T) {
 	clock := &sim.Clock{}
-	b := New(clock, NewRoundRobin())
-	b.AttachMemory(newFlatMemory())
+	b := New(clock, NewRoundRobin(), newFlatMemory())
 	a0 := &testInitiator{}
 	a1 := &testInitiator{}
 	b.Attach(a0, nil, nil)
@@ -381,8 +384,7 @@ func TestIdleBusAccumulatesNoBusy(t *testing.T) {
 
 func TestInitiatorDoesNotSnoopItself(t *testing.T) {
 	clock := &sim.Clock{}
-	b := New(clock, nil)
-	b.AttachMemory(newFlatMemory())
+	b := New(clock, nil, newFlatMemory())
 	// An agent that both initiates and snoops (like a real cache).
 	init := &testInitiator{}
 	self := newTestSnooper(true)

@@ -75,8 +75,8 @@ func TestBusRetriesFaultedOps(t *testing.T) {
 		if len(a.results) != 1 {
 			t.Fatalf("%d results for one operation, want 1", len(a.results))
 		}
-		if faults, retries := b.PortFaults(0); faults != 2 || retries != 2 {
-			t.Fatalf("port faults/retries = %d/%d, want 2/2", faults, retries)
+		if p := b.PortStats(0); p.Faults != 2 || p.Retries != 2 {
+			t.Fatalf("port faults/retries = %d/%d, want 2/2", p.Faults, p.Retries)
 		}
 		for i, e := range log.retries {
 			if e.Unit != 0 || e.A != uint64(i+1) || e.B != backoff<<i || e.Addr != 0x100 || e.Label != "" {
@@ -118,8 +118,8 @@ func TestBusRetriesFaultedOps(t *testing.T) {
 		if got := log.retries[2:]; len(got) != 3 || got[0].A != 1 || got[1].A != 2 || got[2].A != 3 || got[2].B != 20 {
 			t.Fatalf("retries of the second operation %+v, want attempts 1-3 with the last backing off 20", got)
 		}
-		if faults, retries := b.PortFaults(0); faults != 6 || retries != 5 {
-			t.Fatalf("port faults/retries = %d/%d, want 6/5", faults, retries)
+		if p := b.PortStats(0); p.Faults != 6 || p.Retries != 5 {
+			t.Fatalf("port faults/retries = %d/%d, want 6/5", p.Faults, p.Retries)
 		}
 
 		// After the budget was spent the count starts afresh too.
@@ -169,17 +169,16 @@ func TestBusRetriesFaultedOps(t *testing.T) {
 			t.Fatalf("faults %v, retries %v per port, want [2 1] and [2 1]", st.FaultsPerPort, st.RetriesPerPort)
 		}
 		b.ResetStats()
-		if faults, retries := b.PortFaults(0); faults != 0 || retries != 0 {
-			t.Fatalf("after ResetStats port 0 reads %d faults, %d retries", faults, retries)
+		if p := b.PortStats(0); p.Faults != 0 || p.Retries != 0 {
+			t.Fatalf("after ResetStats port 0 reads %d faults, %d retries", p.Faults, p.Retries)
 		}
 	})
 
 	t.Run("uncorrectable ECC read", func(t *testing.T) {
 		clock := &sim.Clock{}
-		b := New(clock, nil)
-		mem := &eccTestMemory{flatMemory: newFlatMemory(), badReads: 1}
-		mem.words[0x300] = 99
-		b.AttachMemory(mem)
+		mem := newFlatMemory()
+		mem.words[0x300], mem.badReads = 99, 1
+		b := New(clock, nil, mem)
 		a := &testInitiator{}
 		b.Attach(a, nil, nil)
 		b.SetFaultPolicy(nil, maxRetries, backoff)

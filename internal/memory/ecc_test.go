@@ -31,7 +31,7 @@ func TestECCCorrectedReadReturnsGoodData(t *testing.T) {
 	sys.Poke(0x10, 42)
 	sys.SetECC(&scriptedECC{corr: map[mbus.Addr]int{0x10: 1}})
 
-	data, ok, unc := sys.ReadWordECC(0x10)
+	data, ok, unc := sys.ReadWord(0x10)
 	if !ok || unc {
 		t.Fatalf("ok/unc = %v/%v, want true/false", ok, unc)
 	}
@@ -49,11 +49,11 @@ func TestECCUncorrectableReadSurfacesAndIsTransient(t *testing.T) {
 	sys.Poke(0x20, 99)
 	sys.SetECC(&scriptedECC{unc: map[mbus.Addr]int{0x20: 1}})
 
-	if _, ok, unc := sys.ReadWordECC(0x20); !ok || !unc {
+	if _, ok, unc := sys.ReadWord(0x20); !ok || !unc {
 		t.Fatalf("ok/unc = %v/%v, want true/true", ok, unc)
 	}
 	// The strike was transient: the retry reads clean data.
-	data, ok, unc := sys.ReadWordECC(0x20)
+	data, ok, unc := sys.ReadWord(0x20)
 	if !ok || unc || data != 99 {
 		t.Fatalf("retry after uncorrectable: data/ok/unc = %d/%v/%v, want 99/true/false",
 			data, ok, unc)
@@ -61,21 +61,6 @@ func TestECCUncorrectableReadSurfacesAndIsTransient(t *testing.T) {
 	st := sys.ECCStats()
 	if st.Corrected != 0 || st.Uncorrectable != 1 {
 		t.Fatalf("corrected/uncorrectable = %d/%d, want 0/1", st.Corrected, st.Uncorrectable)
-	}
-}
-
-func TestECCNoModelMatchesReadWord(t *testing.T) {
-	sys := NewSystem(1, 0x1000)
-	sys.Poke(0x30, 7)
-	d1, ok1 := sys.ReadWord(0x30)
-	d2, ok2, unc := sys.ReadWordECC(0x30)
-	if d1 != d2 || ok1 != ok2 || unc {
-		t.Fatalf("ECC-less ReadWordECC diverges from ReadWord: %d/%v vs %d/%v/%v",
-			d1, ok1, d2, ok2, unc)
-	}
-	// Out of range behaves identically too.
-	if _, ok, _ := sys.ReadWordECC(0x900000); ok {
-		t.Fatal("ReadWordECC accepted an unpopulated address")
 	}
 }
 
@@ -88,8 +73,8 @@ func TestECCEventsTraced(t *testing.T) {
 	ring := obs.NewRing(16)
 	sys.SetTracer(obs.NewTracer(ring), nil)
 
-	sys.ReadWordECC(0x40)
-	sys.ReadWordECC(0x44)
+	sys.ReadWord(0x40)
+	sys.ReadWord(0x44)
 
 	evs := ring.Events()
 	if len(evs) != 2 {

@@ -4,7 +4,9 @@
 // 128 MB). Storage responds in the fourth cycle of an MBus operation
 // unless a cache asserted MShared, in which case it is inhibited for reads
 // (the caches supply the data) but still absorbs writes — Firefly
-// write-through updates main storage as well as the sharing caches.
+// write-through updates main storage as well as the sharing caches. Every
+// bus read passes the ECC checker (System.ReadWord), whose soft-error
+// model is optional (System.SetECC).
 package memory
 
 import (
@@ -121,9 +123,7 @@ type ECCStats struct {
 }
 
 // System is the full storage array: master plus slaves, presented to the
-// bus as a single address space. It implements mbus.Memory (and
-// mbus.ECCMemory; without an ECC model installed the extended read is
-// identical to ReadWord).
+// bus as a single address space. It implements mbus.Memory.
 type System struct {
 	modules []*Module
 	ecc     ECCModel
@@ -199,15 +199,6 @@ func (s *System) find(addr mbus.Addr) *Module {
 	return nil
 }
 
-// ReadWord implements mbus.Memory.
-func (s *System) ReadWord(addr mbus.Addr) (uint32, bool) {
-	m := s.find(addr)
-	if m == nil {
-		return 0, false
-	}
-	return m.read(addr), true
-}
-
 // WriteWord implements mbus.Memory.
 func (s *System) WriteWord(addr mbus.Addr, data uint32) bool {
 	m := s.find(addr)
@@ -218,16 +209,17 @@ func (s *System) WriteWord(addr mbus.Addr, data uint32) bool {
 	return true
 }
 
-// ReadWordECC implements mbus.ECCMemory: ReadWord plus the soft-error
-// model. A correctable error is fixed (the returned data is good) and
-// counted; an uncorrectable one returns uncorrectable=true and the data
-// must not be used.
-func (s *System) ReadWordECC(addr mbus.Addr) (uint32, bool, bool) {
+// ReadWord implements mbus.Memory: it reads the word through the ECC
+// checker. Without a soft-error model (SetECC) no read faults. A
+// correctable error is fixed (the returned data is good) and counted; an
+// uncorrectable one returns uncorrectable=true and the data must not be
+// used.
+func (s *System) ReadWord(addr mbus.Addr) (data uint32, ok, uncorrectable bool) {
 	m := s.find(addr)
 	if m == nil {
 		return 0, false, false
 	}
-	data := m.read(addr)
+	data = m.read(addr)
 	if s.ecc != nil {
 		if faulted, unc := s.ecc.ReadFault(addr); faulted {
 			if unc {
@@ -281,4 +273,3 @@ func (s *System) Poke(addr mbus.Addr, data uint32) {
 }
 
 var _ mbus.Memory = (*System)(nil)
-var _ mbus.ECCMemory = (*System)(nil)

@@ -48,12 +48,12 @@ func TestSystemReadWrite(t *testing.T) {
 	if ok := s.WriteWord(0x123450, 0xdeadbeef); !ok {
 		t.Fatal("write failed")
 	}
-	w, ok := s.ReadWord(0x123450)
+	w, ok, _ := s.ReadWord(0x123450)
 	if !ok || w != 0xdeadbeef {
 		t.Fatalf("read = %#x,%v", w, ok)
 	}
 	// Unwritten storage reads as zero.
-	w, ok = s.ReadWord(0x200000)
+	w, ok, _ = s.ReadWord(0x200000)
 	if !ok || w != 0 {
 		t.Fatalf("unwritten read = %#x,%v, want 0,true", w, ok)
 	}
@@ -61,7 +61,7 @@ func TestSystemReadWrite(t *testing.T) {
 
 func TestSystemUnpopulated(t *testing.T) {
 	s := NewMicroVAXSystem(1) // 4 MB only
-	if _, ok := s.ReadWord(5 << 20); ok {
+	if _, ok, _ := s.ReadWord(5 << 20); ok {
 		t.Fatal("read beyond populated storage succeeded")
 	}
 	if ok := s.WriteWord(5<<20, 1); ok {
@@ -72,7 +72,7 @@ func TestSystemUnpopulated(t *testing.T) {
 func TestSystemLineGranularity(t *testing.T) {
 	s := NewMicroVAXSystem(1)
 	s.WriteWord(0x1002, 42) // unaligned byte address within line 0x1000
-	if w, _ := s.ReadWord(0x1000); w != 42 {
+	if w, _, _ := s.ReadWord(0x1000); w != 42 {
 		t.Fatalf("line aliasing broken: read %d", w)
 	}
 }
@@ -86,7 +86,7 @@ func TestSystemModuleSelection(t *testing.T) {
 	if w0 != 1 || w1 != 1 || r0 != 0 || r1 != 0 {
 		t.Fatalf("module access counts = %d/%d %d/%d", r0, w0, r1, w1)
 	}
-	if w, _ := s.ReadWord(0x400100); w != 2 {
+	if w, _, _ := s.ReadWord(0x400100); w != 2 {
 		t.Fatalf("module 1 word = %d", w)
 	}
 }
@@ -150,7 +150,7 @@ func TestReadBackProperty(t *testing.T) {
 		if !s.WriteWord(a, data) {
 			return false
 		}
-		w, ok := s.ReadWord(a)
+		w, ok, _ := s.ReadWord(a)
 		return ok && w == data
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -162,8 +162,8 @@ func TestDistinctLinesIndependent(t *testing.T) {
 	s := NewMicroVAXSystem(1)
 	s.WriteWord(0x0, 1)
 	s.WriteWord(0x4, 2)
-	a, _ := s.ReadWord(0x0)
-	b, _ := s.ReadWord(0x4)
+	a, _, _ := s.ReadWord(0x0)
+	b, _, _ := s.ReadWord(0x4)
 	if a != 1 || b != 2 {
 		t.Fatalf("adjacent lines interfere: %d %d", a, b)
 	}

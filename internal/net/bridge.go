@@ -150,7 +150,7 @@ func (b *Bridge) NextEvent(now sim.Cycle) sim.Cycle {
 		if r <= now {
 			r = now + 1
 		}
-		ev = sim.EarliestEvent(ev, r)
+		ev = min(ev, r)
 	}
 	return ev
 }

@@ -270,7 +270,7 @@ func (s *Segment) NextEvent(now sim.Cycle) sim.Cycle {
 		if st.queue.Len() == 0 {
 			continue
 		}
-		ev = sim.EarliestEvent(ev, s.contendAt(st, now))
+		ev = min(ev, s.contendAt(st, now))
 	}
 	return ev
 }
@@ -327,8 +327,8 @@ func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 			rem = 1
 		}
 		abort := ready + sim.Cycle(uint64(rem-1)*s.cfg.SlotCycles)
-		ev = sim.EarliestEvent(ev, abort)
-		h = sim.EarliestEvent(h, ev)
+		ev = min(ev, abort)
+		h = min(h, ev)
 	}
 	return h
 }

@@ -294,7 +294,7 @@ func (w *replayWire) jumpTarget(end sim.Cycle) sim.Cycle {
 	now := w.clock.Now()
 	ev := w.seg.NextEvent(now)
 	if w.next < len(w.sends) {
-		ev = sim.EarliestEvent(ev, w.sends[w.next].at+1)
+		ev = min(ev, w.sends[w.next].at+1)
 	}
 	if ev <= now+1 {
 		return now

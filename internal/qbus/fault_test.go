@@ -112,7 +112,8 @@ func TestDMABusFaultRetrySucceeds(t *testing.T) {
 	if !done || faulted {
 		t.Fatalf("done=%v faulted=%v, want clean retry recovery", done, faulted)
 	}
-	faults, retries := b.m.Bus().PortFaults(b.engine.Port())
+	p := b.m.Bus().PortStats(b.engine.Port())
+	faults, retries := p.Faults, p.Retries
 	if aborted := b.engine.Stats().Aborted.Value(); faults != 1 || retries != 1 || aborted != 0 {
 		t.Fatalf("busfaults/retries/aborted = %d/%d/%d, want 1/1/0", faults, retries, aborted)
 	}
@@ -141,8 +142,8 @@ func TestDMABusFaultExhaustionAborts(t *testing.T) {
 		t.Fatalf("Aborted = %d, want 1", st.Aborted.Value())
 	}
 	// Initial attempt + 2 retries, all faulted.
-	if faults, retries := b.m.Bus().PortFaults(b.engine.Port()); faults != 3 || retries != 2 {
-		t.Fatalf("busfaults/retries = %d/%d, want 3/2", faults, retries)
+	if p := b.m.Bus().PortStats(b.engine.Port()); p.Faults != 3 || p.Retries != 2 {
+		t.Fatalf("busfaults/retries = %d/%d, want 3/2", p.Faults, p.Retries)
 	}
 	if st.WordsMoved.Value() != 0 {
 		t.Fatalf("faulted transfer moved %d words", st.WordsMoved.Value())

@@ -127,14 +127,6 @@ func FrameDst(words []uint32) int {
 	return int(words[0] & 0xffff)
 }
 
-// FrameSrc extracts the source station from a frame.
-func FrameSrc(words []uint32) int {
-	if len(words) == 0 {
-		return -1
-	}
-	return int(words[0] >> 16)
-}
-
 // fragHeader is a parsed transport header.
 type fragHeader struct {
 	src, dst     int

@@ -61,12 +61,3 @@ func (c *Clock) Advance(n Cycle) Cycle {
 // any future cycle without external input (a new request, a delivered
 // frame, a resumed processor). Any real event cycle compares smaller.
 const Never Cycle = ^Cycle(0)
-
-// EarliestEvent returns the smaller of two event cycles, treating Never
-// as "no event". It is the fold step for a machine-wide NextEvent scan.
-func EarliestEvent(a, b Cycle) Cycle {
-	if b < a {
-		return b
-	}
-	return a
-}

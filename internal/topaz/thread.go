@@ -107,10 +107,6 @@ func (t *Thread) Name() string { return t.spec.Name }
 // State returns the scheduling state.
 func (t *Thread) State() ThreadState { return t.state }
 
-// LastProc returns the processor the thread last ran on — the affinity
-// hint dispatch policies consult — or -1 if it has never run.
-func (t *Thread) LastProc() int { return t.lastProc }
-
 // Space returns the thread's address space.
 func (t *Thread) Space() *AddressSpace { return t.space }
 
