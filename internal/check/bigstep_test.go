@@ -8,6 +8,8 @@ import (
 	"firefly/internal/cpu"
 	"firefly/internal/fault"
 	"firefly/internal/machine"
+	"firefly/internal/mbus"
+	"firefly/internal/memory"
 	"firefly/internal/obs"
 	"firefly/internal/qbus"
 	"firefly/internal/sim"
@@ -412,7 +414,12 @@ const parkedRound = 1 + 3 + 7 + 1013
 // exhaustion make a retried or abandoned operation the one a parked
 // processor waits on, a Topaz kernel running the threads exerciser, and
 // ticks of three and four cycles, whose references stall a second time
-// on a probe in their boundary cycle (cpu.Processor.Tick).
+// on a probe in their boundary cycle (cpu.Processor.Tick). Three more
+// cases drive Run's due-boundary calendar to its edges: 64 CPUs, so
+// port 63 is the top bit of a slot; compute stretches of more than 64
+// ticks, so dues fill the far set and move back into the wheel; and bus
+// timeouts that park every processor for more than 64 boundaries, so a
+// wake lands past the wheel.
 func TestParkedRunDifferential(t *testing.T) {
 	load := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05}
 	synthetic := func(cfg machine.Config, load trace.SyntheticLoad) func() *machine.Machine {
@@ -449,26 +456,41 @@ func TestParkedRunDifferential(t *testing.T) {
 	tick4.Faults = &fault.Config{BusTimeoutRate: 0.005, TimeoutHoldCycles: 42, MaxRetries: 8, BackoffCycles: 4}
 	sharedLoad := trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.9, SharedReadFraction: 0.5}
 	denseLoad := trace.SyntheticLoad{MissRate: 0.8, ShareFraction: 0.9, SharedReadFraction: 0.5}
+	// 64 private regions of 512 KB from 1 MB up reach past the MicroVAX's
+	// 16 MB of storage, and fixed priority would starve the high ports of
+	// the saturated bus.
+	wide := machine.MicroVAXConfig(64)
+	wide.ModuleBytes = memory.CVAXModuleBytes
+	wide.Arbiter = mbus.NewRoundRobin()
+	// Instructions of 150 ticks split their compute into stretches of 36
+	// to 150 ticks, so some dues lie within the calendar's 64-boundary
+	// wheel and some past it.
+	farSpan := machine.MicroVAXConfig(4)
+	farSpan.Variant.BaseTPI = 150
+	// A timed-out operation holds the bus for 200 cycles (100 boundaries),
+	// long enough for the other processor to miss and park behind it.
+	longHold := machine.MicroVAXConfig(2)
+	longHold.Faults = &fault.Config{BusTimeoutRate: 0.05, TimeoutHoldCycles: 200, BackoffCycles: 8}
 	for _, tc := range []struct {
 		name   string
 		cycles uint64
 		build  func() *machine.Machine
 		// covered reports what the stepped twin must have exercised.
-		covered func(m *machine.Machine) error
+		covered func(m *machine.Machine, seen parkedSeen) error
 		// secondStalls: the stepped twin must stall some reference again
 		// in a probe cycle; progress: every processor must also retire
 		// instructions in every round of parkedChunks.
 		secondStalls, progress bool
 	}{
 		{"table1-10cpu", 60_000, synthetic(machine.MicroVAXConfig(10), load), nil, false, false},
-		{"multiword", 60_000, synthetic(multiword, load), func(m *machine.Machine) error {
+		{"multiword", 60_000, synthetic(multiword, load), func(m *machine.Machine, _ parkedSeen) error {
 			if r := m.Registry(); r.MustValue("cache0.victim_writes") == 0 || r.MustValue("cache0.write_through_shared") == 0 {
 				return fmt.Errorf("cache0 made %d victim writes and %d shared write-throughs, want both > 0",
 					r.MustValue("cache0.victim_writes"), r.MustValue("cache0.write_through_shared"))
 			}
 			return nil
 		}, false, false},
-		{"faults", 60_000, synthetic(faulty, load), func(m *machine.Machine) error {
+		{"faults", 60_000, synthetic(faulty, load), func(m *machine.Machine, _ parkedSeen) error {
 			var retries, abandoned uint64
 			for i, c := range m.Caches() {
 				retries += m.Bus().PortStats(i).Retries
@@ -487,6 +509,25 @@ func TestParkedRunDifferential(t *testing.T) {
 		}, nil, false, false},
 		{"tick3-second-stall", 600_000, synthetic(slowTicks, sharedLoad), nil, true, false},
 		{"tick4-second-stall", 600_000, synthetic(tick4, denseLoad), nil, true, true},
+		{"64cpu", 30_000, synthetic(wide, load), func(m *machine.Machine, _ parkedSeen) error {
+			if n := m.Registry().MustValue("cpu63.instructions"); n == 0 {
+				return fmt.Errorf("cpu63 retired no instruction")
+			}
+			return nil
+		}, false, false},
+		{"far-span", 200_000, synthetic(farSpan, load), func(_ *machine.Machine, seen parkedSeen) error {
+			if seen.ahead < 64 {
+				return fmt.Errorf("the longest compute stretch after a boundary was %d ticks, want 64 or more", seen.ahead)
+			}
+			return nil
+		}, false, false},
+		{"wake-far", 100_000, synthetic(longHold, trace.SyntheticLoad{MissRate: 0.8, ShareFraction: 0.1, SharedReadFraction: 0.05}),
+			func(_ *machine.Machine, seen parkedSeen) error {
+				if seen.parked < 64 {
+					return fmt.Errorf("the longest stretch with every processor parked inside one Run call spanned %d boundaries to its wake, want 64 or more", seen.parked)
+				}
+				return nil
+			}, false, false},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -499,16 +540,28 @@ func TestParkedRunDifferential(t *testing.T) {
 			// start of the round.
 			stalls, run, instrs := make([]uint64, ncpu), make([]int, ncpu), make([]uint64, ncpu)
 			parkedEnds, seconds, longest := 0, 0, 0
+			var seen parkedSeen
 			for i, done := 0, uint64(0); done < tc.cycles; i++ {
 				n := min(parkedChunks[i%len(parkedChunks)], tc.cycles-done)
 				fast.Run(n)
+				parkedSince := sim.Never // the first cycle of this call since which every processor is parked
 				for j := uint64(0); j < n; j++ {
 					slow.Step()
 					now := slow.Clock().Now()
+					switch {
+					case allParked(slow):
+						parkedSince = min(parkedSince, now)
+					case parkedSince != sim.Never:
+						// A wake: Run's calendar last moved its base at a
+						// boundary no later than parkedSince.
+						seen.parked = max(seen.parked, int(now/ticks+1-parkedSince/ticks))
+						parkedSince = sim.Never
+					}
 					if now%ticks != 0 {
 						continue
 					}
 					for p, cp := range slow.Processors() {
+						seen.ahead = max(seen.ahead, cp.ComputeAhead())
 						k := cp.Stats().ProbeStalls
 						if k == stalls[p] {
 							run[p] = 0
@@ -557,12 +610,31 @@ func TestParkedRunDifferential(t *testing.T) {
 				}
 			}
 			if tc.covered != nil {
-				if err := tc.covered(slow); err != nil {
+				if err := tc.covered(slow, seen); err != nil {
 					t.Error(err)
 				}
 			}
 		})
 	}
+}
+
+// parkedSeen is what TestParkedRunDifferential saw on its stepped twin.
+// ahead is the most compute ticks a processor had ahead after a
+// boundary. parked is the longest stretch, inside one Run call's cycles,
+// in which every processor was parked or halted, counted in boundaries
+// from the stretch's first cycle to the one the wake that ended it makes
+// its processor due at.
+type parkedSeen struct{ ahead, parked int }
+
+// allParked reports whether every processor of m is halted or waits on
+// its cache's bus operation.
+func allParked(m *machine.Machine) bool {
+	for p, cp := range m.Processors() {
+		if !cp.Halted() && !(cp.Waiting() && m.Cache(p).AwaitsBus()) {
+			return false
+		}
+	}
+	return true
 }
 
 // diffSnapshots names the first counter on which two registry snapshots

@@ -157,6 +157,30 @@ func TestRegistryFaultAndRetryCounters(t *testing.T) {
 	}
 }
 
+// TestUncorrectableECCReachesInitiator: when every storage read is an
+// uncorrectable ECC error, each retry of a memory-sourced read faults
+// again, so the bus spends the plan's retry budget (MaxRetries 0 keeps
+// the default) and hands the fault to the cache, which abandons the
+// access and latches a machine check. A bus that delivered the zeroed
+// word as clean data would latch none.
+func TestUncorrectableECCReachesInitiator(t *testing.T) {
+	cfg := MicroVAXConfig(2)
+	cfg.Faults = &fault.Config{MemSoftErrorRate: 1, MemUncorrectableFraction: 1}
+	m := New(cfg)
+	m.AttachSyntheticLoad(stdLoad)
+	m.Run(20_000)
+	r := m.Registry()
+	if n := r.MustValue("mem.ecc_uncorrectable"); n == 0 {
+		t.Fatal("no uncorrectable ECC error was raised")
+	}
+	for i := 0; i < 2; i++ {
+		checks, abandoned := r.MustValue(fmtName("cache", i, "machine_checks")), r.MustValue(fmtName("cache", i, "abandoned"))
+		if checks == 0 || checks != abandoned {
+			t.Errorf("cache%d latched %d machine checks and abandoned %d accesses; want equal and above 0", i, checks, abandoned)
+		}
+	}
+}
+
 // TestStepZeroAllocsWithoutPlan pins the hot-loop allocation contract:
 // a plan-free machine steps without allocating, faults or no faults
 // feature in the build.

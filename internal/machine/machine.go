@@ -7,6 +7,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"firefly/internal/core"
@@ -189,9 +190,11 @@ type Machine struct {
 	reg     *stats.Registry
 	plan    *fault.Plan
 	sched   Scheduler
-	// hz holds each processor's horizon for the current Run call, kept
-	// here so a Run allocates nothing.
-	hz []horizon
+	// hz holds each processor's horizon for the current Run call, and
+	// cal indexes the processors by due boundary; both are kept here so a
+	// Run allocates nothing.
+	hz  []horizon
+	cal calendar
 }
 
 // horizon is one processor's place in a Run call, in tick boundary
@@ -471,10 +474,12 @@ func (m *Machine) Run(n uint64) { m.RunUntil(nil, n) }
 // the bus completion that ends an access it is parked on (Busy holds
 // through that cycle). The compute and parked ticks between are applied
 // in bulk (cpu.Processor.RunPrivate) when the processor is next due or
-// when RunUntil returns. Due processors tick in port order, so each
-// instruction hook and reference touches shared state (the Topaz ready
-// queue, the fault plan's tag-parity stream, the synthetic shared
-// region) in exactly the order Step would.
+// when RunUntil returns. A calendar indexes the processors by due
+// boundary, so a boundary visits only the processors due at it. Due
+// processors tick in port order, so each instruction hook and reference
+// touches shared state (the Topaz ready queue, the fault plan's
+// tag-parity stream, the synthetic shared region) in exactly the order
+// Step would.
 //
 // The rest of the machine runs in two regimes, chosen by Bus.Busy and one
 // event scan over the bus, whose request lines carry every cache's
@@ -509,14 +514,14 @@ func (m *Machine) RunUntil(until func() bool, n uint64) bool {
 		panic(fmt.Sprintf("machine: running %d cycles at cycle %d passes the simulator's 2^63-cycle range", n, now))
 	}
 	end := now + sim.Cycle(n)
-	next := sim.Never // the earliest boundary any processor is due at
+	m.cal.reset(now / tc)
 	for i := range m.cpus {
-		next = min(next, m.rearm(i, now/tc))
+		m.cal.insert(i, m.rearm(i, now/tc))
 	}
 	for now < end && (until == nil || !until()) {
 		if !m.bus.Busy() {
 			if h := m.nextEvent(now); h > now+1 {
-				next = m.runQuiet(now, min(h-1, end), next)
+				m.runQuiet(now, min(h-1, end))
 				now = m.clock.Now()
 				continue
 			}
@@ -524,10 +529,10 @@ func (m *Machine) RunUntil(until func() bool, n uint64) bool {
 		done := m.stepShared()
 		now++
 		if done >= 0 {
-			next = m.wake(done, now, next)
+			m.cal.insert(done, m.wake(done, now))
 		}
-		if next != sim.Never && now == next*tc {
-			next, _ = m.tickDue(next)
+		if b := m.cal.next; b != sim.Never && now == b*tc {
+			m.tickDue(b)
 		}
 	}
 	for i, p := range m.cpus {
@@ -540,78 +545,78 @@ func (m *Machine) RunUntil(until func() bool, n uint64) bool {
 
 // runQuiet moves the clock from now to stop, or to the first tick boundary
 // with a non-local tick, advancing it straight from one due boundary to
-// the next; next is the earliest due boundary, and runQuiet returns the
-// one after it stops. Valid only when nothing but the processors has an
-// event in the window (nextEvent(now) > stop): the bus and device steps
-// it leaves out would all have been no-ops.
-func (m *Machine) runQuiet(now, stop, next sim.Cycle) sim.Cycle {
+// the next, as the calendar names them. Valid only when nothing but the
+// processors has an event in the window (nextEvent(now) > stop): the bus
+// and device steps it leaves out would all have been no-ops.
+func (m *Machine) runQuiet(now, stop sim.Cycle) {
 	tc := sim.Cycle(m.cfg.Variant.TickCycles)
-	if m.sched != nil && next <= stop/tc {
-		next = m.runPrivate(now, stop, next)
+	if m.sched != nil && m.cal.next <= stop/tc {
+		m.runPrivate(now, stop)
 	}
-	for local := true; next <= stop/tc; {
-		m.clock.Advance(next*tc - now)
-		now = next * tc
-		if next, local = m.tickDue(next); !local {
-			return next
+	for b := m.cal.next; b <= stop/tc; b = m.cal.next {
+		m.clock.Advance(b*tc - now)
+		now = b * tc
+		if !m.tickDue(b) {
+			return
 		}
 	}
 	m.clock.Advance(stop - now)
-	return next
 }
 
 // runPrivate runs every processor alone through the boundaries before
 // the scheduler's private horizon that lie in the quiet window ending at
-// stop, and returns the earliest boundary any processor is due at after
-// them. Each processor ticks through them in one call
-// (cpu.Processor.RunPrivate) and hands its instruction boundaries back
-// to the scheduler once. The clock stays at now: no private tick reads
+// stop. Each processor ticks through them in one call
+// (cpu.Processor.RunPrivate), hands its instruction boundaries back to
+// the scheduler once, and is rearmed from the last of them in a
+// calendar emptied for it. The clock stays at now: no private tick reads
 // it, and runQuiet moves it on to the next due boundary.
-func (m *Machine) runPrivate(now, stop, next sim.Cycle) sim.Cycle {
+func (m *Machine) runPrivate(now, stop sim.Cycle) {
 	h := m.sched.PrivateHorizon(now)
 	if h <= now {
-		return next
+		return
 	}
 	// b is the last boundary at or before both stop and h-1; written so
 	// that h == sim.Never cannot wrap.
 	b := min(h-1, stop) / sim.Cycle(m.cfg.Variant.TickCycles)
-	if b < next {
-		return next
+	if b < m.cal.next {
+		return
 	}
-	next = sim.Never
+	m.cal.reset(b)
 	for i, p := range m.cpus {
 		if hz := &m.hz[i]; hz.due != sim.Never {
 			n := p.RunPrivate(int(b - hz.last))
 			m.sched.PrivateDone(i, n)
-			next = min(next, m.rearm(i, b))
+			m.cal.insert(i, m.rearm(i, b))
 		}
 	}
-	return next
 }
 
-// tickDue ticks, in port order, every processor due at boundary b, each
-// first catching up its elided compute or stall ticks, and rearms it. It
-// returns the earliest boundary any processor is due at next, and
-// whether every tick stayed local.
-func (m *Machine) tickDue(b sim.Cycle) (next sim.Cycle, local bool) {
-	next, local = sim.Never, true
-	for i, p := range m.cpus {
-		h := &m.hz[i]
-		if h.due == b {
-			if k := b - h.last - 1; k > 0 {
-				p.RunPrivate(int(k))
-			}
-			local = p.Tick() && local
-			m.rearm(i, b)
-		}
-		next = min(next, h.due)
+// tickDue ticks the processors the calendar holds due at boundary b, the
+// earliest due boundary, in port order, first moving the far dues that b
+// reaches into the wheel: each first catches up its elided compute or
+// stall ticks, and is rearmed. It reports whether every tick stayed
+// local.
+func (m *Machine) tickDue(b sim.Cycle) (local bool) {
+	if m.cal.farMin == b {
+		m.cal.promote(b, m.hz)
 	}
-	return next, local
+	local = true
+	for due := m.cal.take(b); due != 0; due &= due - 1 {
+		i := bits.TrailingZeros64(due)
+		p := m.cpus[i]
+		if k := b - m.hz[i].last - 1; k > 0 {
+			p.RunPrivate(int(k))
+		}
+		local = p.Tick() && local
+		m.cal.insert(i, m.rearm(i, b))
+	}
+	return local
 }
 
 // rearm records boundary b as processor i's last real tick and returns
-// the boundary it is next due at: sim.Never when it is halted, or parked
-// because its access waits on a bus operation.
+// the boundary it is next due at, which the caller files in the
+// calendar: sim.Never when it is halted, or parked because its access
+// waits on a bus operation.
 func (m *Machine) rearm(i int, b sim.Cycle) sim.Cycle {
 	h, p := &m.hz[i], m.cpus[i]
 	h.last, h.due, h.parked = b, sim.Never, false
@@ -627,15 +632,84 @@ func (m *Machine) rearm(i int, b sim.Cycle) sim.Cycle {
 
 // wake makes processor port due at the first boundary after cycle now,
 // if it is parked and the bus operation that completed on its port at
-// now left its cache idle, and returns the earliest due boundary.
-func (m *Machine) wake(port int, now, next sim.Cycle) sim.Cycle {
+// now left its cache idle, and returns that boundary for the caller to
+// file in the calendar, or sim.Never when it wakes nothing.
+func (m *Machine) wake(port int, now sim.Cycle) sim.Cycle {
 	if port >= len(m.hz) || !m.hz[port].parked || m.caches[port].AwaitsBus() {
-		return next
+		return sim.Never
 	}
 	h := &m.hz[port]
 	h.parked = false
 	h.due = now/sim.Cycle(m.cfg.Variant.TickCycles) + 1
-	return min(next, h.due)
+	return h.due
+}
+
+// calendar indexes the processors that have a due boundary by it, one
+// bit per port (Validate caps a machine at 64 processors). A due less
+// than 64 boundaries past base sits in wheel slot due&63; a later one
+// waits in far until tickDue reaches the far set's earliest due, and
+// promote moves it into the wheel.
+// occ has bit s set while slot s is not empty, so the earliest due is
+// one rotate and one count of trailing zeros away.
+type calendar struct {
+	next     sim.Cycle // the earliest due boundary, sim.Never with none
+	base     sim.Cycle // no due lies before it
+	farMin   sim.Cycle // the earliest due in far, sim.Never with none
+	occ, far uint64
+	wheel    [64]uint64
+}
+
+// reset empties the calendar, clearing only the occupied slots, and
+// bases it at boundary b.
+func (c *calendar) reset(b sim.Cycle) {
+	for o := c.occ; o != 0; o &= o - 1 {
+		c.wheel[bits.TrailingZeros64(o)] = 0
+	}
+	c.occ, c.far = 0, 0
+	c.base, c.farMin, c.next = b, sim.Never, sim.Never
+}
+
+// insert files port i as due at boundary d, which must not lie before
+// base; sim.Never files nothing.
+func (c *calendar) insert(i int, d sim.Cycle) {
+	switch {
+	case d == sim.Never:
+		return
+	case d-c.base < 64:
+		c.wheel[d&63] |= 1 << i
+		c.occ |= 1 << (d & 63)
+	default:
+		c.far |= 1 << i
+		c.farMin = min(c.farMin, d)
+	}
+	c.next = min(c.next, d)
+}
+
+// take rebases the calendar at b, the earliest due boundary, and removes
+// and returns the ports due at it. The far set must hold none due at b.
+func (c *calendar) take(b sim.Cycle) (due uint64) {
+	c.base = b
+	s := b & 63
+	due = c.wheel[s]
+	c.wheel[s] = 0
+	c.occ &^= 1 << s
+	c.next = c.farMin
+	if c.occ != 0 {
+		c.next = min(c.next, b+sim.Cycle(bits.TrailingZeros64(bits.RotateLeft64(c.occ, -int(s)))))
+	}
+	return due
+}
+
+// promote rebases the calendar at b and moves every far due less than 64
+// boundaries past it into the wheel; hz holds each port's due.
+func (c *calendar) promote(b sim.Cycle, hz []horizon) {
+	c.base = b
+	far := c.far
+	c.far, c.farMin = 0, sim.Never
+	for ; far != 0; far &= far - 1 {
+		i := bits.TrailingZeros64(far)
+		c.insert(i, hz[i].due)
+	}
 }
 
 // nextEvent returns the earliest future event of every time-owning
