@@ -141,6 +141,7 @@ func TestBadInput(t *testing.T) {
 		{"-cluster", "2", "-workers", "-1"},
 		{"-faults", "backoff=18446744073709551615,all=1e-3"},
 		{"-faults", "retries=100,all=1e-3"},
+		{"-faults", "retries=0"},
 		{"-cluster", "1"},
 		{"-cluster", "2", "-segments", "3"},
 		{"-cluster", "2", "-callers", "0"},

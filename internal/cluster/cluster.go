@@ -17,19 +17,19 @@
 //     frames finishing this cycle are deliverable before any machine's
 //     devices step), then every machine in station order.
 //
-//   - Run() executes the same schedule in wire-bounded windows: it asks
-//     every segment for its EventHorizon (the first cycle the wire may
-//     deliver a frame or complete a transmit), runs every member
+//   - RunUntil() executes the same schedule in wire-bounded windows: it
+//     asks every segment for its EventHorizon (the first cycle the wire
+//     may deliver a frame or complete a transmit), runs every member
 //     machine independently through the cycles before it — optionally
 //     sharded across a bounded worker pool — then replays the wire
 //     serially through the same cycles, from wire event to wire event,
 //     injecting each machine's captured sends at the cycles they were
 //     made. Because no wire event lands inside the window, the result
 //     is byte-identical to Step()ing, for any worker count. When a wire
-//     event is imminent, Run takes one serial Step instead.
-//
-// RunUntil() is the Step loop with a predicate checked before every
-// cycle.
+//     event is imminent, it takes one serial Step instead. It checks
+//     its predicate before each Step and after each window, so it stops
+//     at most one window after a per-cycle Step loop; Run(n) is
+//     RunUntil(nil, n).
 //
 // Determinism contract (see DESIGN.md, "Parallel cluster engine"):
 // fixed per-machine seeds, sends merged in station order at their
@@ -312,8 +312,10 @@ func (c *Cluster) capture(mb *member, pkt qbus.Packet, done func(ok bool)) {
 
 // injectSends moves captured sends with stamp <= upTo into the members'
 // stations, in station order, oldest first — the order the old serial
-// loop produced them. Called only between machine phases.
-func (c *Cluster) injectSends(upTo sim.Cycle) {
+// loop produced them — and returns the earliest stamp left, or Never.
+// Called only between machine phases.
+func (c *Cluster) injectSends(upTo sim.Cycle) sim.Cycle {
+	next := sim.Never
 	for _, mb := range c.members {
 		for mb.cursor < len(mb.sends) && mb.sends[mb.cursor].stamp <= upTo {
 			s := &mb.sends[mb.cursor]
@@ -324,8 +326,11 @@ func (c *Cluster) injectSends(upTo sim.Cycle) {
 		if mb.cursor == len(mb.sends) {
 			mb.sends = mb.sends[:0]
 			mb.cursor = 0
+		} else {
+			next = min(next, mb.sends[mb.cursor].stamp)
 		}
 	}
+	return next
 }
 
 // Clock returns the cluster clock (wire time).
@@ -373,21 +378,36 @@ func (c *Cluster) Size() int { return len(c.members) }
 // finishing this cycle is deliverable before any machine's devices step
 // — then every machine, in station order.
 func (c *Cluster) Step() {
+	c.stepWire(0)
+	for _, mb := range c.members {
+		mb.m.Step()
+	}
+}
+
+// stepWire ticks the cluster clock, injects the sends due if stamp (the
+// earliest uninjected one; Step passes 0) is before the new cycle, then
+// steps the bridge and the segments. It returns the earliest stamp left.
+func (c *Cluster) stepWire(stamp sim.Cycle) sim.Cycle {
 	now := c.clock.Tick()
-	c.injectSends(now - 1)
+	if stamp < now {
+		stamp = c.injectSends(now - 1)
+	}
 	if c.bridge != nil {
 		c.bridge.Step()
 	}
 	for _, s := range c.segs {
 		s.Step()
 	}
-	for _, mb := range c.members {
-		mb.m.Step()
-	}
+	return stamp
 }
 
-// Run advances the cluster n cycles, byte-identical to calling Step n
-// times. Two regimes, checked in order each iteration:
+// Run advances the cluster n cycles; it is RunUntil(nil, n).
+func (c *Cluster) Run(n uint64) { c.RunUntil(nil, n) }
+
+// RunUntil advances the cluster, byte-identical to Step()ing it, until
+// until holds at a check point or n cycles have run, and reports whether
+// until held; a nil until never holds, and one true on entry runs no
+// cycle. Two regimes, checked in order each iteration:
 //
 //   - The wire cannot call into any machine for a while (no delivery,
 //     no transmit completion or abort before the horizon): a window.
@@ -401,13 +421,15 @@ func (c *Cluster) Step() {
 //
 //   - A wire event is imminent: one serial Step.
 //
+// until is checked before each Step and after each window, when every
+// member clock equals the cluster clock, so it sees member state at most
+// one window (min SendHorizon() + 1 cycles) after a Step loop would.
+//
 // A fleet whose every CPU is halted still moves window by window, not
-// in one jump. Running fleets never get there: rpc.NewNode boots a Topaz
-// kernel on every member, and its idle loop keeps the processors running
-// until a caller halts them.
-func (c *Cluster) Run(n uint64) {
+// in one jump (DESIGN.md "Parallel cluster engine").
+func (c *Cluster) RunUntil(until func() bool, n uint64) bool {
 	end := c.clock.Now() + sim.Cycle(n)
-	for now := c.clock.Now(); now < end; now = c.clock.Now() {
+	for now := c.clock.Now(); now < end && (until == nil || !until()); now = c.clock.Now() {
 		limit := min(end, c.horizon(now)-1)
 		if limit <= now+1 {
 			c.Step()
@@ -415,6 +437,7 @@ func (c *Cluster) Run(n uint64) {
 		}
 		c.round(uint64(limit - now))
 	}
+	return until != nil && until()
 }
 
 // round executes one window of w cycles: machines ahead (phase A), wire
@@ -436,24 +459,10 @@ func (c *Cluster) round(w uint64) {
 			ev = min(ev, stamp+1)
 		}
 		if ev > now+1 {
-			target := ev - 1
-			if target > end {
-				target = end
-			}
-			c.clock.Advance(target - now)
+			c.clock.Advance(min(ev-1, end) - now)
 			continue
 		}
-		now = c.clock.Tick()
-		if stamp < now {
-			c.injectSends(now - 1)
-			stamp = c.nextStamp()
-		}
-		if c.bridge != nil {
-			c.bridge.Step()
-		}
-		for _, s := range c.segs {
-			s.Step()
-		}
+		stamp = c.stepWire(stamp)
 	}
 	// Sends stamped at the window's last cycle become wire-visible at
 	// the next cycle's segment step; stage them now so the next horizon
@@ -511,19 +520,4 @@ func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 // lost a cycle for wall-times that are not exact cycle multiples).
 func (c *Cluster) RunSeconds(s float64) {
 	c.Run(sim.SecondsToCycles(s))
-}
-
-// RunUntil advances until pred holds or maxCycles elapse, checking pred
-// before every Step; it reports whether pred held. The trigger cycle is
-// therefore the first cycle at which pred reads true, whatever state
-// pred reads.
-func (c *Cluster) RunUntil(pred func() bool, maxCycles uint64) bool {
-	end := c.clock.Now() + sim.Cycle(maxCycles)
-	for c.clock.Now() < end {
-		if pred() {
-			return true
-		}
-		c.Step()
-	}
-	return pred()
 }

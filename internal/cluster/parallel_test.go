@@ -13,6 +13,7 @@ import (
 	"firefly/internal/machine"
 	"firefly/internal/net"
 	"firefly/internal/obs"
+	"firefly/internal/sim"
 )
 
 // TestClusterRunSecondsRounds is the regression test for the truncation
@@ -32,53 +33,125 @@ func TestClusterRunSecondsRounds(t *testing.T) {
 	}
 }
 
-// TestRunUntilBigStepDifferential pins that RunUntil checks pred before
-// every Step: twin clusters, one driven by an explicit per-cycle loop,
-// one by RunUntil, must agree on the trigger cycle and every counter.
-func TestRunUntilBigStepDifferential(t *testing.T) {
-	build := func() *Cluster {
-		cl := New(Config{Node: quickNode(), Seed: 7})
-		cl.Node(1).StartServer()
-		cl.Node(0).StartCallers(3, 1, 64)
-		return cl
+// TestRunUntilChecksAtWindows pins RunUntil's check points: before each
+// serial Step and after each window. Twin clusters with the same setup
+// must stop at the same cycle with byte-identical state at every worker
+// count; that cycle lies no earlier than a per-cycle Step loop's trigger
+// and at most min SendHorizon() + 1 cycles after it; and Step()ing or
+// Run()ning a twin to it gives the same state. A predicate true on entry
+// runs no cycle, on a fresh cluster (whose first regime is a window) and
+// at the stop cycle. The quiet case has no wire traffic at all, so every
+// check point is a window's end.
+func TestRunUntilChecksAtWindows(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   Config
+		setup func(*Cluster)
+		pred  func(*Cluster) bool
+	}{
+		{
+			name: "rpc",
+			cfg:  Config{Node: quickNode(), Seed: 7},
+			setup: func(cl *Cluster) {
+				cl.Node(1).StartServer()
+				cl.Node(0).StartCallers(3, 1, 64)
+			},
+			pred: func(cl *Cluster) bool { return cl.Node(0).Stats().CallsCompleted.Value() >= 200 },
+		},
+		{
+			name: "bridged",
+			cfg:  Config{Machines: 4, Segments: 2, Node: quickNode(), Net: fastNet(13), Seed: 13},
+			setup: func(cl *Cluster) {
+				cl.Node(3).StartServer()
+				cl.Node(0).StartCallers(3, 3, 64)
+			},
+			pred: func(cl *Cluster) bool { return cl.Node(0).Stats().CallsCompleted.Value() >= 100 },
+		},
+		{
+			name:  "quiet",
+			cfg:   Config{Node: quickNode(), Seed: 5},
+			setup: func(*Cluster) {},
+			pred:  func(cl *Cluster) bool { return cl.Machine(1).Clock().Now() >= 100_000 },
+		},
 	}
-	pred := func(cl *Cluster) func() bool {
-		return func() bool { return cl.Node(0).Stats().CallsCompleted.Value() >= 200 }
+	snapshot := func(cl *Cluster) string {
+		var b strings.Builder
+		for i, m := range cl.Machines() {
+			fmt.Fprintf(&b, "== machine %d ==\n%s\nnode: %+v\n", i, m.Registry().String(), cl.Node(i).Stats())
+		}
+		for k := 0; k < cl.NumSegments(); k++ {
+			fmt.Fprintf(&b, "== segment %d ==\n%+v\n", k, cl.SegmentAt(k).Stats())
+		}
+		if br := cl.Bridge(); br != nil {
+			fmt.Fprintf(&b, "== bridge ==\n%+v\n", br.Stats())
+		}
+		fmt.Fprintf(&b, "cycle %d\n", cl.Clock().Now())
+		return b.String()
 	}
 	const max = 20_000_000
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(workers int) *Cluster {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				cl := New(cfg)
+				tc.setup(cl)
+				return cl
+			}
 
-	a := build()
-	predA := pred(a)
-	okA := false
-	for i := uint64(0); i < max; i++ {
-		if predA() {
-			okA = true
-			break
-		}
-		a.Step()
-	}
-	if !okA {
-		okA = predA()
-	}
+			fresh := build(1)
+			if !fresh.RunUntil(func() bool { return true }, max) || fresh.Clock().Now() != 0 {
+				t.Fatalf("a predicate true on entry ran the fresh cluster to cycle %d", fresh.Clock().Now())
+			}
 
-	b := build()
-	okB := b.RunUntil(pred(b), max)
+			ref := build(1)
+			for i := 0; i < max && !tc.pred(ref); i++ {
+				ref.Step()
+			}
+			if !tc.pred(ref) {
+				t.Fatalf("the Step loop never met the predicate in %d cycles", max)
+			}
+			trigger := ref.Clock().Now()
+			slack := sim.Never
+			for k := 0; k < ref.NumSegments(); k++ {
+				slack = min(slack, ref.SegmentAt(k).SendHorizon()+1)
+			}
 
-	if okA != okB {
-		t.Fatalf("stepwise pred=%v, big-step pred=%v", okA, okB)
-	}
-	if a.Clock().Now() != b.Clock().Now() {
-		t.Fatalf("trigger cycle diverged: stepwise %d, big-step %d",
-			a.Clock().Now(), b.Clock().Now())
-	}
-	for i := range a.Machines() {
-		ra, rb := a.Machine(i).Registry().String(), b.Machine(i).Registry().String()
-		if ra != rb {
-			t.Fatalf("machine %d counters diverged\n--- stepwise ---\n%s\n--- big-step ---\n%s", i, ra, rb)
-		}
-	}
-	if fmt.Sprintf("%+v", a.Segment().Stats()) != fmt.Sprintf("%+v", b.Segment().Stats()) {
-		t.Fatalf("segment stats diverged:\n%+v\nvs\n%+v", a.Segment().Stats(), b.Segment().Stats())
+			var stop sim.Cycle
+			var want string
+			for _, workers := range []int{1, 2, 8} {
+				cl := build(workers)
+				if !cl.RunUntil(func() bool { return tc.pred(cl) }, max) {
+					t.Fatalf("workers=%d: RunUntil did not meet the predicate", workers)
+				}
+				got := snapshot(cl)
+				if workers == 1 {
+					stop, want = cl.Clock().Now(), got
+					t.Logf("Step loop triggered at cycle %d, RunUntil stopped at %d (slack %d)", trigger, stop, slack)
+					if stop < trigger || stop > trigger+slack {
+						t.Fatalf("RunUntil stopped at cycle %d; the Step loop triggered at %d, so want %d..%d",
+							stop, trigger, trigger, trigger+slack)
+					}
+					if !cl.RunUntil(func() bool { return tc.pred(cl) }, max) || cl.Clock().Now() != stop {
+						t.Fatalf("a predicate true on entry moved the clock from %d to %d", stop, cl.Clock().Now())
+					}
+				} else if got != want {
+					t.Fatalf("workers=%d diverged from workers=1\n--- got ---\n%s\n--- want ---\n%s", workers, got, want)
+				}
+			}
+
+			for ref.Clock().Now() < stop {
+				ref.Step()
+			}
+			if got := snapshot(ref); got != want {
+				t.Fatalf("RunUntil diverged from the Step loop at cycle %d\n--- RunUntil ---\n%s\n--- Step ---\n%s", stop, want, got)
+			}
+			twin := build(1)
+			twin.Run(uint64(stop))
+			if got := snapshot(twin); got != want {
+				t.Fatalf("RunUntil diverged from Run(%d)\n--- RunUntil ---\n%s\n--- Run ---\n%s", stop, want, got)
+			}
+		})
 	}
 }
 

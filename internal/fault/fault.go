@@ -338,10 +338,12 @@ func (p *Plan) RegisterStats(r *stats.Registry) {
 // (soft-error rate), memunc (uncorrectable fraction), nxm, stall (DMA
 // rates), tag (tag parity rate), drop (Ethernet frame-drop rate), all
 // (sets bus/timeout/mem/nxm/stall/tag to one rate), retries, backoff,
-// stallcycles, hold, start, end, seed, addrmin, addrmax. Example:
-// "bus=1e-4,mem=1e-4,retries=4".
+// stallcycles, hold, start, end, seed, addrmin, addrmax. retries,
+// backoff, stallcycles and hold reject 0, which the plan would replace
+// with its default. Example: "bus=1e-4,mem=1e-4,retries=4".
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
+	defaults := cfg.withDefaults()
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -369,6 +371,14 @@ func ParseSpec(spec string) (Config, error) {
 			*dst = n
 			return nil
 		}
+		// nonzero parses a count whose zero withDefaults would replace
+		// with def, so an explicit 0 would silently run with def.
+		nonzero := func(dst *uint64, def uint64) error {
+			if err := count(dst); err != nil || *dst != 0 {
+				return err
+			}
+			return fmt.Errorf("fault: %q: must be at least 1 (omit it for the default %d)", field, def)
+		}
 		var err error
 		switch strings.ToLower(key) {
 		case "bus":
@@ -393,15 +403,15 @@ func ParseSpec(spec string) (Config, error) {
 				&cfg.DMAStallRate, &cfg.TagParityRate)
 		case "retries":
 			var n uint64
-			if err = count(&n); err == nil {
+			if err = nonzero(&n, uint64(defaults.MaxRetries)); err == nil {
 				cfg.MaxRetries = int(n)
 			}
 		case "backoff":
-			err = count(&cfg.BackoffCycles)
+			err = nonzero(&cfg.BackoffCycles, defaults.BackoffCycles)
 		case "stallcycles":
-			err = count(&cfg.DMAStallCycles)
+			err = nonzero(&cfg.DMAStallCycles, defaults.DMAStallCycles)
 		case "hold":
-			err = count(&cfg.TimeoutHoldCycles)
+			err = nonzero(&cfg.TimeoutHoldCycles, defaults.TimeoutHoldCycles)
 		case "start":
 			err = count(&cfg.StartCycle)
 		case "end":

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"firefly/internal/mbus"
@@ -38,6 +39,25 @@ func TestParseSpec(t *testing.T) {
 	}
 	if _, err := ParseSpec(""); err != nil {
 		t.Errorf("empty spec rejected: %v", err)
+	}
+}
+
+// TestParseSpecErrors: an explicit zero for a retry or timing count is
+// bad input, not a request for the default it would silently become, and
+// the error names that default.
+func TestParseSpecErrors(t *testing.T) {
+	for spec, def := range map[string]string{
+		"retries=0":              "default 4",
+		"backoff=0":              "default 16",
+		"hold=0":                 "default 8",
+		"bus=1e-3,stallcycles=0": "default 50",
+	} {
+		_, err := ParseSpec(spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted", spec)
+		} else if !strings.Contains(err.Error(), def) {
+			t.Errorf("ParseSpec(%q) error %q does not name the %s", spec, err, def)
+		}
 	}
 }
 

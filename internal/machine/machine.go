@@ -409,20 +409,28 @@ func (m *Machine) AttachSources(mk func(i int, c *core.Cache) trace.Source) {
 
 // AttachSyntheticLoad installs the parameterized generator on every
 // processor: the machine-level analogue of the paper's trace
-// characterization (M, S as given; D emerges from the write mix).
+// characterization (M, S as given; D emerges from the write mix). Each
+// processor's private region lies above the first megabyte: 512 KB, far
+// larger than the cache, or, where that many would overrun storage, an
+// equal, word-aligned share of the storage above the megabyte.
 func (m *Machine) AttachSyntheticLoad(load trace.SyntheticLoad) {
 	if err := load.Validate(); err != nil {
 		panic(err)
 	}
 	shared := trace.NewSharedRegion(0x8000, 64)
-	privateBytes := uint32(1 << 19) // 512 KB per CPU: far larger than the cache
+	const privateBase = 1 << 20
+	privateBytes := uint64(1 << 19)
+	n, above := uint64(len(m.cpus)), m.mem.Bytes()-min(m.mem.Bytes(), privateBase)
+	if n*privateBytes > above {
+		privateBytes = above / n &^ 3
+	}
 	m.AttachSources(func(i int, c *core.Cache) trace.Source {
 		return trace.NewSynthetic(trace.SyntheticConfig{
 			MissRate:           load.MissRate,
 			ShareFraction:      load.ShareFraction,
 			SharedReadFraction: load.SharedReadFraction,
-			PrivateBase:        mbus.Addr(0x100000 + uint32(i)*privateBytes),
-			PrivateBytes:       privateBytes,
+			PrivateBase:        mbus.Addr(privateBase + uint64(i)*privateBytes),
+			PrivateBytes:       uint32(privateBytes),
 			Seed:               m.cfg.Seed*31 + uint64(i),
 		}, shared, c)
 	})

@@ -9,8 +9,10 @@ import (
 	"firefly/internal/coherence"
 	"firefly/internal/core"
 	"firefly/internal/cpu"
+	"firefly/internal/mbus"
 	"firefly/internal/memory"
 	"firefly/internal/model"
+	"firefly/internal/obs"
 	"firefly/internal/sim"
 	"firefly/internal/trace"
 )
@@ -136,6 +138,40 @@ func TestRunRejectsLengthPastCycleRange(t *testing.T) {
 		}
 	}()
 	m.Run(1)
+}
+
+// TestSyntheticRegionsFitStorage: forty 512 KB private regions above the
+// first megabyte would overrun the default 16 MB, so each processor gets
+// an equal share of the 15 MB instead. The last word of every share is
+// populated, and no bus operation of a Table 1 load addresses a word that
+// no module holds (the bus would read zeros and drop writes, unfaulted).
+func TestSyntheticRegionsFitStorage(t *testing.T) {
+	cfg := MicroVAXConfig(40)
+	cfg.Arbiter = mbus.NewRoundRobin()
+	m := New(cfg)
+	m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05})
+	const share = (16<<20 - 1<<20) / 40
+	for i := 0; i < 40; i++ {
+		last := mbus.Addr(1<<20 + (i+1)*share - 4)
+		if _, ok, _ := m.Memory().ReadWord(last); !ok {
+			t.Fatalf("cpu%d: the last word of its region, %#x, is not populated", i, uint32(last))
+		}
+	}
+	var top uint32
+	ops := 0
+	m.Trace(obs.ObserverFunc(func(e obs.Event) {
+		if e.Kind == obs.KindBusGrant {
+			top = max(top, e.Addr)
+			ops++
+		}
+	}))
+	m.Run(400_000)
+	if ops == 0 || top < 1<<20+39*share {
+		t.Fatalf("%d bus operations reached no higher than %#x; cpu39's region starts at %#x", ops, top, 1<<20+39*share)
+	}
+	if _, ok, _ := m.Memory().ReadWord(mbus.Addr(top)); !ok {
+		t.Fatalf("a bus operation addressed %#x, beyond populated storage", top)
+	}
 }
 
 func TestWarmupClearsStats(t *testing.T) {

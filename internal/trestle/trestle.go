@@ -150,13 +150,6 @@ func (wm *WM) Move(w *Window, x, y int) {
 	wm.repaint(union(old, w.r))
 }
 
-// Resize changes a window's size.
-func (wm *WM) Resize(w *Window, width, height int) {
-	old := w.r
-	w.r = clampRect(display.Rect{X: old.X, Y: old.Y, W: width, H: height})
-	wm.repaint(union(old, w.r))
-}
-
 // Raise brings a window to the top and focuses it.
 func (wm *WM) Raise(w *Window) {
 	idx := wm.indexOf(w)
@@ -172,12 +165,6 @@ func (wm *WM) Raise(w *Window) {
 func (wm *WM) SetText(w *Window, lines []string) {
 	w.body = append([]string(nil), lines...)
 	wm.repaint(w.r)
-}
-
-// SetTitle renames the window.
-func (wm *WM) SetTitle(w *Window, title string) {
-	w.title = title
-	wm.repaint(display.Rect{X: w.r.X, Y: w.r.Y, W: w.r.W, H: titlePx + borderPx})
 }
 
 func (wm *WM) indexOf(w *Window) int {
