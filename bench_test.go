@@ -26,6 +26,7 @@ import (
 	"firefly/internal/qbus"
 	"firefly/internal/rpc"
 	"firefly/internal/sim"
+	"firefly/internal/topaz"
 )
 
 // BenchmarkTable1 regenerates Table 1 (estimated performance) from the
@@ -289,6 +290,24 @@ func BenchmarkMachineCycleIdle(b *testing.B) {
 	requeue()
 	b.ResetTimer()
 	m.Run(uint64(b.N))
+}
+
+// BenchmarkPrivateRun measures private runs (DESIGN.md "Private runs")
+// alone: a 2-CPU MicroVAX machine under a Topaz kernel with no threads,
+// so both processors run the idle loop out of their own caches, run in
+// Run(152) calls, the window length of the traffic fleet's cluster
+// engine. ns/instr is host time per simulated instruction.
+func BenchmarkPrivateRun(b *testing.B) {
+	m := machine.New(machine.MicroVAXConfig(2))
+	topaz.NewKernel(m, topaz.Config{})
+	m.Warmup(200_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Run(152)
+	}
+	b.StopTimer()
+	instructions := m.CPU(0).Stats().Instructions + m.CPU(1).Stats().Instructions
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instructions), "ns/instr")
 }
 
 // BenchmarkClusterCycle measures one lockstep step of a two-Firefly

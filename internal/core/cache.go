@@ -134,6 +134,13 @@ type Cache struct {
 	tags   mbus.TagStore
 	states []State
 	data   []uint32 // lines*lineWords longwords
+	// localWrite is the protocol's state after a CPU write hit that
+	// needs no bus operation, indexed by the state hit (AfterWriteHit
+	// for each state whose WriteHitOp needs no bus), and busWrite for a
+	// state whose write hit goes to the bus. NewCacheGeometry builds it
+	// once from the protocol's pure methods, so a local write hit calls
+	// neither.
+	localWrite [NumStates]State
 
 	// outstanding CPU access (acc and accIdx are read only while the
 	// phase is not idle; a hit does not store them)
@@ -205,7 +212,7 @@ func NewCacheGeometry(clock *sim.Clock, proto Protocol, lines, lineWords int) *C
 	if lineWords <= 0 || lineWords&(lineWords-1) != 0 {
 		panic(fmt.Sprintf("core: line words must be a power of two, got %d", lineWords))
 	}
-	return &Cache{
+	c := &Cache{
 		clock:     clock,
 		proto:     proto,
 		lines:     lines,
@@ -216,7 +223,18 @@ func NewCacheGeometry(clock *sim.Clock, proto Protocol, lines, lineWords int) *C
 		fillBuf:   make([]uint32, lineWords),
 		flushBuf:  make([]mbus.WordFlush, 0, lineWords),
 	}
+	for s := range State(NumStates) {
+		c.localWrite[s] = busWrite
+		if _, needBus := proto.WriteHitOp(s); s.Valid() && !needBus {
+			c.localWrite[s] = proto.AfterWriteHit(s, false, false)
+		}
+	}
+	return c
 }
+
+// busWrite marks a localWrite entry whose write hit needs the bus; it is
+// no line state.
+const busWrite State = NumStates
 
 // NewMicroVAXCache returns the 16 KB original Firefly cache.
 func NewMicroVAXCache(clock *sim.Clock, proto Protocol) *Cache {
@@ -439,10 +457,7 @@ func (c *Cache) LastRead() uint32 { return c.lastRead }
 func (c *Cache) HitsLocally(addrs []mbus.Addr) bool {
 	for _, a := range addrs {
 		idx, hit := c.lookup(a)
-		if !hit {
-			return false
-		}
-		if _, needBus := c.proto.WriteHitOp(c.states[idx]); needBus {
+		if !hit || c.localWrite[c.states[idx]] == busWrite {
 			return false
 		}
 	}
@@ -473,44 +488,17 @@ func (c *Cache) Submit(acc Access) (done bool) {
 	if c.snoopLive && c.snoopIdx == c.index(acc.Addr) {
 		panic("core: Submit to a set held by a snoop between probe and commit")
 	}
-	if acc.Write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
+	idx, resident, done := c.serve(acc)
+	if done {
+		return true
 	}
-	idx, hit := c.lookup(acc.Addr)
-	if hit && c.tagFaults != nil && c.tagFaults.TagFault(acc.Addr) {
-		hit = c.tagParityFault(idx)
-	}
-	if hit {
-		if !acc.Write {
-			c.stats.ReadHits++
-			c.lastRead = *c.word(idx, acc.Addr)
-			if c.tracer != nil {
-				c.emit(obs.KindCacheReadHit, acc.Addr, 0, 0)
-				c.emit(obs.KindCacheLoad, acc.Addr, uint64(c.lastRead), 1)
-			}
-			return true
-		}
-		c.stats.WriteHits++
-		if c.tracer != nil {
-			c.emit(obs.KindCacheWriteHit, acc.Addr, 0, 0)
-		}
-		op, needBus := c.proto.WriteHitOp(c.states[idx])
-		if !needBus {
-			c.stats.LocalWriteHits++
-			*c.word(idx, acc.Addr) = acc.Data
-			c.setState(idx, c.proto.AfterWriteHit(c.states[idx], false, false))
-			if c.tracer != nil {
-				c.emit(obs.KindCacheStore, acc.Addr, uint64(acc.Data), 1)
-			}
-			return true
-		}
+	if resident {
 		// Conditional write-through (or invalidation) for a shared line.
 		// The data store is updated when the bus operation completes, not
 		// before: until the write is serialized on the bus, other sharers
 		// hold the old value and this cache must supply the same old value
 		// if snooped.
+		op, _ := c.proto.WriteHitOp(c.states[idx])
 		c.phase = seqWriteThrough
 		c.acc, c.accIdx = acc, idx
 		c.raise(op, acc.Addr, acc.Data)
@@ -539,6 +527,76 @@ func (c *Cache) Submit(acc Access) (done bool) {
 	}
 	c.startMissOps()
 	return false
+}
+
+// PrivateHit serves a reference of a private run
+// (cpu.Processor.RunPrivate) through Submit's hit path, with exactly the
+// effect of a Submit that hits and completes. It skips Submit's two
+// preconditions, an access in progress and a live snoop in the set,
+// which a private run's own rule out. It panics if the reference misses,
+// or is a write whose line state needs the bus.
+func (c *Cache) PrivateHit(acc Access) {
+	if _, resident, done := c.serve(acc); !done {
+		if !resident {
+			panic("core: private reference missed its cache")
+		}
+		panic("core: private write needs the bus")
+	}
+}
+
+// serve counts a CPU reference and looks its line up, and on a hit
+// serves it: the hit path of Submit and PrivateHit. A tag-parity error
+// injected on the lookup turns a hit into what tagParityFault decides. A
+// read hit completes, and so does a write hit whose line state needs no
+// bus operation (localWrite); a write hit that needs the bus is counted
+// and changes nothing else. idx is the reference's set.
+func (c *Cache) serve(acc Access) (idx int, resident, done bool) {
+	if acc.Write {
+		c.stats.Writes++
+	} else {
+		c.stats.Reads++
+	}
+	idx, resident = c.lookup(acc.Addr)
+	if resident && c.tagFaults != nil && c.tagFaults.TagFault(acc.Addr) {
+		resident = c.tagParityFault(idx)
+	}
+	if !resident {
+		return idx, false, false
+	}
+	if !acc.Write {
+		c.stats.ReadHits++
+		c.lastRead = *c.word(idx, acc.Addr)
+		if c.tracer != nil {
+			c.emit(obs.KindCacheReadHit, acc.Addr, 0, 0)
+			c.emit(obs.KindCacheLoad, acc.Addr, uint64(c.lastRead), 1)
+		}
+		return idx, true, true
+	}
+	c.stats.WriteHits++
+	if c.tracer != nil {
+		c.emit(obs.KindCacheWriteHit, acc.Addr, 0, 0)
+	}
+	if !c.writeLocal(idx, acc) {
+		return idx, true, false
+	}
+	c.stats.LocalWriteHits++
+	return idx, true, true
+}
+
+// writeLocal stores a CPU write into the resident line in set idx and
+// moves its state, if that state lets the write complete with no bus
+// operation (localWrite), and reports whether it did.
+func (c *Cache) writeLocal(idx int, acc Access) bool {
+	next := c.localWrite[c.states[idx]]
+	if next == busWrite {
+		return false
+	}
+	*c.word(idx, acc.Addr) = acc.Data
+	c.setState(idx, next)
+	if c.tracer != nil {
+		c.emit(obs.KindCacheStore, acc.Addr, uint64(acc.Data), 1)
+	}
+	return true
 }
 
 // startMissOps issues the fill or direct write for the current miss, after
@@ -693,18 +751,13 @@ func (c *Cache) BusComplete(res mbus.Result) {
 			return
 		}
 		// Complete the write as a hit on the just-filled line.
-		op, needBus := c.proto.WriteHitOp(c.states[idx])
-		if !needBus {
-			*c.word(idx, c.acc.Addr) = c.acc.Data
-			c.setState(idx, c.proto.AfterWriteHit(c.states[idx], false, false))
-			if c.tracer != nil {
-				c.emit(obs.KindCacheStore, c.acc.Addr, uint64(c.acc.Data), 1)
-			}
+		if c.writeLocal(idx, c.acc) {
 			c.finish()
 			return
 		}
 		// Shared after fill: write through. The filled (old) value stays in
 		// the data store until the write-through is serialized on the bus.
+		op, _ := c.proto.WriteHitOp(c.states[idx])
 		c.phase = seqWriteThrough
 		c.raise(op, c.acc.Addr, c.acc.Data)
 

@@ -168,8 +168,11 @@ type Processor struct {
 	src   trace.Source
 	rng   *sim.Rand
 
-	// v's probabilities, prepared for rng.Hit.
-	ir, dr, dw, onChip, partial sim.Chance
+	// v's probabilities, prepared for rng.Hit. onChip is indexed by
+	// reference kind: OnChipHitRate for the kinds the on-chip cache may
+	// absorb, and zero, which draws nothing, for the rest.
+	ir, dr, dw, partial sim.Chance
+	onChip              [3]sim.Chance
 
 	tpiCarry     float64
 	in           instr
@@ -203,9 +206,22 @@ func New(id int, clock *sim.Clock, v Variant, cache *core.Cache, src trace.Sourc
 		ir:      sim.NewChance(v.IR),
 		dr:      sim.NewChance(v.DR),
 		dw:      sim.NewChance(v.DW),
-		onChip:  sim.NewChance(v.OnChipHitRate),
 		partial: sim.NewChance(v.PartialWriteFraction),
+		onChip:  onChipChances(v),
 	}
+}
+
+// onChipChances returns v's on-chip hit chance for each reference kind:
+// instruction reads with the on-chip cache, and data reads too when it
+// holds data.
+func onChipChances(v Variant) (c [3]sim.Chance) {
+	if v.OnChipICache {
+		c[trace.InstrRead] = sim.NewChance(v.OnChipHitRate)
+		if v.OnChipDCache {
+			c[trace.DataRead] = c[trace.InstrRead]
+		}
+	}
+	return c
 }
 
 // ID returns the processor number.
@@ -310,23 +326,30 @@ func (p *Processor) Waiting() bool { return p.waiting }
 // must have proved: the processor is neither halted nor waiting; its
 // instruction hook, at each boundary it crosses, would only count the
 // boundary (it writes nothing the processor or any other component
-// reads before the caller hands the count back); every reference its
-// source gives hits in its cache with no bus operation; and no snoop
-// probe touches its tag store in those ticks. It returns the instruction
-// boundaries crossed, where Tick would have called the hook. An
-// instruction whose ticks all fit in the run issues its references back
-// to back and retires; compute ticks are applied in bulk, and a run that
-// ends inside an instruction leaves its record where the ticks would.
+// reads before the caller hands the count back); its source would serve
+// every reference from ws, a static working set (trace.WorkingSet.Static)
+// every line of which hits in its cache with no bus operation; and no
+// snoop probe touches its tag store in those ticks. It returns the
+// instruction boundaries crossed, where Tick would have called the hook.
+// An instruction whose ticks all fit in the run issues its references
+// back to back and retires; compute ticks are applied in bulk, and a run
+// that ends inside an instruction leaves its record where the ticks
+// would.
+//
+// A reference is drawn from ws directly (WorkingSet.Pick, the draws the
+// source's Next would make) and served by Cache.PrivateHit, with the
+// processor's own on-chip and partial-write draws in between, in the
+// order tick makes them; the source itself is not read.
 //
 // With n <= ComputeAhead() the conditions hold trivially: the ticks are
 // one compute stretch, crossing no boundary and making no reference, so
-// RunPrivate(n) applies n elided compute ticks at once (Machine.Run's
+// RunPrivate(n, nil) applies n elided compute ticks at once (Machine.Run's
 // catch-up before a due tick and on return).
 //
 // A waiting processor whose cache stays Busy through the n ticks only
-// stalls, and RunPrivate counts n stall ticks (Machine.Run's catch-up of
-// a processor parked on a bus operation).
-func (p *Processor) RunPrivate(n int) (boundaries uint64) {
+// stalls, and RunPrivate(n, nil) counts n stall ticks (Machine.Run's
+// catch-up of a processor parked on a bus operation).
+func (p *Processor) RunPrivate(n int, ws *trace.WorkingSet) (boundaries uint64) {
 	p.stats.Ticks += uint64(n)
 	if p.waiting {
 		p.stats.StallTicks += uint64(n)
@@ -340,7 +363,7 @@ func (p *Processor) RunPrivate(n int) (boundaries uint64) {
 			if ticks := compute + in.nr; ticks <= n {
 				n -= ticks
 				for _, k := range in.kinds[:in.nr] {
-					p.private(k)
+					p.private(k, ws)
 				}
 				in.done = in.nr
 				p.retire()
@@ -356,17 +379,32 @@ func (p *Processor) RunPrivate(n int) (boundaries uint64) {
 		}
 		n--
 		p.probeStalled = false
-		p.private(in.kinds[in.done])
+		p.private(in.kinds[in.done], ws)
 		p.advance()
 	}
 	return boundaries
 }
 
-// private issues a reference of a private run, which must hit.
-func (p *Processor) private(kind trace.Kind) {
-	if !p.access(kind) {
-		panic("cpu: private reference missed its cache")
+// private issues a reference of a private run: the reference access
+// would issue, drawn from ws instead of the source, with the same draws
+// and counters, served as a local hit. A hit ignores whether a write is
+// partial, so the processor's partial-write draw is made, as in access
+// only when ws's own came out false, and its answer dropped.
+func (p *Processor) private(kind trace.Kind, ws *trace.WorkingSet) {
+	ref := ws.Pick(kind)
+	if p.onChipHit(kind) {
+		return
 	}
+	write := kind.IsWrite()
+	if write {
+		if !ref.Partial {
+			p.rng.Hit(p.partial)
+		}
+		p.stats.Writes++
+	} else {
+		p.stats.Reads++
+	}
+	p.cache.PrivateHit(core.Access{Write: write, Addr: ref.Addr, Data: ref.Data})
 }
 
 // compute counts n ticks, at most what remains, off the current compute
@@ -443,14 +481,9 @@ func (p *Processor) tick() (local bool) {
 // the processor waits on the cache.
 func (p *Processor) access(kind trace.Kind) (done bool) {
 	ref := p.src.Next(kind)
-
-	onChipEligible := p.v.OnChipICache &&
-		(kind == trace.InstrRead || (p.v.OnChipDCache && kind == trace.DataRead))
-	if onChipEligible && p.rng.Hit(p.onChip) {
-		p.stats.OnChipHits++
+	if p.onChipHit(kind) {
 		return true
 	}
-
 	acc := core.Access{
 		Write:   kind.IsWrite(),
 		Partial: ref.Partial || (kind.IsWrite() && p.rng.Hit(p.partial)),
@@ -465,6 +498,16 @@ func (p *Processor) access(kind trace.Kind) (done bool) {
 	done = p.cache.Submit(acc)
 	p.waiting = !done
 	return done
+}
+
+// onChipHit draws whether the on-chip cache absorbs a reference of the
+// given kind, if it may, and counts the hit.
+func (p *Processor) onChipHit(kind trace.Kind) bool {
+	if p.rng.Hit(p.onChip[kind]) {
+		p.stats.OnChipHits++
+		return true
+	}
+	return false
 }
 
 func (p *Processor) retire() {

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"firefly/internal/core"
@@ -526,14 +527,15 @@ type refLog struct {
 }
 
 type refAt struct {
-	at   sim.Cycle
-	kind trace.Kind
-	addr mbus.Addr
+	at      sim.Cycle
+	kind    trace.Kind
+	addr    mbus.Addr
+	partial bool
 }
 
 func (r *refLog) Next(k trace.Kind) trace.Ref {
 	ref := r.src.Next(k)
-	r.refs = append(r.refs, refAt{r.clock.Now(), k, ref.Addr})
+	r.refs = append(r.refs, refAt{r.clock.Now(), k, ref.Addr, ref.Partial})
 	return ref
 }
 
@@ -584,7 +586,7 @@ func TestRunPrivateComputeMatchesTicks(t *testing.T) {
 			for n := 1; n <= ahead; n++ {
 				skip, skipLog := mk(at)
 				tick, tickLog := mk(at)
-				if b := skip.cpus[0].RunPrivate(n); b != 0 {
+				if b := skip.cpus[0].RunPrivate(n, nil); b != 0 {
 					t.Fatalf("%s seed %d n=%d of %d: RunPrivate crossed %d boundaries", v.Name, seed, n, ahead, b)
 				}
 				skip.idle(n * tc)
@@ -639,7 +641,7 @@ func TestRunPrivateStallMatchesTicks(t *testing.T) {
 		for n := 1; n <= k; n++ {
 			skip, tick := mk(), mk()
 			skip.idle(n * tc)
-			if b := skip.cpus[0].RunPrivate(n); b != 0 {
+			if b := skip.cpus[0].RunPrivate(n, nil); b != 0 {
 				t.Fatalf("%s n=%d of %d: RunPrivate crossed %d boundaries", v.Name, n, k, b)
 			}
 			tick.tickRun(n * tc)
@@ -755,54 +757,99 @@ func (m *machine) probeAtNextRef(t *testing.T) {
 }
 
 // TestRunPrivateMatchesTicks: on a warm cache where every reference of a
-// static working set hits locally, RunPrivate(n) leaves the processor
-// and its cache exactly where n ticks leave them, and returns the
-// boundaries the hook would have seen. n ends the run at every tick
-// offset of the first few instructions (whole instructions and partial
-// ones) and far beyond, on the MicroVAX, on the CVAX (on-chip draws),
-// with partial-write draws, and with instructions so short that a
-// reference retires them. Each run starts at a reference that took a
-// probe stall, whose latch only an issued reference may clear
-// (RunPrivate(0) keeps it), or some boundaries later. The two copies
-// must agree on the counters, the instruction record, the latch, the
-// next draws of the processor's generator, the cache's counters and line
-// states, and on every reference the source gives afterwards. Neither
-// RunPrivate nor a tick allocates.
+// static working set hits locally, RunPrivate(n, ws) leaves the
+// processor, its cache and the set exactly where n ticks leave them,
+// and returns the boundaries the hook would have seen. n ends the run at
+// every tick offset of the first few instructions (whole instructions
+// and partial ones) and far beyond, on the MicroVAX, on the CVAX
+// (on-chip draws), on a CVAX whose on-chip cache takes data reads too,
+// with the processor's partial-write draws, with those and the set's own
+// (each live: the processor draws only when the set's draw came out
+// false), and with instructions so short that a reference retires them.
+// Each run starts at a reference that took a probe stall, whose latch
+// only an issued reference may clear (RunPrivate(0, ws) keeps it), or
+// some boundaries later, after a warm-up that dirtied every line or one
+// that made no data writes, so the run's writes find clean lines and
+// move their states. The two copies must agree on the counters, the
+// instruction record, the latch, the next draws of the processor's
+// generator and of the set's, the cache's counters, last read, and the
+// states and data words of the set's lines, and on every reference the
+// source gives afterwards. Neither RunPrivate nor a tick allocates.
 func TestRunPrivateMatchesTicks(t *testing.T) {
 	partial := MicroVAX78032()
 	partial.Name, partial.PartialWriteFraction = "MicroVAX, partial writes", 0.3
 	short := MicroVAX78032()
 	short.Name, short.BaseTPI = "MicroVAX, 2.5 TPI", 2.5 // instructions that end on a reference
+	onChipData := CVAX78034()
+	onChipData.Name, onChipData.OnChipDCache = "CVAX, on-chip data", true
+	cases := []struct {
+		name       string
+		v          Variant
+		setPartial float64 // the working set's PartialWriteFraction
+	}{
+		{"microvax", MicroVAX78032(), 0},
+		{"cvax", CVAX78034(), 0},
+		{"cvax-onchip-data", onChipData, 0},
+		{"partial-writes", partial, 0},
+		{"both-partial-draws", partial, 0.3},
+		{"short-instructions", short, 0},
+	}
 	var ns []int
 	for n := 0; n <= 40; n++ {
 		ns = append(ns, n)
 	}
 	ns = append(ns, 1000)
-	for _, v := range []Variant{MicroVAX78032(), CVAX78034(), partial, short} {
-		tc := v.TickCycles
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { runPrivateMatchesTicks(t, c.v, c.setPartial, ns) })
+	}
+}
+
+// runPrivateMatchesTicks runs one case of TestRunPrivateMatchesTicks:
+// variant v on a working set whose PartialWriteFraction is setPartial,
+// ending runs at each n of ns.
+func runPrivateMatchesTicks(t *testing.T, v Variant, setPartial float64, ns []int) {
+	tc := v.TickCycles
+	newSet := func() *trace.WorkingSet {
+		return trace.NewWorkingSet(trace.WorkingSetConfig{
+			Base: 0x10000, Bytes: 0x400, SetLines: 8, PartialWriteFraction: setPartial, Seed: 9,
+		})
+	}
+	setPartials := map[bool]int{} // the set's partial-write answers seen by ticks
+	for _, clean := range []bool{false, true} {
 		for _, after := range []int{0, 3, 7} {
 			for _, n := range ns {
-				name := fmt.Sprintf("%s, %d boundaries after the stall, n=%d", v.Name, after, n)
+				name := fmt.Sprintf("clean %v, %d boundaries after the stall, n=%d", clean, after, n)
 				mk := func() (*machine, *int, *refLog, *trace.WorkingSet) {
-					ws := trace.NewWorkingSet(trace.WorkingSetConfig{Base: 0x10000, Bytes: 0x400, SetLines: 8, Seed: 9})
+					ws := newSet()
 					log := &refLog{src: ws}
 					m := newMachine(1, v, func(int, *core.Cache) trace.Source { return log })
 					log.clock = m.clock
+					p := m.cpus[0]
 					hooks := new(int)
-					m.cpus[0].SetInstrHook(func(*Processor) bool { *hooks++; return true })
+					p.SetInstrHook(func(*Processor) bool { *hooks++; return true })
+					if clean {
+						p.dw = sim.NewChance(0) // the set's lines arrive Exclusive and stay so
+					}
 					m.tickRun(4000 * tc)
+					p.dw = sim.NewChance(v.DW)
 					m.probeAtNextRef(t)
 					m.tickRun(after * tc)
 					return m, hooks, log, ws
 				}
-				priv, privHooks, privLog, ws := mk()
-				tick, tickHooks, tickLog, _ := mk()
+				priv, privHooks, privLog, privSet := mk()
+				tick, tickHooks, tickLog, tickSet := mk()
 				pp, tp := priv.cpus[0], tick.cpus[0]
-				if !pp.cache.HitsLocally(ws.Lines()) {
+				if !pp.cache.HitsLocally(privSet.Lines()) {
 					t.Fatalf("%s: working set not resident after warm-up", name)
 				}
+				if clean && !slices.ContainsFunc(privSet.Lines(), func(a mbus.Addr) bool {
+					return pp.cache.LineState(a) == core.Exclusive
+				}) {
+					t.Fatalf("%s: no clean line left for the run to write", name)
+				}
 				privBefore, tickBefore := *privHooks, *tickHooks
-				boundaries := pp.RunPrivate(n)
+				logged, issued := len(privLog.refs), pp.Stats().Refs()+pp.Stats().OnChipHits
+				boundaries := pp.RunPrivate(n, privSet)
 				if *privHooks != privBefore {
 					t.Fatalf("%s: RunPrivate ran the hook", name)
 				}
@@ -812,56 +859,72 @@ func TestRunPrivateMatchesTicks(t *testing.T) {
 				if got, want := boundaries, uint64(*tickHooks-tickBefore); got != want {
 					t.Fatalf("%s: RunPrivate crossed %d boundaries, ticks ran the hook %d times", name, got, want)
 				}
-				if ps, ts := processorState(pp, ws), processorState(tp, ws); ps != ts {
+				if ps, ts := processorState(pp, privSet), processorState(tp, tickSet); ps != ts {
 					t.Fatalf("%s: diverged\nprivate %s\nticked  %s", name, ps, ts)
 				}
-				// RunPrivate reads no clock, so only the references after
-				// it carry comparable cycles.
-				base := len(privLog.refs)
+				// RunPrivate draws from the set, not through the source,
+				// so only the ticked copy logged the run's references.
+				run := len(tickLog.refs) - len(privLog.refs)
+				if want := pp.Stats().Refs() + pp.Stats().OnChipHits - issued; len(privLog.refs) != logged || uint64(run) != want {
+					t.Fatalf("%s: RunPrivate logged %d references; ticks logged %d, want %d", name, len(privLog.refs)-logged, run, want)
+				}
 				for round := 0; round < 3; round++ {
 					priv.probeAtNextRef(t)
 					tick.probeAtNextRef(t)
 					priv.tickRun(50 * tc)
 					tick.tickRun(50 * tc)
-					if ps, ts := processorState(pp, ws), processorState(tp, ws); ps != ts {
+					if ps, ts := processorState(pp, privSet), processorState(tp, tickSet); ps != ts {
 						t.Fatalf("%s round %d: diverged\nprivate %s\nticked  %s", name, round, ps, ts)
 					}
 				}
 				if *privHooks != *tickHooks {
 					t.Fatalf("%s: hook ran %d times after RunPrivate, %d after ticks", name, *privHooks, *tickHooks)
 				}
-				if len(privLog.refs) != len(tickLog.refs) {
-					t.Fatalf("%s: %d references after RunPrivate, %d after ticks", name, len(privLog.refs), len(tickLog.refs))
+				if len(privLog.refs)+run != len(tickLog.refs) {
+					t.Fatalf("%s: %d references after RunPrivate, %d after ticks", name, len(privLog.refs)-logged, len(tickLog.refs)-logged-run)
 				}
-				for i := range privLog.refs {
-					pr, tr := privLog.refs[i], tickLog.refs[i]
-					if i < base {
+				for i, pr := range privLog.refs {
+					// RunPrivate reads no clock, so only the references
+					// after it carry comparable cycles.
+					tr := tickLog.refs[i]
+					if i < logged {
 						pr.at, tr.at = 0, 0
+					} else {
+						tr = tickLog.refs[i+run]
 					}
 					if pr != tr {
 						t.Fatalf("%s: reference %d diverged: private %+v, ticked %+v", name, i, pr, tr)
 					}
 				}
+				for _, r := range tickLog.refs {
+					if r.kind == trace.DataWrite {
+						setPartials[r.partial]++
+					}
+				}
 			}
 		}
-		m := newMachine(1, v, func(int, *core.Cache) trace.Source {
-			return trace.NewWorkingSet(trace.WorkingSetConfig{Base: 0x10000, Bytes: 0x400, SetLines: 8, Seed: 9})
-		})
-		m.tickRun(4000 * tc)
-		p := m.cpus[0]
-		if a := testing.AllocsPerRun(100, func() { p.RunPrivate(1000) }); a != 0 {
-			t.Errorf("%s: RunPrivate(1000) allocates %v times", v.Name, a)
-		}
-		if a := testing.AllocsPerRun(100, func() { m.tickRun(100 * tc) }); a != 0 {
-			t.Errorf("%s: 100 ticks allocate %v times", v.Name, a)
-		}
+	}
+	if setPartial > 0 && (setPartials[true] == 0 || setPartials[false] == 0) {
+		t.Errorf("the set's partial-write draw is not live: %v", setPartials)
+	}
+	ws := newSet()
+	m := newMachine(1, v, func(int, *core.Cache) trace.Source { return ws })
+	m.tickRun(4000 * tc)
+	p := m.cpus[0]
+	if a := testing.AllocsPerRun(100, func() { p.RunPrivate(1000, ws) }); a != 0 {
+		t.Errorf("RunPrivate(1000) allocates %v times", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { m.tickRun(100 * tc) }); a != 0 {
+		t.Errorf("100 ticks allocate %v times", a)
 	}
 }
 
 // processorState renders what a private run and ticks must leave alike:
 // the counters, the instruction's position (its split too, unless it has
 // retired), the carry, the flags, the next draws of the processor's
-// generator, and the cache's counters and the states of ws's lines.
+// generator, the cache's counters and last read, the states and data
+// words of ws's lines, and ws's next draws. Reading those moves ws's
+// generator, so both copies must be rendered at the same points.
 func processorState(p *Processor, ws *trace.WorkingSet) string {
 	in := p.in
 	if in.boundary() {
@@ -870,9 +933,16 @@ func processorState(p *Processor, ws *trace.WorkingSet) string {
 	rng := *p.rng
 	draws := [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
 	var states []core.State
+	var words []uint32
 	for _, a := range ws.Lines() {
 		states = append(states, p.cache.LineState(a))
+		w, _ := p.cache.PeekWord(a)
+		words = append(words, w)
 	}
-	return fmt.Sprintf("%+v %+v carry %v waiting %v latched %v draws %x cache %+v %v",
-		p.Stats(), in, p.tpiCarry, p.waiting, p.probeStalled, draws, p.cache.Stats(), states)
+	var picks [4]trace.Ref
+	for i := range picks {
+		picks[i] = ws.Pick(trace.DataWrite)
+	}
+	return fmt.Sprintf("%+v %+v carry %v waiting %v latched %v draws %x cache %+v last read %x %v data %x set draws %+v",
+		p.Stats(), in, p.tpiCarry, p.waiting, p.probeStalled, draws, p.cache.Stats(), p.cache.LastRead(), states, words, picks)
 }

@@ -172,6 +172,11 @@ type Scheduler interface {
 	// every processor due at now already ticked; a horizon may lie past
 	// the quiet window, which Run honours as well.
 	PrivateHorizon(now sim.Cycle) sim.Cycle
+	// PrivateSet names the static working set running processor proc
+	// draws every reference from until a horizon just granted: the one
+	// its reference source would read. Run hands it to
+	// cpu.Processor.RunPrivate, which draws from it directly.
+	PrivateSet(proc int) *trace.WorkingSet
 	// PrivateDone hands back the instruction boundaries processor proc
 	// crossed in a private run, at which its hook did not run.
 	PrivateDone(proc int, boundaries uint64)
@@ -545,7 +550,7 @@ func (m *Machine) RunUntil(until func() bool, n uint64) bool {
 	}
 	for i, p := range m.cpus {
 		if h := &m.hz[i]; h.due != sim.Never || h.parked {
-			p.RunPrivate(int(now/tc - h.last))
+			p.RunPrivate(int(now/tc-h.last), nil)
 		}
 	}
 	return until != nil && until()
@@ -574,8 +579,9 @@ func (m *Machine) runQuiet(now, stop sim.Cycle) {
 // runPrivate runs every processor alone through the boundaries before
 // the scheduler's private horizon that lie in the quiet window ending at
 // stop. Each processor ticks through them in one call
-// (cpu.Processor.RunPrivate), hands its instruction boundaries back to
-// the scheduler once, and is rearmed from the last of them in a
+// (cpu.Processor.RunPrivate), drawing from the working set the
+// scheduler names for it (PrivateSet), hands its instruction boundaries
+// back to the scheduler once, and is rearmed from the last of them in a
 // calendar emptied for it. The clock stays at now: no private tick reads
 // it, and runQuiet moves it on to the next due boundary.
 func (m *Machine) runPrivate(now, stop sim.Cycle) {
@@ -592,7 +598,7 @@ func (m *Machine) runPrivate(now, stop sim.Cycle) {
 	m.cal.reset(b)
 	for i, p := range m.cpus {
 		if hz := &m.hz[i]; hz.due != sim.Never {
-			n := p.RunPrivate(int(b - hz.last))
+			n := p.RunPrivate(int(b-hz.last), m.sched.PrivateSet(i))
 			m.sched.PrivateDone(i, n)
 			m.cal.insert(i, m.rearm(i, b))
 		}
@@ -613,7 +619,7 @@ func (m *Machine) tickDue(b sim.Cycle) (local bool) {
 		i := bits.TrailingZeros64(due)
 		p := m.cpus[i]
 		if k := b - m.hz[i].last - 1; k > 0 {
-			p.RunPrivate(int(k))
+			p.RunPrivate(int(k), nil)
 		}
 		local = p.Tick() && local
 		m.cal.insert(i, m.rearm(i, b))

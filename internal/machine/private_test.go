@@ -31,6 +31,8 @@ func (s *stubScheduler) PrivateHorizon(now sim.Cycle) sim.Cycle {
 	return sim.Never
 }
 
+func (s *stubScheduler) PrivateSet(proc int) *trace.WorkingSet { return s.sets[proc] }
+
 func (s *stubScheduler) PrivateDone(proc int, boundaries uint64) { s.boundaries += boundaries }
 
 // newStubMachine builds a two-processor machine whose processors draw

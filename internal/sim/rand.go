@@ -35,10 +35,11 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
 	}
+	x := r.Uint64() // one draw site keeps Intn small enough to inline
 	if n&(n-1) == 0 {
-		return int(r.Uint64() & uint64(n-1))
+		return int(x & uint64(n-1))
 	}
-	return int(r.Uint64() % uint64(n))
+	return int(x % uint64(n))
 }
 
 // Float64 returns a pseudo-random float64 in [0, 1).

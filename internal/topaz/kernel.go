@@ -123,13 +123,25 @@ func (s *procSource) Next(kind trace.Kind) trace.Ref {
 		}
 		return ref
 	}
-	if s.inKern {
-		return s.kern.Next(kind)
+	if ws := s.workingSet(); ws != nil {
+		return ws.Next(kind)
 	}
-	if s.active != nil {
-		return s.active.Next(kind)
+	return s.active.Next(kind)
+}
+
+// workingSet returns the kernel working set the source reads once no
+// forced reference is pending: the kernel set during switch overhead,
+// the idle loop when no thread is dispatched, and nil while the
+// thread's own source runs. Next and the private-run hooks
+// (PrivateHorizon, PrivateSet) both pick the set here.
+func (s *procSource) workingSet() *trace.WorkingSet {
+	switch {
+	case s.inKern:
+		return s.kern
+	case s.active == nil:
+		return s.idle
 	}
-	return s.idle.Next(kind)
+	return nil
 }
 
 func (s *procSource) force(refs ...trace.Ref) {
@@ -425,16 +437,14 @@ func (k *Kernel) PrivateHorizon(now sim.Cycle) sim.Cycle {
 			continue
 		}
 		src := ps.src
-		var ws *trace.WorkingSet
-		var res *residency
+		ws, res := src.workingSet(), &ps.idleRes
 		switch {
 		case ps.switchLeft > 1 && src.inKern:
 			// Capped so the product cannot wrap; a lower horizon is safe.
 			left := sim.Cycle(min(ps.switchLeft-1, 1<<32))
 			h = min(h, (first+left*k.minInstr)*k.tick)
-			ws, res = src.kern, &ps.kernRes
+			res = &ps.kernRes
 		case ps.switchLeft == 0 && ps.cur == nil && len(k.ready) == 0:
-			ws, res = src.idle, &ps.idleRes
 		default:
 			return now
 		}
@@ -445,6 +455,12 @@ func (k *Kernel) PrivateHorizon(now sim.Cycle) sim.Cycle {
 		}
 	}
 	return max(h, now)
+}
+
+// PrivateSet implements machine.Scheduler: the set procSource.Next reads
+// with no forced reference pending, which PrivateHorizon checked.
+func (k *Kernel) PrivateSet(proc int) *trace.WorkingSet {
+	return k.procs[proc].src.workingSet()
 }
 
 // PrivateDone implements machine.Scheduler: the boundaries crossed are

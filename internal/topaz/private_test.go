@@ -66,12 +66,16 @@ func stepUntil(t *testing.T, m *machine.Machine, cond func() bool) {
 // TestPrivateHorizonGrants pins the horizon's value in the cases it
 // grants: sim.Never for an idle machine with no sleeper, the earliest
 // wake exactly, and, in switch overhead, (switchLeft−1)·floor(BaseTPI)
-// ticks from the next boundary.
+// ticks from the next boundary. PrivateSet names the idle set, and in
+// switch overhead the kernel set.
 func TestPrivateHorizonGrants(t *testing.T) {
 	k := privateRig(t, false)
 	now := k.m.Clock().Now()
 	if h := k.PrivateHorizon(now); h != sim.Never {
 		t.Fatalf("idle machine without sleepers: horizon %d, want sim.Never", h)
+	}
+	if k.PrivateSet(0) != k.procs[0].src.idle {
+		t.Fatal("idle processor: PrivateSet is not the idle set")
 	}
 
 	k.sleepers = []sleeper{{t: &Thread{}, wakeAt: now + 777}}
@@ -87,6 +91,9 @@ func TestPrivateHorizonGrants(t *testing.T) {
 		want := (now/tc + 1 + sim.Cycle(left-1)*floorTPI) * tc
 		if h := k.PrivateHorizon(now); h != want {
 			t.Fatalf("switchLeft %d: horizon %d, want %d", left, h, want)
+		}
+		if k.PrivateSet(0) != k.procs[0].src.kern {
+			t.Fatalf("switchLeft %d: PrivateSet is not the kernel set", left)
 		}
 	}
 	k.PrivateDone(0, 49)

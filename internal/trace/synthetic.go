@@ -263,13 +263,22 @@ func (w *WorkingSet) repopulate() {
 	}
 }
 
-// Next implements Source.
+// Next implements Source: a jump or drift draw, then Pick.
 func (w *WorkingSet) Next(kind Kind) Ref {
 	if w.rng.Hit(w.jump) {
 		w.repopulate()
 	} else if w.rng.Hit(w.drift) {
 		w.set[w.rng.Intn(len(w.set))] = w.fresh()
 	}
+	return w.Pick(kind)
+}
+
+// Pick draws a reference of the given kind from the set as it stands:
+// the line, and for a write the next payload and the partial-write draw.
+// A static set draws nothing for a jump or a drift, so on it Pick gives
+// the reference Next would, from the same draws; private runs read a
+// static set through Pick.
+func (w *WorkingSet) Pick(kind Kind) Ref {
 	ref := Ref{Kind: kind, Addr: w.set[w.rng.Intn(len(w.set))]}
 	if kind == DataWrite {
 		w.seq++

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"firefly/internal/mbus"
+	"firefly/internal/sim"
 )
 
 func TestKindString(t *testing.T) {
@@ -209,6 +211,61 @@ func TestWorkingSetJumpChangesFootprint(t *testing.T) {
 	stable, jumpy := mk(0), mk(0.05)
 	if jumpy <= stable*2 {
 		t.Fatalf("jumping did not grow footprint: stable=%d jumpy=%d", stable, jumpy)
+	}
+}
+
+// TestPickMatchesNext: on a static set, Next is Pick. Twin sets built
+// from one config, one read through Pick and the other through Next,
+// give field-equal references over 10,000 mixed kinds, and each Next
+// moves its generator by exactly the draws Pick makes (the line, and for
+// a write the partial-write draw), so it draws nothing for a jump or a
+// drift. Afterwards both generators' next draws and write payloads
+// agree. With a partial-write fraction of 0.3 the set's partial draw is
+// live, near 30% of writes; with 0 no write is partial.
+func TestPickMatchesNext(t *testing.T) {
+	for _, frac := range []float64{0, 0.3} {
+		t.Run(fmt.Sprintf("partial=%v", frac), func(t *testing.T) {
+			cfg := WorkingSetConfig{Base: 0x10000, Bytes: 0x400, SetLines: 8, PartialWriteFraction: frac, Seed: 5}
+			pick, next := NewWorkingSet(cfg), NewWorkingSet(cfg)
+			if !next.Static() {
+				t.Fatal("the set is not static")
+			}
+			kinds := sim.NewRand(11)
+			writes, partials := 0, 0
+			for i := 0; i < 10_000; i++ {
+				kind := Kind(kinds.Intn(3))
+				want := *next.rng // replays Pick's draws
+				want.Intn(len(next.set))
+				if kind == DataWrite && frac > 0 {
+					want.Uint64()
+				}
+				p, n := pick.Pick(kind), next.Next(kind)
+				if p != n {
+					t.Fatalf("reference %d (%v): Pick %+v, Next %+v", i, kind, p, n)
+				}
+				if *next.rng != want {
+					t.Fatalf("reference %d (%v): Next drew more than Pick's draws", i, kind)
+				}
+				if kind == DataWrite {
+					writes++
+					if p.Partial {
+						partials++
+					}
+				}
+			}
+			a, b := *pick.rng, *next.rng
+			for i := 0; i < 3; i++ {
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("next draw %d: %x after Pick, %x after Next", i, x, y)
+				}
+			}
+			if pick.seq != next.seq {
+				t.Fatalf("write payload %d after Pick, %d after Next", pick.seq, next.seq)
+			}
+			if got := float64(partials) / float64(writes); math.Abs(got-frac) > 0.03 {
+				t.Fatalf("%d of %d writes partial (%.3f), want about %v", partials, writes, got, frac)
+			}
+		})
 	}
 }
 
